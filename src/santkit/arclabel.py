@@ -31,6 +31,7 @@ from typing import Mapping, Union
 
 from .errors import ParseError, SortMismatch
 from .lexer import TokenStream, tokenize
+from .sancore import COMPARISONS
 from .template import (AAdd, ASet, ASub, ActivityTemplate, GateAtom,
                        GateRule, InputGateTemplate, OutputGateTemplate,
                        PAtom, PlaceTemplate, QAll, QAt, QExists, SAll, SAt,
@@ -70,7 +71,7 @@ OutputArcSpec = Union[Unconditional, Conditional]
 class ExplicitInput:
     quantifier: str              # "forall" | "exists" | "at"
     at_index: Term | None        # set when quantifier == "at"
-    cmp: str                     # "=" | ">" | ">="
+    cmp: str                     # a key of sancore.COMPARISONS
     value: Term
     func_sub: bool               # True: subtract; False: set
     func_value: Term
@@ -143,9 +144,9 @@ def parse_input_label(text: str,
         else:
             quant, at_index = "at", _int_term(ts, params, allow_case=False)
         tok = ts.peek()
-        if not ts.at_sym("=", ">", ">="):
+        if not ts.at_sym(*COMPARISONS):
             raise ParseError(f"found {tok.describe()}", tok.line, tok.column,
-                             expected=("'='", "'>'", "'>='"))
+                             expected=tuple(map(repr, COMPARISONS)))
         cmp = ts.next().value
         value = _int_term(ts, params, allow_case=False)
         ts.expect_sym("]")
@@ -168,7 +169,7 @@ def print_output_label(spec: OutputArcSpec) -> str:
     """Canonical text; re-parsing yields an equal spec."""
     if isinstance(spec, Unconditional):
         return _print_out(spec.out)
-    text = f"{_wrap_index(spec.index)} -> {_print_out(spec.then)}"
+    text = f"{_wrap_unary(spec.index)} -> {_print_out(spec.then)}"
     if spec.otherwise is not None:
         text += f" / {_print_out(spec.otherwise)}"
     return text
@@ -196,15 +197,8 @@ def print_input_label(spec: InputArcSpec) -> str:
 
 def _wrap_unary(term: Term) -> str:
     # A leading +/- followed by a negative literal or another sign must keep
-    # the term parenthesized so the structural sign survives re-parsing.
-    text = print_term(term)
-    if text.startswith("-"):
-        return f"({text})"
-    return text
-
-
-def _wrap_index(term: Term) -> str:
-    # The conditional index must not swallow the "->" as part of a term.
+    # the term parenthesized so the structural sign survives re-parsing, and
+    # a conditional index must not swallow the "->" as part of a term.
     text = print_term(term)
     if text.startswith("-"):
         return f"({text})"
@@ -224,24 +218,20 @@ def desugar_output_arc(spec: OutputArcSpec, place: PlaceTemplate,
     """Compile an output arc-template label into its output gate."""
     params = params or {}
     if isinstance(spec, Unconditional):
-        _check_int(_out_term(spec.out), params, "output expression")
+        _check_int(spec.out.value, params, "output expression")
         rules = (GateRule(place.name, SAll(), _out_action(spec.out)),)
     else:
         _check_int(spec.index, params, "index expression")
-        _check_int(_out_term(spec.then), params, "output expression")
+        _check_int(spec.then.value, params, "output expression")
         rules = [GateRule(place.name, SAt(spec.index), _out_action(spec.then))]
         if spec.otherwise is not None:
-            _check_int(_out_term(spec.otherwise), params, "output expression")
+            _check_int(spec.otherwise.value, params, "output expression")
             rules.append(GateRule(place.name, SExcept(spec.index),
                                   _out_action(spec.otherwise)))
         rules = tuple(rules)
     return OutputGateTemplate(
         name=name, activity=activity.name, places=(place.name,), rules=rules,
         arc_label=print_output_label(spec) if label is None else label)
-
-
-def _out_term(out: OutExpr) -> Term:
-    return out.value
 
 
 def _out_action(out: OutExpr):

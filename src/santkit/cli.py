@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 for user errors (unreadable or invalid input),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -30,18 +31,13 @@ _COLORS = {"error": "\x1b[31m", "warning": "\x1b[33m"}
 
 
 def _print_diagnostic(diag: Diagnostic, doc: ModelDocument | None) -> None:
-    span = diag.span
-    if span is None and doc is not None:
-        span = doc.span_of(diag.element)
-    prefix = ""
-    if doc is not None:
-        prefix = doc.path
-        if span:
-            prefix += f":{span[0]}:{span[1]}"
-        prefix += ": "
-    text = f"{prefix}{diag.severity}: {diag.code}: {diag.message}"
-    if diag.element:
-        text += f" [{diag.element}]"
+    """Print ``diag`` to stderr, located in ``doc`` when there is one."""
+    if doc is None:
+        text = dataclasses.replace(diag, span=None).format()
+    else:
+        located = dataclasses.replace(
+            diag, span=diag.span or doc.span_of(diag.element))
+        text = f"{doc.path}:{'' if located.span else ' '}{located.format()}"
     if _color_enabled():
         color = _COLORS.get(diag.severity, "")
         text = f"{color}{text}\x1b[0m"
@@ -119,8 +115,13 @@ def parse_reward(text: str) -> RewardSpec:
     if parts[0] == "throughput" and len(parts) == 2:
         return RewardSpec("throughput", parts[1])
     if parts[0] == "atleast" and len(parts) == 3:
+        try:
+            threshold = int(parts[2])
+        except ValueError:
+            raise SantError(f"bad reward '{text}': threshold "
+                            f"'{parts[2]}' is not an integer") from None
         return RewardSpec("prob_tokens_at_least", parts[1],
-                          threshold=int(parts[2]))
+                          threshold=threshold)
     raise SantError(
         f"bad reward '{text}' (use tokens:PLACE, throughput:ACTIVITY, "
         f"or atleast:PLACE:N)")
@@ -216,8 +217,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        return _fail(str(exc))
     except SantError as exc:
         return _fail(str(exc))
     except OSError as exc:

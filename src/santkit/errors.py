@@ -54,10 +54,6 @@ class NegativeMarking(SantError):
     pass
 
 
-class InvalidParameter(SantError):
-    pass
-
-
 class InvalidConfig(SantError):
     pass
 

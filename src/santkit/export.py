@@ -9,7 +9,7 @@ gates touching either.  Instances never have dashed elements.
 
 from __future__ import annotations
 
-from .sancore import ConcreteSan
+from .sancore import ActivityKind, ConcreteSan
 from .template import (SanTemplate, has_variable_cases,
                        is_unary_multiplicity)
 
@@ -56,8 +56,6 @@ def template_dashed_elements(template: SanTemplate) -> set[str]:
 
 
 def template_to_dot(template: SanTemplate) -> str:
-    from .template import ActivityKind
-
     dashed = template_dashed_elements(template)
     lines = [f'digraph "{template.name}" {{', "  rankdir=LR;"]
     for place in template.places:
@@ -82,8 +80,6 @@ def template_to_dot(template: SanTemplate) -> str:
 
 
 def san_to_dot(san: ConcreteSan) -> str:
-    from .template import ActivityKind
-
     marking = san.initial_marking_dict()
     lines = [f'digraph "{san.name}" {{', "  rankdir=LR;"]
     for place in san.places:

@@ -14,21 +14,19 @@ from .errors import ParseError, SantError
 from .modelfile import (marking_fn_to_text, parse_marking_fn_text,
                         parse_pred_text, parse_rule_text, pred_to_text,
                         rule_to_text)
-from .sancore import (Activity, ConcreteSan, Dist, InputGate, OutputGate,
-                      PredAnd, PredConst, PredLeaf, PredNot, PredOr,
-                      Predicate, Update)
+from .sancore import (Activity, ActivityKind, ConcreteSan, Dist, InputGate,
+                      OutputGate, PredAnd, PredConst, PredLeaf, PredNot,
+                      PredOr, Predicate, Update)
 from .arclabel import (desugar_input_arc, desugar_output_arc,
                        parse_input_label, parse_output_label)
-from .template import (ActivityKind, ActivityTemplate, CaseDistribution,
-                       CaseEntry, DistributionSpec, InputGateTemplate,
+from .template import (ActivityTemplate, CaseDistribution, CaseEntry,
+                       DistributionSpec, InputGateTemplate,
                        OutputGateTemplate, PlaceTemplate, ReactivationSpec,
                        SanTemplate)
 from .terms import Sort, parse_term, print_term
 
 TEMPLATE_SCHEMA = "santkit-template/1"
 INSTANCE_SCHEMA = "santkit-instance/1"
-
-_SORTS = {s.value: s for s in Sort}
 
 
 def template_to_json(template: SanTemplate) -> dict[str, Any]:
@@ -80,7 +78,7 @@ def template_to_json(template: SanTemplate) -> dict[str, Any]:
 def json_to_template(doc: dict[str, Any]) -> SanTemplate:
     if doc.get("schema") != TEMPLATE_SCHEMA:
         raise SantError(f"unsupported template schema {doc.get('schema')!r}")
-    params = {p["name"]: _SORTS[p["sort"]] for p in doc["params"]}
+    params = {p["name"]: Sort(p["sort"]) for p in doc["params"]}
 
     def term(text, expected=None, allow_case=False, allow_place=False):
         return parse_term(text, params, expected=expected,
@@ -137,7 +135,7 @@ def json_to_template(doc: dict[str, Any]) -> SanTemplate:
 
     return SanTemplate(
         name=doc["name"],
-        parameters=tuple((p["name"], _SORTS[p["sort"]])
+        parameters=tuple((p["name"], Sort(p["sort"]))
                          for p in doc["params"]),
         places=tuple(places.values()),
         activities=tuple(activities),

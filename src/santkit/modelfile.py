@@ -62,20 +62,16 @@ from .arclabel import (desugar_input_arc, desugar_output_arc,
                        parse_input_label, parse_output_label)
 from .errors import ParseError
 from .lexer import Token, TokenStream, tokenize
-from .template import (AAdd, ASet, ASub, Action, ActivityKind,
-                       ActivityTemplate, CaseDistribution, CaseEntry,
-                       DistributionSpec, DIST_ARITY, GateAtom, GatePredicate,
-                       GateRule, InputGateTemplate, MConst, MExpr, MIdentity,
-                       MSetAt, MSetOn, MTable, MarkingFn, OutputGateTemplate,
-                       PAnd, PAtom, PNot, POr, PlaceTemplate, QAll, QAt,
-                       QExists, SAll, SAt, SExcept, SWhere, SanTemplate,
-                       Selector)
-from .terms import (CaseIndex, Const, Sort, Term, Value, parse_term_stream,
-                    print_term)
-
-SORT_NAMES = {
-    "int": Sort.INT, "real": Sort.REAL, "bool": Sort.BOOL,
-}
+from .sancore import COMPARISONS, FAMILIES, ActivityKind
+from .template import (AAdd, ASet, ASub, Action, ActivityTemplate,
+                       CaseDistribution, CaseEntry, DistributionSpec,
+                       GateAtom, GatePredicate, GateRule, InputGateTemplate,
+                       MConst, MExpr, MIdentity, MSetAt, MSetOn, MTable,
+                       MarkingFn, OutputGateTemplate, PAnd, PAtom, PNot, POr,
+                       PlaceTemplate, QAll, QAt, QExists, SAll, SAt, SExcept,
+                       SWhere, SanTemplate, Selector)
+from .terms import (CaseIndex, Const, Sort, Term, Value, format_value,
+                    parse_term_stream, print_term)
 
 # Int slots inside gate bodies stop at the boolean connectives so that
 # "Failed[1] >= 1 and exists Req >= 1" splits where the grammar expects.
@@ -169,11 +165,11 @@ class _TemplateParser:
     def _sort(self) -> Sort:
         tok = self.ts.expect_ident("int", "real", "bool", "set")
         if tok.value != "set":
-            return SORT_NAMES[tok.value]
+            return Sort(tok.value)
         self.ts.expect_sym("<")
         elem = self.ts.expect_ident("int", "real")
         self.ts.expect_sym(">")
-        return Sort.SET_INT if elem.value == "int" else Sort.SET_REAL
+        return Sort(f"set<{elem.value}>")
 
     # -- sections ----------------------------------------------------------
 
@@ -195,9 +191,8 @@ class _TemplateParser:
         self.places.append(PlaceTemplate(tok.value, self._term()))
 
     def _section_activities(self) -> None:
-        kind_tok = self.ts.expect_ident("timed", "instantaneous")
-        kind = (ActivityKind.TIMED if kind_tok.value == "timed"
-                else ActivityKind.INSTANTANEOUS)
+        kind_tok = self.ts.expect_ident(*(k.value for k in ActivityKind))
+        kind = ActivityKind(kind_tok.value)
         tok = self._name()
         self._span("activity", tok)
         cases: Term = _DEFAULT_CASES
@@ -242,7 +237,7 @@ class _TemplateParser:
         return tuple(entries)
 
     def _distribution(self) -> DistributionSpec:
-        tok = self.ts.expect_ident(*DIST_ARITY)
+        tok = self.ts.expect_ident(*FAMILIES)
         self.ts.expect_sym("(")
         params = [self._term()]
         while self.ts.accept_sym(","):
@@ -378,9 +373,9 @@ class _TemplateParser:
             quant = QAt(self._term())
             self.ts.expect_sym("]")
         tok = self.ts.peek()
-        if not self.ts.at_sym("=", ">", ">="):
+        if not self.ts.at_sym(*COMPARISONS):
             raise ParseError(f"found {tok.describe()}", tok.line, tok.column,
-                             expected=("'='", "'>'", "'>='"))
+                             expected=tuple(map(repr, COMPARISONS)))
         cmp = self.ts.next().value
         value = self._term(allow_place=True, restrict=_GATE_RESTRICT)
         return GateAtom(quant, place, cmp, value)
@@ -600,10 +595,6 @@ def coerce_assignment(template: SanTemplate,
 # -- serialization -----------------------------------------------------------
 
 
-def _sort_text(sort: Sort) -> str:
-    return sort.value
-
-
 def pred_to_text(pred: GatePredicate) -> str:
     def emit(node: GatePredicate, parent: int) -> str:
         if isinstance(node, POr):
@@ -694,7 +685,7 @@ def _gate_lines(gate, is_input: bool) -> list[str]:
     lines.append("  places = " + ", ".join(gate.places))
     if is_input:
         lines.append(f"  enabled = {pred_to_text(gate.predicate)}")
-    for when, chunk in _rule_chunks(gate.rules):
+    for when, chunk in _chunk_by(gate.rules, lambda rule: rule.when):
         if when is None:
             lines.append("  effect = " + " ; ".join(rule_to_text(r)
                                                     for r in chunk))
@@ -703,16 +694,6 @@ def _gate_lines(gate, is_input: bool) -> list[str]:
             lines.append(f"  when {print_term(when)} {{ {body} }}")
     lines.append("}")
     return lines
-
-
-def _rule_chunks(rules):
-    chunks: list[tuple[Term | None, list[GateRule]]] = []
-    for rule in rules:
-        if chunks and chunks[-1][0] == rule.when:
-            chunks[-1][1].append(rule)
-        else:
-            chunks.append((rule.when, [rule]))
-    return chunks
 
 
 def _arc_line(gate, is_input: bool) -> str:
@@ -734,7 +715,7 @@ def template_to_text(template: SanTemplate) -> str:
 
     out.append("params {")
     for name, sort in template.parameters:
-        out.append(f"  {name} : {_sort_text(sort)}")
+        out.append(f"  {name} : {sort}")
     out.append("}")
     out.append("")
 
@@ -789,22 +770,12 @@ def _chunk_by(items, key):
     return chunks
 
 
-def _literal_text(value: Value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return "{%s}" % ", ".join(_literal_text(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def assignments_to_text(doc: AssignmentDocument) -> str:
     out = ["assignments {"]
     for name, bindings in doc.assignments.items():
         out.append(f"  {name} {{")
         for param, value in bindings.items():
-            out.append(f"    {param} = {_literal_text(value)}")
+            out.append(f"    {param} = {format_value(value)}")
         out.append("  }")
     out.append("}")
     out.append("")

@@ -9,22 +9,70 @@ and execute without any term evaluation.
 
 from __future__ import annotations
 
+import enum
+import math
+import operator
+import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .errors import (Diagnostic, NegativeMarking, NotEnabled, SantError)
-from .template import ActivityKind
 
 PROB_TOLERANCE = 1e-9
 
 Marking = dict[str, int]
 
 
+class ActivityKind(enum.Enum):
+    TIMED = "timed"
+    INSTANTANEOUS = "instantaneous"
+
+    def __str__(self) -> str:
+        return self.value
+
+
+# The comparisons a gate predicate or an update guard may use.
+COMPARISONS: dict[str, Callable[[int, int], bool]] = {
+    "=": operator.eq, ">": operator.gt, ">=": operator.ge}
+
+# The marking updates an output or input gate function may apply.
+ACTIONS = ("set", "add", "sub")
+
+
+@dataclass(frozen=True)
+class Family:
+    """A firing-time distribution family.
+
+    ``invalid`` takes the ``arity`` parameters and is true when they are out
+    of range; ``requirement`` then heads the ``invalid-parameter`` message.
+    ``sample`` draws one delay by inverse transform.
+    """
+
+    arity: int
+    invalid: Callable[..., bool]
+    requirement: str
+    sample: Callable[[tuple[float, ...], random.Random], float]
+
+
+FAMILIES: dict[str, Family] = {
+    "exponential": Family(
+        1, lambda rate: rate <= 0.0, "exponential rate must be positive",
+        lambda p, rng: -math.log(1.0 - rng.random()) / p[0]),
+    "uniform": Family(
+        2, lambda low, high: low > high,
+        "uniform bounds must satisfy low <= high",
+        lambda p, rng: p[0] + (p[1] - p[0]) * rng.random()),
+    "deterministic": Family(
+        1, lambda delay: delay < 0.0, "deterministic delay must be nonnegative",
+        lambda p, rng: p[0]),
+}
+
+
 @dataclass(frozen=True)
 class Dist:
-    family: str                  # exponential | uniform | deterministic
+    family: str                  # a key of FAMILIES
     params: tuple[float, ...]
 
 
@@ -46,7 +94,7 @@ class PredConst:
 @dataclass(frozen=True)
 class PredLeaf:
     place: str
-    cmp: str                     # "=" | ">" | ">="
+    cmp: str                     # a key of COMPARISONS
     value: int
 
 
@@ -77,7 +125,7 @@ class Update:
     """
 
     place: str
-    action: str                  # "set" | "add" | "sub"
+    action: str                  # one of ACTIONS
     amount: int
     when: tuple[str, int] | None = None
 
@@ -142,21 +190,11 @@ class ConcreteSan:
         return tuple(marking[p] for p in self.places)
 
 
-def _holds(cmp: str, lhs: int, rhs: int) -> bool:
-    if cmp == "=":
-        return lhs == rhs
-    if cmp == ">":
-        return lhs > rhs
-    if cmp == ">=":
-        return lhs >= rhs
-    raise SantError(f"unknown comparison '{cmp}'")
-
-
 def eval_predicate(pred: Predicate, marking: Marking) -> bool:
     if isinstance(pred, PredConst):
         return pred.value
     if isinstance(pred, PredLeaf):
-        return _holds(pred.cmp, marking[pred.place], pred.value)
+        return COMPARISONS[pred.cmp](marking[pred.place], pred.value)
     if isinstance(pred, PredAnd):
         return all(eval_predicate(p, marking) for p in pred.args)
     if isinstance(pred, PredOr):
@@ -176,7 +214,8 @@ def apply_updates(gate_name: str, updates: tuple[Update, ...],
     entry = marking
     result = dict(marking)
     for u in updates:
-        if u.when is not None and not _holds(u.when[0], entry[u.place], u.when[1]):
+        if u.when is not None and \
+                not COMPARISONS[u.when[0]](entry[u.place], u.when[1]):
             continue
         if u.action == "set":
             tokens = u.amount
@@ -381,9 +420,20 @@ def validate_san(san: ConcreteSan,
         for pname in gate.places:
             if pname not in place_set:
                 err("unknown-place", f"gate lists unknown place '{pname}'", el)
+        if isinstance(gate, InputGate):
+            for leaf in _leaves(gate.predicate):
+                if leaf.place not in place_set:
+                    err("unknown-place",
+                        f"predicate tests unknown place '{leaf.place}'", el)
+                if leaf.cmp not in COMPARISONS:
+                    err("bad-comparison", f"comparison '{leaf.cmp}'", el)
         for u in gate.updates:
             if u.place not in place_set:
                 err("unknown-place", f"update on unknown place '{u.place}'", el)
+            if u.action not in ACTIONS:
+                err("bad-action", f"update action '{u.action}'", el)
+            if u.when is not None and u.when[0] not in COMPARISONS:
+                err("bad-comparison", f"comparison '{u.when[0]}'", el)
             if u.action == "set" and u.amount < 0:
                 err("negative-marking",
                     f"update sets '{u.place}' to {u.amount}", el)
@@ -415,19 +465,19 @@ def validate_san(san: ConcreteSan,
 
 
 def _check_dist(dist: Dist, element: str, err) -> None:
-    if dist.family == "exponential":
-        if len(dist.params) != 1 or dist.params[0] <= 0.0:
-            err("invalid-parameter",
-                f"exponential rate must be positive, got {dist.params}", element)
-    elif dist.family == "uniform":
-        if len(dist.params) != 2 or dist.params[0] > dist.params[1]:
-            err("invalid-parameter",
-                f"uniform bounds must satisfy low <= high, got {dist.params}",
-                element)
-    elif dist.family == "deterministic":
-        if len(dist.params) != 1 or dist.params[0] < 0.0:
-            err("invalid-parameter",
-                f"deterministic delay must be nonnegative, got {dist.params}",
-                element)
-    else:
+    family = FAMILIES.get(dist.family)
+    if family is None:
         err("unknown-distribution", f"unknown family '{dist.family}'", element)
+    elif len(dist.params) != family.arity or family.invalid(*dist.params):
+        err("invalid-parameter", f"{family.requirement}, got {dist.params}",
+            element)
+
+
+def _leaves(pred: Predicate) -> Iterator[PredLeaf]:
+    if isinstance(pred, PredLeaf):
+        yield pred
+    elif isinstance(pred, (PredAnd, PredOr)):
+        for arg in pred.args:
+            yield from _leaves(arg)
+    elif isinstance(pred, PredNot):
+        yield from _leaves(pred.arg)

