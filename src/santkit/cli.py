@@ -12,7 +12,8 @@ import os
 import sys
 
 from .concretize import concretize, instance_summary
-from .errors import Diagnostic, ParseError, SantError, has_errors
+from .errors import (Diagnostic, ParseError, SantError, ValidationError,
+                     has_errors)
 from .export import san_to_dot, template_to_dot
 from .jsonio import (dumps, json_to_san, load_json_file, san_to_json,
                      template_to_json)
@@ -98,9 +99,12 @@ def _resolve_instance(args: argparse.Namespace):
 
 def cmd_instantiate(args: argparse.Namespace) -> int:
     san = _resolve_instance(args)
+    diags = validate_san(san)
+    if has_errors(diags):
+        raise ValidationError(diags)
     out = args.out or f"{san.name}.sanx"
     _write_out(dumps(san_to_json(san)), out)
-    for diag in validate_san(san):
+    for diag in diags:
         _print_diagnostic(diag, None)
     print(instance_summary(san))
     if out != "-":

@@ -158,16 +158,60 @@ def _pred_json(pred: Predicate) -> Any:
     return {"not": _pred_json(pred.arg)}
 
 
-def _json_pred(doc: Any) -> Predicate:
+# JSON type names, as the decoder reports them, and their Python types.
+_JSON_TYPES: dict[str, type | tuple[type, ...]] = {
+    "object": dict, "list": list, "string": str, "int": int,
+    "number": (int, float), "bool": bool}
+
+
+def _typed(value: Any, expected: str, path: str,
+           nullable: bool = False) -> Any:
+    """``value`` when it has the JSON type ``expected`` (a bool is not a
+    number); otherwise a ``SantError`` that names ``path``."""
+    if nullable and value is None:
+        return None
+    if not isinstance(value, _JSON_TYPES[expected]) or \
+            (expected != "bool" and isinstance(value, bool)):
+        raise SantError(f"{path}: expected {expected}"
+                        + (" or null" if nullable else ""))
+    return value
+
+
+def _field(doc: dict[str, Any], key: str, expected: str, path: str,
+           nullable: bool = False) -> Any:
+    if key not in doc:
+        raise SantError(f"{path}.{key}: missing")
+    return _typed(doc[key], expected, f"{path}.{key}", nullable)
+
+
+def _items(doc: dict[str, Any], key: str, expected: str,
+           path: str) -> list[tuple[Any, str]]:
+    """The items of the list field ``key``, typed, with their paths."""
+    items = _field(doc, key, "list", path)
+    paths = [f"{path}.{key}[{i}]" for i in range(len(items))]
+    return [(_typed(item, expected, at), at) for item, at in zip(items, paths)]
+
+
+def _values(doc: dict[str, Any], key: str, expected: str,
+            path: str) -> tuple[Any, ...]:
+    return tuple(item for item, _ in _items(doc, key, expected, path))
+
+
+def _json_pred(doc: dict[str, Any], path: str) -> Predicate:
     if "const" in doc:
-        return PredConst(doc["const"])
+        return PredConst(_field(doc, "const", "bool", path))
     if "and" in doc:
-        return PredAnd(tuple(_json_pred(p) for p in doc["and"]))
+        return PredAnd(tuple(_json_pred(p, at)
+                             for p, at in _items(doc, "and", "object", path)))
     if "or" in doc:
-        return PredOr(tuple(_json_pred(p) for p in doc["or"]))
+        return PredOr(tuple(_json_pred(p, at)
+                            for p, at in _items(doc, "or", "object", path)))
     if "not" in doc:
-        return PredNot(_json_pred(doc["not"]))
-    return PredLeaf(doc["place"], doc["cmp"], doc["value"])
+        return PredNot(_json_pred(_field(doc, "not", "object", path),
+                                  f"{path}.not"))
+    return PredLeaf(_field(doc, "place", "string", path),
+                    _field(doc, "cmp", "string", path),
+                    _field(doc, "value", "int", path))
 
 
 def _update_json(update: Update) -> dict[str, Any]:
@@ -176,10 +220,16 @@ def _update_json(update: Update) -> dict[str, Any]:
             "when": None if update.when is None else list(update.when)}
 
 
-def _json_update(doc: dict[str, Any]) -> Update:
-    when = doc["when"]
-    return Update(doc["place"], doc["action"], doc["amount"],
-                  when=None if when is None else (when[0], when[1]))
+def _json_update(doc: dict[str, Any], path: str) -> Update:
+    when = _field(doc, "when", "list", path, nullable=True)
+    if when is not None:
+        if len(when) != 2:
+            raise SantError(f"{path}.when: expected [cmp, int]")
+        when = (_typed(when[0], "string", f"{path}.when[0]"),
+                _typed(when[1], "int", f"{path}.when[1]"))
+    return Update(_field(doc, "place", "string", path),
+                  _field(doc, "action", "string", path),
+                  _field(doc, "amount", "int", path), when=when)
 
 
 def san_to_json(san: ConcreteSan) -> dict[str, Any]:
@@ -209,38 +259,69 @@ def san_to_json(san: ConcreteSan) -> dict[str, Any]:
     }
 
 
-def json_to_san(doc: dict[str, Any]) -> ConcreteSan:
+_KINDS = {kind.value: kind for kind in ActivityKind}
+
+
+def _json_activity(doc: dict[str, Any], path: str) -> Activity:
+    kind = _field(doc, "kind", "string", path)
+    if kind not in _KINDS:
+        raise SantError(f"{path}.kind: expected one of {', '.join(_KINDS)}")
+    time = _field(doc, "time", "object", path, nullable=True)
+    if time is not None:
+        at = f"{path}.time"
+        time = Dist(_field(time, "family", "string", at),
+                    _values(time, "params", "number", at))
+    return Activity(_field(doc, "name", "string", path), _KINDS[kind],
+                    _field(doc, "cases", "int", path),
+                    _values(doc, "probs", "number", path),
+                    time, _field(doc, "reactivation", "string", path))
+
+
+def _json_gate(doc: dict[str, Any], path: str,
+               is_input: bool) -> InputGate | OutputGate:
+    name = _field(doc, "name", "string", path)
+    activity = _field(doc, "activity", "string", path)
+    places = _values(doc, "places", "string", path)
+    updates = tuple(_json_update(u, at)
+                    for u, at in _items(doc, "effect", "object", path))
+    if is_input:
+        return InputGate(name, activity, places, _json_pred(
+            _field(doc, "enabled", "object", path), f"{path}.enabled"),
+            updates)
+    return OutputGate(name, activity, _field(doc, "case", "int", path),
+                      places, updates)
+
+
+def json_to_san(doc: Any) -> ConcreteSan:
+    """Decode an instance document; a malformed one raises ``SantError``
+    naming the JSON path of the first fault."""
+    _typed(doc, "object", "$")
     if doc.get("schema") != INSTANCE_SCHEMA:
         raise SantError(f"unsupported instance schema {doc.get('schema')!r}")
+    marking = _field(doc, "marking", "object", "$")
     return ConcreteSan(
-        name=doc["name"],
-        places=tuple(doc["places"]),
-        activities=tuple(
-            Activity(a["name"], ActivityKind(a["kind"]), a["cases"],
-                     tuple(a["probs"]),
-                     None if a["time"] is None else
-                     Dist(a["time"]["family"], tuple(a["time"]["params"])),
-                     a["reactivation"])
-            for a in doc["activities"]),
-        input_gates=tuple(
-            InputGate(g["name"], g["activity"], tuple(g["places"]),
-                      _json_pred(g["enabled"]),
-                      tuple(_json_update(u) for u in g["effect"]))
-            for g in doc["input_gates"]),
-        output_gates=tuple(
-            OutputGate(g["name"], g["activity"], g["case"], tuple(g["places"]),
-                       tuple(_json_update(u) for u in g["effect"]))
-            for g in doc["output_gates"]),
-        initial_marking=tuple(doc["marking"].items()))
+        name=_field(doc, "name", "string", "$"),
+        places=_values(doc, "places", "string", "$"),
+        activities=tuple(_json_activity(a, at) for a, at in
+                         _items(doc, "activities", "object", "$")),
+        input_gates=tuple(_json_gate(g, at, True) for g, at in
+                          _items(doc, "input_gates", "object", "$")),
+        output_gates=tuple(_json_gate(g, at, False) for g, at in
+                           _items(doc, "output_gates", "object", "$")),
+        initial_marking=tuple(
+            (place, _typed(tokens, "int", f"$.marking.{place}"))
+            for place, tokens in marking.items()))
 
 
 def dumps(doc: dict[str, Any]) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def load_json_file(path: str) -> dict[str, Any]:
+def load_json_file(path: str) -> Any:
     with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle)
         except json.JSONDecodeError as exc:
             raise ParseError(exc.msg, exc.lineno, exc.colno) from None
+        except UnicodeDecodeError as exc:
+            raise SantError(f"{path}: not UTF-8 text ({exc.reason})") from None

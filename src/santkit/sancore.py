@@ -157,11 +157,13 @@ class ConcreteSan:
     output_gates: tuple[OutputGate, ...]
     initial_marking: tuple[tuple[str, int], ...]
 
+    @cached_property
+    def _activity_by_name(self) -> dict[str, Activity]:
+        # Reversed: a duplicated name resolves to its first declaration.
+        return {a.name: a for a in reversed(self.activities)}
+
     def activity(self, name: str) -> Activity:
-        for a in self.activities:
-            if a.name == name:
-                return a
-        raise KeyError(name)
+        return self._activity_by_name[name]
 
     @cached_property
     def _inputs_by_activity(self) -> dict[str, tuple[InputGate, ...]]:
@@ -262,10 +264,32 @@ def enabled_activities(san: ConcreteSan, marking: Marking) -> list[Activity]:
     return [a for a in san.activities if is_enabled(san, marking, a.name)]
 
 
+def under_priority(enabled: list[Activity]) -> tuple[list[Activity], bool]:
+    """The SAN priority rule on one ``enabled_activities`` result: the
+    activities that may fire and whether they are instantaneous (then the
+    marking is unstable and timed activities wait)."""
+    instantaneous = [a for a in enabled
+                     if a.kind == ActivityKind.INSTANTANEOUS]
+    return (instantaneous, True) if instantaneous else (enabled, False)
+
+
 def is_stable(san: ConcreteSan, marking: Marking) -> bool:
     """Stable: no instantaneous activity is enabled."""
-    return not any(a.kind == ActivityKind.INSTANTANEOUS
-                   for a in enabled_activities(san, marking))
+    return not under_priority(enabled_activities(san, marking))[1]
+
+
+def _successors(san: ConcreteSan, marking: Marking,
+                instantaneous_only: bool = False
+                ) -> Iterator[tuple[str, int, Marking]]:
+    """The positive-probability (activity, case, marking) steps out of
+    ``marking`` under the priority rule, fired lazily; none from a stable
+    marking when ``instantaneous_only``."""
+    fireable, instantaneous = under_priority(enabled_activities(san, marking))
+    if instantaneous_only and not instantaneous:
+        fireable = []
+    return ((act.name, case, fire(san, marking, act.name, case))
+            for act in fireable for case in range(1, act.cases + 1)
+            if act.case_probs[case - 1] > 0.0)
 
 
 @dataclass(frozen=True)
@@ -281,18 +305,6 @@ class InstabilityReport:
     chain: tuple[tuple[str, int], ...]
 
 
-def _instantaneous_successors(san: ConcreteSan,
-                              marking: Marking) -> Iterator[tuple[str, int, Marking]]:
-    for act in san.activities:
-        if act.kind != ActivityKind.INSTANTANEOUS:
-            continue
-        if not is_enabled(san, marking, act.name):
-            continue
-        for case in range(1, act.cases + 1):
-            if act.case_probs[case - 1] > 0.0:
-                yield act.name, case, fire(san, marking, act.name, case)
-
-
 def find_instability(san: ConcreteSan, marking: Marking,
                      depth: int = 10_000) -> InstabilityReport | None:
     """Bounded search for an unbounded instantaneous firing chain.
@@ -303,7 +315,7 @@ def find_instability(san: ConcreteSan, marking: Marking,
     """
     safe: set[tuple[int, ...]] = set()
     key0 = san.marking_key(marking)
-    stack = [(key0, _instantaneous_successors(san, marking))]
+    stack = [(key0, _successors(san, marking, instantaneous_only=True))]
     on_path = {key0: 0}
     edges: list[tuple[str, int]] = []
     while stack:
@@ -327,7 +339,8 @@ def find_instability(san: ConcreteSan, marking: Marking,
         if len(edges) >= depth:
             return InstabilityReport("depth-exhausted", tuple(edges))
         on_path[succ_key] = len(stack)
-        stack.append((succ_key, _instantaneous_successors(san, succ)))
+        stack.append((succ_key,
+                      _successors(san, succ, instantaneous_only=True)))
     return None
 
 
@@ -342,26 +355,16 @@ def reachable_markings(san: ConcreteSan, max_states: int = 10_000,
     out = [start]
     truncated = False
     while queue:
-        marking = queue.popleft()
-        fireable = [a for a in enabled_activities(san, marking)
-                    if a.kind == ActivityKind.INSTANTANEOUS]
-        if not fireable:
-            fireable = [a for a in enabled_activities(san, marking)
-                        if a.kind == ActivityKind.TIMED]
-        for act in fireable:
-            for case in range(1, act.cases + 1):
-                if act.case_probs[case - 1] <= 0.0:
-                    continue
-                succ = fire(san, marking, act.name, case)
-                key = san.marking_key(succ)
-                if key in seen:
-                    continue
-                if len(out) >= max_states:
-                    truncated = True
-                    continue
-                seen.add(key)
-                queue.append(succ)
-                out.append(succ)
+        for _, _, succ in _successors(san, queue.popleft()):
+            key = san.marking_key(succ)
+            if key in seen:
+                continue
+            if len(out) >= max_states:
+                truncated = True
+                continue
+            seen.add(key)
+            queue.append(succ)
+            out.append(succ)
     return out, truncated
 
 

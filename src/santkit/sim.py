@@ -7,7 +7,9 @@ instantaneous activities are then exhausted (choosing uniformly at random
 among them) before time advances again.  A timed activity that becomes
 disabled loses its scheduled firing and is resampled if it is enabled
 again later (enabling memory).  Equal timestamps resolve in scheduling
-order.
+order.  The priority rule is ``sancore.under_priority``; the enabling of
+each reached marking is evaluated once, and the pass that finds a marking
+stable also schedules and cancels the timed activities.
 
 Replications are independent: replication ``r`` runs on its own generator
 seeded with ``seed * 2**32 + r``.  Identical configurations reproduce
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 
 from .errors import (InvalidConfig, MaxEventsExceeded, NonStabilizingDetected,
                      UnsupportedReactivation, ValidationError, has_errors)
-from .sancore import (FAMILIES, ActivityKind, ConcreteSan, Dist, Marking,
-                      enabled_activities, fire, is_enabled, validate_san)
+from .sancore import (FAMILIES, ConcreteSan, Dist, Marking,
+                      enabled_activities, fire, under_priority, validate_san)
 
 
 @dataclass(frozen=True)
@@ -147,8 +149,7 @@ class _Replication:
         self.seq = 0
 
     def run(self) -> tuple[list[float], int]:
-        self._stabilize()
-        self._sync_schedule()
+        self._settle()
         horizon = self.cfg.horizon
         while self.queue:
             time, seq, name = heapq.heappop(self.queue)
@@ -159,8 +160,7 @@ class _Replication:
             self._advance_to(time)
             self.active[name] = None
             self._fire(name)
-            self._stabilize()
-            self._sync_schedule()
+            self._settle()
         self._advance_to(horizon)
         return self._reward_values(), self.events
 
@@ -192,13 +192,15 @@ class _Replication:
         self.case_counts[name][case - 1] += 1
         self.marking = fire(self.san, self.marking, name, case)
 
-    def _stabilize(self) -> None:
+    def _settle(self) -> None:
+        """Fire instantaneous activities until the marking is stable; the
+        enabling pass that finds it stable also (re)schedules timed ones."""
         chain = 0
         while True:
-            ready = [a for a in enabled_activities(self.san, self.marking)
-                     if a.kind == ActivityKind.INSTANTANEOUS]
-            if not ready:
-                return
+            ready, instantaneous = under_priority(
+                enabled_activities(self.san, self.marking))
+            if not instantaneous:
+                break
             chain += 1
             if chain > self.cfg.stabilization_limit:
                 raise NonStabilizingDetected(
@@ -207,21 +209,16 @@ class _Replication:
             choice = ready[0] if len(ready) == 1 else \
                 ready[self.rng.randrange(len(ready))]
             self._fire(choice.name)
-
-    def _sync_schedule(self) -> None:
-        for act in self.san.activities:
-            if act.kind != ActivityKind.TIMED:
-                continue
-            enabled = is_enabled(self.san, self.marking, act.name)
-            scheduled = self.active[act.name] is not None
-            if enabled and not scheduled:
-                delay = sample_firing_time(act.distribution, self.rng)
+        enabled = {act.name: act.distribution for act in ready}
+        for name, seq in self.active.items():
+            if name not in enabled:
+                if seq is not None:
+                    self.active[name] = None  # enabling memory: resample later
+            elif seq is None:
+                delay = sample_firing_time(enabled[name], self.rng)
                 self.seq += 1
-                self.active[act.name] = self.seq
-                heapq.heappush(self.queue, (self.now + delay, self.seq,
-                                            act.name))
-            elif not enabled and scheduled:
-                self.active[act.name] = None   # enabling memory: resample later
+                self.active[name] = self.seq
+                heapq.heappush(self.queue, (self.now + delay, self.seq, name))
 
     def _reward_values(self) -> list[float]:
         values = []
@@ -265,8 +262,7 @@ def simulate(san: ConcreteSan, cfg: SimConfig,
         per_rep.append(values)
         events.append(n_events)
         for name, counts in run.case_counts.items():
-            for i, c in enumerate(counts):
-                totals[name][i] += c
+            totals[name] = [t + c for t, c in zip(totals[name], counts)]
 
     estimates = []
     for i, spec in enumerate(rewards):

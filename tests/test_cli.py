@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from santkit.cli import main, parse_reward
+from santkit.concretize import concretize
 from santkit.errors import SantError
+from santkit.jsonio import san_to_json
+from santkit.modelfile import (coerce_assignment, load_assignments,
+                               load_template)
 from santkit.sim import RewardSpec
 
 MODELS = resources.files("santkit") / "models"
@@ -176,6 +183,124 @@ def test_simulate_rejects_bad_instance_vocabulary(tmp_path, capsys, path,
     err = capsys.readouterr().err
     assert "validation failed" in err and "internal error" not in err
     assert "Traceback" not in err
+
+
+@functools.cache
+def _user_internal_doc() -> dict:
+    template = load_template(USER).template
+    raw = load_assignments(USER_ASSIGN).assignments["UserInternal"]
+    return san_to_json(concretize(template,
+                                  coerce_assignment(template, raw),
+                                  name="UserInternal"))
+
+
+def _malformed(edit):
+    doc = copy.deepcopy(_user_internal_doc())
+    return edit(doc) or doc
+
+
+@pytest.mark.parametrize("edit, fault", [
+    (lambda d: [d], "$: expected object"),
+    (lambda d: d.pop("activities") and None, "$.activities: missing"),
+    (lambda d: d["activities"][0].update(cases="two"),
+     "$.activities[0].cases: expected int"),
+    (lambda d: d["activities"][0].update(kind="slow"),
+     "$.activities[0].kind: expected one of timed, instantaneous"),
+    (lambda d: d["input_gates"][0].update(enabled={"foo": 1}),
+     "$.input_gates[0].enabled.place: missing"),
+    (lambda d: d.update(marking=[1]), "$.marking: expected object"),
+    (lambda d: d["activities"][0].update(cases=True),
+     "$.activities[0].cases: expected int"),
+], ids=["top-level-list", "no-activities", "cases-string", "unknown-kind",
+        "predicate-node", "marking-list", "cases-bool"])
+@pytest.mark.parametrize("command", [["instantiate"],
+                                     ["simulate", "--horizon", "10"]])
+def test_malformed_instance_is_a_user_error(tmp_path, capsys, edit, fault,
+                                            command):
+    instance = tmp_path / "bad.sanx"
+    instance.write_text(json.dumps(_malformed(edit)))
+    out = tmp_path / "out.sanx"
+    argv = [command[0], str(instance), *command[1:], "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {fault}\n"
+    assert not out.exists()
+
+
+def test_non_utf8_instance_is_a_user_error(tmp_path, capsys):
+    instance = tmp_path / "binary.sanx"
+    instance.write_bytes(b"\xff\xfe\x00{}")
+    assert main(["simulate", str(instance), "--horizon", "10"]) == 1
+    assert "not UTF-8 text" in capsys.readouterr().err
+
+
+def test_instantiate_refuses_invalid_instance(tmp_path, capsys):
+    def skew(doc):
+        doc["activities"][0]["probs"] = [0.5, 0.2, 0.1]
+    instance = tmp_path / "skewed.sanx"
+    instance.write_text(json.dumps(_malformed(skew)))
+    out = tmp_path / "out.sanx"
+    assert main(["instantiate", str(instance), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "validation failed" in err and "normalization" in err
+    assert not out.exists()
+
+
+def _json_paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, prefix + (key,))
+
+
+_RETYPED = [None, True, 0, -1, 2, 1.5, "x", [], {}, [1], {"x": 1}]
+_MUTATIONS = st.tuples(
+    st.sampled_from(["delete", "retype", "wrap"]),
+    st.sampled_from(list(_json_paths(_user_internal_doc()))),
+    st.sampled_from(_RETYPED))
+
+
+def _mutate(doc, mutation):
+    """Delete, retype or list-wrap the node at a path; the whole document
+    when the path is empty.  A path that an earlier mutation removed is
+    skipped."""
+    kind, path, value = mutation
+    if not path:
+        return doc if kind == "delete" else [doc] if kind == "wrap" else value
+    *walk, key = path
+    parent = doc
+    try:
+        for step in walk:
+            parent = parent[step]
+        if not isinstance(parent, (dict, list)):
+            return doc
+        node = parent[key]
+    except (KeyError, IndexError, TypeError):
+        return doc
+    if kind == "delete":
+        del parent[key]
+    else:
+        parent[key] = [node] if kind == "wrap" else value
+    return doc
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_MUTATIONS, min_size=1, max_size=3))
+def test_mutated_instance_never_crashes(tmp_path, capsys, mutations):
+    doc = copy.deepcopy(_user_internal_doc())
+    for mutation in mutations:
+        doc = _mutate(doc, mutation)
+    instance = tmp_path / "fuzz.sanx"
+    instance.write_text(json.dumps(doc))
+    for argv in (["simulate", str(instance), "--horizon", "1",
+                  "--max-events", "1000", "--reward", "tokens:Idle_1"],
+                 ["export", str(instance), "--format", "json",
+                  "--out", "-"]):
+        assert main(argv) in (0, 1)
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "Traceback" not in err
 
 
 def test_export_template_json(capsys):

@@ -257,9 +257,10 @@ def test_geo_working_places_stay_binary():
 
 
 def test_enabling_memory_resamples_after_disable():
-    # A timed activity raced against a faster one that disables it: the
-    # slower activity must still fire eventually after re-enabling, which
-    # requires resampling rather than keeping a stale timestamp.
+    # A timed activity raced against a faster one for the same token: both
+    # fire at their competing rates.  Fast hands the token straight back,
+    # so Slow stays enabled; test_golden's race net covers the branch where
+    # a scheduled activity is disabled and resampled on re-enable.
     san = ConcreteSan(
         name="race", places=("Tok_1",),
         activities=(
