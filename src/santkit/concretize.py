@@ -272,7 +272,7 @@ def concretize(template: SanTemplate, assignment: Mapping[str, Value],
     activities: list[Activity] = []
     for at in template.activities:
         cases = eval_term(at.cases, assignment)
-        if not isinstance(cases, int) or cases < 1:
+        if cases < 1:
             raise EvalError(
                 f"activity '{at.name}': case count is {cases!r}, must be >= 1")
         probs = tuple(_case_prob(at, i, assignment) for i in range(1, cases + 1))
@@ -289,9 +289,10 @@ def concretize(template: SanTemplate, assignment: Mapping[str, Value],
         concretize_input_gate(template, gate, assignment, imap)
         for gate in template.input_gates)
 
+    case_counts = {a.name: a.cases for a in activities}
     output_gates: list[OutputGate] = []
     for gate in template.output_gates:
-        cases = eval_term(template.activity(gate.activity).cases, assignment)
+        cases = case_counts[gate.activity]
         for case in range(1, cases + 1):
             gate_name = gate.name if cases == 1 else f"{gate.name}_{case}"
             output_gates.append(concretize_output_gate(

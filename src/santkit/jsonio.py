@@ -13,7 +13,7 @@ from typing import Any
 from .errors import ParseError, SantError
 from .modelfile import (marking_fn_to_text, parse_marking_fn_text,
                         parse_pred_text, parse_rule_text, pred_to_text,
-                        rule_to_text)
+                        read_text, rule_to_text)
 from .sancore import (Activity, ActivityKind, ConcreteSan, Dist, InputGate,
                       OutputGate, PredAnd, PredConst, PredLeaf, PredNot,
                       PredOr, Predicate, Update)
@@ -318,10 +318,7 @@ def dumps(doc: dict[str, Any]) -> str:
 
 
 def load_json_file(path: str) -> Any:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.msg, exc.lineno, exc.colno) from None
-        except UnicodeDecodeError as exc:
-            raise SantError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, exc.lineno, exc.colno) from None

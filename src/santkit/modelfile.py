@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 
 from .arclabel import (desugar_input_arc, desugar_output_arc,
                        parse_input_label, parse_output_label)
-from .errors import ParseError
+from .errors import ParseError, SantError
 from .lexer import Token, TokenStream, tokenize
 from .sancore import COMPARISONS, FAMILIES, ActivityKind
 from .template import (AAdd, ASet, ASub, Action, ActivityTemplate,
@@ -505,9 +505,17 @@ def parse_marking_fn_text(text: str, params: dict[str, Sort]) -> MarkingFn:
     return fn
 
 
-def load_template(path: str) -> ModelDocument:
+def read_text(path: str) -> str:
+    """The text of a user file; a file that is not UTF-8 is a user error."""
     with open(path, encoding="utf-8") as handle:
-        return parse_template_text(handle.read(), path)
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise SantError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def load_template(path: str) -> ModelDocument:
+    return parse_template_text(read_text(path), path)
 
 
 # -- assignment files --------------------------------------------------------
@@ -569,8 +577,7 @@ def parse_assignments_text(text: str,
 
 
 def load_assignments(path: str) -> AssignmentDocument:
-    with open(path, encoding="utf-8") as handle:
-        return parse_assignments_text(handle.read(), path)
+    return parse_assignments_text(read_text(path), path)
 
 
 def coerce_assignment(template: SanTemplate,

@@ -58,15 +58,15 @@ class Family:
 
 FAMILIES: dict[str, Family] = {
     "exponential": Family(
-        1, lambda rate: rate <= 0.0, "exponential rate must be positive",
+        1, lambda rate: not rate > 0.0, "exponential rate must be positive",
         lambda p, rng: -math.log(1.0 - rng.random()) / p[0]),
     "uniform": Family(
-        2, lambda low, high: low > high,
+        2, lambda low, high: not low <= high,
         "uniform bounds must satisfy low <= high",
         lambda p, rng: p[0] + (p[1] - p[0]) * rng.random()),
     "deterministic": Family(
-        1, lambda delay: delay < 0.0, "deterministic delay must be nonnegative",
-        lambda p, rng: p[0]),
+        1, lambda delay: not delay >= 0.0,
+        "deterministic delay must be nonnegative", lambda p, rng: p[0]),
 }
 
 
@@ -368,8 +368,7 @@ def reachable_markings(san: ConcreteSan, max_states: int = 10_000,
     return out, truncated
 
 
-def validate_san(san: ConcreteSan,
-                 instability_depth: int = 10_000) -> list[Diagnostic]:
+def validate_san(san: ConcreteSan) -> list[Diagnostic]:
     """Well-formedness of a concrete SAN; diagnostics, never raises."""
     diags: list[Diagnostic] = []
 
@@ -381,6 +380,8 @@ def validate_san(san: ConcreteSan,
     if len(place_set) != len(san.places):
         err("duplicate-name", "duplicate concrete place names")
     activity_names = {a.name for a in san.activities}
+    if len(activity_names) != len(san.activities):
+        err("duplicate-name", "duplicate activity names")
 
     for act in san.activities:
         el = f"activity {act.name}"
@@ -389,10 +390,10 @@ def validate_san(san: ConcreteSan,
         if len(act.case_probs) != act.cases:
             err("case-count",
                 f"{len(act.case_probs)} probabilities for {act.cases} cases", el)
-        if any(p < 0.0 or p > 1.0 for p in act.case_probs):
+        if any(not 0.0 <= p <= 1.0 for p in act.case_probs):
             err("normalization", "case probability outside [0, 1]", el)
         total = sum(act.case_probs)
-        if abs(total - 1.0) > PROB_TOLERANCE:
+        if not abs(total - 1.0) <= PROB_TOLERANCE:
             err("normalization",
                 f"case probabilities sum to {total!r}, not 1", el)
         if act.kind == ActivityKind.TIMED:
@@ -453,8 +454,7 @@ def validate_san(san: ConcreteSan,
 
     if not any(d.severity == "error" for d in diags):
         try:
-            report = find_instability(san, san.initial_marking_dict(),
-                                      depth=instability_depth)
+            report = find_instability(san, san.initial_marking_dict())
         except SantError as exc:
             err("instability-check", f"instability search failed: {exc}",
                 severity="warning")

@@ -286,8 +286,6 @@ def marking_tokens_at(fn: MarkingFn, index: int,
 
 
 def _as_count(value: Value) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise EvalError(f"marking value {value!r} is not an integer")
     if value < 0:
         raise NegativeMarking(f"marking value {value} is negative")
     return value
@@ -339,16 +337,11 @@ def place_index_values(pt: PlaceTemplate,
     """Instance indices of a place template under an assignment.
 
     The order of the evaluated multiplicity value is kept.  Indices must be
-    distinct, strictly positive integers.
+    distinct and strictly positive (their sort is checked at binding).
     """
-    value = eval_term(pt.multiplicity, assignment)
-    if not isinstance(value, tuple):
-        raise EvalError(f"multiplicity of '{pt.name}' is not a set: {value!r}")
-    indices = list(value)
+    indices = list(eval_term(pt.multiplicity, assignment))
     seen = set()
     for i in indices:
-        if not isinstance(i, int) or isinstance(i, bool):
-            raise EvalError(f"index {i!r} of place '{pt.name}' is not an integer")
         if i < 1:
             raise EvalError(f"index {i} of place '{pt.name}' is not positive")
         if i in seen:

@@ -177,6 +177,9 @@ def eval_term(term: Term, assignment: Mapping[str, Value],
               place_index: int | None = None) -> Value:
     """Evaluate a well-sorted term under ``assignment``.
 
+    Precondition: ``assignment`` binds each parameter at its declared sort
+    (``concretize`` checks this once, in ``check_assignment``).
+
     ``case_index`` / ``place_index`` bind the two placeholders; a
     placeholder without its binding raises :class:`MissingContext`.
     Evaluation is pure and 1-based: ``x[1]`` is the first element.
@@ -186,11 +189,7 @@ def eval_term(term: Term, assignment: Mapping[str, Value],
     if isinstance(term, Param):
         if term.name not in assignment:
             raise UnknownParameter(f"parameter '{term.name}' is not bound")
-        value = assignment[term.name]
-        if not matches_sort(value, term.sort):
-            raise SortMismatch(
-                f"parameter '{term.name}' expects {term.sort}, bound to {value!r}")
-        return value
+        return assignment[term.name]
     if isinstance(term, CaseIndex):
         if case_index is None:
             raise MissingContext("<CASE> used outside of a case context")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import functools
 import json
+import math
 from importlib import resources
 
 import pytest
@@ -91,6 +92,17 @@ def test_instantiate_missing_parameter(tmp_path, capsys):
     assert "pb" in capsys.readouterr().err
 
 
+def test_instantiate_rejects_mis_sorted_binding(tmp_path, capsys):
+    # Sorts are checked once, where the assignment file is bound.
+    bad = tmp_path / "bad.sasg"
+    bad.write_text("assignments { Real { s = {1.5} pb = {1.0} } }")
+    assert main(["instantiate", USER, str(bad),
+                 "--assignment", "Real", "--out", "-"]) == 1
+    err = capsys.readouterr().err
+    assert "parameter 's' expects set<int>" in err
+    assert "internal error" not in err
+
+
 def test_simulate_deterministic_report(tmp_path):
     args = ["simulate", USER, USER_ASSIGN, "--assignment", "UserInternal",
             "--horizon", "50", "--seed", "12",
@@ -165,6 +177,9 @@ def test_export_instance_json_round_trip(tmp_path, capsys):
     (("input_gates", 1, "effect", 1, "when", 0), "!="),
     (("output_gates", 0, "effect", 0, "action"), "mul"),
     (("input_gates", 0, "enabled", "place"), "Nowhere_1"),
+    (("activities", 0, "probs", 0), math.nan),
+    (("activities", 0, "time"), {"family": "exponential",
+                                 "params": [math.nan]}),
 ])
 def test_simulate_rejects_bad_instance_vocabulary(tmp_path, capsys, path,
                                                   value):
@@ -228,10 +243,17 @@ def test_malformed_instance_is_a_user_error(tmp_path, capsys, edit, fault,
 
 
 def test_non_utf8_instance_is_a_user_error(tmp_path, capsys):
-    instance = tmp_path / "binary.sanx"
-    instance.write_bytes(b"\xff\xfe\x00{}")
-    assert main(["simulate", str(instance), "--horizon", "10"]) == 1
-    assert "not UTF-8 text" in capsys.readouterr().err
+    for name, before, after in (
+            ("binary.sanx", ["simulate"], ["--horizon", "10"]),
+            ("binary.sant", ["validate"], []),
+            ("binary.sasg", ["instantiate", USER],
+             ["--assignment", "UserInternal", "--out", "-"])):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe\x00{}")
+        assert main([*before, str(path), *after]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: not UTF-8 text" in err, name
+        assert "internal error" not in err
 
 
 def test_instantiate_refuses_invalid_instance(tmp_path, capsys):

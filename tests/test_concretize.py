@@ -198,6 +198,32 @@ def test_assignment_validation():
         concretize(user, dict(USER_INTERNAL, extra=1))
 
 
+def _sort_checks_during_concretize(monkeypatch, size: int) -> int:
+    import importlib
+    from unittest import mock
+
+    # santkit.concretize names the function the package re-exports.
+    modules = [importlib.import_module(f"santkit.{name}")
+               for name in ("terms", "concretize")]
+    counting = mock.Mock(wraps=modules[0].matches_sort)
+    # Patch every module that calls it by name.
+    for module in modules:
+        monkeypatch.setattr(module, "matches_sort", counting)
+    services = tuple(range(1, size + 1))
+    concretize(build_user_template(),
+               {"s": services, "pb": (1.0 / size,) * size})
+    return counting.call_count
+
+
+def test_sorts_checked_once_per_binding(monkeypatch):
+    # Each parameter's sort is checked when the assignment is bound, not
+    # again at every read: the count does not grow with |s|.
+    declared = len(build_user_template().param_sorts())
+    small = _sort_checks_during_concretize(monkeypatch, 10)
+    large = _sort_checks_during_concretize(monkeypatch, 200)
+    assert small == large == declared
+
+
 def test_case_count_must_be_positive():
     user = build_user_template()
     with pytest.raises(EvalError):

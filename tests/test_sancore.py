@@ -6,6 +6,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import inspect
+import math
 
 import pytest
 
@@ -187,11 +188,11 @@ def test_fixture_instances_validate_clean(user_internal, geo_pair):
 def test_unnormalized_case_probabilities():
     san = concretize(build_user_template(), USER_INTERNAL)
     request = san.activity("Request")
-    broken = dataclasses.replace(
-        san, activities=(dataclasses.replace(request,
-                                             case_probs=(0.7, 0.2, 0.2)),)
-        + san.activities[1:])
-    assert any(d.code == "normalization" for d in validate_san(broken))
+    for probs in ((0.7, 0.2, 0.2), (math.nan, 0.2, 0.1)):
+        broken = dataclasses.replace(
+            san, activities=(dataclasses.replace(request, case_probs=probs),)
+            + san.activities[1:])
+        assert any(d.code == "normalization" for d in validate_san(broken))
 
 
 def test_case_out_of_range():
@@ -211,10 +212,14 @@ def test_timed_activity_without_distribution():
 
 def test_invalid_distribution_parameters():
     san = concretize(build_geo_template(), dict(GEO_PAIR, lambda_f=1.0))
-    geo_f = dataclasses.replace(
-        san.activity("GEO_F"), distribution=Dist("exponential", (0.0,)))
-    broken = dataclasses.replace(san, activities=(geo_f,) + san.activities[1:])
-    assert any(d.code == "invalid-parameter" for d in validate_san(broken))
+    for dist in (Dist("exponential", (0.0,)), Dist("exponential", (math.nan,)),
+                 Dist("uniform", (1.0, math.nan)),
+                 Dist("deterministic", (math.nan,))):
+        geo_f = dataclasses.replace(san.activity("GEO_F"), distribution=dist)
+        broken = dataclasses.replace(
+            san, activities=(geo_f,) + san.activities[1:])
+        assert any(d.code == "invalid-parameter"
+                   for d in validate_san(broken)), dist
 
 
 def _leaf_cmp(doc, cmp):
@@ -233,11 +238,20 @@ def _leaf_place(doc, place):
     doc["input_gates"][0]["enabled"]["place"] = place
 
 
+def _rename_drop(doc, name):
+    # Renames the activity together with the gates mapped to it.
+    for node in doc["activities"] + doc["input_gates"] + doc["output_gates"]:
+        key = "activity" if "activity" in node else "name"
+        if node[key] == "Drop":
+            node[key] = name
+
+
 @pytest.mark.parametrize("mutate, value, code", [
     (_leaf_cmp, "<", "bad-comparison"),
     (_when_cmp, "!=", "bad-comparison"),
     (_action, "mul", "bad-action"),
     (_leaf_place, "Nowhere_1", "unknown-place"),
+    (_rename_drop, "Fail", "duplicate-name"),
 ])
 def test_instance_outside_vocabulary_is_an_error(user_internal, mutate,
                                                  value, code):

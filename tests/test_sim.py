@@ -156,8 +156,12 @@ def test_simulate_rejects_invalid_instance():
     Dist("exponential", (1.0, 2.0)),
     Dist("uniform", (1.0,)),
     Dist("gamma", (1.0,)),
+    Dist("exponential", (math.nan,)),
+    Dist("uniform", (math.nan, 1.0)),
+    Dist("deterministic", (math.nan,)),
 ], ids=["rate-zero", "rate-negative", "uniform-inverted",
-        "delay-negative", "arity-over", "arity-under", "unknown-family"])
+        "delay-negative", "arity-over", "arity-under", "unknown-family",
+        "rate-nan", "uniform-nan", "delay-nan"])
 def test_simulate_refuses_bad_distribution_before_any_draw(dist, monkeypatch):
     from santkit import sim
     from santkit.errors import ValidationError
