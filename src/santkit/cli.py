@@ -20,7 +20,7 @@ from .jsonio import (dumps, json_to_san, load_json_file, san_to_json,
 from .modelfile import (AssignmentDocument, ModelDocument, coerce_assignment,
                         load_assignments, load_template)
 from .sancore import validate_san
-from .sim import RewardSpec, SimConfig, simulate
+from .sim import REWARDS, RewardSpec, SimConfig, simulate
 from .template import validate_template
 
 
@@ -112,23 +112,25 @@ def cmd_instantiate(args: argparse.Namespace) -> int:
     return 0
 
 
+# CLI forms of the reward kinds, e.g. "atleast:PLACE:N".
+_REWARD_FORMS = [":".join((kind.spellings[0], kind.target.upper(), "N")
+                          [:kind.arity + 1]) for kind in REWARDS.values()]
+
+
 def parse_reward(text: str) -> RewardSpec:
-    parts = text.split(":")
-    if parts[0] in ("tokens", "time_avg_tokens") and len(parts) == 2:
-        return RewardSpec("time_avg_tokens", parts[1])
-    if parts[0] == "throughput" and len(parts) == 2:
-        return RewardSpec("throughput", parts[1])
-    if parts[0] == "atleast" and len(parts) == 3:
-        try:
-            threshold = int(parts[2])
-        except ValueError:
-            raise SantError(f"bad reward '{text}': threshold "
-                            f"'{parts[2]}' is not an integer") from None
-        return RewardSpec("prob_tokens_at_least", parts[1],
-                          threshold=threshold)
-    raise SantError(
-        f"bad reward '{text}' (use tokens:PLACE, throughput:ACTIVITY, "
-        f"or atleast:PLACE:N)")
+    prefix, *fields = text.split(":")
+    for name, kind in REWARDS.items():
+        if prefix in kind.spellings and len(fields) == kind.arity:
+            if kind.arity == 1:
+                return RewardSpec(name, fields[0])
+            try:
+                threshold = int(fields[1])
+            except ValueError:
+                raise SantError(f"bad reward '{text}': threshold "
+                                f"'{fields[1]}' is not an integer") from None
+            return RewardSpec(name, fields[0], threshold=threshold)
+    raise SantError(f"bad reward '{text}' (use "
+                    f"{', '.join(_REWARD_FORMS[:-1])}, or {_REWARD_FORMS[-1]})")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -197,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("assignments", nargs="?", help="assignment file (.sasg)")
     p.add_argument("--assignment", help="assignment set name")
     p.add_argument("--reward", action="append", default=[],
-                   help="tokens:PLACE | throughput:ACTIVITY | atleast:PLACE:N")
+                   help=" | ".join(_REWARD_FORMS))
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--reps", type=int, default=1)

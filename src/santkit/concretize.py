@@ -30,57 +30,58 @@ from .terms import Value, eval_term, matches_sort
 SEPARATOR = "_"
 
 
-def concrete_place_name(template_name: str, index: int,
-                        separator: str = SEPARATOR) -> str:
-    return f"{template_name}{separator}{index}"
+def concrete_place_name(template_name: str, index: int) -> str:
+    return f"{template_name}{SEPARATOR}{index}"
 
 
 @dataclass(frozen=True)
 class PlaceIndexMap:
     """Bijection between (place template, position) and concrete places.
 
-    ``forward`` maps (template name, 1-based position) to the concrete
-    place; ``inverse`` maps a concrete place back to (template name,
-    index value); ``indices`` lists each template's index values in
-    expansion order.
+    ``names`` and ``indices`` list each template's concrete places and
+    index values in expansion order; ``offsets`` maps each template's index
+    values to their 0-based offset in those lists; ``inverse`` maps a
+    concrete place back to (template name, index value).
     """
 
-    forward: dict[tuple[str, int], str]
     inverse: dict[str, tuple[str, int]]
     indices: dict[str, tuple[int, ...]]
     names: dict[str, tuple[str, ...]]
+    offsets: dict[str, dict[int, int]]
 
     def place(self, template_name: str, position: int) -> str:
-        return self.forward[(template_name, position)]
+        """The concrete place at 1-based ``position`` of a template."""
+        if position < 1:
+            raise IndexError(f"position {position} is not 1-based")
+        return self.names[template_name][position - 1]
 
 
-def expand_place(pt: PlaceTemplate, assignment: Mapping[str, Value],
-                 separator: str = SEPARATOR) -> list[str]:
+def expand_place(pt: PlaceTemplate,
+                 assignment: Mapping[str, Value]) -> list[str]:
     """Concrete places of one template, in multiplicity order."""
-    return [concrete_place_name(pt.name, i, separator)
+    return [concrete_place_name(pt.name, i)
             for i in place_index_values(pt, assignment)]
 
 
 def build_index_map(template: SanTemplate,
-                    assignment: Mapping[str, Value],
-                    separator: str = SEPARATOR) -> PlaceIndexMap:
-    forward: dict[tuple[str, int], str] = {}
+                    assignment: Mapping[str, Value]) -> PlaceIndexMap:
     inverse: dict[str, tuple[str, int]] = {}
     indices: dict[str, tuple[int, ...]] = {}
     names: dict[str, tuple[str, ...]] = {}
+    offsets: dict[str, dict[int, int]] = {}
     for pt in template.places:
-        values = place_index_values(pt, assignment)
+        values = tuple(place_index_values(pt, assignment))
         row = []
-        for position, index in enumerate(values, start=1):
-            name = concrete_place_name(pt.name, index, separator)
+        for index in values:
+            name = concrete_place_name(pt.name, index)
             if name in inverse:
                 raise EvalError(f"concrete place name collision: '{name}'")
-            forward[(pt.name, position)] = name
             inverse[name] = (pt.name, index)
             row.append(name)
-        indices[pt.name] = tuple(values)
+        indices[pt.name] = values
         names[pt.name] = tuple(row)
-    return PlaceIndexMap(forward, inverse, indices, names)
+        offsets[pt.name] = {index: i for i, index in enumerate(values)}
+    return PlaceIndexMap(inverse, indices, names, offsets)
 
 
 def check_assignment(template: SanTemplate,
@@ -159,11 +160,12 @@ def _fold_atom(atom: GateAtom, assignment, imap: PlaceIndexMap) -> Predicate:
         if not indices:
             return PredConst(False)
         return PredOr(tuple(leaf(i) for i in range(len(indices))))
-    target = eval_term(atom.quantifier.index, assignment)
-    if target not in indices:
+    offset = imap.offsets[atom.place].get(
+        eval_term(atom.quantifier.index, assignment))
+    if offset is None:
         # Out-of-range index atoms are never satisfiable.
         return PredConst(False)
-    return leaf(indices.index(target))
+    return leaf(offset)
 
 
 def _fold_rules(template: SanTemplate, gate, assignment,
@@ -194,8 +196,8 @@ def _fold_rules(template: SanTemplate, gate, assignment,
         elif isinstance(sel, (SAt, SExcept)):
             target = eval_term(sel.index, assignment, case_index=case_index)
             if isinstance(sel, SAt):
-                chosen = ([indices.index(target)]
-                          if target in indices else [])
+                offset = imap.offsets[rule.place].get(target)
+                chosen = [] if offset is None else [offset]
             else:
                 chosen = [i for i, v in enumerate(indices) if v != target]
             guard_for = None

@@ -23,11 +23,15 @@ import math
 import random
 import statistics
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import (InvalidConfig, MaxEventsExceeded, NonStabilizingDetected,
                      UnsupportedReactivation, ValidationError, has_errors)
 from .sancore import (FAMILIES, ConcreteSan, Dist, Marking,
                       enabled_activities, fire, under_priority, validate_san)
+
+
+STABILIZATION_LIMIT = 10_000  # instantaneous firings per time point
 
 
 @dataclass(frozen=True)
@@ -36,7 +40,6 @@ class SimConfig:
     horizon: float
     replications: int = 1
     max_events: int = 1_000_000        # per replication
-    stabilization_limit: int = 10_000  # instantaneous firings per time point
 
     def validate(self) -> None:
         if not 0 < self.horizon < math.inf:
@@ -49,31 +52,51 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class RewardSpec:
-    """What to estimate: time-averaged tokens of a place, firing throughput
-    of an activity, or the time fraction a place holds at least n tokens."""
+class RewardKind:
+    """One reward kind.  ``rate(tokens, threshold)`` is what the target
+    place's marking accrues per unit time; a kind without a rate counts the
+    target activity's firings instead."""
 
-    kind: str                    # "time_avg_tokens" | "throughput" | "prob_tokens_at_least"
+    target: str                  # "place" | "activity"
+    spellings: tuple[str, ...]   # CLI prefixes
+    arity: int                   # CLI fields after the prefix
+    label: str                   # format of the estimate's name
+    rate: Callable[[int, int], float] | None
+
+
+REWARDS: dict[str, RewardKind] = {
+    "time_avg_tokens": RewardKind(
+        "place", ("tokens", "time_avg_tokens"), 1, "{kind}({target})",
+        lambda tokens, threshold: float(tokens)),
+    "throughput": RewardKind(
+        "activity", ("throughput",), 1, "{kind}({target})", None),
+    "prob_tokens_at_least": RewardKind(
+        "place", ("atleast",), 2, "{kind}({target},{threshold})",
+        lambda tokens, threshold: 1.0 if tokens >= threshold else 0.0),
+}
+
+
+@dataclass(frozen=True)
+class RewardSpec:
+    """What to estimate: a ``REWARDS`` kind, its target and, for kinds
+    that take one, a token threshold."""
+
+    kind: str
     target: str
     threshold: int = 0
-    name: str = ""
 
     def label(self) -> str:
-        if self.name:
-            return self.name
-        if self.kind == "prob_tokens_at_least":
-            return f"{self.kind}({self.target},{self.threshold})"
-        return f"{self.kind}({self.target})"
+        return REWARDS[self.kind].label.format(
+            kind=self.kind, target=self.target, threshold=self.threshold)
 
     def validate(self, san: ConcreteSan) -> None:
-        if self.kind in ("time_avg_tokens", "prob_tokens_at_least"):
-            if self.target not in san.places:
-                raise InvalidConfig(f"unknown place '{self.target}'")
-        elif self.kind == "throughput":
-            if all(a.name != self.target for a in san.activities):
-                raise InvalidConfig(f"unknown activity '{self.target}'")
-        else:
+        entry = REWARDS.get(self.kind)
+        if entry is None:
             raise InvalidConfig(f"unknown reward kind '{self.kind}'")
+        known = san.places if entry.target == "place" \
+            else [a.name for a in san.activities]
+        if self.target not in known:
+            raise InvalidConfig(f"unknown {entry.target} '{self.target}'")
 
 
 @dataclass(frozen=True)
@@ -140,6 +163,11 @@ class _Replication:
         self.now = 0.0
         self.events = 0
         self.accum = [0.0] * len(rewards)
+        self.kinds = [REWARDS[spec.kind] for spec in rewards]
+        # (slot, rate, place, threshold) of each reward accrued over time.
+        self.rated = [(i, kind.rate, spec.target, spec.threshold)
+                      for i, (spec, kind) in enumerate(zip(rewards, self.kinds))
+                      if kind.rate is not None]
         self.case_counts = {a.name: [0] * a.cases for a in san.activities}
         # Event list: (time, sequence, activity). A stale entry is one whose
         # sequence no longer matches self.active for its activity.
@@ -169,18 +197,11 @@ class _Replication:
     def _advance_to(self, time: float) -> None:
         dt = time - self.now
         if dt > 0:
-            for i, spec in enumerate(self.rewards):
-                self.accum[i] += self._rate(spec) * dt
+            for i, rate, place, threshold in self.rated:
+                self.accum[i] += rate(self.marking[place], threshold) * dt
             if self.observer is not None:
                 self.observer(self.now, time, self.marking)
         self.now = time
-
-    def _rate(self, spec: RewardSpec) -> float:
-        if spec.kind == "time_avg_tokens":
-            return float(self.marking[spec.target])
-        if spec.kind == "prob_tokens_at_least":
-            return 1.0 if self.marking[spec.target] >= spec.threshold else 0.0
-        return 0.0
 
     def _fire(self, name: str) -> None:
         self.events += 1
@@ -202,7 +223,7 @@ class _Replication:
             if not instantaneous:
                 break
             chain += 1
-            if chain > self.cfg.stabilization_limit:
+            if chain > STABILIZATION_LIMIT:
                 raise NonStabilizingDetected(
                     f"{chain} consecutive instantaneous firings at time "
                     f"{self.now}")
@@ -221,14 +242,9 @@ class _Replication:
                 heapq.heappush(self.queue, (self.now + delay, self.seq, name))
 
     def _reward_values(self) -> list[float]:
-        values = []
-        for i, spec in enumerate(self.rewards):
-            if spec.kind == "throughput":
-                firings = sum(self.case_counts[spec.target])
-                values.append(firings / self.cfg.horizon)
-            else:
-                values.append(self.accum[i] / self.cfg.horizon)
-        return values
+        return [(self.accum[i] if kind.rate else
+                 sum(self.case_counts[spec.target])) / self.cfg.horizon
+                for i, (spec, kind) in enumerate(zip(self.rewards, self.kinds))]
 
 
 def simulate(san: ConcreteSan, cfg: SimConfig,

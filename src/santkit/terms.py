@@ -19,8 +19,9 @@ access, ``{a, b}`` set literals, ``union`` / ``in`` for set operators, and
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .errors import (DivisionByZero, IndexOutOfRange, MissingContext,
                      ParseError, SortMismatch, UnknownParameter)
@@ -106,28 +107,82 @@ Term = Union[Const, Param, CaseIndex, PlaceIndex, Apply]
 
 _I, _R, _B, _SI, _SR = Sort.INT, Sort.REAL, Sort.BOOL, Sort.SET_INT, Sort.SET_REAL
 
-# op name -> overloads (argument sorts -> result sort)
-OP_TABLE: dict[str, tuple[tuple[tuple[Sort, ...], Sort], ...]] = {
-    "+": (((_I, _I), _I), ((_R, _R), _R)),
-    "-": (((_I, _I), _I), ((_R, _R), _R)),
-    "*": (((_I, _I), _I), ((_R, _R), _R)),
-    "/": (((_I, _I), _I), ((_R, _R), _R)),
-    "%": (((_I, _I), _I),),
-    "neg": (((_I,), _I), ((_R,), _R)),
-    "=": (((_I, _I), _B), ((_R, _R), _B), ((_B, _B), _B)),
-    "<": (((_I, _I), _B), ((_R, _R), _B)),
-    "<=": (((_I, _I), _B), ((_R, _R), _B)),
-    ">": (((_I, _I), _B), ((_R, _R), _B)),
-    ">=": (((_I, _I), _B), ((_R, _R), _B)),
-    "and": (((_B, _B), _B),),
-    "or": (((_B, _B), _B),),
-    "not": (((_B,), _B),),
-    "size": (((_SI,), _I), ((_SR,), _I)),
-    "at": (((_SI, _I), _I), ((_SR, _I), _R)),
-    "union": (((_SI, _SI), _SI), ((_SR, _SR), _SR)),
-    "in": (((_I, _SI), _B), ((_R, _SR), _B)),
-    "to_real": (((_I,), _R),),
-    "b2i": (((_B,), _I),),
+# Binding strength, loosest first.  An operator's precedence drives both the
+# parser (infix operators) and print_term's parenthesization.
+_PREC_OR = 1
+_PREC_AND = 2
+_PREC_NOT = 3
+_PREC_CMP = 4
+_PREC_ADD = 5
+_PREC_MUL = 6
+_PREC_UNARY = 7
+_PREC_POSTFIX = 8
+_PREC_ATOM = 9
+
+Overloads = tuple[tuple[tuple[Sort, ...], Sort], ...]
+
+
+@dataclass(frozen=True)
+class Op:
+    """One operator: its overloads (argument sorts -> result sort), its
+    strict evaluator (``and`` / ``or`` see both operands) and precedence.
+    An ``infix`` operator is spelled by its name between its operands; the
+    others keep their own surface forms."""
+
+    overloads: Overloads
+    evaluate: Callable[..., Value]
+    prec: int = _PREC_ATOM
+    infix: bool = False
+
+
+def _div(a, b):
+    if b == 0:
+        raise DivisionByZero("division by zero")
+    return a / b if isinstance(a, float) else a // b
+
+
+def _mod(a, b):
+    if b == 0:
+        raise DivisionByZero("modulo by zero")
+    return a % b
+
+
+def _at(seq, i):
+    if not 1 <= i <= len(seq):
+        raise IndexOutOfRange(f"index {i} out of range for length {len(seq)}")
+    return seq[i - 1]
+
+
+_ARITH: Overloads = (((_I, _I), _I), ((_R, _R), _R))
+_ORDER: Overloads = (((_I, _I), _B), ((_R, _R), _B))
+_LOGIC: Overloads = (((_B, _B), _B),)
+
+OPS: dict[str, Op] = {
+    "+": Op(_ARITH, operator.add, _PREC_ADD, infix=True),
+    "-": Op(_ARITH, operator.sub, _PREC_ADD, infix=True),
+    "*": Op(_ARITH, operator.mul, _PREC_MUL, infix=True),
+    "/": Op(_ARITH, _div, _PREC_MUL, infix=True),
+    "%": Op((((_I, _I), _I),), _mod, _PREC_MUL, infix=True),
+    "union": Op((((_SI, _SI), _SI), ((_SR, _SR), _SR)),
+                lambda a, b: tuple(sorted(set(a) | set(b))),
+                _PREC_MUL, infix=True),
+    "=": Op(_ORDER + (((_B, _B), _B),), operator.eq, _PREC_CMP, infix=True),
+    "<": Op(_ORDER, operator.lt, _PREC_CMP, infix=True),
+    "<=": Op(_ORDER, operator.le, _PREC_CMP, infix=True),
+    ">": Op(_ORDER, operator.gt, _PREC_CMP, infix=True),
+    ">=": Op(_ORDER, operator.ge, _PREC_CMP, infix=True),
+    "in": Op((((_I, _SI), _B), ((_R, _SR), _B)),
+             lambda x, seq: x in seq, _PREC_CMP, infix=True),
+    "and": Op(_LOGIC, operator.and_, _PREC_AND, infix=True),
+    "or": Op(_LOGIC, operator.or_, _PREC_OR, infix=True),
+    "not": Op((((_B,), _B),), operator.not_, _PREC_NOT),
+    "neg": Op((((_I,), _I), ((_R,), _R)), operator.neg, _PREC_UNARY),
+    "at": Op((((_SI, _I), _I), ((_SR, _I), _R)), _at, _PREC_POSTFIX),
+    "size": Op((((_SI,), _I), ((_SR,), _I)), len),
+    "to_real": Op((((_I,), _R),), float),
+    "b2i": Op((((_B,), _I),), int),
+    # Variadic: its sort rule is the set literal's own, in infer_sort.
+    "setlit": Op((), lambda *elems: elems),
 }
 
 
@@ -160,10 +215,10 @@ def infer_sort(term: Term, declared: Mapping[str, Sort] | None = None) -> Sort:
             if all(s == _R for s in arg_sorts):
                 return _SR
             raise SortMismatch(f"mixed sorts in set literal: {arg_sorts}")
-        overloads = OP_TABLE.get(term.op)
-        if overloads is None:
+        op = OPS.get(term.op)
+        if op is None:
             raise SortMismatch(f"unknown operator '{term.op}'")
-        for sig, result in overloads:
+        for sig, result in op.overloads:
             if sig == arg_sorts:
                 return result
         raise SortMismatch(
@@ -201,63 +256,11 @@ def eval_term(term: Term, assignment: Mapping[str, Value],
     if isinstance(term, Apply):
         args = [eval_term(a, assignment, case_index, place_index)
                 for a in term.args]
-        return _apply(term.op, args)
+        op = OPS.get(term.op)
+        if op is None:
+            raise SortMismatch(f"unknown operator '{term.op}'")
+        return op.evaluate(*args)
     raise SortMismatch(f"not a term: {term!r}")
-
-
-def _apply(op: str, args: list[Value]) -> Value:
-    if op == "setlit":
-        return tuple(args)
-    if op == "+":
-        return args[0] + args[1]
-    if op == "-":
-        return args[0] - args[1]
-    if op == "*":
-        return args[0] * args[1]
-    if op == "/":
-        if args[1] == 0:
-            raise DivisionByZero("division by zero")
-        if isinstance(args[0], float):
-            return args[0] / args[1]
-        return args[0] // args[1]
-    if op == "%":
-        if args[1] == 0:
-            raise DivisionByZero("modulo by zero")
-        return args[0] % args[1]
-    if op == "neg":
-        return -args[0]
-    if op == "=":
-        return args[0] == args[1]
-    if op == "<":
-        return args[0] < args[1]
-    if op == "<=":
-        return args[0] <= args[1]
-    if op == ">":
-        return args[0] > args[1]
-    if op == ">=":
-        return args[0] >= args[1]
-    if op == "and":
-        return args[0] and args[1]
-    if op == "or":
-        return args[0] or args[1]
-    if op == "not":
-        return not args[0]
-    if op == "size":
-        return len(args[0])
-    if op == "at":
-        seq, i = args
-        if not 1 <= i <= len(seq):
-            raise IndexOutOfRange(f"index {i} out of range for length {len(seq)}")
-        return seq[i - 1]
-    if op == "union":
-        return tuple(sorted(set(args[0]) | set(args[1])))
-    if op == "in":
-        return args[0] in args[1]
-    if op == "to_real":
-        return float(args[0])
-    if op == "b2i":
-        return 1 if args[0] else 0
-    raise SortMismatch(f"unknown operator '{op}'")
 
 
 def contains_node(term: Term, kind: type) -> bool:
@@ -277,17 +280,10 @@ def is_closed(term: Term) -> bool:
 # --------------------------------------------------------------------------
 # Surface syntax
 
-_PREC_OR = 1
-_PREC_AND = 2
-_PREC_NOT = 3
-_PREC_CMP = 4
-_PREC_ADD = 5
-_PREC_MUL = 6
-_PREC_UNARY = 7
-_PREC_POSTFIX = 8
-
-_CMP_OPS = ("=", "<", "<=", ">", ">=")
-_RESERVED = {"and", "or", "not", "in", "union", "to_real", "true", "false"}
+# Keywords: the infix operators spelled as words, and the other word forms.
+_RESERVED = {name for name, op in OPS.items()
+             if op.infix and name.isidentifier()} \
+    | {"not", "to_real", "true", "false"}
 
 
 @dataclass(frozen=True)
@@ -352,28 +348,13 @@ class _TermParser:
 
     def _peek_binop(self) -> tuple[str | None, int]:
         tok = self.ts.peek()
-        if tok.kind in ("sym", "ident") and tok.value in self.restrict:
+        op = OPS.get(tok.value) if tok.kind in ("sym", "ident") else None
+        if op is None or not op.infix or tok.value in self.restrict:
             return None, 0
-        if tok.kind == "sym":
-            if tok.value in ("+", "-"):
-                return tok.value, _PREC_ADD
-            if tok.value in ("*", "/", "%"):
-                return tok.value, _PREC_MUL
-            if tok.value in _CMP_OPS:
-                return tok.value, _PREC_CMP
-        if tok.kind == "ident":
-            if tok.value == "or":
-                return "or", _PREC_OR
-            if tok.value == "and":
-                return "and", _PREC_AND
-            if tok.value == "in":
-                return "in", _PREC_CMP
-            if tok.value == "union":
-                return "union", _PREC_MUL
-        return None, 0
+        return tok.value, op.prec
 
     def _binop(self, tok, op: str, left, right) -> Term:
-        if op in ("and", "or"):
+        if OPS[op].overloads == _LOGIC:  # connectives take no Int coercion
             args = (self._resolve_bool(left, tok), self._resolve_bool(right, tok))
             return self._apply(tok, op, args)
         # Arithmetic and comparisons may take a coerced parenthesized Bool,
@@ -486,9 +467,12 @@ class _TermParser:
             if ts.at_sym("}"):
                 raise ParseError("empty set literal is not allowed in terms",
                                  tok.line, tok.column)
-            elems = [_coerced(self._nested(self.parse), None, self.params)]
+            # Elements are Int positions: set<bool> is not a sort, so a
+            # parenthesized Bool element is the Bool-to-Int coercion.
+            elems = [_coerced(self._nested(self.parse), Sort.INT, self.params)]
             while ts.accept_sym(","):
-                elems.append(_coerced(self._nested(self.parse), None, self.params))
+                elems.append(_coerced(self._nested(self.parse), Sort.INT,
+                                      self.params))
             ts.expect_sym("}")
             node = Apply("setlit", tuple(elems))
             try:
@@ -549,24 +533,7 @@ def format_value(value: Value) -> str:
 
 
 def _prec_of(term: Term) -> int:
-    if isinstance(term, Apply):
-        if term.op in ("and",):
-            return _PREC_AND
-        if term.op in ("or",):
-            return _PREC_OR
-        if term.op == "not":
-            return _PREC_NOT
-        if term.op in _CMP_OPS or term.op == "in":
-            return _PREC_CMP
-        if term.op in ("+", "-"):
-            return _PREC_ADD
-        if term.op in ("*", "/", "%", "union"):
-            return _PREC_MUL
-        if term.op == "neg":
-            return _PREC_UNARY
-        if term.op == "at":
-            return _PREC_POSTFIX
-    return _PREC_POSTFIX + 1  # atoms
+    return OPS[term.op].prec if isinstance(term, Apply) else _PREC_ATOM
 
 
 def print_term(term: Term) -> str:
@@ -588,21 +555,21 @@ def print_term(term: Term) -> str:
         return "<PLACE>"
     if isinstance(term, Apply):
         op, args = term.op, term.args
+        prec = _prec_of(term)
         if op == "setlit":
             return "{%s}" % ", ".join(print_term(a) for a in args)
         if op == "size":
             return f"|{print_term(args[0])}|"
         if op == "at":
-            return f"{wrap(args[0], _PREC_POSTFIX)}[{print_term(args[1])}]"
+            return f"{wrap(args[0], prec)}[{print_term(args[1])}]"
         if op == "to_real":
             return f"to_real({print_term(args[0])})"
         if op == "b2i":
             return f"({print_term(args[0])})"
         if op == "neg":
-            return f"-{wrap(args[0], _PREC_UNARY)}"
+            return f"-{wrap(args[0], prec)}"
         if op == "not":
-            return f"not {wrap(args[0], _PREC_NOT)}"
-        prec = _prec_of(term)
+            return f"not {wrap(args[0], prec)}"
         # Binary operators associate to the left.
         left = wrap(args[0], prec)
         right = wrap(args[1], prec + 1)

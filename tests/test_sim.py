@@ -86,9 +86,23 @@ def test_config_validation():
 
 def test_unknown_reward_target():
     san = _single_activity(Dist("exponential", (1.0,)))
-    with pytest.raises(InvalidConfig):
-        simulate(san, SimConfig(seed=1, horizon=1.0),
-                 [RewardSpec("throughput", "Nope")])
+    for spec in (RewardSpec("throughput", "Nope"),
+                 RewardSpec("mean_tokens", "P_1"),       # unknown kind
+                 RewardSpec("throughput", "P_1"),        # a place
+                 RewardSpec("time_avg_tokens", "Tick")):  # an activity
+        with pytest.raises(InvalidConfig):
+            simulate(san, SimConfig(seed=1, horizon=1.0), [spec])
+
+
+@pytest.mark.parametrize("spec, label", [
+    (RewardSpec("time_avg_tokens", "P_1"), "time_avg_tokens(P_1)"),
+    (RewardSpec("throughput", "A"), "throughput(A)"),
+    (RewardSpec("prob_tokens_at_least", "P_1", 3),
+     "prob_tokens_at_least(P_1,3)"),
+])
+def test_reward_labels(spec, label):
+    # perfbench finds its result rows by these labels.
+    assert spec.label() == label
 
 
 def test_reactivation_rejected():

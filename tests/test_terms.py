@@ -333,6 +333,21 @@ def test_eval_agrees_with_bruteforce_exhaustive_depth2():
         _check_against_oracle(term)
 
 
+def test_print_parse_round_trip_exhaustive_depth2():
+    # A set literal of parenthesized Bool elements, e.g. {(b), (b)}, is the
+    # coerced Int set and must parse back.
+    rng = random.Random(20240811)
+    terms = _terms_of_depth(2, rng, cap=36)
+    assert len(terms) == 180
+    for term in terms:
+        printed = print_term(term)
+        again = parse_term(printed, PARAMS, allow_case=True, allow_place=True)
+        assert print_term(again) == printed
+        env = dict(case_index=2, place_index=6)
+        assert _outcome(lambda: eval_term(again, ORACLE_ENV, **env)) == \
+            _outcome(lambda: eval_term(term, ORACLE_ENV, **env)), printed
+
+
 def test_eval_agrees_with_bruteforce_random_deep():
     rng = random.Random(7)
 
