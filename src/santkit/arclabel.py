@@ -21,7 +21,9 @@ Input labels::
 The implicit form ``-n`` is enabled when every instance holds at least
 ``n`` tokens and removes ``n`` from each; the empty label means ``-1``.
 Terms may use ``<PLACE>`` for the tested instance index, and output-label
-terms may additionally use ``<CASE>``.
+terms may additionally use ``<CASE>``.  The parser checks that each term is
+an ``int``; desugaring takes a spec as given, and ``validate_template``
+reports a mis-sorted term in the gate of a hand-built spec.
 """
 
 from __future__ import annotations
@@ -29,14 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .errors import ParseError, SortMismatch
+from .errors import ParseError
 from .lexer import TokenStream, tokenize
 from .sancore import COMPARISONS
 from .template import (AAdd, ASet, ASub, ActivityTemplate, GateAtom,
                        GateRule, InputGateTemplate, OutputGateTemplate,
                        PAtom, PlaceTemplate, QAll, QAt, QExists, SAll, SAt,
                        SExcept, SWhere)
-from .terms import Const, Sort, Term, infer_sort, parse_term_stream, print_term
+from .terms import Const, Sort, Term, parse_term_stream, print_term
 
 
 @dataclass(frozen=True)
@@ -205,27 +207,15 @@ def _wrap_unary(term: Term) -> str:
     return text
 
 
-def _check_int(term: Term, declared: Mapping[str, Sort], what: str) -> None:
-    got = infer_sort(term, declared)
-    if got != Sort.INT:
-        raise SortMismatch(f"{what} has sort {got}, expected int")
-
-
 def desugar_output_arc(spec: OutputArcSpec, place: PlaceTemplate,
                        activity: ActivityTemplate, name: str,
-                       params: Mapping[str, Sort] | None = None,
                        label: str | None = None) -> OutputGateTemplate:
     """Compile an output arc-template label into its output gate."""
-    params = params or {}
     if isinstance(spec, Unconditional):
-        _check_int(spec.out.value, params, "output expression")
         rules = (GateRule(place.name, SAll(), _out_action(spec.out)),)
     else:
-        _check_int(spec.index, params, "index expression")
-        _check_int(spec.then.value, params, "output expression")
         rules = [GateRule(place.name, SAt(spec.index), _out_action(spec.then))]
         if spec.otherwise is not None:
-            _check_int(spec.otherwise.value, params, "output expression")
             rules.append(GateRule(place.name, SExcept(spec.index),
                                   _out_action(spec.otherwise)))
         rules = tuple(rules)
@@ -240,7 +230,6 @@ def _out_action(out: OutExpr):
 
 def desugar_input_arc(spec: InputArcSpec, place: PlaceTemplate,
                       activity: ActivityTemplate, name: str,
-                      params: Mapping[str, Sort] | None = None,
                       label: str | None = None) -> InputGateTemplate:
     """Compile an input arc-template label into its input gate.
 
@@ -248,20 +237,15 @@ def desugar_input_arc(spec: InputArcSpec, place: PlaceTemplate,
     an explicit predicate applies the function to all instances (forall), to
     the satisfying instances (exists), or to the indexed instance.
     """
-    params = params or {}
     if isinstance(spec, ImplicitSub):
-        _check_int(spec.value, params, "input expression")
         predicate = PAtom(GateAtom(QAll(), place.name, ">=", spec.value))
         rules = (GateRule(place.name, SAll(), ASub(spec.value)),)
     else:
-        _check_int(spec.value, params, "condition expression")
-        _check_int(spec.func_value, params, "input expression")
         if spec.quantifier == "forall":
             quant, selector = QAll(), SAll()
         elif spec.quantifier == "exists":
             quant, selector = QExists(), SWhere()
         else:
-            _check_int(spec.at_index, params, "index expression")
             quant, selector = QAt(spec.at_index), SAt(spec.at_index)
         predicate = PAtom(GateAtom(quant, place.name, spec.cmp, spec.value))
         action = ASub(spec.func_value) if spec.func_sub else ASet(spec.func_value)

@@ -12,8 +12,7 @@ import os
 import sys
 
 from .concretize import concretize, instance_summary
-from .errors import (Diagnostic, ParseError, SantError, ValidationError,
-                     has_errors)
+from .errors import Diagnostic, SantError, ValidationError, has_errors
 from .export import san_to_dot, template_to_dot
 from .jsonio import (dumps, json_to_san, load_json_file, san_to_json,
                      template_to_json)
@@ -50,12 +49,6 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _load_model(path: str) -> ModelDocument:
-    if not os.path.exists(path):
-        raise SantError(f"no such file: {path}")
-    return load_template(path)
-
-
 def _write_out(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -65,10 +58,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        doc = _load_model(args.model)
-    except ParseError as exc:
-        return _fail(f"{args.model}:{exc}")
+    doc = load_template(args.model)
     diags = validate_template(doc.template)
     for diag in diags:
         _print_diagnostic(diag, doc)
@@ -83,7 +73,7 @@ def _resolve_instance(args: argparse.Namespace):
     """Either a ready .sanx instance or a template + named assignment."""
     if args.model.endswith(".sanx"):
         return json_to_san(load_json_file(args.model))
-    doc = _load_model(args.model)
+    doc = load_template(args.model)
     if not args.assignments or not args.assignment:
         raise SantError(
             "a .sant model needs an assignment file and --assignment NAME")
@@ -158,7 +148,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         text = san_to_dot(san) if args.format == "dot" \
             else dumps(san_to_json(san))
     else:
-        doc = _load_model(args.model)
+        doc = load_template(args.model)
         text = template_to_dot(doc.template) if args.format == "dot" \
             else dumps(template_to_json(doc.template))
     _write_out(text, args.out)

@@ -18,7 +18,7 @@ from .errors import (EvalError, IndexOutOfRange, SortMismatch,
                      has_errors)
 from .sancore import (Activity, ConcreteSan, Dist, InputGate, Marking,
                       OutputGate, PredAnd, PredConst, PredLeaf, PredNot,
-                      PredOr, Predicate, Update, validate_san)
+                      PredOr, Predicate, Update)
 from .template import (AAdd, ASet, GateAtom, InputGateTemplate, MTable,
                        OutputGateTemplate, PAnd, PNot, POr, PlaceTemplate,
                        QAll, QExists, SAll, SAt, SExcept, SanTemplate,
@@ -257,9 +257,9 @@ def concretize(template: SanTemplate, assignment: Mapping[str, Value],
     """Generate the concrete SAN for (template, assignment).
 
     The template must validate cleanly and the assignment must bind every
-    parameter at its declared sort.  The resulting instance is validated
-    before being returned; validation warnings (e.g. the bounded
-    stabilizing check) do not fail the call.
+    parameter at its declared sort.  The instance is returned without
+    being validated: ``validate_san`` checks it, and ``simulate`` and
+    ``sant instantiate`` refuse an instance with validation errors.
     """
     template_diags = validate_template(template)
     if has_errors(template_diags):
@@ -303,17 +303,13 @@ def concretize(template: SanTemplate, assignment: Mapping[str, Value],
     initial = project_marking(template, template.initial_marking_map(),
                               assignment, imap)
 
-    san = ConcreteSan(
+    return ConcreteSan(
         name=name or template.name,
         places=tuple(places),
         activities=tuple(activities),
         input_gates=input_gates,
         output_gates=tuple(output_gates),
         initial_marking=tuple((p, initial[p]) for p in places))
-    san_diags = validate_san(san)
-    if has_errors(san_diags):
-        raise ValidationError(san_diags)
-    return san
 
 
 def _case_prob(at, case: int, assignment) -> float:

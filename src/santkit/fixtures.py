@@ -25,13 +25,13 @@ def _term(text: str, params, expected=None, allow_case=False):
 def _input_arc(name: str, label: str, place: PlaceTemplate,
                activity: ActivityTemplate, params) -> InputGateTemplate:
     return desugar_input_arc(parse_input_label(label, params), place,
-                             activity, name, params, label=label)
+                             activity, name, label=label)
 
 
 def _output_arc(name: str, label: str, place: PlaceTemplate,
                 activity: ActivityTemplate, params) -> OutputGateTemplate:
     return desugar_output_arc(parse_output_label(label, params), place,
-                              activity, name, params, label=label)
+                              activity, name, label=label)
 
 
 def build_user_template() -> SanTemplate:
@@ -213,8 +213,3 @@ def build_tmi_template() -> SanTemplate:
 
 USER_INTERNAL = {"s": (1, 6, 7), "pb": (0.7, 0.2, 0.1)}
 USER_PRESS = {"s": (3, 7), "pb": (0.6, 0.4)}
-
-
-def builders():
-    return {"User": build_user_template, "GEO": build_geo_template,
-            "SwitchTMI": build_tmi_template}

@@ -12,8 +12,8 @@ from typing import Any
 
 from .errors import ParseError, SantError
 from .modelfile import (marking_fn_to_text, parse_marking_fn_text,
-                        parse_pred_text, parse_rule_text, pred_to_text,
-                        read_text, rule_to_text)
+                        parse_file, parse_pred_text, parse_rule_text,
+                        pred_to_text, rule_to_text)
 from .sancore import (Activity, ActivityKind, ConcreteSan, Dist, InputGate,
                       OutputGate, PredAnd, PredConst, PredLeaf, PredNot,
                       PredOr, Predicate, Update)
@@ -115,10 +115,10 @@ def json_to_template(doc: dict[str, Any]) -> SanTemplate:
             activity = act_by_name[g["activity"]]
             if is_input:
                 return desugar_input_arc(parse_input_label(label, params),
-                                         place, activity, g["name"], params,
+                                         place, activity, g["name"],
                                          label=label)
             return desugar_output_arc(parse_output_label(label, params),
-                                      place, activity, g["name"], params,
+                                      place, activity, g["name"],
                                       label=label)
         rules = tuple(
             parse_rule_text(r["rule"], params, is_output=not is_input,
@@ -317,8 +317,12 @@ def dumps(doc: dict[str, Any]) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def load_json_file(path: str) -> Any:
+def _decode_json(text: str) -> Any:
     try:
-        return json.loads(read_text(path))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
+
+
+def load_json_file(path: str) -> Any:
+    return parse_file(path, _decode_json)

@@ -57,6 +57,7 @@ An assignment file holds named parameter bindings::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from .arclabel import (desugar_input_arc, desugar_output_arc,
                        parse_input_label, parse_output_label)
@@ -281,8 +282,7 @@ class _TemplateParser:
                     raise ParseError(f"in label of arc '{name.value}': {exc}",
                                      name.line, name.column) from None
                 self.input_gates.append(desugar_input_arc(
-                    spec, place, activity, name.value, self.params,
-                    label=label))
+                    spec, place, activity, name.value, label=label))
             else:
                 activity = lookup(act_by_name, first, "activity")
                 place = lookup(place_by_name, second, "place")
@@ -292,8 +292,7 @@ class _TemplateParser:
                     raise ParseError(f"in label of arc '{name.value}': {exc}",
                                      name.line, name.column) from None
                 self.output_gates.append(desugar_output_arc(
-                    spec, place, activity, name.value, self.params,
-                    label=label))
+                    spec, place, activity, name.value, label=label))
 
     def _section_gates(self) -> None:
         side = self.ts.expect_ident("input", "output")
@@ -505,17 +504,27 @@ def parse_marking_fn_text(text: str, params: dict[str, Sort]) -> MarkingFn:
     return fn
 
 
-def read_text(path: str) -> str:
-    """The text of a user file; a file that is not UTF-8 is a user error."""
+T = TypeVar("T")
+
+
+def parse_file(path: str, parse: Callable[[str], T]) -> T:
+    """``parse`` applied to the text of a user file.  A file that is not
+    UTF-8 is a user error, and a syntax error names the file before its
+    line and column."""
     with open(path, encoding="utf-8") as handle:
         try:
-            return handle.read()
+            text = handle.read()
         except UnicodeDecodeError as exc:
             raise SantError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    try:
+        return parse(text)
+    except ParseError as exc:
+        exc.args = (f"{path}:{exc}",)
+        raise
 
 
 def load_template(path: str) -> ModelDocument:
-    return parse_template_text(read_text(path), path)
+    return parse_file(path, lambda text: parse_template_text(text, path))
 
 
 # -- assignment files --------------------------------------------------------
@@ -577,7 +586,7 @@ def parse_assignments_text(text: str,
 
 
 def load_assignments(path: str) -> AssignmentDocument:
-    return parse_assignments_text(read_text(path), path)
+    return parse_file(path, lambda text: parse_assignments_text(text, path))
 
 
 def coerce_assignment(template: SanTemplate,

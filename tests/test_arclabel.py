@@ -17,7 +17,8 @@ from santkit.errors import ParseError, SantError
 from santkit.template import (ActivityKind, ActivityTemplate,
                               CaseDistribution, CaseEntry, MConst, MTable,
                               PlaceTemplate, SanTemplate, apply_gate_rules,
-                              eval_gate_predicate, marking_tokens_at)
+                              eval_gate_predicate, marking_tokens_at,
+                              validate_template)
 from santkit.terms import Apply, CaseIndex, Const, Param, PlaceIndex, Sort, parse_term
 
 PARAMS = {"s": Sort.SET_INT, "k": Sort.INT}
@@ -77,6 +78,24 @@ def test_case_placeholder_rejected_on_input_side():
         parse_input_label("[exists = <CASE>] 0", PARAMS)
 
 
+def test_label_sorts_belong_to_parser_and_validator():
+    # The parser refuses a label term that is not an int; a hand-built spec
+    # is desugared as given, and validate_template reports its gate.
+    with pytest.raises(ParseError):
+        parse_output_label("1 -> 1.5", PARAMS)
+    with pytest.raises(ParseError):
+        parse_input_label("[forall >= 1.5] 0", PARAMS)
+    place = PlaceTemplate("P", parse_term("s", PARAMS))
+    for gate, is_input in (
+            (desugar_output_arc(Conditional(Const(1), OutSet(Const(1.5))),
+                                place, _activity(), "G"), False),
+            (desugar_input_arc(ExplicitInput("forall", None, ">=",
+                                             Const(1.5), True, Const(1)),
+                               place, _activity(), "G"), True)):
+        diags = validate_template(_template_with(place, gate, is_input))
+        assert "sort-mismatch" in {d.code for d in diags}, gate
+
+
 # -- desugaring semantics against a hand-written oracle ----------------------
 
 def _apply_output(label, indices, marking, case=1, assignment=None):
@@ -85,7 +104,7 @@ def _apply_output(label, indices, marking, case=1, assignment=None):
     params = dict(PARAMS, idx=Sort.SET_INT)
     place = PlaceTemplate("P", parse_term("idx", params))
     gate = desugar_output_arc(parse_output_label(label, params), place,
-                              _activity(), "G", params)
+                              _activity(), "G")
     template = _template_with(place, gate, is_input=False)
     lifted = {"P": MTable.of(marking)}
     out = apply_gate_rules(template, gate, lifted, assignment,
@@ -131,7 +150,7 @@ def _input_gate(label, indices, assignment=None):
     params = dict(PARAMS, idx=Sort.SET_INT)
     place = PlaceTemplate("P", parse_term("idx", params))
     gate = desugar_input_arc(parse_input_label(label, params), place,
-                             _activity(), "G", params)
+                             _activity(), "G")
     template = _template_with(place, gate, is_input=True)
     return template, gate, assignment
 

@@ -6,17 +6,21 @@ import copy
 import functools
 import json
 import math
+import re
+import sys
 from importlib import resources
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from santkit import sancore
 from santkit.cli import main, parse_reward
 from santkit.concretize import concretize
-from santkit.errors import SantError
+from santkit.errors import ParseError, SantError
 from santkit.jsonio import san_to_json
 from santkit.modelfile import (coerce_assignment, load_assignments,
-                               load_template)
+                               load_template, parse_template_text)
 from santkit.sim import RewardSpec
 
 MODELS = resources.files("santkit") / "models"
@@ -32,8 +36,10 @@ def test_validate_ok(capsys):
     assert "ok" in out
 
 
-def test_validate_missing_file():
+def test_validate_missing_file(capsys):
     assert main(["validate", "/nonexistent/x.sant"]) == 1
+    assert capsys.readouterr().err == ("error: [Errno 2] No such file or "
+                                       "directory: '/nonexistent/x.sant'\n")
 
 
 def test_validate_truncated_file(tmp_path, capsys):
@@ -42,7 +48,32 @@ def test_validate_truncated_file(tmp_path, capsys):
     broken.write_text(text[: len(text) // 2])
     assert main(["validate", str(broken)]) == 1
     err = capsys.readouterr().err
-    assert ":" in err  # position carried through
+    with pytest.raises(ParseError) as info:
+        parse_template_text(text[: len(text) // 2])
+    # The parser's message and position, after the path.
+    assert err == f"error: {broken}:{info.value}\n"
+
+
+_TRUNCATED = {"sant": (MODELS / "user.sant").read_text()[:200],
+              "sasg": "assignments {\n  X {\n",
+              "sanx": '{"schema": '}
+
+
+@pytest.mark.parametrize("suffix, argv", [
+    ("sant", ["instantiate", "{bad}", USER_ASSIGN,
+              "--assignment", "UserInternal", "--out", "-"]),
+    ("sasg", ["instantiate", USER, "{bad}", "--assignment", "X",
+              "--out", "-"]),
+    ("sanx", ["simulate", "{bad}", "--horizon", "10"]),
+    ("sanx", ["export", "{bad}"]),
+], ids=["sant-instantiate", "sasg-instantiate", "sanx-simulate",
+        "sanx-export"])
+def test_parse_error_names_its_file(tmp_path, capsys, suffix, argv):
+    bad = tmp_path / f"bad.{suffix}"
+    bad.write_text(_TRUNCATED[suffix])
+    assert main([arg.format(bad=bad) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {re.escape(str(bad))}:\d+:\d+: .+\n", err)
 
 
 def test_validate_reports_sort_mismatch(tmp_path, capsys):
@@ -261,11 +292,40 @@ def test_instantiate_refuses_invalid_instance(tmp_path, capsys):
         doc["activities"][0]["probs"] = [0.5, 0.2, 0.1]
     instance = tmp_path / "skewed.sanx"
     instance.write_text(json.dumps(_malformed(skew)))
+    assignments = tmp_path / "skewed.sasg"
+    assignments.write_text(
+        "assignments { Skewed { s = {1, 6, 7} pb = {0.5, 0.2, 0.1} } }")
+    template = [USER, str(assignments), "--assignment", "Skewed"]
     out = tmp_path / "out.sanx"
-    assert main(["instantiate", str(instance), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "validation failed" in err and "normalization" in err
-    assert not out.exists()
+    for argv in (["instantiate", str(instance)], ["instantiate", *template],
+                 ["simulate", *template, "--horizon", "10"]):
+        assert main([*argv, "--out", str(out)]) == 1, argv
+        err = capsys.readouterr().err
+        assert "validation failed" in err and "normalization" in err, argv
+        assert not out.exists(), argv
+    # concretize builds the instance; validate_san is what refuses it.
+    user = load_template(USER).template
+    raw = load_assignments(str(assignments)).assignments["Skewed"]
+    san = concretize(user, coerce_assignment(user, raw))
+    assert "normalization" in {d.code for d in sancore.validate_san(san)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["instantiate", GEO, GEO_ASSIGN, "--assignment", "GeoPair"],
+    ["simulate", GEO, GEO_ASSIGN, "--assignment", "GeoPair",
+     "--horizon", "10"],
+], ids=["instantiate", "simulate"])
+def test_each_command_validates_its_instance_once(tmp_path, monkeypatch,
+                                                  argv):
+    validate_san = sancore.validate_san
+    counting = mock.Mock(wraps=validate_san)
+    # Patch every module that calls it by name.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("santkit.") and \
+                getattr(module, "validate_san", None) is validate_san:
+            monkeypatch.setattr(module, "validate_san", counting)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert counting.call_count == 1
 
 
 def _json_paths(node, prefix=()):

@@ -62,11 +62,19 @@ def test_spans_recorded():
     assert "activity Request" in doc.spans
 
 
-def test_parse_error_position_on_truncated_file():
+def test_parse_error_position_on_truncated_file(tmp_path):
     text = (MODELS / "user.sant").read_text()
     with pytest.raises(ParseError) as err:
         parse_template_text(text[: len(text) // 2])
     assert err.value.line > 1
+    # Loaded from a file, the same error also names the file.
+    path = tmp_path / "truncated.sant"
+    path.write_text(text[: len(text) // 2])
+    with pytest.raises(ParseError) as loaded:
+        load_template(str(path))
+    assert (loaded.value.line, loaded.value.column) == \
+        (err.value.line, err.value.column)
+    assert str(loaded.value) == f"{path}:{err.value}"
 
 
 def test_parse_error_on_bad_sort():
