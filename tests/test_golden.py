@@ -1,5 +1,6 @@
 """Golden seeded runs: exact event counts, case counts and reward estimates
-of ``simulate`` on three bundled assignments.
+of ``simulate`` on three bundled assignments, and sha256 pins of the
+bundled models' CLI and serializer outputs.
 
 The values were recorded once and must never drift.  Any change to the
 random stream, the draw order, the sampler arithmetic or the execution
@@ -12,6 +13,7 @@ activity that is scheduled, then disabled, then resampled on re-enable.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from importlib import resources
 
 import pytest
@@ -153,3 +155,92 @@ def test_enabling_evaluated_once_per_reached_marking(assignment, monkeypatch):
     result = simulate(_golden_instance(assignment), CFG,
                       GOLDEN[assignment][1])
     assert calls == sum(result.events) + CFG.replications
+
+
+# sha256 of every byte-level output of the bundled models: the `.sanx` that
+# `sant instantiate` writes for each bundled assignment, the canonical text,
+# JSON and DOT of each bundled template, and seeded `sant simulate` stdout
+# with one reward of each kind.  Recorded once; a refactor must keep them.
+SIMULATE_REWARDS = {
+    "GeoPair": ("throughput:GEO_F", "tokens:Working_S_2", "atleast:GEO_1:1"),
+    "TmiPair": ("throughput:SW_F", "tokens:Working_S_1",
+                "atleast:Failed_SW_S_2:1"),
+}
+
+OUTPUT_SHA256 = {
+    ("sanx", "geo/GeoPair"):
+        "7229bde7a07a2c100f6c7156b19b2dcc09ad849d0b406a4e798228bf1af4e6ef",
+    ("sanx", "geo/GeoSingle"):
+        "5b51e1cf5e54d8d0430e7af2907d9e903597c0ba970992b6321417459d003e97",
+    ("sanx", "geo/GeoTriple"):
+        "c8f6c1c81ea76ad4c869be4b1b7286ce40d08f1c361a51ec8690daee8bcc1941",
+    ("sanx", "tmi/TmiNoDep"):
+        "abb47e87e0db06b7d86a7b70819b1ca09dd174ab9f5e69d79d84a0e3feec856a",
+    ("sanx", "tmi/TmiPair"):
+        "22a47295de73068e6e85bb75805f25908102c4037104600b20537d7b055f04db",
+    ("sanx", "tmi/TmiWide"):
+        "b33b4354004ada520bd76d459ae85de99265de4aa193a3c655a82bd94596ad0a",
+    ("sanx", "user/UserInternal"):
+        "d657bdc37b4b74ce43a7c5ce460361c1991ae3514fde45ed7aa42dcbcb601ddb",
+    ("sanx", "user/UserPress"):
+        "76d5c2625325cbe4b18446d49430894b580f63276816f5e0aed6e77a6af270b2",
+    ("sanx", "user/UserSingle"):
+        "faf85d72f15da3521e98cb8740941b9efa7730b10da5cf3df0307ba387bb06a8",
+    ("text", "geo"):
+        "1e3f04c49a1e169b0bc31f83fb7867ee8f10cc0eeb57e4379745bbaaaf85c64d",
+    ("json", "geo"):
+        "ba643850adb8146a0a90120e9b449b6c4c9d56fea1784e0d3a615a41c8102da9",
+    ("dot", "geo"):
+        "c025505739a021e65e4a221bc59f38fc44f4006dbc1f5c1265cbdeb2d2ec2ba2",
+    ("text", "tmi"):
+        "1004a5d9d819b242d141ed02261088b1d8c50cf9e1baf0b654045aba2c294720",
+    ("json", "tmi"):
+        "c8324a292055b6eadec348b33254a2495eb5968e478179b1520f11d334548b6c",
+    ("dot", "tmi"):
+        "a7ed95d1648cf950c8c30906f0002b8b73ee677579992462e50fa0ac372a9817",
+    ("text", "user"):
+        "3c3d96210c3ec80dea19a03b91c856afdcb66a6c94ad4a670880029685f1d641",
+    ("json", "user"):
+        "3119944ac2126b2de89f309d0b0c9507a8ce3cbd0e6ec744dbcabfbc5e6b92b3",
+    ("dot", "user"):
+        "f22d3ca6005b0d6093350d05fc0566a6185bf0e8a20338bb4086c06b392c466d",
+    ("simulate", "geo/GeoPair"):
+        "68cf26b6de521de6e94820221006cdc4e229abb380856c9d5dbebb9c5ba45211",
+    ("simulate", "tmi/TmiPair"):
+        "1af60c1caadba4f2dc608f22713e36b537be44dd850c1a3725f3ba1cbad52f74",
+}
+
+
+def _output(kind: str, subject: str, tmp_path, capsys) -> bytes:
+    from santkit.cli import main
+    from santkit.jsonio import dumps, template_to_json
+    from santkit.modelfile import template_to_text
+
+    model, _, assignment = subject.partition("/")
+    sant = str(MODELS / f"{model}.sant")
+    if kind == "sanx":
+        out = tmp_path / "out.sanx"
+        assert main(["instantiate", sant, str(MODELS / f"{model}.sasg"),
+                     "--assignment", assignment, "--out", str(out)]) == 0
+        return out.read_bytes()
+    if kind == "simulate":
+        rewards = [a for r in SIMULATE_REWARDS[assignment]
+                   for a in ("--reward", r)]
+        assert main(["simulate", sant, str(MODELS / f"{model}.sasg"),
+                     "--assignment", assignment, "--seed", "7",
+                     "--horizon", "50", "--reps", "2", *rewards,
+                     "--out", "-"]) == 0
+        return capsys.readouterr().out.encode()
+    if kind == "dot":
+        assert main(["export", sant, "--format", "dot", "--out", "-"]) == 0
+        return capsys.readouterr().out.encode()
+    template = load_template(sant).template
+    text = template_to_text(template) if kind == "text" \
+        else dumps(template_to_json(template))
+    return text.encode()
+
+
+@pytest.mark.parametrize("kind, subject", list(OUTPUT_SHA256))
+def test_golden_output_sha256(kind, subject, tmp_path, capsys):
+    data = _output(kind, subject, tmp_path, capsys)
+    assert hashlib.sha256(data).hexdigest() == OUTPUT_SHA256[kind, subject]
