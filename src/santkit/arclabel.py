@@ -34,10 +34,9 @@ from typing import Mapping, Union
 from .errors import ParseError
 from .lexer import TokenStream, tokenize
 from .sancore import COMPARISONS
-from .template import (AAdd, ASet, ASub, ActivityTemplate, GateAtom,
-                       GateRule, InputGateTemplate, OutputGateTemplate,
-                       PAtom, PlaceTemplate, QAll, QAt, QExists, SAll, SAt,
-                       SExcept, SWhere)
+from .template import (ActivityTemplate, GateAtom, GateRule,
+                       InputGateTemplate, OutputGateTemplate, PlaceTemplate,
+                       QAll, QAt, QExists, SAll, SAt, SExcept, SWhere)
 from .terms import Const, Sort, Term, parse_term_stream, print_term
 
 
@@ -212,20 +211,21 @@ def desugar_output_arc(spec: OutputArcSpec, place: PlaceTemplate,
                        label: str | None = None) -> OutputGateTemplate:
     """Compile an output arc-template label into its output gate."""
     if isinstance(spec, Unconditional):
-        rules = (GateRule(place.name, SAll(), _out_action(spec.out)),)
+        rules = (_out_rule(place, SAll(), spec.out),)
     else:
-        rules = [GateRule(place.name, SAt(spec.index), _out_action(spec.then))]
+        rules = [_out_rule(place, SAt(spec.index), spec.then)]
         if spec.otherwise is not None:
-            rules.append(GateRule(place.name, SExcept(spec.index),
-                                  _out_action(spec.otherwise)))
+            rules.append(_out_rule(place, SExcept(spec.index),
+                                   spec.otherwise))
         rules = tuple(rules)
     return OutputGateTemplate(
         name=name, activity=activity.name, places=(place.name,), rules=rules,
         arc_label=print_output_label(spec) if label is None else label)
 
 
-def _out_action(out: OutExpr):
-    return AAdd(out.value) if isinstance(out, OutAdd) else ASet(out.value)
+def _out_rule(place: PlaceTemplate, selector, out: OutExpr) -> GateRule:
+    action = "add" if isinstance(out, OutAdd) else "set"
+    return GateRule(place.name, selector, action, out.value)
 
 
 def desugar_input_arc(spec: InputArcSpec, place: PlaceTemplate,
@@ -238,8 +238,8 @@ def desugar_input_arc(spec: InputArcSpec, place: PlaceTemplate,
     the satisfying instances (exists), or to the indexed instance.
     """
     if isinstance(spec, ImplicitSub):
-        predicate = PAtom(GateAtom(QAll(), place.name, ">=", spec.value))
-        rules = (GateRule(place.name, SAll(), ASub(spec.value)),)
+        predicate = GateAtom(QAll(), place.name, ">=", spec.value)
+        rules = (GateRule(place.name, SAll(), "sub", spec.value),)
     else:
         if spec.quantifier == "forall":
             quant, selector = QAll(), SAll()
@@ -247,9 +247,9 @@ def desugar_input_arc(spec: InputArcSpec, place: PlaceTemplate,
             quant, selector = QExists(), SWhere()
         else:
             quant, selector = QAt(spec.at_index), SAt(spec.at_index)
-        predicate = PAtom(GateAtom(quant, place.name, spec.cmp, spec.value))
-        action = ASub(spec.func_value) if spec.func_sub else ASet(spec.func_value)
-        rules = (GateRule(place.name, selector, action),)
+        predicate = GateAtom(quant, place.name, spec.cmp, spec.value)
+        action = "sub" if spec.func_sub else "set"
+        rules = (GateRule(place.name, selector, action, spec.func_value),)
     return InputGateTemplate(
         name=name, activity=activity.name, places=(place.name,),
         predicate=predicate, rules=rules,

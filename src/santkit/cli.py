@@ -87,11 +87,18 @@ def _resolve_instance(args: argparse.Namespace):
     return concretize(doc.template, assignment, name=args.assignment)
 
 
-def cmd_instantiate(args: argparse.Namespace) -> int:
-    san = _resolve_instance(args)
+def _checked(san) -> list[Diagnostic]:
+    """The instance's validation warnings; an instance with errors is
+    refused before anything is written."""
     diags = validate_san(san)
     if has_errors(diags):
         raise ValidationError(diags)
+    return diags
+
+
+def cmd_instantiate(args: argparse.Namespace) -> int:
+    san = _resolve_instance(args)
+    diags = _checked(san)
     out = args.out or f"{san.name}.sanx"
     _write_out(dumps(san_to_json(san)), out)
     for diag in diags:
@@ -145,6 +152,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     if args.model.endswith(".sanx"):
         san = json_to_san(load_json_file(args.model))
+        _checked(san)
         text = san_to_dot(san) if args.format == "dot" \
             else dumps(san_to_json(san))
     else:

@@ -19,12 +19,11 @@ from .errors import (EvalError, IndexOutOfRange, SortMismatch,
 from .sancore import (Activity, ConcreteSan, Dist, InputGate, Marking,
                       OutputGate, PredAnd, PredConst, PredLeaf, PredNot,
                       PredOr, Predicate, Update)
-from .template import (AAdd, ASet, GateAtom, InputGateTemplate, MTable,
-                       OutputGateTemplate, PAnd, PNot, POr, PlaceTemplate,
-                       QAll, QExists, SAll, SAt, SExcept, SanTemplate,
-                       TemplateMarking, marking_tokens_at,
-                       place_index_values, validate_template,
-                       where_condition)
+from .template import (GateAtom, InputGateTemplate, MTable,
+                       OutputGateTemplate, PlaceTemplate, QAll, QExists,
+                       SAll, SAt, SExcept, SanTemplate, TemplateMarking,
+                       marking_tokens_at, place_index_values,
+                       validate_template, where_condition)
 from .terms import Value, eval_term, matches_sort
 
 SEPARATOR = "_"
@@ -132,15 +131,15 @@ def lift_marking(template: SanTemplate, marking: Marking,
 
 def _fold_predicate(template: SanTemplate, pred, assignment,
                     imap: PlaceIndexMap) -> Predicate:
-    if isinstance(pred, PAnd):
+    if isinstance(pred, PredAnd):
         return PredAnd(tuple(_fold_predicate(template, a, assignment, imap)
                              for a in pred.args))
-    if isinstance(pred, POr):
+    if isinstance(pred, PredOr):
         return PredOr(tuple(_fold_predicate(template, a, assignment, imap)
                             for a in pred.args))
-    if isinstance(pred, PNot):
+    if isinstance(pred, PredNot):
         return PredNot(_fold_predicate(template, pred.arg, assignment, imap))
-    return _fold_atom(pred.atom, assignment, imap)
+    return _fold_atom(pred, assignment, imap)
 
 
 def _fold_atom(atom: GateAtom, assignment, imap: PlaceIndexMap) -> Predicate:
@@ -178,15 +177,9 @@ def _fold_rules(template: SanTemplate, gate, assignment,
             continue
         indices = imap.indices[rule.place]
         names = imap.names[rule.place]
-        if isinstance(rule.action, ASet):
-            action = "set"
-        elif isinstance(rule.action, AAdd):
-            action = "add"
-        else:
-            action = "sub"
 
         def amount(index: int) -> int:
-            return eval_term(rule.action.value, assignment,
+            return eval_term(rule.value, assignment,
                              case_index=case_index, place_index=index)
 
         sel = rule.selector
@@ -211,7 +204,7 @@ def _fold_rules(template: SanTemplate, gate, assignment,
         for position in chosen:
             index = indices[position]
             updates.append(Update(
-                names[position], action, amount(index),
+                names[position], rule.action, amount(index),
                 when=guard_for(index) if guard_for else None))
     return tuple(updates)
 

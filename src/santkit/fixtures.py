@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from .arclabel import (desugar_input_arc, desugar_output_arc,
                        parse_input_label, parse_output_label)
+from .sancore import PredAnd
 from .template import (ActivityKind, ActivityTemplate, CaseDistribution,
                        CaseEntry, DistributionSpec, GateAtom, GateRule,
-                       InputGateTemplate, MConst, OutputGateTemplate, PAnd,
-                       PAtom, PlaceTemplate, QAll, QAt, QExists, SAll, SAt,
-                       SWhere, SanTemplate, ASet, ASub)
+                       InputGateTemplate, MConst, OutputGateTemplate,
+                       PlaceTemplate, QAll, QAt, QExists, SAll, SAt, SWhere,
+                       SanTemplate)
 from .terms import Sort, parse_term
 
 
@@ -69,22 +70,22 @@ def build_user_template() -> SanTemplate:
     zero = _term("0", params)
     ig_request = InputGateTemplate(
         name="IGRequest", activity="Request", places=("Idle",),
-        predicate=PAtom(GateAtom(QAt(one), "Idle", ">=", one)),
-        rules=(GateRule("Idle", SAt(one), ASub(one)),))
+        predicate=GateAtom(QAt(one), "Idle", ">=", one),
+        rules=(GateRule("Idle", SAt(one), "sub", one),))
     # Consume the externally produced completion token and clear whichever
     # request is in flight.
     arc_in_fail = InputGateTemplate(
         name="ArcInFail", activity="Fail", places=("Failed", "Req"),
-        predicate=PAnd((PAtom(GateAtom(QAt(one), "Failed", ">=", one)),
-                        PAtom(GateAtom(QExists(), "Req", ">=", one)))),
-        rules=(GateRule("Failed", SAt(one), ASub(one)),
-               GateRule("Req", SWhere(), ASet(zero))))
+        predicate=PredAnd((GateAtom(QAt(one), "Failed", ">=", one),
+                           GateAtom(QExists(), "Req", ">=", one))),
+        rules=(GateRule("Failed", SAt(one), "sub", one),
+               GateRule("Req", SWhere(), "set", zero)))
     arc_in_drop = InputGateTemplate(
         name="ArcInDrop", activity="Drop", places=("Dropped", "Req"),
-        predicate=PAnd((PAtom(GateAtom(QAt(one), "Dropped", ">=", one)),
-                        PAtom(GateAtom(QExists(), "Req", ">=", one)))),
-        rules=(GateRule("Dropped", SAt(one), ASub(one)),
-               GateRule("Req", SWhere(), ASet(zero))))
+        predicate=PredAnd((GateAtom(QAt(one), "Dropped", ">=", one),
+                           GateAtom(QExists(), "Req", ">=", one))),
+        rules=(GateRule("Dropped", SAt(one), "sub", one),
+               GateRule("Req", SWhere(), "set", zero)))
 
     og_request = _output_arc("OGRequest", "s[<CASE>] -> 1", req, request, params)
     arc_out_fail = _output_arc("ArcOutFail", "", idle, fail, params)
@@ -128,12 +129,12 @@ def build_geo_template() -> SanTemplate:
     one = _term("1", params)
     ig_gf = InputGateTemplate(
         name="IG_GF", activity="GEO_F", places=("Working_S",),
-        predicate=PAtom(GateAtom(QAll(), "Working_S", ">", zero)),
-        rules=(GateRule("Working_S", SAll(), ASet(zero)),))
+        predicate=GateAtom(QAll(), "Working_S", ">", zero),
+        rules=(GateRule("Working_S", SAll(), "set", zero),))
     geo_to_geor = _input_arc("GEOtoGEO_R", "", geo, geo_r, params)
     og_gr = OutputGateTemplate(
         name="OG_GR", activity="GEO_R", places=("Working_S",),
-        rules=(GateRule("Working_S", SAll(), ASet(one)),))
+        rules=(GateRule("Working_S", SAll(), "set", one),))
     geof_to_geo = _output_arc("GEO_FtoGEO", "", geo, geo_f, params)
 
     return SanTemplate(
@@ -187,11 +188,11 @@ def build_tmi_template() -> SanTemplate:
         name="OG_SW", activity="SW_F",
         places=("Working_S", "Failed_SW_S"),
         rules=(GateRule("Failed_SW_S", SAt(_term("k", params)),
-                        ASet(_term("1", params)),
+                        "set", _term("1", params),
                         when=_term("<CASE> = 1", params, allow_case=True)),
-               GateRule("Working_S", SAll(), ASet(_term("0", params)),
+               GateRule("Working_S", SAll(), "set", _term("0", params),
                         when=_term("<CASE> = 2", params, allow_case=True)),
-               GateRule("Failed_SW_S", SAll(), ASet(_term("1", params)),
+               GateRule("Failed_SW_S", SAll(), "set", _term("1", params),
                         when=_term("<CASE> = 2", params, allow_case=True))))
     swr_to_working = _output_arc("SW_RtoWorking_S", "k -> +1",
                                  working, sw_r, params)

@@ -63,12 +63,12 @@ from .arclabel import (desugar_input_arc, desugar_output_arc,
                        parse_input_label, parse_output_label)
 from .errors import ParseError, SantError
 from .lexer import Token, TokenStream, tokenize
-from .sancore import COMPARISONS, FAMILIES, ActivityKind
-from .template import (AAdd, ASet, ASub, Action, ActivityTemplate,
-                       CaseDistribution, CaseEntry, DistributionSpec,
-                       GateAtom, GatePredicate, GateRule, InputGateTemplate,
-                       MConst, MExpr, MIdentity, MSetAt, MSetOn, MTable,
-                       MarkingFn, OutputGateTemplate, PAnd, PAtom, PNot, POr,
+from .sancore import (COMPARISONS, FAMILIES, ActivityKind, PredAnd, PredNot,
+                      PredOr)
+from .template import (ActivityTemplate, CaseDistribution, CaseEntry,
+                       DistributionSpec, GateAtom, GatePredicate, GateRule,
+                       InputGateTemplate, MConst, MExpr, MIdentity, MSetAt,
+                       MSetOn, MTable, MarkingFn, OutputGateTemplate,
                        PlaceTemplate, QAll, QAt, QExists, SAll, SAt, SExcept,
                        SWhere, SanTemplate, Selector)
 from .terms import (CaseIndex, Const, Sort, Term, Value, format_value,
@@ -77,6 +77,9 @@ from .terms import (CaseIndex, Const, Sort, Term, Value, format_value,
 # Int slots inside gate bodies stop at the boolean connectives so that
 # "Failed[1] >= 1 and exists Req >= 1" splits where the grammar expects.
 _GATE_RESTRICT = frozenset(("and", "or"))
+
+# The sign of each effect-rule action of ``sancore.ACTIONS``.
+_SIGNS = {"set": ":=", "add": "+=", "sub": "-="}
 
 _DEFAULT_CASES = Const(1)
 _DEFAULT_PROBS = (CaseEntry(None, Const(1.0)),)
@@ -102,8 +105,6 @@ class AssignmentDocument:
     template's sorts at binding time."""
 
     assignments: dict[str, dict[str, Value]]
-    spans: dict[str, tuple[int, int]] = field(default_factory=dict)
-    path: str = "<string>"
 
 
 class _TemplateParser:
@@ -344,22 +345,22 @@ class _TemplateParser:
         parts = [node]
         while self.ts.accept_ident("or"):
             parts.append(self._pred_and())
-        return parts[0] if len(parts) == 1 else POr(tuple(parts))
+        return parts[0] if len(parts) == 1 else PredOr(tuple(parts))
 
     def _pred_and(self) -> GatePredicate:
         parts = [self._pred_unary()]
         while self.ts.accept_ident("and"):
             parts.append(self._pred_unary())
-        return parts[0] if len(parts) == 1 else PAnd(tuple(parts))
+        return parts[0] if len(parts) == 1 else PredAnd(tuple(parts))
 
     def _pred_unary(self) -> GatePredicate:
         if self.ts.accept_ident("not"):
-            return PNot(self._pred_unary())
+            return PredNot(self._pred_unary())
         if self.ts.accept_sym("("):
             node = self._pred_expr()
             self.ts.expect_sym(")")
             return node
-        return PAtom(self._atom())
+        return self._atom()
 
     def _atom(self) -> GateAtom:
         if self.ts.accept_ident("all"):
@@ -402,18 +403,15 @@ class _TemplateParser:
             selector = SAt(self._term(allow_case=is_output))
         self.ts.expect_sym("]")
         tok = self.ts.peek()
-        if self.ts.accept_sym(":="):
-            make: type[Action] = ASet
-        elif self.ts.accept_sym("+="):
-            make = AAdd
-        elif self.ts.accept_sym("-="):
-            make = ASub
+        for action, sign in _SIGNS.items():
+            if self.ts.accept_sym(sign):
+                break
         else:
             raise ParseError(f"found {tok.describe()}", tok.line, tok.column,
-                             expected=("':='", "'+='", "'-='"))
+                             expected=tuple(map(repr, _SIGNS.values())))
         value = self._term(allow_case=is_output, allow_place=True,
                            restrict=_GATE_RESTRICT)
-        return GateRule(place, selector, make(value), when=when)
+        return GateRule(place, selector, action, value, when=when)
 
     def _section_marking(self) -> None:
         tok = self._name()
@@ -474,10 +472,7 @@ def parse_template_text(text: str, path: str = "<string>") -> ModelDocument:
 
 
 def _snippet_parser(text: str, params: dict[str, Sort]) -> _TemplateParser:
-    parser = _TemplateParser.__new__(_TemplateParser)
-    parser.ts = TokenStream(tokenize(text))
-    parser.path = "<snippet>"
-    parser.spans = {}
+    parser = _TemplateParser(text, "<snippet>")
     parser.params = params
     return parser
 
@@ -559,19 +554,16 @@ def _literal(ts: TokenStream) -> Value:
                      expected=("a literal",))
 
 
-def parse_assignments_text(text: str,
-                           path: str = "<string>") -> AssignmentDocument:
+def parse_assignments_text(text: str) -> AssignmentDocument:
     ts = TokenStream(tokenize(text))
     ts.expect_ident("assignments")
     ts.expect_sym("{")
     sets: dict[str, dict[str, Value]] = {}
-    spans: dict[str, tuple[int, int]] = {}
     while not ts.at_sym("}"):
         name = ts.expect_ident()
         if name.value in sets:
             raise ParseError(f"assignment '{name.value}' declared twice",
                              name.line, name.column)
-        spans[f"assignment {name.value}"] = (name.line, name.column)
         ts.expect_sym("{")
         bindings: dict[str, Value] = {}
         while not ts.at_sym("}"):
@@ -582,11 +574,11 @@ def parse_assignments_text(text: str,
         sets[name.value] = bindings
     ts.expect_sym("}")
     ts.expect_eof()
-    return AssignmentDocument(sets, spans, path)
+    return AssignmentDocument(sets)
 
 
 def load_assignments(path: str) -> AssignmentDocument:
-    return parse_file(path, lambda text: parse_assignments_text(text, path))
+    return parse_file(path, parse_assignments_text)
 
 
 def coerce_assignment(template: SanTemplate,
@@ -613,15 +605,15 @@ def coerce_assignment(template: SanTemplate,
 
 def pred_to_text(pred: GatePredicate) -> str:
     def emit(node: GatePredicate, parent: int) -> str:
-        if isinstance(node, POr):
+        if isinstance(node, PredOr):
             text = " or ".join(emit(a, 1) for a in node.args)
             return f"({text})" if parent > 1 else text
-        if isinstance(node, PAnd):
+        if isinstance(node, PredAnd):
             text = " and ".join(emit(a, 2) for a in node.args)
             return f"({text})" if parent > 2 else text
-        if isinstance(node, PNot):
+        if isinstance(node, PredNot):
             return f"not {emit(node.arg, 3)}"
-        atom = node.atom
+        atom = node
         if isinstance(atom.quantifier, QAll):
             lhs = f"all {atom.place}"
         elif isinstance(atom.quantifier, QExists):
@@ -642,13 +634,8 @@ def rule_to_text(rule: GateRule) -> str:
         sel = f"except {print_term(rule.selector.index)}"
     else:
         sel = print_term(rule.selector.index)
-    if isinstance(rule.action, ASet):
-        op = ":="
-    elif isinstance(rule.action, AAdd):
-        op = "+="
-    else:
-        op = "-="
-    return f"{rule.place}[{sel}] {op} {print_term(rule.action.value)}"
+    sign = _SIGNS[rule.action]
+    return f"{rule.place}[{sel}] {sign} {print_term(rule.value)}"
 
 
 def marking_fn_to_text(fn: MarkingFn) -> str:

@@ -2,10 +2,11 @@
 
 A template marking maps each place template to a token function over its
 (eventual) instance indices.  Gate behavior is a closed rule language:
-predicates are boolean combinations of quantified comparisons on instance
-markings, and update rules address instances through a selector and apply
-a set/add/subtract action.  Rules may carry a case guard so that an output
-gate can behave differently per case of its activity.
+predicates combine quantified comparisons on instance markings with
+sancore's connectives, and update rules address instances through a
+selector and apply an action of ``sancore.ACTIONS``.  Rules may carry a
+case guard so that an output gate can behave differently per case of its
+activity.
 
 Everything here evaluates directly against template markings and a
 parameter assignment; the concretize module separately compiles the same
@@ -15,12 +16,13 @@ structures down to instance level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import (Diagnostic, DuplicateIndex, EvalError, NegativeMarking,
                      NotEnabled, SantError)
 from . import terms
-from .sancore import COMPARISONS, FAMILIES, ActivityKind
+from .sancore import (ACTIONS, COMPARISONS, FAMILIES, ActivityKind, PredAnd,
+                      PredNot, PredOr, leaves)
 from .terms import (CaseIndex, Const, PlaceIndex, Sort, Term, Value,
                     eval_term, infer_sort)
 
@@ -115,27 +117,8 @@ class GateAtom:
     value: Term
 
 
-@dataclass(frozen=True)
-class PAtom:
-    atom: GateAtom
-
-
-@dataclass(frozen=True)
-class PAnd:
-    args: tuple["GatePredicate", ...]
-
-
-@dataclass(frozen=True)
-class POr:
-    args: tuple["GatePredicate", ...]
-
-
-@dataclass(frozen=True)
-class PNot:
-    arg: "GatePredicate"
-
-
-GatePredicate = Union[PAtom, PAnd, POr, PNot]
+# A gate predicate combines atoms with sancore's connectives.
+GatePredicate = Union[GateAtom, PredAnd, PredOr, PredNot]
 
 
 # -- gate update rules -------------------------------------------------------
@@ -166,28 +149,11 @@ Selector = Union[SAll, SAt, SExcept, SWhere]
 
 
 @dataclass(frozen=True)
-class ASet:
-    value: Term
-
-
-@dataclass(frozen=True)
-class AAdd:
-    value: Term
-
-
-@dataclass(frozen=True)
-class ASub:
-    value: Term
-
-
-Action = Union[ASet, AAdd, ASub]
-
-
-@dataclass(frozen=True)
 class GateRule:
     place: str
     selector: Selector
-    action: Action
+    action: str                  # a key of sancore.ACTIONS
+    value: Term
     when: Term | None = None     # Bool guard over <CASE> (output gates)
 
 
@@ -362,22 +328,12 @@ def has_variable_cases(at: ActivityTemplate) -> bool:
 def where_condition(gate: InputGateTemplate, place: str) -> tuple[str, Term]:
     """Condition a where-selector on ``place`` refers to: the unique
     predicate atom about that place."""
-    atoms = [a for a in _predicate_atoms(gate.predicate) if a.place == place]
+    atoms = [a for a in leaves(gate.predicate) if a.place == place]
     if len(atoms) != 1:
         raise SantError(
             f"gate '{gate.name}': where-selector on '{place}' needs exactly "
             f"one predicate atom about it, found {len(atoms)}")
     return atoms[0].cmp, atoms[0].value
-
-
-def _predicate_atoms(pred: GatePredicate) -> Iterable[GateAtom]:
-    if isinstance(pred, PAtom):
-        yield pred.atom
-    elif isinstance(pred, (PAnd, POr)):
-        for arg in pred.args:
-            yield from _predicate_atoms(arg)
-    elif isinstance(pred, PNot):
-        yield from _predicate_atoms(pred.arg)
 
 
 # -- template-level evaluation ------------------------------------------------
@@ -392,15 +348,15 @@ def eval_gate_predicate(template: SanTemplate, pred: GatePredicate,
     is false, and an at-index atom whose index is outside the instance set
     is false.
     """
-    if isinstance(pred, PAnd):
+    if isinstance(pred, PredAnd):
         return all(eval_gate_predicate(template, a, marking, assignment)
                    for a in pred.args)
-    if isinstance(pred, POr):
+    if isinstance(pred, PredOr):
         return any(eval_gate_predicate(template, a, marking, assignment)
                    for a in pred.args)
-    if isinstance(pred, PNot):
+    if isinstance(pred, PredNot):
         return not eval_gate_predicate(template, pred.arg, marking, assignment)
-    atom = pred.atom
+    atom = pred
     indices = place_index_values(template.place(atom.place), assignment)
 
     def holds(i: int) -> bool:
@@ -440,14 +396,9 @@ def apply_gate_rules(template: SanTemplate, gate, marking: TemplateMarking,
         selected = _select(template, gate, rule, indices, entry, assignment,
                            case_index)
         for i in selected:
-            amount = eval_term(rule.action.value, assignment,
+            amount = eval_term(rule.value, assignment,
                                case_index=case_index, place_index=i)
-            if isinstance(rule.action, ASet):
-                tokens = amount
-            elif isinstance(rule.action, AAdd):
-                tokens = current[i] + amount
-            else:
-                tokens = current[i] - amount
+            tokens = ACTIONS[rule.action](current[i], amount)
             if tokens < 0:
                 raise NegativeMarking(
                     f"gate '{gate.name}' drives '{rule.place}' index {i} "
@@ -583,7 +534,7 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
             if pname not in place_names:
                 err("unknown-place", f"gate lists unknown place '{pname}'", el)
         if is_input:
-            for atom in _predicate_atoms(gate.predicate):
+            for atom in leaves(gate.predicate):
                 if atom.place not in gate.places:
                     err("place-outside-gate",
                         f"predicate tests place '{atom.place}' outside the "
@@ -598,7 +549,9 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
                 err("place-outside-gate",
                     f"rule updates place '{rule.place}' outside the gate's "
                     f"place set", el)
-            check_term(rule.action.value, Sort.INT, el,
+            if rule.action not in ACTIONS:
+                err("bad-action", f"update action '{rule.action}'", el)
+            check_term(rule.value, Sort.INT, el,
                        allow_case=not is_input, allow_place=True)
             if isinstance(rule.selector, (SAt, SExcept)):
                 check_term(rule.selector.index, Sort.INT, el,

@@ -310,13 +310,39 @@ def test_instantiate_refuses_invalid_instance(tmp_path, capsys):
     assert "normalization" in {d.code for d in sancore.validate_san(san)}
 
 
+def _unknown_activity_and_place(doc):
+    doc["input_gates"][0].update(activity="Nope", places=["Nowhere_1"])
+
+
+@pytest.mark.parametrize("edit, codes", [
+    (_unknown_activity_and_place, ("dangling-gate", "unknown-place")),
+    (lambda d: d["marking"].update(Idle_1=-3), ("negative-marking",)),
+    (lambda d: d["output_gates"][0].update(case=99), ("case-out-of-range",)),
+], ids=["unknown-activity-and-place", "negative-marking", "case-99"])
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_export_refuses_invalid_instance(tmp_path, capsys, edit, codes, fmt):
+    instance = tmp_path / "bad.sanx"
+    instance.write_text(json.dumps(_malformed(edit)))
+    out = tmp_path / f"out.{fmt}"
+    assert main(["export", str(instance), "--format", fmt,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation failed")
+    assert all(code in err for code in codes)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["instantiate", GEO, GEO_ASSIGN, "--assignment", "GeoPair"],
     ["simulate", GEO, GEO_ASSIGN, "--assignment", "GeoPair",
      "--horizon", "10"],
-], ids=["instantiate", "simulate"])
+    ["export", "x.sanx"],
+], ids=["instantiate", "simulate", "export"])
 def test_each_command_validates_its_instance_once(tmp_path, monkeypatch,
                                                   argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(["instantiate", GEO, GEO_ASSIGN, "--assignment", "GeoPair",
+                 "--out", "x.sanx"]) == 0
     validate_san = sancore.validate_san
     counting = mock.Mock(wraps=validate_san)
     # Patch every module that calls it by name.

@@ -15,7 +15,8 @@ from santkit.jsonio import (dumps, json_to_san, json_to_template, san_to_json,
                             template_to_json)
 from santkit.modelfile import (assignments_to_text, coerce_assignment,
                                load_assignments, load_template,
-                               parse_assignments_text, parse_template_text,
+                               parse_assignments_text, parse_pred_text,
+                               parse_rule_text, parse_template_text,
                                template_to_text)
 from santkit.template import validate_template
 
@@ -82,6 +83,18 @@ def test_parse_error_on_bad_sort():
         parse_template_text("template T\nparams { x : float }")
     assert err.value.line == 2
     assert err.value.expected
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (lambda text: parse_rule_text(text, {}, is_output=False),
+     "Idle[1] *= 1", "1:9: found '*' (expected ':=', '+=', '-=')"),
+    (lambda text: parse_pred_text(text, {}),
+     "Idle[1] < 1", "1:9: found '<' (expected '=', '>', '>=')"),
+], ids=["effect-sign", "comparison"])
+def test_gate_vocabulary_parse_errors(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
 
 
 def test_unknown_arc_target_reports_position():

@@ -6,13 +6,14 @@ import dataclasses
 
 import pytest
 
-from santkit.errors import NegativeMarking, has_errors
-from santkit.fixtures import (build_geo_template, build_tmi_template,
-                              build_user_template)
+from santkit.concretize import concretize
+from santkit.errors import NegativeMarking, ValidationError, has_errors
+from santkit.fixtures import (USER_INTERNAL, build_geo_template,
+                              build_tmi_template, build_user_template)
 from santkit.template import (ActivityKind, CaseDistribution, CaseEntry,
                               GateAtom, GateRule, MConst, MExpr, MIdentity,
-                              MSetAt, MSetOn, MTable, PAtom, PlaceTemplate,
-                              QAll, SAt, SWhere, ASub, ASet,
+                              MSetAt, MSetOn, MTable, PlaceTemplate,
+                              QAll, SAt, SWhere,
                               apply_gate_rules, has_variable_cases,
                               is_unary_multiplicity, marking_tokens_at,
                               place_index_values, validate_template)
@@ -71,12 +72,24 @@ def test_multiplicity_must_be_int_set():
 def test_case_placeholder_rejected_in_input_gate():
     user = build_user_template()
     gate = user.input_gates[0]
-    bad_rule = GateRule("Idle", SAt(Const(1)),
-                        ASub(parse_term("<CASE>", {}, allow_case=True)))
+    bad_rule = GateRule("Idle", SAt(Const(1)), "sub",
+                        parse_term("<CASE>", {}, allow_case=True))
     diags = validate_template(dataclasses.replace(
         user, input_gates=(dataclasses.replace(gate, rules=(bad_rule,)),)
         + user.input_gates[1:]))
     assert "case-placeholder" in codes(diags)
+
+
+def test_action_outside_vocabulary_is_an_error():
+    user = build_user_template()
+    gate = user.input_gates[0]
+    bad = dataclasses.replace(
+        gate, rules=(GateRule("Idle", SAt(Const(1)), "mul", Const(1)),))
+    bad_user = dataclasses.replace(
+        user, input_gates=(bad,) + user.input_gates[1:])
+    assert "bad-action" in codes(validate_template(bad_user))
+    with pytest.raises(ValidationError, match="bad-action"):
+        concretize(bad_user, USER_INTERNAL)
 
 
 def test_timed_activity_requires_distribution():
@@ -101,7 +114,7 @@ def test_gate_place_outside_declared_set():
     user = build_user_template()
     gate = user.input_gates[0]
     bad = dataclasses.replace(
-        gate, predicate=PAtom(GateAtom(QAll(), "Req", ">=", Const(1))))
+        gate, predicate=GateAtom(QAll(), "Req", ">=", Const(1)))
     diags = validate_template(dataclasses.replace(
         user, input_gates=(bad,) + user.input_gates[1:]))
     assert "place-outside-gate" in codes(diags)
@@ -112,7 +125,7 @@ def test_where_selector_needs_matching_atom():
     gate = user.input_gates[0]   # predicate only mentions Idle
     bad = dataclasses.replace(
         gate, places=("Idle", "Req"),
-        rules=gate.rules + (GateRule("Req", SWhere(), ASet(Const(0))),))
+        rules=gate.rules + (GateRule("Req", SWhere(), "set", Const(0)),))
     diags = validate_template(dataclasses.replace(
         user, input_gates=(bad,) + user.input_gates[1:]))
     assert "ambiguous-where" in codes(diags)
@@ -122,7 +135,7 @@ def test_where_selector_rejected_in_output_gate():
     geo = build_geo_template()
     gate = geo.output_gates[0]
     bad = dataclasses.replace(
-        gate, rules=(GateRule("Working_S", SWhere(), ASet(Const(1))),))
+        gate, rules=(GateRule("Working_S", SWhere(), "set", Const(1)),))
     diags = validate_template(dataclasses.replace(
         geo, output_gates=(bad,) + geo.output_gates[1:]))
     assert "where-in-output" in codes(diags)
