@@ -23,7 +23,8 @@ The implicit form ``-n`` is enabled when every instance holds at least
 Terms may use ``<PLACE>`` for the tested instance index, and output-label
 terms may additionally use ``<CASE>``.  The parser checks that each term is
 an ``int``; desugaring takes a spec as given, and ``validate_template``
-reports a mis-sorted term in the gate of a hand-built spec.
+reports a mis-sorted term in the gate of a hand-built spec.  ``arc_gate``
+is the one path from an arc's label text to its gate.
 """
 
 from __future__ import annotations
@@ -31,12 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .errors import ParseError
 from .lexer import TokenStream, tokenize
 from .sancore import COMPARISONS
-from .template import (ActivityTemplate, GateAtom, GateRule,
-                       InputGateTemplate, OutputGateTemplate, PlaceTemplate,
-                       QAll, QAt, QExists, SAll, SAt, SExcept, SWhere)
+from .template import (GateAtom, GateRule, InputGateTemplate,
+                       OutputGateTemplate, QAll, QAt, QExists, SAll, SAt,
+                       SExcept, SWhere)
 from .terms import Const, Sort, Term, parse_term_stream, print_term
 
 
@@ -144,11 +144,7 @@ def parse_input_label(text: str,
             quant, at_index = "exists", None
         else:
             quant, at_index = "at", _int_term(ts, params, allow_case=False)
-        tok = ts.peek()
-        if not ts.at_sym(*COMPARISONS):
-            raise ParseError(f"found {tok.describe()}", tok.line, tok.column,
-                             expected=tuple(map(repr, COMPARISONS)))
-        cmp = ts.next().value
+        cmp = ts.expect_sym(*COMPARISONS).value
         value = _int_term(ts, params, allow_case=False)
         ts.expect_sym("]")
         if ts.accept_sym("-"):
@@ -206,8 +202,21 @@ def _wrap_unary(term: Term) -> str:
     return text
 
 
-def desugar_output_arc(spec: OutputArcSpec, place: PlaceTemplate,
-                       activity: ActivityTemplate, name: str,
+def arc_gate(side: str, name: str, place: str, activity: str, label: str,
+             params: Mapping[str, Sort] | None = None
+             ) -> InputGateTemplate | OutputGateTemplate:
+    """The gate named ``name`` that the ``side`` ("input" or "output") arc
+    between ``place`` and ``activity`` desugars to; the gate keeps
+    ``label`` as written."""
+    if side == "input":
+        return desugar_input_arc(parse_input_label(label, params), place,
+                                 activity, name, label=label)
+    return desugar_output_arc(parse_output_label(label, params), place,
+                              activity, name, label=label)
+
+
+def desugar_output_arc(spec: OutputArcSpec, place: str, activity: str,
+                       name: str,
                        label: str | None = None) -> OutputGateTemplate:
     """Compile an output arc-template label into its output gate."""
     if isinstance(spec, Unconditional):
@@ -219,17 +228,17 @@ def desugar_output_arc(spec: OutputArcSpec, place: PlaceTemplate,
                                    spec.otherwise))
         rules = tuple(rules)
     return OutputGateTemplate(
-        name=name, activity=activity.name, places=(place.name,), rules=rules,
+        name=name, activity=activity, places=(place,), rules=rules,
         arc_label=print_output_label(spec) if label is None else label)
 
 
-def _out_rule(place: PlaceTemplate, selector, out: OutExpr) -> GateRule:
+def _out_rule(place: str, selector, out: OutExpr) -> GateRule:
     action = "add" if isinstance(out, OutAdd) else "set"
-    return GateRule(place.name, selector, action, out.value)
+    return GateRule(place, selector, action, out.value)
 
 
-def desugar_input_arc(spec: InputArcSpec, place: PlaceTemplate,
-                      activity: ActivityTemplate, name: str,
+def desugar_input_arc(spec: InputArcSpec, place: str, activity: str,
+                      name: str,
                       label: str | None = None) -> InputGateTemplate:
     """Compile an input arc-template label into its input gate.
 
@@ -238,8 +247,8 @@ def desugar_input_arc(spec: InputArcSpec, place: PlaceTemplate,
     the satisfying instances (exists), or to the indexed instance.
     """
     if isinstance(spec, ImplicitSub):
-        predicate = GateAtom(QAll(), place.name, ">=", spec.value)
-        rules = (GateRule(place.name, SAll(), "sub", spec.value),)
+        predicate = GateAtom(QAll(), place, ">=", spec.value)
+        rules = (GateRule(place, SAll(), "sub", spec.value),)
     else:
         if spec.quantifier == "forall":
             quant, selector = QAll(), SAll()
@@ -247,10 +256,10 @@ def desugar_input_arc(spec: InputArcSpec, place: PlaceTemplate,
             quant, selector = QExists(), SWhere()
         else:
             quant, selector = QAt(spec.at_index), SAt(spec.at_index)
-        predicate = GateAtom(quant, place.name, spec.cmp, spec.value)
+        predicate = GateAtom(quant, place, spec.cmp, spec.value)
         action = "sub" if spec.func_sub else "set"
-        rules = (GateRule(place.name, selector, action, spec.func_value),)
+        rules = (GateRule(place, selector, action, spec.func_value),)
     return InputGateTemplate(
-        name=name, activity=activity.name, places=(place.name,),
+        name=name, activity=activity, places=(place,),
         predicate=predicate, rules=rules,
         arc_label=print_input_label(spec) if label is None else label)

@@ -225,6 +225,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(str(exc))
     except OSError as exc:
         return _fail(str(exc))
+    except RecursionError:
+        return _fail("input is nested too deeply")
     except Exception as exc:  # noqa: BLE001 - last-resort guard
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 2

@@ -8,8 +8,7 @@ These are built programmatically here and also shipped as model files in
 
 from __future__ import annotations
 
-from .arclabel import (desugar_input_arc, desugar_output_arc,
-                       parse_input_label, parse_output_label)
+from .arclabel import arc_gate
 from .sancore import PredAnd
 from .template import (ActivityKind, ActivityTemplate, CaseDistribution,
                        CaseEntry, DistributionSpec, GateAtom, GateRule,
@@ -21,18 +20,6 @@ from .terms import Sort, parse_term
 
 def _term(text: str, params, expected=None, allow_case=False):
     return parse_term(text, params, expected=expected, allow_case=allow_case)
-
-
-def _input_arc(name: str, label: str, place: PlaceTemplate,
-               activity: ActivityTemplate, params) -> InputGateTemplate:
-    return desugar_input_arc(parse_input_label(label, params), place,
-                             activity, name, label=label)
-
-
-def _output_arc(name: str, label: str, place: PlaceTemplate,
-                activity: ActivityTemplate, params) -> OutputGateTemplate:
-    return desugar_output_arc(parse_output_label(label, params), place,
-                              activity, name, label=label)
 
 
 def build_user_template() -> SanTemplate:
@@ -87,9 +74,10 @@ def build_user_template() -> SanTemplate:
         rules=(GateRule("Dropped", SAt(one), "sub", one),
                GateRule("Req", SWhere(), "set", zero)))
 
-    og_request = _output_arc("OGRequest", "s[<CASE>] -> 1", req, request, params)
-    arc_out_fail = _output_arc("ArcOutFail", "", idle, fail, params)
-    arc_out_drop = _output_arc("ArcOutDrop", "", idle, drop, params)
+    og_request = arc_gate("output", "OGRequest", "Req", "Request",
+                          "s[<CASE>] -> 1", params)
+    arc_out_fail = arc_gate("output", "ArcOutFail", "Idle", "Fail", "", params)
+    arc_out_drop = arc_gate("output", "ArcOutDrop", "Idle", "Drop", "", params)
 
     return SanTemplate(
         name="User",
@@ -131,11 +119,11 @@ def build_geo_template() -> SanTemplate:
         name="IG_GF", activity="GEO_F", places=("Working_S",),
         predicate=GateAtom(QAll(), "Working_S", ">", zero),
         rules=(GateRule("Working_S", SAll(), "set", zero),))
-    geo_to_geor = _input_arc("GEOtoGEO_R", "", geo, geo_r, params)
+    geo_to_geor = arc_gate("input", "GEOtoGEO_R", "GEO", "GEO_R", "", params)
     og_gr = OutputGateTemplate(
         name="OG_GR", activity="GEO_R", places=("Working_S",),
         rules=(GateRule("Working_S", SAll(), "set", one),))
-    geof_to_geo = _output_arc("GEO_FtoGEO", "", geo, geo_f, params)
+    geof_to_geo = arc_gate("output", "GEO_FtoGEO", "GEO", "GEO_F", "", params)
 
     return SanTemplate(
         name="GEO",
@@ -178,10 +166,10 @@ def build_tmi_template() -> SanTemplate:
         time_distribution=DistributionSpec(
             "exponential", (_term("lambda_r", params),)))
 
-    working_to_swf = _input_arc("Working_StoSW_F", "[k >= 1] -1",
-                                working, sw_f, params)
-    failed_to_swr = _input_arc("Failed_SW_StoSW_R", "[k >= 1] -1",
-                               failed, sw_r, params)
+    working_to_swf = arc_gate("input", "Working_StoSW_F", "Working_S",
+                              "SW_F", "[k >= 1] -1", params)
+    failed_to_swr = arc_gate("input", "Failed_SW_StoSW_R", "Failed_SW_S",
+                             "SW_R", "[k >= 1] -1", params)
     # Case 1 marks only this switch as failed; case 2 additionally takes
     # the affected switches down with it.
     og_sw = OutputGateTemplate(
@@ -194,8 +182,8 @@ def build_tmi_template() -> SanTemplate:
                         when=_term("<CASE> = 2", params, allow_case=True)),
                GateRule("Failed_SW_S", SAll(), "set", _term("1", params),
                         when=_term("<CASE> = 2", params, allow_case=True))))
-    swr_to_working = _output_arc("SW_RtoWorking_S", "k -> +1",
-                                 working, sw_r, params)
+    swr_to_working = arc_gate("output", "SW_RtoWorking_S", "Working_S",
+                              "SW_R", "k -> +1", params)
 
     return SanTemplate(
         name="SwitchTMI",

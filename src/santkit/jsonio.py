@@ -17,8 +17,7 @@ from .modelfile import (marking_fn_to_text, parse_marking_fn_text,
 from .sancore import (Activity, ActivityKind, ConcreteSan, Dist, InputGate,
                       OutputGate, PredAnd, PredConst, PredLeaf, PredNot,
                       PredOr, Predicate, Update)
-from .arclabel import (desugar_input_arc, desugar_output_arc,
-                       parse_input_label, parse_output_label)
+from .arclabel import arc_gate
 from .template import (ActivityTemplate, CaseDistribution, CaseEntry,
                        DistributionSpec, InputGateTemplate,
                        OutputGateTemplate, PlaceTemplate, ReactivationSpec,
@@ -30,8 +29,6 @@ INSTANCE_SCHEMA = "santkit-instance/1"
 
 
 def template_to_json(template: SanTemplate) -> dict[str, Any]:
-    params = template.param_sorts()
-
     def gate_json(gate, is_input: bool) -> dict[str, Any]:
         doc: dict[str, Any] = {
             "name": gate.name,
@@ -84,9 +81,9 @@ def json_to_template(doc: dict[str, Any]) -> SanTemplate:
         return parse_term(text, params, expected=expected,
                           allow_case=allow_case, allow_place=allow_place)
 
-    places = {p["name"]: PlaceTemplate(p["name"],
-                                       term(p["multiplicity"], Sort.SET_INT))
-              for p in doc["places"]}
+    places = tuple(PlaceTemplate(p["name"],
+                                 term(p["multiplicity"], Sort.SET_INT))
+                   for p in doc["places"])
 
     activities = []
     for a in doc["activities"]:
@@ -106,20 +103,12 @@ def json_to_template(doc: dict[str, Any]) -> SanTemplate:
             case_distribution=CaseDistribution(entries),
             time_distribution=time,
             reactivation=ReactivationSpec(**a["reactivation"])))
-    act_by_name = {a.name: a for a in activities}
 
     def load_gate(g, is_input: bool):
         if "arc_label" in g:
-            label = g["arc_label"]
-            place = places[g["places"][0]]
-            activity = act_by_name[g["activity"]]
-            if is_input:
-                return desugar_input_arc(parse_input_label(label, params),
-                                         place, activity, g["name"],
-                                         label=label)
-            return desugar_output_arc(parse_output_label(label, params),
-                                      place, activity, g["name"],
-                                      label=label)
+            return arc_gate("input" if is_input else "output", g["name"],
+                            g["places"][0], g["activity"], g["arc_label"],
+                            params)
         rules = tuple(
             parse_rule_text(r["rule"], params, is_output=not is_input,
                             when=None if r["when"] is None
@@ -137,7 +126,7 @@ def json_to_template(doc: dict[str, Any]) -> SanTemplate:
         name=doc["name"],
         parameters=tuple((p["name"], Sort(p["sort"]))
                          for p in doc["params"]),
-        places=tuple(places.values()),
+        places=places,
         activities=tuple(activities),
         input_gates=tuple(load_gate(g, True) for g in doc["input_gates"]),
         output_gates=tuple(load_gate(g, False) for g in doc["output_gates"]),

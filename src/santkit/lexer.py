@@ -152,11 +152,11 @@ class TokenStream:
             return self.next()
         return None
 
-    def expect_sym(self, value: str) -> Token:
+    def expect_sym(self, *values: str) -> Token:
         tok = self.peek()
-        if not self.at_sym(value):
+        if not self.at_sym(*values):
             raise ParseError(f"found {tok.describe()}", tok.line, tok.column,
-                             expected=(repr(value),))
+                             expected=tuple(map(repr, values)))
         return self.next()
 
     def expect_ident(self, *values: str) -> Token:
@@ -172,7 +172,3 @@ class TokenStream:
         if tok.kind != "eof":
             raise ParseError(f"trailing input: found {tok.describe()}",
                              tok.line, tok.column, expected=("end of input",))
-
-    def error(self, message: str, expected: tuple[str, ...] = ()) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.column, expected=expected)

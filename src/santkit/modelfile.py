@@ -44,8 +44,9 @@ Gate predicates combine ``all P >= t``, ``exists P = t`` and ``P[i] > t``
 atoms with ``and`` / ``or`` / ``not``.  Effect rules are
 ``P[all | sat | except i | i] (:= | += | -=) t`` separated by ``;``; a
 ``when <bool> { ... }`` block guards its rules on the case index.  The
-``arcs`` and ``gates`` sections may repeat; declaration order across them
-is the firing order of the gates.
+``arcs`` and ``gates`` sections may repeat; each arc desugars into its gate
+where it is declared, so declaration order across them is the firing order
+of the gates.
 
 An assignment file holds named parameter bindings::
 
@@ -59,8 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
-from .arclabel import (desugar_input_arc, desugar_output_arc,
-                       parse_input_label, parse_output_label)
+from .arclabel import arc_gate
 from .errors import ParseError, SantError
 from .lexer import Token, TokenStream, tokenize
 from .sancore import (COMPARISONS, FAMILIES, ActivityKind, PredAnd, PredNot,
@@ -119,7 +119,9 @@ class _TemplateParser:
         self.input_gates: list[InputGateTemplate] = []
         self.output_gates: list[OutputGateTemplate] = []
         self.marking: dict[str, MarkingFn] = {}
-        self.arc_records: list[tuple] = []
+        # (name token, "place" | "activity") of each arc end, checked once
+        # every section is read: an arc may name elements declared below it.
+        self.arc_ends: list[tuple[Token, str]] = []
 
     def parse(self) -> ModelDocument:
         self.ts.expect_ident("template")
@@ -132,7 +134,12 @@ class _TemplateParser:
             while not self.ts.at_sym("}"):
                 handler()
             self.ts.expect_sym("}")
-        self._resolve_arcs()
+        known = {"place": {p.name for p in self.places},
+                 "activity": {a.name for a in self.activities}}
+        for tok, what in self.arc_ends:
+            if tok.value not in known[what]:
+                raise ParseError(f"arc references unknown {what} '{tok.value}'",
+                                 tok.line, tok.column)
         place_names = [p.name for p in self.places]
         init = [(p.name, self.marking.get(p.name, MConst(Const(0))))
                 for p in self.places]
@@ -261,39 +268,17 @@ class _TemplateParser:
             if tok.kind != "string":
                 raise ParseError("expected a label string", tok.line, tok.column)
             label = self.ts.next().value
-        self.arc_records.append((side.value, name, first, second, label))
-
-    def _resolve_arcs(self) -> None:
-        place_by_name = {p.name: p for p in self.places}
-        act_by_name = {a.name: a for a in self.activities}
-
-        def lookup(table, tok: Token, what: str):
-            if tok.value not in table:
-                raise ParseError(f"arc references unknown {what} '{tok.value}'",
-                                 tok.line, tok.column)
-            return table[tok.value]
-
-        for side, name, first, second, label in self.arc_records:
-            if side == "input":
-                place = lookup(place_by_name, first, "place")
-                activity = lookup(act_by_name, second, "activity")
-                try:
-                    spec = parse_input_label(label, self.params)
-                except ParseError as exc:
-                    raise ParseError(f"in label of arc '{name.value}': {exc}",
-                                     name.line, name.column) from None
-                self.input_gates.append(desugar_input_arc(
-                    spec, place, activity, name.value, label=label))
-            else:
-                activity = lookup(act_by_name, first, "activity")
-                place = lookup(place_by_name, second, "place")
-                try:
-                    spec = parse_output_label(label, self.params)
-                except ParseError as exc:
-                    raise ParseError(f"in label of arc '{name.value}': {exc}",
-                                     name.line, name.column) from None
-                self.output_gates.append(desugar_output_arc(
-                    spec, place, activity, name.value, label=label))
+        is_input = side.value == "input"
+        ends = ({"place": first, "activity": second} if is_input
+                else {"activity": first, "place": second})
+        self.arc_ends += [(tok, what) for what, tok in ends.items()]
+        try:
+            gate = arc_gate(side.value, name.value, ends["place"].value,
+                            ends["activity"].value, label, self.params)
+        except ParseError as exc:
+            raise ParseError(f"in label of arc '{name.value}': {exc}",
+                             name.line, name.column) from None
+        (self.input_gates if is_input else self.output_gates).append(gate)
 
     def _section_gates(self) -> None:
         side = self.ts.expect_ident("input", "output")
@@ -372,11 +357,7 @@ class _TemplateParser:
             self.ts.expect_sym("[")
             quant = QAt(self._term())
             self.ts.expect_sym("]")
-        tok = self.ts.peek()
-        if not self.ts.at_sym(*COMPARISONS):
-            raise ParseError(f"found {tok.describe()}", tok.line, tok.column,
-                             expected=tuple(map(repr, COMPARISONS)))
-        cmp = self.ts.next().value
+        cmp = self.ts.expect_sym(*COMPARISONS).value
         value = self._term(allow_place=True, restrict=_GATE_RESTRICT)
         return GateAtom(quant, place, cmp, value)
 
@@ -402,13 +383,8 @@ class _TemplateParser:
         else:
             selector = SAt(self._term(allow_case=is_output))
         self.ts.expect_sym("]")
-        tok = self.ts.peek()
-        for action, sign in _SIGNS.items():
-            if self.ts.accept_sym(sign):
-                break
-        else:
-            raise ParseError(f"found {tok.describe()}", tok.line, tok.column,
-                             expected=tuple(map(repr, _SIGNS.values())))
+        sign = self.ts.expect_sym(*_SIGNS.values()).value
+        action = next(a for a, s in _SIGNS.items() if s == sign)
         value = self._term(allow_case=is_output, allow_place=True,
                            restrict=_GATE_RESTRICT)
         return GateRule(place, selector, action, value, when=when)

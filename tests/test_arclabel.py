@@ -88,10 +88,10 @@ def test_label_sorts_belong_to_parser_and_validator():
     place = PlaceTemplate("P", parse_term("s", PARAMS))
     for gate, is_input in (
             (desugar_output_arc(Conditional(Const(1), OutSet(Const(1.5))),
-                                place, _activity(), "G"), False),
+                                "P", "Act", "G"), False),
             (desugar_input_arc(ExplicitInput("forall", None, ">=",
                                              Const(1.5), True, Const(1)),
-                               place, _activity(), "G"), True)):
+                               "P", "Act", "G"), True)):
         diags = validate_template(_template_with(place, gate, is_input))
         assert "sort-mismatch" in {d.code for d in diags}, gate
 
@@ -103,8 +103,8 @@ def _apply_output(label, indices, marking, case=1, assignment=None):
     assignment = dict(assignment or {}, idx=tuple(indices))
     params = dict(PARAMS, idx=Sort.SET_INT)
     place = PlaceTemplate("P", parse_term("idx", params))
-    gate = desugar_output_arc(parse_output_label(label, params), place,
-                              _activity(), "G")
+    gate = desugar_output_arc(parse_output_label(label, params), "P", "Act",
+                              "G")
     template = _template_with(place, gate, is_input=False)
     lifted = {"P": MTable.of(marking)}
     out = apply_gate_rules(template, gate, lifted, assignment,
@@ -149,8 +149,8 @@ def _input_gate(label, indices, assignment=None):
     assignment = dict(assignment or {}, idx=tuple(indices))
     params = dict(PARAMS, idx=Sort.SET_INT)
     place = PlaceTemplate("P", parse_term("idx", params))
-    gate = desugar_input_arc(parse_input_label(label, params), place,
-                             _activity(), "G")
+    gate = desugar_input_arc(parse_input_label(label, params), "P", "Act",
+                             "G")
     template = _template_with(place, gate, is_input=True)
     return template, gate, assignment
 

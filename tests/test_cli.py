@@ -7,8 +7,10 @@ import functools
 import json
 import math
 import re
+import shlex
 import sys
 from importlib import resources
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -442,6 +444,57 @@ def test_color_toggle(capsys, monkeypatch, tmp_path):
     main(["validate", str(bad)])
     plain = capsys.readouterr().err
     assert "\x1b[" in colored and "\x1b[" not in plain
+
+
+def _geo_rate(tmp_path, rate: str) -> list[str]:
+    """``sant validate`` of the GEO model with ``rate`` as its failure
+    rate."""
+    path = tmp_path / "deep.sant"
+    path.write_text((MODELS / "geo.sant").read_text().replace(
+        "exponential(lambda_f)", f"exponential({rate})"))
+    return ["validate", str(path)]
+
+
+def _deep_instance(tmp_path) -> str:
+    """A UserInternal ``.sanx`` whose first predicate is a JSON array
+    nested 100000 deep."""
+    doc = _malformed(lambda d: d["input_gates"][0].update(enabled="DEEP"))
+    path = tmp_path / "deep.sanx"
+    path.write_text(json.dumps(doc).replace(
+        '"DEEP"', "[" * 100_000 + "]" * 100_000))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp_path: _geo_rate(tmp_path,
+                               "(" * 300 + "lambda_f" + ")" * 300),
+    lambda tmp_path: _geo_rate(tmp_path, " + ".join(["1.0"] * 900)),
+    lambda tmp_path: ["simulate", _deep_instance(tmp_path),
+                      "--horizon", "10"],
+    lambda tmp_path: ["export", _deep_instance(tmp_path), "--out", "-"],
+], ids=["sant-parens", "sant-sum-chain", "sanx-simulate", "sanx-export"])
+def test_deeply_nested_input_is_a_user_error(tmp_path, capsys, argv):
+    assert main(argv(tmp_path)) == 1
+    assert capsys.readouterr().err == "error: input is nested too deeply\n"
+
+
+def _readme_commands() -> list[list[str]]:
+    """The ``sant`` lines of README's "Command line" block, as argv lists
+    with ``$MODELS`` bound to the bundled models directory."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line.replace("$MODELS", str(MODELS)),
+                        comments=True)[1:]
+            for line in block.splitlines() if line.startswith("sant ")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) == 7
+    for argv in commands:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):

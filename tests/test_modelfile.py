@@ -7,6 +7,7 @@ from importlib import resources
 
 import pytest
 
+from santkit.arclabel import parse_input_label
 from santkit.concretize import concretize
 from santkit.errors import ParseError
 from santkit.fixtures import (USER_INTERNAL, build_geo_template,
@@ -18,7 +19,9 @@ from santkit.modelfile import (assignments_to_text, coerce_assignment,
                                parse_assignments_text, parse_pred_text,
                                parse_rule_text, parse_template_text,
                                template_to_text)
-from santkit.template import validate_template
+from santkit.sancore import fire
+from santkit.template import (marking_tokens_at, template_fire,
+                              validate_template)
 
 MODELS = resources.files("santkit") / "models"
 
@@ -90,7 +93,15 @@ def test_parse_error_on_bad_sort():
      "Idle[1] *= 1", "1:9: found '*' (expected ':=', '+=', '-=')"),
     (lambda text: parse_pred_text(text, {}),
      "Idle[1] < 1", "1:9: found '<' (expected '=', '>', '>=')"),
-], ids=["effect-sign", "comparison"])
+    (lambda text: parse_input_label(text, {}),
+     "[forall < 1] 0", "1:9: found '<' (expected '=', '>', '>=')"),
+    (parse_template_text,
+     "template T\nparams { }\nplaces { P = {1} }\n"
+     "activities { instantaneous A }\n"
+     'arcs { input G : P -> A label "[forall < 1] 0" }\n',
+     "5:14: in label of arc 'G': 1:9: found '<' (expected '=', '>', '>=')"),
+], ids=["effect-sign", "comparison", "label-comparison",
+        "arc-label-comparison"])
 def test_gate_vocabulary_parse_errors(parse, text, message):
     with pytest.raises(ParseError) as err:
         parse(text)
@@ -108,6 +119,32 @@ arcs { input G : Nope -> A }
         parse_template_text(text)
     assert "Nope" in str(err.value)
     assert err.value.line == 5
+
+
+_ARC_BEFORE_GATE = """template T
+params { }
+places { P = {1} }
+activities { instantaneous A }
+arcs { input In : P -> A }
+gates {
+  input Set : A { places = P  enabled = P[1] >= 0  effect = P[1] := 5 }
+}
+marking { P = 1 }
+"""
+
+
+def test_arcs_and_gates_apply_in_declaration_order():
+    # The arc's gate takes the token first; the gate declared after it then
+    # sets the count, so firing A leaves 5 tokens, not 4.
+    template = parse_template_text(_ARC_BEFORE_GATE).template
+    assert [g.name for g in template.input_gates] == ["In", "Set"]
+    san = concretize(template, {})
+    assert fire(san, san.initial_marking_dict(), "A", 1) == {"P_1": 5}
+    fired = template_fire(template, template.initial_marking_map(), "A", 1,
+                          {})
+    assert marking_tokens_at(fired["P"], 1, {}) == 5
+    assert parse_template_text(template_to_text(template)).template == \
+        template
 
 
 def test_validator_uses_parsed_template():
