@@ -11,6 +11,17 @@ order.  The priority rule is ``sancore.under_priority``; the enabling of
 each reached marking is evaluated once, and the pass that finds a marking
 stable also schedules and cancels the timed activities.
 
+``simulate`` compiles the validated instance once into an execution plan.
+Each place gets a slot and the marking is a list of token counts; each
+activity's enabling is one closure over slots, and each gate is a flat list
+of marking updates applied in place.  ``sancore.fire`` and
+``sancore.is_enabled`` stay the reference the plan is tested against.  The
+plan is run through three module-level functions, called through this
+module's globals once per reached marking (``enabled_activities``), once
+per firing (``fire``) and once per firing-time draw
+(``sample_firing_time``).  These are the boundaries the layered benchmark
+in ``perfbench/`` measures, by wrapping the three names.
+
 Replications are independent: replication ``r`` runs on its own generator
 seeded with ``seed * 2**32 + r``.  Identical configurations reproduce
 bit-identical results.
@@ -23,12 +34,15 @@ import math
 import random
 import statistics
 from dataclasses import dataclass
-from typing import Callable
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
-from .errors import (InvalidConfig, MaxEventsExceeded, NonStabilizingDetected,
+from .errors import (InvalidConfig, MaxEventsExceeded, NegativeMarking,
+                     NonStabilizingDetected, NotEnabled,
                      UnsupportedReactivation, ValidationError, has_errors)
-from .sancore import (FAMILIES, ConcreteSan, Dist, Marking,
-                      enabled_activities, fire, under_priority, validate_san)
+from .sancore import (COMPARISONS, FAMILIES, Activity, ConcreteSan, Dist,
+                      PredAnd, PredConst, PredLeaf, PredNot, Predicate,
+                      Update, under_priority, validate_san)
 
 
 STABILIZATION_LIMIT = 10_000  # instantaneous firings per time point
@@ -150,44 +164,205 @@ def replication_seed(seed: int, replication: int) -> int:
     return seed * 2**32 + replication
 
 
+# -- execution plan ----------------------------------------------------------
+
+# A marking as the plan runs it: token counts indexed by ``_Plan.slot``.
+Slots = list[int]
+Check = Callable[[Slots], bool]
+
+
+def _compile_predicate(pred: Predicate, slot: dict[str, int]) -> Check:
+    """One closure over slots that agrees with ``sancore.eval_predicate``;
+    nested connectives of one kind are flattened first."""
+    if isinstance(pred, PredConst):
+        value = pred.value
+        return lambda m: value
+    if isinstance(pred, PredLeaf):
+        i, op, value = slot[pred.place], COMPARISONS[pred.cmp], pred.value
+        return lambda m: op(m[i], value)
+    if isinstance(pred, PredNot):
+        arg = _compile_predicate(pred.arg, slot)
+        return lambda m: not arg(m)
+    conjunction = isinstance(pred, PredAnd)
+    args: list[Predicate] = []
+    pending = list(reversed(pred.args))
+    while pending:
+        arg = pending.pop()
+        if type(arg) is type(pred):
+            pending.extend(reversed(arg.args))
+        else:
+            args.append(arg)
+    if len(args) == 1:
+        return _compile_predicate(args[0], slot)
+    if all(isinstance(a, PredLeaf) for a in args) and \
+            len({(a.cmp, a.value) for a in args}) == 1:
+        # Leaves sharing one comparison and value: one C-level pass, over a
+        # slice of the marking when their slots are consecutive.
+        cmp, value, n = args[0].cmp, args[0].value, len(args)
+        slots = sorted(slot[a.place] for a in args)
+        get = itemgetter(slice(slots[0], slots[0] + n)) \
+            if slots == list(range(slots[0], slots[0] + n)) \
+            else itemgetter(*slots)
+        if cmp == "=":
+            if conjunction:
+                return lambda m: get(m).count(value) == n
+            return lambda m: value in get(m)
+        op, extreme = COMPARISONS[cmp], (min if conjunction else max)
+        return lambda m: op(extreme(get(m)), value)
+    checks = [_compile_predicate(a, slot) for a in args]
+    if conjunction:
+        return lambda m: all(check(m) for check in checks)
+    return lambda m: any(check(m) for check in checks)
+
+
+# One marking update: (adds, key, value, when, overdraw).  An update that
+# adds stores its signed amount in ``value`` and, in ``overdraw``, the head
+# of the error raised when it drives the place negative.  One that sets
+# assigns ``value`` to ``m[key]``, where ``key`` is a slot or, for a run of
+# sets on consecutive slots, a slice.  ``when`` is (comparison, value) or
+# None.  A gate is (whether any of its updates is guarded, its ops).
+Op = tuple
+Gate = tuple[bool, tuple[Op, ...]]
+
+
+def _compile_gate(name: str, updates: tuple[Update, ...],
+                  slot: dict[str, int]) -> Gate:
+    """A gate whose ops, run in order on the marking in place, agree with
+    ``sancore.apply_updates``."""
+    ops: list[Op] = []
+    run: list[int] = []          # amounts of unguarded sets from run_start
+    run_start = 0
+
+    def close_run() -> None:
+        if len(run) == 1:
+            ops.append((False, run_start, run[0], None, None))
+        elif run:
+            ops.append((False, slice(run_start, run_start + len(run)),
+                        list(run), None, None))
+        run.clear()
+
+    for u in updates:
+        i = slot[u.place]
+        if u.action == "set" and u.when is None:
+            if run and i != run_start + len(run):
+                close_run()
+            if not run:
+                run_start = i
+            run.append(u.amount)
+            continue
+        close_run()
+        when = None if u.when is None else (COMPARISONS[u.when[0]], u.when[1])
+        if u.action == "set":
+            ops.append((False, i, u.amount, when, None))
+        else:
+            delta = u.amount if u.action == "add" else -u.amount
+            ops.append((True, i, delta, when,
+                        f"gate '{name}' drives place '{u.place}' to"))
+    close_run()
+    return any(u.when is not None for u in updates), tuple(ops)
+
+
+class _Plan(NamedTuple):
+    """A validated instance compiled for ``enabled_activities`` and
+    ``fire``: per activity (in declaration order) its enabling check and,
+    per case, the programs of its input gates then of the case's output
+    gates, in declaration order."""
+
+    places: tuple[str, ...]
+    slot: dict[str, int]
+    initial: tuple[int, ...]
+    activities: tuple[Activity, ...]
+    index: dict[str, int]
+    enabling: tuple[Check, ...]
+    programs: tuple[tuple[tuple[Gate, ...], ...], ...]
+
+
+def _build_plan(san: ConcreteSan) -> _Plan:
+    """Compile an instance that ``validate_san`` accepts."""
+    slot = {place: i for i, place in enumerate(san.places)}
+    initial = dict(san.initial_marking)
+    enabling = []
+    programs = []
+    for act in san.activities:
+        inputs = san.inputs_of(act.name)
+        enabling.append(_compile_predicate(
+            PredAnd(tuple(g.predicate for g in inputs)), slot))
+        head = tuple(_compile_gate(g.name, g.updates, slot) for g in inputs)
+        programs.append(tuple(
+            head + tuple(_compile_gate(g.name, g.updates, slot)
+                         for g in san.outputs_of(act.name, case))
+            for case in range(1, act.cases + 1)))
+    return _Plan(
+        places=san.places, slot=slot,
+        initial=tuple(initial[p] for p in san.places),
+        activities=san.activities,
+        index={act.name: i for i, act in enumerate(san.activities)},
+        enabling=tuple(enabling), programs=tuple(programs))
+
+
+def enabled_activities(plan: _Plan, marking: Slots) -> list[Activity]:
+    """The enabled activities, in declaration order."""
+    return [act for act, holds in zip(plan.activities, plan.enabling)
+            if holds(marking)]
+
+
+def fire(plan: _Plan, marking: Slots, index: int, case: int) -> None:
+    """Fire ``case`` of the ``index``-th activity on ``marking`` in place,
+    with the checks and errors of ``sancore.fire``."""
+    act = plan.activities[index]
+    if not 1 <= case <= act.cases:
+        raise NotEnabled(f"activity '{act.name}' has no case {case}")
+    if not plan.enabling[index](marking):
+        raise NotEnabled(f"activity '{act.name}' is not enabled")
+    for guarded, ops in plan.programs[index][case - 1]:
+        entry = marking[:] if guarded else marking
+        for adds, key, value, when, overdraw in ops:
+            if when is not None and not when[0](entry[key], when[1]):
+                continue
+            if adds:
+                value += marking[key]
+                if value < 0:
+                    raise NegativeMarking(f"{overdraw} {value}")
+            marking[key] = value
+
+
 class _Replication:
-    def __init__(self, san: ConcreteSan, cfg: SimConfig,
+    def __init__(self, plan: _Plan, cfg: SimConfig,
                  rewards: tuple[RewardSpec, ...], rng: random.Random,
                  observer=None):
-        self.san = san
+        self.plan = plan
         self.cfg = cfg
         self.rewards = rewards
         self.rng = rng
         self.observer = observer
-        self.marking: Marking = san.initial_marking_dict()
+        self.marking: Slots = list(plan.initial)
         self.now = 0.0
         self.events = 0
         self.accum = [0.0] * len(rewards)
         self.kinds = [REWARDS[spec.kind] for spec in rewards]
-        # (slot, rate, place, threshold) of each reward accrued over time.
-        self.rated = [(i, kind.rate, spec.target, spec.threshold)
+        # (reward, rate, slot, threshold) of each reward accrued over time.
+        self.rated = [(i, kind.rate, plan.slot[spec.target], spec.threshold)
                       for i, (spec, kind) in enumerate(zip(rewards, self.kinds))
                       if kind.rate is not None]
-        self.case_counts = {a.name: [0] * a.cases for a in san.activities}
-        # Event list: (time, sequence, activity). A stale entry is one whose
-        # sequence no longer matches self.active for its activity.
-        self.queue: list[tuple[float, int, str]] = []
-        self.active: dict[str, int | None] = {a.name: None
-                                              for a in san.activities}
+        self.case_counts = [[0] * a.cases for a in plan.activities]
+        # Event list: (time, sequence, activity index). A stale entry is one
+        # whose sequence no longer matches self.active for its activity.
+        self.queue: list[tuple[float, int, int]] = []
+        self.active: list[int | None] = [None] * len(plan.activities)
         self.seq = 0
 
     def run(self) -> tuple[list[float], int]:
         self._settle()
         horizon = self.cfg.horizon
         while self.queue:
-            time, seq, name = heapq.heappop(self.queue)
-            if self.active[name] != seq:
+            time, seq, index = heapq.heappop(self.queue)
+            if self.active[index] != seq:
                 continue                      # cancelled by a state change
             if time > horizon:
                 break
             self._advance_to(time)
-            self.active[name] = None
-            self._fire(name)
+            self.active[index] = None
+            self._fire(index)
             self._settle()
         self._advance_to(horizon)
         return self._reward_values(), self.events
@@ -197,29 +372,30 @@ class _Replication:
     def _advance_to(self, time: float) -> None:
         dt = time - self.now
         if dt > 0:
-            for i, rate, place, threshold in self.rated:
-                self.accum[i] += rate(self.marking[place], threshold) * dt
+            for i, rate, slot, threshold in self.rated:
+                self.accum[i] += rate(self.marking[slot], threshold) * dt
             if self.observer is not None:
-                self.observer(self.now, time, self.marking)
+                self.observer(self.now, time,
+                              dict(zip(self.plan.places, self.marking)))
         self.now = time
 
-    def _fire(self, name: str) -> None:
+    def _fire(self, index: int) -> None:
         self.events += 1
         if self.events > self.cfg.max_events:
             raise MaxEventsExceeded(
                 f"more than {self.cfg.max_events} events in one replication")
-        act = self.san.activity(name)
-        case = select_case(act.case_probs, self.rng)
-        self.case_counts[name][case - 1] += 1
-        self.marking = fire(self.san, self.marking, name, case)
+        case = select_case(self.plan.activities[index].case_probs, self.rng)
+        self.case_counts[index][case - 1] += 1
+        fire(self.plan, self.marking, index, case)
 
     def _settle(self) -> None:
         """Fire instantaneous activities until the marking is stable; the
         enabling pass that finds it stable also (re)schedules timed ones."""
+        index = self.plan.index
         chain = 0
         while True:
             ready, instantaneous = under_priority(
-                enabled_activities(self.san, self.marking))
+                enabled_activities(self.plan, self.marking))
             if not instantaneous:
                 break
             chain += 1
@@ -229,21 +405,22 @@ class _Replication:
                     f"{self.now}")
             choice = ready[0] if len(ready) == 1 else \
                 ready[self.rng.randrange(len(ready))]
-            self._fire(choice.name)
-        enabled = {act.name: act.distribution for act in ready}
-        for name, seq in self.active.items():
-            if name not in enabled:
+            self._fire(index[choice.name])
+        enabled = {index[act.name]: act.distribution for act in ready}
+        for i, seq in enumerate(self.active):
+            if i not in enabled:
                 if seq is not None:
-                    self.active[name] = None  # enabling memory: resample later
+                    self.active[i] = None     # enabling memory: resample later
             elif seq is None:
-                delay = sample_firing_time(enabled[name], self.rng)
+                delay = sample_firing_time(enabled[i], self.rng)
                 self.seq += 1
-                self.active[name] = self.seq
-                heapq.heappush(self.queue, (self.now + delay, self.seq, name))
+                self.active[i] = self.seq
+                heapq.heappush(self.queue, (self.now + delay, self.seq, i))
 
     def _reward_values(self) -> list[float]:
+        index = self.plan.index
         return [(self.accum[i] if kind.rate else
-                 sum(self.case_counts[spec.target])) / self.cfg.horizon
+                 sum(self.case_counts[index[spec.target]])) / self.cfg.horizon
                 for i, (spec, kind) in enumerate(zip(self.rewards, self.kinds))]
 
 
@@ -268,17 +445,19 @@ def simulate(san: ConcreteSan, cfg: SimConfig,
                 f"activity '{act.name}' declares reactivation markings; "
                 f"only the empty reactivation set is executable")
 
+    plan = _build_plan(san)
     per_rep: list[list[float]] = []
     events: list[int] = []
     totals = {a.name: [0] * a.cases for a in san.activities}
     for rep in range(cfg.replications):
         rng = random.Random(replication_seed(cfg.seed, rep))
-        run = _Replication(san, cfg, rewards, rng, observer)
+        run = _Replication(plan, cfg, rewards, rng, observer)
         values, n_events = run.run()
         per_rep.append(values)
         events.append(n_events)
-        for name, counts in run.case_counts.items():
-            totals[name] = [t + c for t, c in zip(totals[name], counts)]
+        for act, counts in zip(san.activities, run.case_counts):
+            totals[act.name] = [t + c for t, c in
+                                zip(totals[act.name], counts)]
 
     estimates = []
     for i, spec in enumerate(rewards):

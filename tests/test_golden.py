@@ -138,7 +138,7 @@ def test_enabling_evaluated_once_per_reached_marking(assignment, monkeypatch):
     # per firing; the simulator evaluates the enabling of each exactly once.
     # Per-activity ``is_enabled`` calls from ``sim`` count as evaluations too.
     import santkit.sim as sim
-    from santkit.sancore import enabled_activities, is_enabled
+    from santkit.sancore import is_enabled
 
     calls = 0
 
@@ -150,7 +150,7 @@ def test_enabling_evaluated_once_per_reached_marking(assignment, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(sim, "enabled_activities",
-                        counted(enabled_activities))
+                        counted(sim.enabled_activities))
     monkeypatch.setattr(sim, "is_enabled", counted(is_enabled), raising=False)
     result = simulate(_golden_instance(assignment), CFG,
                       GOLDEN[assignment][1])
