@@ -194,21 +194,13 @@ def _compile_predicate(pred: Predicate, slot: dict[str, int]) -> Check:
             args.append(arg)
     if len(args) == 1:
         return _compile_predicate(args[0], slot)
-    if all(isinstance(a, PredLeaf) for a in args) and \
-            len({(a.cmp, a.value) for a in args}) == 1:
-        # Leaves sharing one comparison and value: one C-level pass, over a
-        # slice of the marking when their slots are consecutive.
-        cmp, value, n = args[0].cmp, args[0].value, len(args)
-        slots = sorted(slot[a.place] for a in args)
-        get = itemgetter(slice(slots[0], slots[0] + n)) \
-            if slots == list(range(slots[0], slots[0] + n)) \
-            else itemgetter(*slots)
-        if cmp == "=":
-            if conjunction:
-                return lambda m: get(m).count(value) == n
-            return lambda m: value in get(m)
-        op, extreme = COMPARISONS[cmp], (min if conjunction else max)
-        return lambda m: op(extreme(get(m)), value)
+    if conjunction and all(isinstance(a, PredLeaf) for a in args) and \
+            len({(a.cmp, a.value) for a in args}) == 1 and \
+            args[0].cmp in (">", ">="):
+        # Lower bounds sharing one value: one C-level pass over their slots.
+        op, value = COMPARISONS[args[0].cmp], args[0].value
+        get = itemgetter(*(slot[a.place] for a in args))
+        return lambda m: op(min(get(m)), value)
     checks = [_compile_predicate(a, slot) for a in args]
     if conjunction:
         return lambda m: all(check(m) for check in checks)

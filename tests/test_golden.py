@@ -137,24 +137,32 @@ def test_enabling_evaluated_once_per_reached_marking(assignment, monkeypatch):
     # Each replication reaches its settled initial marking plus one marking
     # per firing; the simulator evaluates the enabling of each exactly once.
     # Per-activity ``is_enabled`` calls from ``sim`` count as evaluations too.
+    # ``fire`` runs once per firing and ``sample_firing_time`` once per draw:
+    # these are the names the layered benchmark wraps.
     import santkit.sim as sim
     from santkit.sancore import is_enabled
 
-    calls = 0
+    calls = {"enabled_activities": 0, "fire": 0, "sample_firing_time": 0}
 
-    def counted(fn):
+    def counted(name, fn):
         def wrapper(*args):
-            nonlocal calls
-            calls += 1
+            calls[name] += 1
             return fn(*args)
         return wrapper
 
+    for name in ("fire", "sample_firing_time"):
+        monkeypatch.setattr(sim, name, counted(name, getattr(sim, name)))
     monkeypatch.setattr(sim, "enabled_activities",
-                        counted(sim.enabled_activities))
-    monkeypatch.setattr(sim, "is_enabled", counted(is_enabled), raising=False)
+                        counted("enabled_activities", sim.enabled_activities))
+    monkeypatch.setattr(sim, "is_enabled",
+                        counted("enabled_activities", is_enabled),
+                        raising=False)
     result = simulate(_golden_instance(assignment), CFG,
                       GOLDEN[assignment][1])
-    assert calls == sum(result.events) + CFG.replications
+    events = sum(result.events)
+    assert calls["enabled_activities"] == events + CFG.replications
+    assert calls["fire"] == events
+    assert calls["sample_firing_time"] > 0
 
 
 # sha256 of every byte-level output of the bundled models: the `.sanx` that
