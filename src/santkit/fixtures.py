@@ -12,7 +12,7 @@ from .arclabel import arc_gate
 from .sancore import PredAnd
 from .template import (ActivityKind, ActivityTemplate, CaseDistribution,
                        CaseEntry, DistributionSpec, GateAtom, GateRule,
-                       InputGateTemplate, MConst, OutputGateTemplate,
+                       InputGateTemplate, MExpr, OutputGateTemplate,
                        PlaceTemplate, QAll, QAt, QExists, SAll, SAt, SWhere,
                        SanTemplate)
 from .terms import Sort, parse_term
@@ -86,8 +86,8 @@ def build_user_template() -> SanTemplate:
         activities=(request, fail, drop),
         input_gates=(ig_request, arc_in_fail, arc_in_drop),
         output_gates=(og_request, arc_out_fail, arc_out_drop),
-        initial_marking=(("Idle", MConst(one)), ("Req", MConst(zero)),
-                         ("Dropped", MConst(zero)), ("Failed", MConst(zero))))
+        initial_marking=(("Idle", MExpr(one)), ("Req", MExpr(zero)),
+                         ("Dropped", MExpr(zero)), ("Failed", MExpr(zero))))
 
 
 def build_geo_template() -> SanTemplate:
@@ -133,8 +133,8 @@ def build_geo_template() -> SanTemplate:
         activities=(geo_f, geo_r),
         input_gates=(ig_gf, geo_to_geor),
         output_gates=(og_gr, geof_to_geo),
-        initial_marking=(("GEO", MConst(zero)),
-                         ("Working_S", MConst(one))))
+        initial_marking=(("GEO", MExpr(zero)),
+                         ("Working_S", MExpr(one))))
 
 
 def build_tmi_template() -> SanTemplate:
@@ -194,8 +194,8 @@ def build_tmi_template() -> SanTemplate:
         activities=(sw_f, sw_r),
         input_gates=(working_to_swf, failed_to_swr),
         output_gates=(og_sw, swr_to_working),
-        initial_marking=(("Working_S", MConst(_term("1", params))),
-                         ("Failed_SW_S", MConst(_term("0", params)))))
+        initial_marking=(("Working_S", MExpr(_term("1", params))),
+                         ("Failed_SW_S", MExpr(_term("0", params)))))
 
 
 # Canonical assignments used in the documentation and tests.

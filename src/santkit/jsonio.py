@@ -1,8 +1,10 @@
-"""Lossless JSON interchange for templates and instances.
+"""JSON interchange: instances both ways, templates as an export only.
 
-Terms, predicates, rules and marking functions serialize as their canonical
-surface text; instance-level structures are fully numeric.  Both schemas
-carry a version tag.
+The instance schema is fully numeric and is read back by ``json_to_san``
+with typed, path-reporting checks.  The template schema stores terms,
+predicates, rules and marking functions as their canonical surface text;
+like DOT, it is written but never read (the ``.sant`` text is the template
+format that is read back).  Both schemas carry a version tag.
 """
 
 from __future__ import annotations
@@ -11,18 +13,13 @@ import json
 from typing import Any
 
 from .errors import ParseError, SantError
-from .modelfile import (marking_fn_to_text, parse_marking_fn_text,
-                        parse_file, parse_pred_text, parse_rule_text,
-                        pred_to_text, rule_to_text)
+from .modelfile import (marking_fn_to_text, parse_file, pred_to_text,
+                        rule_to_text)
 from .sancore import (Activity, ActivityKind, ConcreteSan, Dist, InputGate,
                       OutputGate, PredAnd, PredConst, PredLeaf, PredNot,
                       PredOr, Predicate, Update)
-from .arclabel import arc_gate
-from .template import (ActivityTemplate, CaseDistribution, CaseEntry,
-                       DistributionSpec, InputGateTemplate,
-                       OutputGateTemplate, PlaceTemplate, ReactivationSpec,
-                       SanTemplate)
-from .terms import Sort, parse_term, print_term
+from .template import SanTemplate
+from .terms import print_term
 
 TEMPLATE_SCHEMA = "santkit-template/1"
 INSTANCE_SCHEMA = "santkit-instance/1"
@@ -70,69 +67,6 @@ def template_to_json(template: SanTemplate) -> dict[str, Any]:
         "marking": {name: marking_fn_to_text(fn)
                     for name, fn in template.initial_marking},
     }
-
-
-def json_to_template(doc: dict[str, Any]) -> SanTemplate:
-    if doc.get("schema") != TEMPLATE_SCHEMA:
-        raise SantError(f"unsupported template schema {doc.get('schema')!r}")
-    params = {p["name"]: Sort(p["sort"]) for p in doc["params"]}
-
-    def term(text, expected=None, allow_case=False, allow_place=False):
-        return parse_term(text, params, expected=expected,
-                          allow_case=allow_case, allow_place=allow_place)
-
-    places = tuple(PlaceTemplate(p["name"],
-                                 term(p["multiplicity"], Sort.SET_INT))
-                   for p in doc["places"])
-
-    activities = []
-    for a in doc["activities"]:
-        entries = tuple(
-            CaseEntry(None if e["when"] is None
-                      else term(e["when"], Sort.BOOL, allow_case=True),
-                      term(e["value"], Sort.REAL, allow_case=True))
-            for e in a["prob"])
-        time = None
-        if a["time"] is not None:
-            time = DistributionSpec(
-                a["time"]["family"],
-                tuple(term(p, Sort.REAL) for p in a["time"]["params"]))
-        activities.append(ActivityTemplate(
-            name=a["name"], kind=ActivityKind(a["kind"]),
-            cases=term(a["cases"], Sort.INT),
-            case_distribution=CaseDistribution(entries),
-            time_distribution=time,
-            reactivation=ReactivationSpec(**a["reactivation"])))
-
-    def load_gate(g, is_input: bool):
-        if "arc_label" in g:
-            return arc_gate("input" if is_input else "output", g["name"],
-                            g["places"][0], g["activity"], g["arc_label"],
-                            params)
-        rules = tuple(
-            parse_rule_text(r["rule"], params, is_output=not is_input,
-                            when=None if r["when"] is None
-                            else term(r["when"], Sort.BOOL,
-                                      allow_case=not is_input))
-            for r in g["effect"])
-        if is_input:
-            return InputGateTemplate(
-                g["name"], g["activity"], tuple(g["places"]),
-                parse_pred_text(g["enabled"], params), rules)
-        return OutputGateTemplate(
-            g["name"], g["activity"], tuple(g["places"]), rules)
-
-    return SanTemplate(
-        name=doc["name"],
-        parameters=tuple((p["name"], Sort(p["sort"]))
-                         for p in doc["params"]),
-        places=places,
-        activities=tuple(activities),
-        input_gates=tuple(load_gate(g, True) for g in doc["input_gates"]),
-        output_gates=tuple(load_gate(g, False) for g in doc["output_gates"]),
-        initial_marking=tuple(
-            (name, parse_marking_fn_text(text, params))
-            for name, text in doc["marking"].items()))
 
 
 def _pred_json(pred: Predicate) -> Any:

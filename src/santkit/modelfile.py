@@ -67,12 +67,12 @@ from .sancore import (COMPARISONS, FAMILIES, ActivityKind, PredAnd, PredNot,
                       PredOr)
 from .template import (ActivityTemplate, CaseDistribution, CaseEntry,
                        DistributionSpec, GateAtom, GatePredicate, GateRule,
-                       InputGateTemplate, MConst, MExpr, MIdentity, MSetAt,
-                       MSetOn, MTable, MarkingFn, OutputGateTemplate,
-                       PlaceTemplate, QAll, QAt, QExists, SAll, SAt, SExcept,
-                       SWhere, SanTemplate, Selector)
-from .terms import (CaseIndex, Const, Sort, Term, Value, format_value,
-                    parse_term_stream, print_term)
+                       InputGateTemplate, MExpr, MSetOn, MTable, MarkingFn,
+                       OutputGateTemplate, PlaceTemplate, QAll, QAt, QExists,
+                       SAll, SAt, SExcept, SWhere, SanTemplate, Selector)
+from .terms import (Apply, CaseIndex, Const, PlaceIndex, Sort, Term, Value,
+                    contains_node, format_value, parse_term_stream,
+                    print_term)
 
 # Int slots inside gate bodies stop at the boolean connectives so that
 # "Failed[1] >= 1 and exists Req >= 1" splits where the grammar expects.
@@ -83,6 +83,7 @@ _SIGNS = {"set": ":=", "add": "+=", "sub": "-="}
 
 _DEFAULT_CASES = Const(1)
 _DEFAULT_PROBS = (CaseEntry(None, Const(1.0)),)
+_NO_TOKENS = MExpr(Const(0))
 
 
 @dataclass
@@ -141,7 +142,7 @@ class _TemplateParser:
                 raise ParseError(f"arc references unknown {what} '{tok.value}'",
                                  tok.line, tok.column)
         place_names = [p.name for p in self.places]
-        init = [(p.name, self.marking.get(p.name, MConst(Const(0))))
+        init = [(p.name, self.marking.get(p.name, _NO_TOKENS))
                 for p in self.places]
         # Keep entries for unknown places so validation can flag them.
         init.extend((name, fn) for name, fn in self.marking.items()
@@ -395,84 +396,63 @@ class _TemplateParser:
         self.marking[tok.value] = self._marking_fn()
 
     def _marking_fn(self) -> MarkingFn:
+        """One of the three marking forms; ``at(i, v)`` lowers to
+        ``on({i}, v)`` and ``identity`` to the constant 0."""
         if self.ts.at_ident("at", "on", "expr", "table") \
                 and self.ts.peek(1).kind == "sym" \
                 and self.ts.peek(1).value == "(":
             kind = self.ts.next().value
             self.ts.expect_sym("(")
-            if kind == "at":
-                index = self._term()
-                self.ts.expect_sym(",")
-                value = self._term()
-                self.ts.expect_sym(")")
-                return MSetAt(index, value)
-            if kind == "on":
-                indices = self._term()
-                self.ts.expect_sym(",")
-                value = self._term()
-                self.ts.expect_sym(")")
-                return MSetOn(indices, value)
             if kind == "expr":
-                value = self._term(allow_place=True)
-                self.ts.expect_sym(")")
-                return MExpr(value)
-            entries = []
-            while not self.ts.at_sym(")"):
-                tok = self.ts.peek()
-                if tok.kind != "int":
-                    raise ParseError("expected an index literal",
-                                     tok.line, tok.column)
-                self.ts.next()
-                self.ts.expect_sym(":")
-                val = self.ts.peek()
-                if val.kind != "int":
-                    raise ParseError("expected a token-count literal",
-                                     val.line, val.column)
-                self.ts.next()
-                entries.append((int(tok.value), int(val.value)))
-                self.ts.accept_sym(",")
+                fn: MarkingFn = MExpr(self._term(allow_place=True))
+            elif kind == "table":
+                fn = self._table()
+            else:
+                indices = (self._term() if kind == "on"
+                           else _singleton(self._term(expected=Sort.INT)))
+                self.ts.expect_sym(",")
+                fn = MSetOn(indices, self._term())
             self.ts.expect_sym(")")
-            return MTable(tuple(entries))
+            return fn
         if self.ts.accept_ident("identity"):
-            return MIdentity()
-        return MConst(self._term())
+            return _NO_TOKENS
+        return MExpr(self._term())
+
+    def _table(self) -> MTable:
+        entries: dict[int, int] = {}
+        while not self.ts.at_sym(")"):
+            tok = self.ts.peek()
+            if tok.kind != "int":
+                raise ParseError("expected an index literal",
+                                 tok.line, tok.column)
+            self.ts.next()
+            if int(tok.value) in entries:
+                raise ParseError(f"duplicate table index {tok.value}",
+                                 tok.line, tok.column)
+            self.ts.expect_sym(":")
+            val = self.ts.peek()
+            if val.kind != "int":
+                raise ParseError("expected a token-count literal",
+                                 val.line, val.column)
+            self.ts.next()
+            entries[int(tok.value)] = int(val.value)
+            self.ts.accept_sym(",")
+        return MTable.of(entries)
+
+
+def _singleton(index: Term) -> Term:
+    """``{index}``, folded as the term parser folds a constant set literal."""
+    if isinstance(index, Const):
+        return Const((index.value,))
+    return Apply("setlit", (index,))
 
 
 def _case_equals(index: Term) -> Term:
-    from .terms import Apply
     return Apply("=", (CaseIndex(), index))
 
 
 def parse_template_text(text: str, path: str = "<string>") -> ModelDocument:
     return _TemplateParser(text, path).parse()
-
-
-def _snippet_parser(text: str, params: dict[str, Sort]) -> _TemplateParser:
-    parser = _TemplateParser(text, "<snippet>")
-    parser.params = params
-    return parser
-
-
-def parse_pred_text(text: str, params: dict[str, Sort]) -> GatePredicate:
-    parser = _snippet_parser(text, params)
-    pred = parser._pred_expr()
-    parser.ts.expect_eof()
-    return pred
-
-
-def parse_rule_text(text: str, params: dict[str, Sort], is_output: bool,
-                    when: Term | None = None) -> GateRule:
-    parser = _snippet_parser(text, params)
-    rule = parser._rule(when, is_output)
-    parser.ts.expect_eof()
-    return rule
-
-
-def parse_marking_fn_text(text: str, params: dict[str, Sort]) -> MarkingFn:
-    parser = _snippet_parser(text, params)
-    fn = parser._marking_fn()
-    parser.ts.expect_eof()
-    return fn
 
 
 T = TypeVar("T")
@@ -615,16 +595,11 @@ def rule_to_text(rule: GateRule) -> str:
 
 
 def marking_fn_to_text(fn: MarkingFn) -> str:
-    if isinstance(fn, MConst):
-        return print_term(fn.value)
-    if isinstance(fn, MSetAt):
-        return f"at({print_term(fn.index)}, {print_term(fn.value)})"
+    if isinstance(fn, MExpr):
+        text = print_term(fn.value)
+        return f"expr({text})" if contains_node(fn.value, PlaceIndex) else text
     if isinstance(fn, MSetOn):
         return f"on({print_term(fn.indices)}, {print_term(fn.value)})"
-    if isinstance(fn, MIdentity):
-        return "identity"
-    if isinstance(fn, MExpr):
-        return f"expr({print_term(fn.value)})"
     entries = ", ".join(f"{i}: {v}" for i, v in fn.entries)
     return f"table({entries})"
 
@@ -728,7 +703,7 @@ def template_to_text(template: SanTemplate) -> str:
             out.append("")
 
     nonzero = [(name, fn) for name, fn in template.initial_marking
-               if fn != MConst(Const(0))]
+               if fn != _NO_TOKENS]
     if nonzero:
         out.append("marking {")
         for name, fn in nonzero:

@@ -63,8 +63,9 @@ class CaseDistribution:
 
 @dataclass(frozen=True)
 class ReactivationSpec:
-    """Only the empty reactivation set is executable; a non-empty set can be
-    represented (with a description) but the simulator rejects it."""
+    """Only the empty reactivation set is executable.  A non-empty set can be
+    represented (with a description); the instance carries its kind, which
+    ``validate_san`` reports and ``simulate`` refuses."""
 
     kind: str = "empty"          # "empty" | "unsupported"
     description: str = ""
@@ -180,30 +181,16 @@ class OutputGateTemplate:
 
 
 @dataclass(frozen=True)
-class MConst:
-    value: Term
-
-
-@dataclass(frozen=True)
-class MSetAt:
-    index: Term
-    value: Term
+class MExpr:
+    value: Term               # Int term; may use <PLACE> for the index
 
 
 @dataclass(frozen=True)
 class MSetOn:
+    """``value`` tokens on the listed indices, 0 elsewhere."""
+
     indices: Term
     value: Term
-
-
-@dataclass(frozen=True)
-class MIdentity:
-    pass
-
-
-@dataclass(frozen=True)
-class MExpr:
-    value: Term               # Int term; may use <PLACE> for the index
 
 
 @dataclass(frozen=True)
@@ -215,34 +202,21 @@ class MTable:
         return MTable(tuple(sorted(mapping.items())))
 
 
-MarkingFn = Union[MConst, MSetAt, MSetOn, MIdentity, MExpr, MTable]
+MarkingFn = Union[MExpr, MSetOn, MTable]
 
 # A template marking assigns a token function to every place template name.
 TemplateMarking = dict[str, MarkingFn]
 
 
 def marking_tokens_at(fn: MarkingFn, index: int,
-                      assignment: Mapping[str, Value], prior: int = 0) -> int:
-    """Token count the marking function yields at one instance index.
-
-    Non-addressed indices keep ``prior`` (0 for a freshly projected
-    marking), matching how the set-at/set-on forms behave in gate updates.
-    """
-    if isinstance(fn, MConst):
-        return _as_count(eval_term(fn.value, assignment))
-    if isinstance(fn, MSetAt):
-        if eval_term(fn.index, assignment) == index:
-            return _as_count(eval_term(fn.value, assignment))
-        return prior
-    if isinstance(fn, MSetOn):
-        members = eval_term(fn.indices, assignment)
-        if index in members:
-            return _as_count(eval_term(fn.value, assignment))
-        return prior
-    if isinstance(fn, MIdentity):
-        return prior
+                      assignment: Mapping[str, Value]) -> int:
+    """Token count the marking function yields at one instance index."""
     if isinstance(fn, MExpr):
         return _as_count(eval_term(fn.value, assignment, place_index=index))
+    if isinstance(fn, MSetOn):
+        if index in eval_term(fn.indices, assignment):
+            return _as_count(eval_term(fn.value, assignment))
+        return 0
     if isinstance(fn, MTable):
         for i, tokens in fn.entries:
             if i == index:
@@ -468,9 +442,8 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
     place_names = [p.name for p in template.places]
     activity_names = [a.name for a in template.activities]
 
-    def err(code: str, message: str, element: str | None = None,
-            severity: str = "error") -> None:
-        diags.append(Diagnostic(code, message, severity, element))
+    def err(code: str, message: str, element: str | None = None) -> None:
+        diags.append(Diagnostic(code, message, element=element))
 
     def check_term(term: Term | None, expected: Sort, element: str,
                    allow_case: bool = False, allow_place: bool = False) -> None:
@@ -519,10 +492,6 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
                     f"'{dist.family}' takes {family.arity} parameter(s)", el)
             for p in dist.params:
                 check_term(p, Sort.REAL, el)
-        if at.reactivation.kind == "unsupported":
-            err("reactivation-unsupported",
-                "non-empty reactivation sets are not executable", el,
-                severity="warning")
 
     for gate in template.input_gates + template.output_gates:
         is_input = isinstance(gate, InputGateTemplate)
@@ -586,16 +555,11 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
 
 
 def _check_marking_fn(fn: MarkingFn, element: str, check_term) -> None:
-    if isinstance(fn, MConst):
-        check_term(fn.value, Sort.INT, element)
-    elif isinstance(fn, MSetAt):
-        check_term(fn.index, Sort.INT, element)
-        check_term(fn.value, Sort.INT, element)
+    if isinstance(fn, MExpr):
+        check_term(fn.value, Sort.INT, element, allow_place=True)
     elif isinstance(fn, MSetOn):
         check_term(fn.indices, Sort.SET_INT, element)
         check_term(fn.value, Sort.INT, element)
-    elif isinstance(fn, MExpr):
-        check_term(fn.value, Sort.INT, element, allow_place=True)
 
 
 def _check_names(template: SanTemplate, diags: list[Diagnostic], err) -> None:

@@ -15,7 +15,7 @@ from santkit.arclabel import (Conditional, ExplicitInput, ImplicitSub,
                               print_input_label, print_output_label)
 from santkit.errors import ParseError, SantError
 from santkit.template import (ActivityKind, ActivityTemplate,
-                              CaseDistribution, CaseEntry, MConst, MTable,
+                              CaseDistribution, CaseEntry, MExpr, MTable,
                               PlaceTemplate, SanTemplate, apply_gate_rules,
                               eval_gate_predicate, marking_tokens_at,
                               validate_template)
@@ -37,7 +37,7 @@ def _template_with(place: PlaceTemplate, gate, is_input: bool):
         activities=(act,),
         input_gates=(gate,) if is_input else (),
         output_gates=() if is_input else (gate,),
-        initial_marking=((place.name, MConst(Const(0))),))
+        initial_marking=((place.name, MExpr(Const(0))),))
 
 
 # -- the examples from the format reference -----------------------------------

@@ -312,6 +312,25 @@ def test_instantiate_refuses_invalid_instance(tmp_path, capsys):
     assert "normalization" in {d.code for d in sancore.validate_san(san)}
 
 
+def test_unsupported_reactivation_warns_then_refuses_simulation(tmp_path,
+                                                                capsys):
+    def reactivate(doc):
+        doc["activities"][0]["reactivation"] = "unsupported"
+    instance = tmp_path / "reactivating.sanx"
+    instance.write_text(json.dumps(_malformed(reactivate)))
+    out = tmp_path / "out.sanx"
+    assert main(["instantiate", str(instance), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err == ("warning: reactivation-unsupported: non-empty reactivation "
+                   "sets are not executable [activity Request]\n")
+    assert out.exists()
+    assert main(["simulate", str(instance), "--horizon", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: activity 'Request' declares reactivation "
+                   "markings; only the empty reactivation set is "
+                   "executable\n")
+
+
 def _unknown_activity_and_place(doc):
     doc["input_gates"][0].update(activity="Nope", places=["Nowhere_1"])
 

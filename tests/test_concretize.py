@@ -16,7 +16,7 @@ from santkit.fixtures import (USER_INTERNAL, USER_PRESS, build_geo_template,
 from santkit.sancore import (PredAnd, PredLeaf, Update, case_probability,
                              eval_predicate, fire, is_enabled,
                              reachable_markings)
-from santkit.template import (MConst, MSetAt, MTable, PlaceTemplate,
+from santkit.template import (MExpr, MSetOn, MTable, PlaceTemplate,
                               template_enabled, template_fire)
 from santkit.terms import Const, Param, Sort, eval_term, parse_term
 
@@ -71,7 +71,7 @@ def test_project_initial_marking():
 
 def test_project_constant_zero():
     user = build_user_template()
-    tm = dict(user.initial_marking_map(), Idle=MConst(Const(0)))
+    tm = dict(user.initial_marking_map(), Idle=MExpr(Const(0)))
     marking = project_marking(user, tm, USER_INTERNAL)
     assert all(v == 0 for v in marking.values())
 
@@ -79,7 +79,7 @@ def test_project_constant_zero():
 def test_project_set_at():
     user = build_user_template()
     tm = dict(user.initial_marking_map(),
-              Req=MSetAt(Const(6), Const(1)))
+              Req=MSetOn(Const((6,)), Const(1)))
     marking = project_marking(user, tm, USER_INTERNAL)
     assert (marking["Req_6"], marking["Req_1"], marking["Req_7"]) == (1, 0, 0)
 

@@ -12,12 +12,10 @@ from santkit.concretize import concretize
 from santkit.errors import ParseError
 from santkit.fixtures import (USER_INTERNAL, build_geo_template,
                               build_tmi_template, build_user_template)
-from santkit.jsonio import (dumps, json_to_san, json_to_template, san_to_json,
-                            template_to_json)
+from santkit.jsonio import dumps, json_to_san, san_to_json
 from santkit.modelfile import (assignments_to_text, coerce_assignment,
                                load_assignments, load_template,
-                               parse_assignments_text, parse_pred_text,
-                               parse_rule_text, parse_template_text,
+                               parse_assignments_text, parse_template_text,
                                template_to_text)
 from santkit.sancore import fire
 from santkit.template import (marking_tokens_at, template_fire,
@@ -43,13 +41,6 @@ def test_dsl_round_trip(stem):
     template = BUILDERS[stem]()
     text = template_to_text(template)
     assert parse_template_text(text).template == template
-
-
-@pytest.mark.parametrize("stem", sorted(BUILDERS))
-def test_template_json_round_trip(stem):
-    template = BUILDERS[stem]()
-    doc = json.loads(dumps(template_to_json(template)))
-    assert json_to_template(doc) == template
 
 
 def test_instance_json_round_trip():
@@ -88,11 +79,18 @@ def test_parse_error_on_bad_sort():
     assert err.value.expected
 
 
+def _gate_text(body: str) -> str:
+    return ("template T\nparams { }\nplaces { Idle = {1} }\n"
+            "activities { instantaneous A }\n"
+            f"gates {{ input G : A {{ places = Idle  {body} }} }}\n")
+
+
 @pytest.mark.parametrize("parse, text, message", [
-    (lambda text: parse_rule_text(text, {}, is_output=False),
-     "Idle[1] *= 1", "1:9: found '*' (expected ':=', '+=', '-=')"),
-    (lambda text: parse_pred_text(text, {}),
-     "Idle[1] < 1", "1:9: found '<' (expected '=', '>', '>=')"),
+    (parse_template_text,
+     _gate_text("enabled = Idle[1] >= 1  effect = Idle[1] *= 1"),
+     "5:79: found '*' (expected ':=', '+=', '-=')"),
+    (parse_template_text, _gate_text("enabled = Idle[1] < 1"),
+     "5:56: found '<' (expected '=', '>', '>=')"),
     (lambda text: parse_input_label(text, {}),
      "[forall < 1] 0", "1:9: found '<' (expected '=', '>', '>=')"),
     (parse_template_text,
@@ -204,8 +202,6 @@ def test_empty_label_round_trips_through_text():
 def test_schema_version_checked():
     from santkit.errors import SantError
     with pytest.raises(SantError):
-        json_to_template({"schema": "something-else/9"})
-    with pytest.raises(SantError):
         json_to_san({"schema": "nope"})
 
 
@@ -300,3 +296,71 @@ marking { Ghost = 2 }
     diags = validate_template(doc.template)
     assert any(d.code == "unknown-place" and "Ghost" in d.message
                for d in diags)
+
+
+_MARKING_FORMS = """template Marks
+
+params {
+  J : set<int>
+  j : int
+}
+
+places {
+  A = J
+  B = J
+  C = J
+  D = {1}
+  E = {1, 2, 3}
+  F = J
+  G = {1}
+  H = {1, 2}
+}
+
+marking {
+  A = at(j, 2)
+  B = on({1, 3}, 4)
+  C = expr(<PLACE> * 10)
+  D = identity
+  E = table(3: 5, 1: 2)
+  F = expr(7)
+  G = 3
+  H = at(2, 1)
+}
+"""
+
+
+def test_every_marking_form_projects_and_prints_canonically(tmp_path):
+    path = tmp_path / "marks.sant"
+    path.write_text(_MARKING_FORMS)
+    template = load_template(str(path)).template
+    assert validate_template(template) == []
+    san = concretize(template, {"J": (1, 3, 5), "j": 3})
+    assert san.initial_marking_dict() == {
+        "A_1": 0, "A_3": 2, "A_5": 0,
+        "B_1": 4, "B_3": 4, "B_5": 0,
+        "C_1": 10, "C_3": 30, "C_5": 50,
+        "D_1": 0,
+        "E_1": 2, "E_2": 0, "E_3": 5,
+        "F_1": 7, "F_3": 7, "F_5": 7,
+        "G_1": 3,
+        "H_1": 0, "H_2": 1}
+    text = template_to_text(template)
+    marking = text[text.index("marking {"):].splitlines()
+    assert marking == ["marking {",
+                       "  A = on({j}, 2)",
+                       "  B = on({1, 3}, 4)",
+                       "  C = expr(<PLACE> * 10)",
+                       "  E = table(1: 2, 3: 5)",
+                       "  F = 7",
+                       "  G = 3",
+                       "  H = on({2}, 1)",
+                       "}"]
+    assert parse_template_text(text).template == template
+
+
+def test_duplicate_table_index_is_a_parse_error():
+    text = ("template T\nparams { }\nplaces { P = {1} }\n"
+            "marking { P = table(1: 4, 1: 5) }\n")
+    with pytest.raises(ParseError) as err:
+        parse_template_text(text)
+    assert str(err.value) == "4:27: duplicate table index 1"

@@ -11,13 +11,12 @@ from santkit.errors import NegativeMarking, ValidationError, has_errors
 from santkit.fixtures import (USER_INTERNAL, build_geo_template,
                               build_tmi_template, build_user_template)
 from santkit.template import (ActivityKind, CaseDistribution, CaseEntry,
-                              GateAtom, GateRule, MConst, MExpr, MIdentity,
-                              MSetAt, MSetOn, MTable, PlaceTemplate,
-                              QAll, SAt, SWhere,
+                              GateAtom, GateRule, MExpr, MSetOn, MTable,
+                              PlaceTemplate, QAll, SAt, SWhere,
                               apply_gate_rules, has_variable_cases,
                               is_unary_multiplicity, marking_tokens_at,
                               place_index_values, validate_template)
-from santkit.terms import Const, Param, Sort, parse_term
+from santkit.terms import Apply, Const, Param, Sort, parse_term
 
 
 def codes(diags):
@@ -65,7 +64,7 @@ def test_multiplicity_must_be_int_set():
     user = build_user_template()
     diags = validate_template(dataclasses.replace(
         user, places=user.places + (bad,),
-        initial_marking=user.initial_marking + (("P", MConst(Const(0))),)))
+        initial_marking=user.initial_marking + (("P", MExpr(Const(0))),)))
     assert "sort-mismatch" in codes(diags)
 
 
@@ -147,7 +146,7 @@ def test_duplicate_and_colliding_names():
     assert "duplicate-name" in codes(validate_template(dup))
     clash = dataclasses.replace(
         user, places=user.places + (PlaceTemplate("Request", Const((1,))),),
-        initial_marking=user.initial_marking + (("Request", MConst(Const(0))),))
+        initial_marking=user.initial_marking + (("Request", MExpr(Const(0))),))
     assert "name-collision" in codes(validate_template(clash))
 
 
@@ -155,15 +154,13 @@ def test_duplicate_and_colliding_names():
 
 def test_marking_fn_forms():
     env = {"j": 6, "J": (1, 2)}
-    assert marking_tokens_at(MConst(Const(4)), 9, env) == 4
-    at = MSetAt(Param("j", Sort.INT), Const(1))
+    assert marking_tokens_at(MExpr(Const(4)), 9, env) == 4
+    at = MSetOn(Apply("setlit", (Param("j", Sort.INT),)), Const(1))
     assert marking_tokens_at(at, 6, env) == 1
     assert marking_tokens_at(at, 7, env) == 0
-    assert marking_tokens_at(at, 7, env, prior=5) == 5
     on = MSetOn(Param("J", Sort.SET_INT), Const(2))
     assert marking_tokens_at(on, 1, env) == 2
-    assert marking_tokens_at(on, 3, env, prior=7) == 7
-    assert marking_tokens_at(MIdentity(), 3, env, prior=2) == 2
+    assert marking_tokens_at(on, 3, env) == 0
     expr = MExpr(parse_term("3 * <PLACE>", {}, allow_place=True))
     assert marking_tokens_at(expr, 2, env) == 6
     table = MTable.of({1: 5})
@@ -231,7 +228,7 @@ def test_every_template_symbol_has_a_home():
     assert request.kind == ActivityKind.TIMED
     assert request.time_distribution.family == "uniform"
     assert request.reactivation.is_empty
-    assert dict(user.initial_marking)["Idle"] == MConst(Const(1))
+    assert dict(user.initial_marking)["Idle"] == MExpr(Const(1))
 
 
 def test_geo_template_structure():
