@@ -232,8 +232,12 @@ def concretize_input_gate(template: SanTemplate, gate: InputGateTemplate,
 def concretize_output_gate(template: SanTemplate, gate: OutputGateTemplate,
                            case: int, assignment: Mapping[str, Value],
                            index_map: PlaceIndexMap | None = None,
-                           name: str | None = None) -> OutputGate:
-    """The case-th concrete output gate generated from a template gate."""
+                           name: str | None = None,
+                           places: tuple[str, ...] | None = None) -> OutputGate:
+    """The case-th concrete output gate generated from a template gate.
+
+    ``places``, when given, is the gate's expanded place tuple, which
+    ``concretize`` builds once and shares across the gate's cases."""
     imap = index_map or build_index_map(template, assignment)
     cases = eval_term(template.activity(gate.activity).cases, assignment)
     if not 1 <= case <= cases:
@@ -241,7 +245,7 @@ def concretize_output_gate(template: SanTemplate, gate: OutputGateTemplate,
             f"case {case} out of range for '{gate.activity}' ({cases} cases)")
     return OutputGate(
         name=name or gate.name, activity=gate.activity, case=case,
-        places=_gate_places(gate, imap),
+        places=_gate_places(gate, imap) if places is None else places,
         updates=_fold_rules(template, gate, assignment, imap, case_index=case))
 
 
@@ -288,10 +292,12 @@ def concretize(template: SanTemplate, assignment: Mapping[str, Value],
     output_gates: list[OutputGate] = []
     for gate in template.output_gates:
         cases = case_counts[gate.activity]
+        gate_places = _gate_places(gate, imap)
         for case in range(1, cases + 1):
             gate_name = gate.name if cases == 1 else f"{gate.name}_{case}"
             output_gates.append(concretize_output_gate(
-                template, gate, case, assignment, imap, name=gate_name))
+                template, gate, case, assignment, imap, name=gate_name,
+                places=gate_places))
 
     initial = project_marking(template, template.initial_marking_map(),
                               assignment, imap)

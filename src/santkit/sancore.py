@@ -427,9 +427,11 @@ def validate_san(san: ConcreteSan) -> list[Diagnostic]:
                 err("case-out-of-range",
                     f"gate is mapped to case {gate.case} of "
                     f"'{gate.activity}' ({cases} cases)", el)
-        for pname in gate.places:
-            if pname not in place_set:
-                err("unknown-place", f"gate lists unknown place '{pname}'", el)
+        if not place_set.issuperset(gate.places):
+            for pname in gate.places:
+                if pname not in place_set:
+                    err("unknown-place",
+                        f"gate lists unknown place '{pname}'", el)
         if isinstance(gate, InputGate):
             for leaf in leaves(gate.predicate):
                 if leaf.place not in place_set:

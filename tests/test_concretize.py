@@ -238,6 +238,25 @@ def test_determinism_bit_identical():
     assert dumps(san_to_json(first)) == dumps(san_to_json(second))
 
 
+def test_output_gates_of_one_template_gate_share_their_places():
+    user = build_user_template()
+    services = tuple(range(1, 51))
+    assignment = {"s": services, "pb": (1 / 50,) * 50}
+    san = concretize(user, assignment)
+    for gate in user.output_gates:
+        # Each User activity has one output gate template.
+        generated = [g for g in san.output_gates
+                     if g.activity == gate.activity]
+        assert len(generated) == san.activity(gate.activity).cases
+        assert len({id(g.places) for g in generated}) == 1
+        for g in generated:
+            assert g == concretize_output_gate(user, gate, g.case, assignment,
+                                               name=g.name)
+    request = [g for g in san.output_gates if g.activity == "Request"]
+    assert len(request) == 50
+    assert len(request[0].places) == 50
+
+
 # -- invariants over the fixture grid ----------------------------------------
 
 GRID = [

@@ -262,6 +262,26 @@ def test_instance_outside_vocabulary_is_an_error(user_internal, mutate,
     assert any(d.code == code and d.severity == "error" for d in diags)
 
 
+def test_unknown_place_in_a_shared_place_tuple_is_reported_per_gate():
+    places = tuple(f"P_{i}" for i in range(999))
+    shared = places[:500] + ("Nowhere",) + places[500:]
+    doubly = ("Gone",) + shared
+    gates = tuple(OutputGate(f"OG_{case}", "t", case,
+                             doubly if case == 4 else shared, ())
+                  for case in range(1, 5))
+    san = ConcreteSan(
+        name="Wide", places=places,
+        activities=(Activity("t", ActivityKind.TIMED, 4, (0.25,) * 4,
+                             Dist("exponential", (1.0,))),),
+        input_gates=(), output_gates=gates,
+        initial_marking=tuple((p, 0) for p in places))
+    assert len(shared) == 1000
+    assert [(d.code, d.message, d.element) for d in validate_san(san)] == [
+        ("unknown-place", f"gate lists unknown place '{name}'", f"gate OG_{case}")
+        for case, name in ((1, "Nowhere"), (2, "Nowhere"), (3, "Nowhere"),
+                           (4, "Gone"), (4, "Nowhere"))]
+
+
 def test_sancore_imports_nothing_from_template():
     import santkit.sancore as sancore
 
