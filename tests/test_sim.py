@@ -115,9 +115,18 @@ def test_reactivation_rejected():
 
 
 def test_max_events_guard():
+    # The 101st firing raises, after time has advanced to it: the observer
+    # has seen 101 contiguous intervals, the last one ending at that firing.
     san = _single_activity(Dist("exponential", (100.0,)))
-    with pytest.raises(MaxEventsExceeded):
-        simulate(san, SimConfig(seed=1, horizon=1000.0, max_events=100), [])
+    seen = []
+    with pytest.raises(MaxEventsExceeded,
+                       match="^more than 100 events in one replication$"):
+        simulate(san, SimConfig(seed=1, horizon=1000.0, max_events=100), [],
+                 observer=lambda t0, t1, m: seen.append((t0, t1, m)))
+    assert len(seen) == 101
+    assert seen[0] == (0.0, 0.0011990387161581845, {"P_1": 0})
+    assert seen[-1] == (0.9290024228097185, 0.9402582179911438, {"P_1": 0})
+    assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
 
 
 def test_nonstabilizing_guard():
@@ -134,8 +143,42 @@ def test_nonstabilizing_guard():
             OutputGate("oa", "AtoB", 1, ("B_1",), (Update("B_1", "add", 1),)),
             OutputGate("ob", "BtoA", 1, ("A_1",), (Update("A_1", "add", 1),))),
         initial_marking=(("A_1", 1), ("B_1", 0)))
-    with pytest.raises(NonStabilizingDetected):
-        simulate(san, SimConfig(seed=1, horizon=1.0), [])
+    seen = []
+    with pytest.raises(NonStabilizingDetected, match=r"^10001 consecutive "
+                       r"instantaneous firings at time 0\.0$"):
+        simulate(san, SimConfig(seed=1, horizon=1.0), [],
+                 observer=lambda t0, t1, m: seen.append((t0, t1, m)))
+    assert seen == []
+    # The same loop started by a timed firing: one interval is observed
+    # first, and the limit counts only the instantaneous chain, while every
+    # firing (the timed one included) counts against max_events.
+    go = Activity("Go", ActivityKind.TIMED, 1, (1.0,),
+                  Dist("exponential", (1.0,)))
+    delayed = dataclasses.replace(
+        san, places=san.places + ("S_1",),
+        activities=san.activities + (go,),
+        input_gates=san.input_gates + (
+            InputGate("gs", "Go", ("S_1",), PredLeaf("S_1", ">=", 1),
+                      (Update("S_1", "sub", 1),)),),
+        output_gates=san.output_gates + (
+            OutputGate("os", "Go", 1, ("A_1",), (Update("A_1", "add", 1),)),),
+        initial_marking=(("A_1", 0), ("B_1", 0), ("S_1", 1)))
+    start = 0.11990387161581845
+    first = [(0.0, start, {"A_1": 0, "B_1": 0, "S_1": 1})]
+    for max_events in (10_001, 1_000_000):
+        seen = []
+        with pytest.raises(NonStabilizingDetected, match=rf"^10001 consecutive "
+                           rf"instantaneous firings at time {start}$"):
+            simulate(delayed, SimConfig(seed=1, horizon=10.0,
+                                        max_events=max_events), [],
+                     observer=lambda t0, t1, m: seen.append((t0, t1, m)))
+        assert seen == first
+    seen = []
+    with pytest.raises(MaxEventsExceeded,
+                       match="^more than 10000 events in one replication$"):
+        simulate(delayed, SimConfig(seed=1, horizon=10.0, max_events=10_000),
+                 [], observer=lambda t0, t1, m: seen.append((t0, t1, m)))
+    assert seen == first
 
 
 # -- execution ------------------------------------------------------------------
