@@ -233,13 +233,17 @@ def concretize_output_gate(template: SanTemplate, gate: OutputGateTemplate,
                            case: int, assignment: Mapping[str, Value],
                            index_map: PlaceIndexMap | None = None,
                            name: str | None = None,
-                           places: tuple[str, ...] | None = None) -> OutputGate:
+                           places: tuple[str, ...] | None = None,
+                           cases: int | None = None) -> OutputGate:
     """The case-th concrete output gate generated from a template gate.
 
     ``places``, when given, is the gate's expanded place tuple, which
-    ``concretize`` builds once and shares across the gate's cases."""
+    ``concretize`` builds once and shares across the gate's cases; ``cases``
+    is the activity's case count, which ``concretize`` has evaluated once.
+    Called without it, the gate evaluates the count itself."""
     imap = index_map or build_index_map(template, assignment)
-    cases = eval_term(template.activity(gate.activity).cases, assignment)
+    if cases is None:
+        cases = eval_term(template.activity(gate.activity).cases, assignment)
     if not 1 <= case <= cases:
         raise IndexOutOfRange(
             f"case {case} out of range for '{gate.activity}' ({cases} cases)")
@@ -297,7 +301,7 @@ def concretize(template: SanTemplate, assignment: Mapping[str, Value],
             gate_name = gate.name if cases == 1 else f"{gate.name}_{case}"
             output_gates.append(concretize_output_gate(
                 template, gate, case, assignment, imap, name=gate_name,
-                places=gate_places))
+                places=gate_places, cases=cases))
 
     initial = project_marking(template, template.initial_marking_map(),
                               assignment, imap)

@@ -86,6 +86,11 @@ def _pred_json(pred: Predicate) -> Any:
 _JSON_TYPES: dict[str, type | tuple[type, ...]] = {
     "object": dict, "list": list, "string": str, "int": int,
     "number": (int, float), "bool": bool}
+# The exact types ``json.loads`` gives for each, which pass without a
+# closer look (``type(True)`` is ``bool``, so a bool is not an int here).
+_EXACT_TYPES: dict[str, frozenset[type]] = {
+    name: frozenset(kinds if isinstance(kinds, tuple) else (kinds,))
+    for name, kinds in _JSON_TYPES.items()}
 
 
 def _typed(value: Any, expected: str, path: str,
@@ -108,17 +113,22 @@ def _field(doc: dict[str, Any], key: str, expected: str, path: str,
     return _typed(doc[key], expected, f"{path}.{key}", nullable)
 
 
-def _items(doc: dict[str, Any], key: str, expected: str,
-           path: str) -> list[tuple[Any, str]]:
-    """The items of the list field ``key``, typed, with their paths."""
-    items = _field(doc, key, "list", path)
-    paths = [f"{path}.{key}[{i}]" for i in range(len(items))]
-    return [(_typed(item, expected, at), at) for item, at in zip(items, paths)]
-
-
 def _values(doc: dict[str, Any], key: str, expected: str,
             path: str) -> tuple[Any, ...]:
-    return tuple(item for item, _ in _items(doc, key, expected, path))
+    """The items of the list field ``key``, typed in one pass; each item's
+    path is built only when the pass finds one that needs a closer look."""
+    items = _field(doc, key, "list", path)
+    if not _EXACT_TYPES[expected].issuperset(map(type, items)):
+        for i, item in enumerate(items):
+            _typed(item, expected, f"{path}.{key}[{i}]")
+    return tuple(items)
+
+
+def _items(doc: dict[str, Any], key: str,
+           path: str) -> list[tuple[dict[str, Any], str]]:
+    """The objects of the list field ``key``, with their paths."""
+    return [(item, f"{path}.{key}[{i}]")
+            for i, item in enumerate(_values(doc, key, "object", path))]
 
 
 def _json_pred(doc: dict[str, Any], path: str) -> Predicate:
@@ -126,10 +136,10 @@ def _json_pred(doc: dict[str, Any], path: str) -> Predicate:
         return PredConst(_field(doc, "const", "bool", path))
     if "and" in doc:
         return PredAnd(tuple(_json_pred(p, at)
-                             for p, at in _items(doc, "and", "object", path)))
+                             for p, at in _items(doc, "and", path)))
     if "or" in doc:
         return PredOr(tuple(_json_pred(p, at)
-                            for p, at in _items(doc, "or", "object", path)))
+                            for p, at in _items(doc, "or", path)))
     if "not" in doc:
         return PredNot(_json_pred(_field(doc, "not", "object", path),
                                   f"{path}.not"))
@@ -217,7 +227,7 @@ def _json_gate(doc: dict[str, Any], path: str,
     activity = _field(doc, "activity", "string", path)
     places = _values(doc, "places", "string", path)
     updates = tuple(_json_update(u, at)
-                    for u, at in _items(doc, "effect", "object", path))
+                    for u, at in _items(doc, "effect", path))
     if is_input:
         return InputGate(name, activity, places, _json_pred(
             _field(doc, "enabled", "object", path), f"{path}.enabled"),
@@ -237,11 +247,11 @@ def json_to_san(doc: Any) -> ConcreteSan:
         name=_field(doc, "name", "string", "$"),
         places=_values(doc, "places", "string", "$"),
         activities=tuple(_json_activity(a, at) for a, at in
-                         _items(doc, "activities", "object", "$")),
+                         _items(doc, "activities", "$")),
         input_gates=tuple(_json_gate(g, at, True) for g, at in
-                          _items(doc, "input_gates", "object", "$")),
+                          _items(doc, "input_gates", "$")),
         output_gates=tuple(_json_gate(g, at, False) for g, at in
-                           _items(doc, "output_gates", "object", "$")),
+                           _items(doc, "output_gates", "$")),
         initial_marking=tuple(
             (place, _typed(tokens, "int", f"$.marking.{place}"))
             for place, tokens in marking.items()))

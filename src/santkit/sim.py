@@ -7,9 +7,8 @@ instantaneous activities are then exhausted (choosing uniformly at random
 among them) before time advances again.  A timed activity that becomes
 disabled loses its scheduled firing and is resampled if it is enabled
 again later (enabling memory).  Equal timestamps resolve in scheduling
-order.  The priority rule is ``sancore.under_priority``; the enabling of
-each reached marking is evaluated once, and the pass that finds a marking
-stable also schedules and cancels the timed activities.
+order.  The priority rule is ``sancore.under_priority``, applied when the
+instance has an instantaneous activity (otherwise it would change nothing).
 
 ``simulate`` compiles the validated instance once into an execution plan.
 Each place gets a slot and the marking is a list of token counts; each
@@ -22,6 +21,13 @@ per firing (``fire``) and once per firing-time draw
 (``sample_firing_time``).  These are the boundaries the layered benchmark
 in ``perfbench/`` measures, by wrapping the three names.
 
+A replication is one loop over local arrays.  Each turn fires the chosen
+activity (drawing a case only when it has several), evaluates the enabling
+of the marking reached, and either picks the next instantaneous activity
+or, once the marking is stable, schedules and cancels the timed activities
+and advances to the earliest pending firing, accruing the rated rewards and
+calling the observer (if any) for the interval.
+
 Replications are independent: replication ``r`` runs on its own generator
 seeded with ``seed * 2**32 + r``.  Identical configurations reproduce
 bit-identical results.
@@ -29,7 +35,7 @@ bit-identical results.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 import math
 import random
 import statistics
@@ -265,6 +271,7 @@ class _Plan(NamedTuple):
     initial: tuple[int, ...]
     activities: tuple[Activity, ...]
     index: dict[str, int]
+    instantaneous: bool          # whether the priority rule can apply
     enabling: tuple[Check, ...]
     programs: tuple[tuple[tuple[Gate, ...], ...], ...]
 
@@ -289,6 +296,7 @@ def _build_plan(san: ConcreteSan) -> _Plan:
         initial=tuple(initial[p] for p in san.places),
         activities=san.activities,
         index={act.name: i for i, act in enumerate(san.activities)},
+        instantaneous=under_priority(list(san.activities))[1],
         enabling=tuple(enabling), programs=tuple(programs))
 
 
@@ -318,102 +326,94 @@ def fire(plan: _Plan, marking: Slots, index: int, case: int) -> None:
             marking[key] = value
 
 
+@dataclass(frozen=True)
 class _Replication:
-    def __init__(self, plan: _Plan, cfg: SimConfig,
-                 rewards: tuple[RewardSpec, ...], rng: random.Random,
-                 observer=None):
-        self.plan = plan
-        self.cfg = cfg
-        self.rewards = rewards
-        self.rng = rng
-        self.observer = observer
-        self.marking: Slots = list(plan.initial)
-        self.now = 0.0
-        self.events = 0
-        self.accum = [0.0] * len(rewards)
-        self.kinds = [REWARDS[spec.kind] for spec in rewards]
+    plan: _Plan
+    cfg: SimConfig
+    rewards: tuple[RewardSpec, ...]
+    rng: random.Random
+    observer: Callable[[float, float, dict[str, int]], object] | None = None
+
+    def run(self) -> tuple[list[float], int, list[list[int]]]:
+        """The reward values, event count and per-activity case counts."""
+        plan, rng, observer = self.plan, self.rng, self.observer
+        horizon, max_events = self.cfg.horizon, self.cfg.max_events
+        activities = plan.activities
+        counts = [[0] * a.cases for a in activities]
+        distributions = [a.distribution for a in activities]
+        probs_of = [a.case_probs if a.cases > 1 else None for a in activities]
+        position = {id(a): i for i, a in enumerate(activities)}
+        kinds = [REWARDS[spec.kind] for spec in self.rewards]
+        accum = [0.0] * len(kinds)
         # (reward, rate, slot, threshold) of each reward accrued over time.
-        self.rated = [(i, kind.rate, plan.slot[spec.target], spec.threshold)
-                      for i, (spec, kind) in enumerate(zip(rewards, self.kinds))
-                      if kind.rate is not None]
-        self.case_counts = [[0] * a.cases for a in plan.activities]
+        rated = [(i, kind.rate, plan.slot[spec.target], spec.threshold)
+                 for i, (spec, kind) in enumerate(zip(self.rewards, kinds))
+                 if kind.rate is not None]
+        marking: Slots = list(plan.initial)
         # Event list: (time, sequence, activity index). A stale entry is one
-        # whose sequence no longer matches self.active for its activity.
-        self.queue: list[tuple[float, int, int]] = []
-        self.active: list[int | None] = [None] * len(plan.activities)
-        self.seq = 0
-
-    def run(self) -> tuple[list[float], int]:
-        self._settle()
-        horizon = self.cfg.horizon
-        while self.queue:
-            time, seq, index = heapq.heappop(self.queue)
-            if self.active[index] != seq:
-                continue                      # cancelled by a state change
-            if time > horizon:
-                break
-            self._advance_to(time)
-            self.active[index] = None
-            self._fire(index)
-            self._settle()
-        self._advance_to(horizon)
-        return self._reward_values(), self.events
-
-    # -- internals ---------------------------------------------------------
-
-    def _advance_to(self, time: float) -> None:
-        dt = time - self.now
-        if dt > 0:
-            for i, rate, slot, threshold in self.rated:
-                self.accum[i] += rate(self.marking[slot], threshold) * dt
-            if self.observer is not None:
-                self.observer(self.now, time,
-                              dict(zip(self.plan.places, self.marking)))
-        self.now = time
-
-    def _fire(self, index: int) -> None:
-        self.events += 1
-        if self.events > self.cfg.max_events:
-            raise MaxEventsExceeded(
-                f"more than {self.cfg.max_events} events in one replication")
-        case = select_case(self.plan.activities[index].case_probs, self.rng)
-        self.case_counts[index][case - 1] += 1
-        fire(self.plan, self.marking, index, case)
-
-    def _settle(self) -> None:
-        """Fire instantaneous activities until the marking is stable; the
-        enabling pass that finds it stable also (re)schedules timed ones."""
-        index = self.plan.index
-        chain = 0
+        # whose sequence no longer matches ``active`` for its activity.
+        queue: list[tuple[float, int, int]] = []
+        active: list[int | None] = [None] * len(activities)
+        now, events, seq, chain = 0.0, 0, 0, 0
+        index = -1                       # the activity to fire, if any
         while True:
-            ready, instantaneous = under_priority(
-                enabled_activities(self.plan, self.marking))
-            if not instantaneous:
+            if index >= 0:
+                events += 1
+                if events > max_events:
+                    raise MaxEventsExceeded(
+                        f"more than {max_events} events in one replication")
+                probs = probs_of[index]
+                case = 1 if probs is None else select_case(probs, rng)
+                counts[index][case - 1] += 1
+                fire(plan, marking, index, case)
+            ready = enabled_activities(plan, marking)
+            if plan.instantaneous:
+                ready, unstable = under_priority(ready)
+                if unstable:
+                    chain += 1
+                    if chain > STABILIZATION_LIMIT:
+                        raise NonStabilizingDetected(
+                            f"{chain} consecutive instantaneous firings at "
+                            f"time {now}")
+                    choice = ready[0] if len(ready) == 1 else \
+                        ready[rng.randrange(len(ready))]
+                    index = position[id(choice)]
+                    continue
+            chain = 0
+            # Stable: schedule newly enabled timed activities in declaration
+            # order, and drop disabled ones (resampled when enabled again).
+            j, n = 0, len(ready)
+            for i, act in enumerate(activities):
+                if j < n and ready[j] is act:
+                    j += 1
+                    if active[i] is None:
+                        seq += 1
+                        active[i] = seq
+                        heappush(queue, (now + sample_firing_time(
+                            distributions[i], rng), seq, i))
+                elif active[i] is not None:
+                    active[i] = None
+            index, time = -1, horizon
+            while queue:
+                t, s, i = heappop(queue)
+                if active[i] == s:       # not cancelled by a state change
+                    if t <= horizon:
+                        index, time = i, t
+                    break
+            dt = time - now
+            if dt > 0:
+                for r, rate, slot, threshold in rated:
+                    accum[r] += rate(marking[slot], threshold) * dt
+                if observer is not None:
+                    observer(now, time, dict(zip(plan.places, marking)))
+            now = time
+            if index < 0:
                 break
-            chain += 1
-            if chain > STABILIZATION_LIMIT:
-                raise NonStabilizingDetected(
-                    f"{chain} consecutive instantaneous firings at time "
-                    f"{self.now}")
-            choice = ready[0] if len(ready) == 1 else \
-                ready[self.rng.randrange(len(ready))]
-            self._fire(index[choice.name])
-        enabled = {index[act.name]: act.distribution for act in ready}
-        for i, seq in enumerate(self.active):
-            if i not in enabled:
-                if seq is not None:
-                    self.active[i] = None     # enabling memory: resample later
-            elif seq is None:
-                delay = sample_firing_time(enabled[i], self.rng)
-                self.seq += 1
-                self.active[i] = self.seq
-                heapq.heappush(self.queue, (self.now + delay, self.seq, i))
-
-    def _reward_values(self) -> list[float]:
-        index = self.plan.index
-        return [(self.accum[i] if kind.rate else
-                 sum(self.case_counts[index[spec.target]])) / self.cfg.horizon
-                for i, (spec, kind) in enumerate(zip(self.rewards, self.kinds))]
+            active[index] = None
+        return [(accum[i] if kind.rate else
+                 sum(counts[plan.index[spec.target]])) / horizon
+                for i, (spec, kind) in enumerate(zip(self.rewards, kinds))], \
+            events, counts
 
 
 def simulate(san: ConcreteSan, cfg: SimConfig,
@@ -443,11 +443,11 @@ def simulate(san: ConcreteSan, cfg: SimConfig,
     totals = {a.name: [0] * a.cases for a in san.activities}
     for rep in range(cfg.replications):
         rng = random.Random(replication_seed(cfg.seed, rep))
-        run = _Replication(plan, cfg, rewards, rng, observer)
-        values, n_events = run.run()
+        values, n_events, case_counts = _Replication(
+            plan, cfg, rewards, rng, observer).run()
         per_rep.append(values)
         events.append(n_events)
-        for act, counts in zip(san.activities, run.case_counts):
+        for act, counts in zip(san.activities, case_counts):
             totals[act.name] = [t + c for t, c in
                                 zip(totals[act.name], counts)]
 

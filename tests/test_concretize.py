@@ -257,6 +257,26 @@ def test_output_gates_of_one_template_gate_share_their_places():
     assert len(request[0].places) == 50
 
 
+def test_concretize_evaluates_each_case_count_once(monkeypatch):
+    # The |s|-case Request activity: its case-count term is evaluated once
+    # per instantiation, not once per generated output gate.
+    import importlib
+    module = importlib.import_module("santkit.concretize")
+    user = build_user_template()
+    count_term = user.activity("Request").cases
+    evaluated = []
+
+    def counted(term, *args, **kwargs):
+        if term is count_term:
+            evaluated.append(term)
+        return eval_term(term, *args, **kwargs)
+
+    monkeypatch.setattr(module, "eval_term", counted)
+    san = concretize(user, {"s": tuple(range(1, 51)), "pb": (1 / 50,) * 50})
+    assert san.activity("Request").cases == 50
+    assert len(evaluated) == 1
+
+
 # -- invariants over the fixture grid ----------------------------------------
 
 GRID = [

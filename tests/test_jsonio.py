@@ -127,3 +127,35 @@ def test_hand_built_instance_round_trips_through_dumps():
                        (Update("a", "set", 0),))),
         initial_marking=(("a", 1), ("b", 0)))
     assert json_to_san(json.loads(dumps(san_to_json(san)))) == san
+
+
+@pytest.mark.parametrize("field, items, message", [
+    ("places", ["a", "b", 3, None], "$.output_gates[0].places[2]: "
+                                    "expected string"),
+    ("effect", [{}, [], 1], "$.output_gates[0].effect[1]: expected object"),
+], ids=["places", "effect"])
+def test_list_items_report_the_first_failing_path(field, items, message):
+    from santkit.errors import SantError
+    doc = json.loads(dumps(san_to_json(
+        concretize(build_user_template(), USER_INTERNAL))))
+    doc["output_gates"][0][field] = items
+    with pytest.raises(SantError) as info:
+        json_to_san(doc)
+    assert str(info.value) == message
+
+
+def test_list_items_are_typed_as_the_reader_types_one_value():
+    # A bool is not a number; a subclass of an accepted type is accepted.
+    from santkit.errors import SantError
+
+    class Name(str):
+        pass
+
+    doc = san_to_json(concretize(build_user_template(), USER_INTERNAL))
+    doc["activities"][0]["probs"] = [0.5, True]
+    with pytest.raises(SantError, match=r"^\$\.activities\[0\]\.probs\[1\]: "
+                                        r"expected number$"):
+        json_to_san(doc)
+    doc = san_to_json(concretize(build_user_template(), USER_INTERNAL))
+    places = doc["places"] = [Name(p) for p in doc["places"]]
+    assert json_to_san(doc).places == tuple(places)

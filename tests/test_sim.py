@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import sys
 
 import pytest
 
@@ -13,7 +14,7 @@ from santkit.concretize import concretize
 from santkit.errors import (InvalidConfig, MaxEventsExceeded,
                             NonStabilizingDetected, UnsupportedReactivation)
 from santkit.fixtures import (USER_INTERNAL, build_geo_template,
-                              build_user_template)
+                              build_tmi_template, build_user_template)
 from santkit.sancore import (Activity, ConcreteSan, Dist, InputGate,
                              OutputGate, PredLeaf, Update, is_stable)
 from santkit.sim import (RewardSpec, SimConfig, replication_seed,
@@ -182,6 +183,29 @@ def test_nonstabilizing_guard():
 
 
 # -- execution ------------------------------------------------------------------
+
+def test_python_calls_per_event():
+    # Interpreter overhead per event, counted rather than timed: Python-level
+    # calls (``sys.setprofile`` "call" events: functions, closures and
+    # comprehensions, set-up included) per firing on TmiPair.  One enabling
+    # pass, one firing and one draw per event are about eight; the loop
+    # must add no per-event helper calls of its own.
+    san = concretize(build_tmi_template(), {
+        "k": 1, "J": (2,), "p_TMI": 0.5, "lambda_f": 1.0, "lambda_r": 2.0})
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        result = simulate(san, SimConfig(seed=7, horizon=2000.0),
+                          [RewardSpec("throughput", "SW_F")])
+    finally:
+        sys.setprofile(None)
+    assert sum(result.events) > 2000
+    assert calls / sum(result.events) <= 9
 
 def test_truly_dead_net_keeps_initial_reward_values():
     san = ConcreteSan(name="dead", places=("P_1",), activities=(),
