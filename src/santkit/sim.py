@@ -332,7 +332,7 @@ class _Replication:
     cfg: SimConfig
     rewards: tuple[RewardSpec, ...]
     rng: random.Random
-    observer: Callable[[float, float, dict[str, int]], object] | None = None
+    observer: Callable[[float, float, dict[str, int]], object] | None
 
     def run(self) -> tuple[list[float], int, list[list[int]]]:
         """The reward values, event count and per-activity case counts."""
