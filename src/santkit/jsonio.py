@@ -1,7 +1,9 @@
 """JSON interchange: instances both ways, templates as an export only.
 
 The instance schema is fully numeric and is read back by ``json_to_san``
-with typed, path-reporting checks.  The template schema stores terms,
+with typed, path-reporting checks.  It writes each distinct gate place list
+once, in a table that gates index; files of the earlier schema, which list
+a gate's places inline, are still read.  The template schema stores terms,
 predicates, rules and marking functions as their canonical surface text;
 like DOT, it is written but never read (the ``.sant`` text is the template
 format that is read back).  Both schemas carry a version tag.
@@ -11,7 +13,8 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Any
+from math import isfinite
+from typing import Any, Callable
 
 from .errors import ParseError, SantError
 from .modelfile import (marking_fn_to_text, parse_file, pred_to_text,
@@ -23,7 +26,9 @@ from .template import SanTemplate
 from .terms import print_term
 
 TEMPLATE_SCHEMA = "santkit-template/1"
-INSTANCE_SCHEMA = "santkit-instance/1"
+INSTANCE_SCHEMA = "santkit-instance/2"
+# The earlier instance schema: no place-list table, every gate's places inline.
+INLINE_PLACES_SCHEMA = "santkit-instance/1"
 
 
 def template_to_json(template: SanTemplate) -> dict[str, Any]:
@@ -113,15 +118,19 @@ def _field(doc: dict[str, Any], key: str, expected: str, path: str,
     return _typed(doc[key], expected, f"{path}.{key}", nullable)
 
 
-def _values(doc: dict[str, Any], key: str, expected: str,
-            path: str) -> tuple[Any, ...]:
-    """The items of the list field ``key``, typed in one pass; each item's
-    path is built only when the pass finds one that needs a closer look."""
-    items = _field(doc, key, "list", path)
+def _list(items: list[Any], expected: str, path: str) -> tuple[Any, ...]:
+    """``items`` typed in one pass; each item's path is built only when the
+    pass finds one that needs a closer look."""
     if not _EXACT_TYPES[expected].issuperset(map(type, items)):
         for i, item in enumerate(items):
-            _typed(item, expected, f"{path}.{key}[{i}]")
+            _typed(item, expected, f"{path}[{i}]")
     return tuple(items)
+
+
+def _values(doc: dict[str, Any], key: str, expected: str,
+            path: str) -> tuple[Any, ...]:
+    """The items of the list field ``key``, each of JSON type ``expected``."""
+    return _list(_field(doc, key, "list", path), expected, f"{path}.{key}")
 
 
 def _items(doc: dict[str, Any], key: str,
@@ -167,16 +176,34 @@ def _json_update(doc: dict[str, Any], path: str) -> Update:
 
 
 def san_to_json(san: ConcreteSan) -> dict[str, Any]:
-    """The instance document.  Equal place tuples map to one shared list,
-    which ``dumps`` renders once."""
-    place_lists: dict[tuple[str, ...], list[str]] = {}
+    """The instance document.  Each distinct place tuple is written once, in
+    ``place_lists`` (numbered in first-use order: input gates, then output
+    gates), and a gate's ``places`` is its index there."""
+    place_lists: list[list[str]] = []
+    by_value: dict[tuple[str, ...], int] = {}
+    # A place tuple object already seen is found without hashing its items;
+    # ``san`` keeps every tuple alive, so no id is reused meanwhile.
+    by_id: dict[int, int] = {}
 
-    def places(gate: InputGate | OutputGate) -> list[str]:
-        shared = place_lists.get(gate.places)
-        if shared is None:
-            shared = place_lists[gate.places] = list(gate.places)
-        return shared
+    def places(gate: InputGate | OutputGate) -> int:
+        index = by_id.get(id(gate.places))
+        if index is None:
+            index = by_value.setdefault(gate.places, len(place_lists))
+            if index == len(place_lists):
+                place_lists.append(list(gate.places))
+            by_id[id(gate.places)] = index
+        return index
 
+    input_gates = [{
+        "name": g.name, "activity": g.activity, "places": places(g),
+        "enabled": _pred_json(g.predicate),
+        "effect": [_update_json(u) for u in g.updates],
+    } for g in san.input_gates]
+    output_gates = [{
+        "name": g.name, "activity": g.activity, "case": g.case,
+        "places": places(g),
+        "effect": [_update_json(u) for u in g.updates],
+    } for g in san.output_gates]
     return {
         "schema": INSTANCE_SCHEMA,
         "name": san.name,
@@ -189,16 +216,9 @@ def san_to_json(san: ConcreteSan) -> dict[str, Any]:
                 "params": list(a.distribution.params)},
             "reactivation": a.reactivation,
         } for a in san.activities],
-        "input_gates": [{
-            "name": g.name, "activity": g.activity, "places": places(g),
-            "enabled": _pred_json(g.predicate),
-            "effect": [_update_json(u) for u in g.updates],
-        } for g in san.input_gates],
-        "output_gates": [{
-            "name": g.name, "activity": g.activity, "case": g.case,
-            "places": places(g),
-            "effect": [_update_json(u) for u in g.updates],
-        } for g in san.output_gates],
+        "place_lists": place_lists,
+        "input_gates": input_gates,
+        "output_gates": output_gates,
         "marking": {name: tokens for name, tokens in san.initial_marking},
     }
 
@@ -221,11 +241,40 @@ def _json_activity(doc: dict[str, Any], path: str) -> Activity:
                     time, _field(doc, "reactivation", "string", path))
 
 
-def _json_gate(doc: dict[str, Any], path: str,
-               is_input: bool) -> InputGate | OutputGate:
+# Reads one gate's place tuple, given the gate object and its JSON path.
+_GatePlaces = Callable[[dict[str, Any], str], tuple[str, ...]]
+
+
+def _gate_places(doc: dict[str, Any]) -> _GatePlaces:
+    """The reader of a gate's place tuple: an index into the document's
+    ``place_lists`` table, or an inline list, as the earlier schema writes
+    every gate's.  Equal inline lists map to one tuple, as the gates that
+    index one table entry share its tuple."""
+    table: tuple[tuple[str, ...], ...] | None = None
+    if doc["schema"] == INSTANCE_SCHEMA:
+        table = tuple(_list(entry, "string", f"$.place_lists[{i}]")
+                      for i, entry in enumerate(
+                          _values(doc, "place_lists", "list", "$")))
+    interned: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+    def places(gate: dict[str, Any], path: str) -> tuple[str, ...]:
+        if table is not None and not isinstance(gate.get("places"), list):
+            index = _field(gate, "places", "int", path)
+            if not 0 <= index < len(table):
+                raise SantError(f"{path}.places: index {index} outside "
+                                f"$.place_lists ({len(table)} entries)")
+            return table[index]
+        inline = _values(gate, "places", "string", path)
+        return interned.setdefault(inline, inline)
+
+    return places
+
+
+def _json_gate(doc: dict[str, Any], path: str, is_input: bool,
+               gate_places: _GatePlaces) -> InputGate | OutputGate:
     name = _field(doc, "name", "string", path)
     activity = _field(doc, "activity", "string", path)
-    places = _values(doc, "places", "string", path)
+    places = gate_places(doc, path)
     updates = tuple(_json_update(u, at)
                     for u, at in _items(doc, "effect", path))
     if is_input:
@@ -237,20 +286,21 @@ def _json_gate(doc: dict[str, Any], path: str,
 
 
 def json_to_san(doc: Any) -> ConcreteSan:
-    """Decode an instance document; a malformed one raises ``SantError``
-    naming the JSON path of the first fault."""
+    """Decode an instance document of either schema; a malformed one raises
+    ``SantError`` naming the JSON path of the first fault."""
     _typed(doc, "object", "$")
-    if doc.get("schema") != INSTANCE_SCHEMA:
+    if doc.get("schema") not in (INSTANCE_SCHEMA, INLINE_PLACES_SCHEMA):
         raise SantError(f"unsupported instance schema {doc.get('schema')!r}")
     marking = _field(doc, "marking", "object", "$")
+    gate_places = _gate_places(doc)
     return ConcreteSan(
         name=_field(doc, "name", "string", "$"),
         places=_values(doc, "places", "string", "$"),
         activities=tuple(_json_activity(a, at) for a, at in
                          _items(doc, "activities", "$")),
-        input_gates=tuple(_json_gate(g, at, True) for g, at in
+        input_gates=tuple(_json_gate(g, at, True, gate_places) for g, at in
                           _items(doc, "input_gates", "$")),
-        output_gates=tuple(_json_gate(g, at, False) for g, at in
+        output_gates=tuple(_json_gate(g, at, False, gate_places) for g, at in
                            _items(doc, "output_gates", "$")),
         initial_marking=tuple(
             (place, _typed(tokens, "int", f"$.marking.{place}"))
@@ -263,17 +313,26 @@ def dumps(doc: Any) -> str:
 
     Any ``indent`` sends ``json`` to its pure-Python encoder, which yields
     one small string per token.  Here strings go through the C escaper,
-    other scalars and non-str keys through ``json.dumps``, and a list of
-    strings is rendered once per (object, depth) and spliced in by
-    reference: the output gates of one template gate share one place list
-    (``san_to_json``), which an instance repeats once per case.
+    ints, finite floats, bools and ``None`` are formatted as that encoder
+    formats them, and only NaN, the infinities, non-str keys and other
+    types go through ``json.dumps``.  A list of strings is joined in one
+    step.
     """
     chunks: list[str] = []
-    rendered: dict[tuple[int, int], str] = {}
 
     def write(value: Any, indent: str) -> None:
         if isinstance(value, str):
             chunks.append(_encode_str(value))
+        elif value is None:
+            chunks.append("null")
+        elif value is True:
+            chunks.append("true")
+        elif value is False:
+            chunks.append("false")
+        elif isinstance(value, int):
+            chunks.append(int.__repr__(value))
+        elif isinstance(value, float) and isfinite(value):
+            chunks.append(float.__repr__(value))
         elif isinstance(value, dict):
             if not value:
                 chunks.append("{}")
@@ -291,14 +350,10 @@ def dumps(doc: Any) -> str:
                 chunks.append("[]")
                 return
             inner = indent + "  "
-            memo = (id(value), len(indent))
-            text = rendered.get(memo)
-            if text is None and all(isinstance(v, str) for v in value):
-                text = rendered[memo] = "".join((
+            if all(isinstance(v, str) for v in value):
+                chunks.append("".join((
                     "[", inner, ("," + inner).join(map(_encode_str, value)),
-                    indent, "]"))
-            if text is not None:
-                chunks.append(text)
+                    indent, "]")))
                 return
             sep = "[" + inner
             for item in value:

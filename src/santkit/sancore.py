@@ -416,6 +416,9 @@ def validate_san(san: ConcreteSan) -> list[Diagnostic]:
                 "non-empty reactivation sets are not executable", el,
                 severity="warning")
 
+    # ids of place tuples already found to name only known places: gates
+    # generated from one template gate share one tuple, checked once.
+    known_places: set[int] = set()
     for gate in san.input_gates + san.output_gates:
         el = f"gate {gate.name}"
         if gate.activity not in activity_names:
@@ -427,11 +430,14 @@ def validate_san(san: ConcreteSan) -> list[Diagnostic]:
                 err("case-out-of-range",
                     f"gate is mapped to case {gate.case} of "
                     f"'{gate.activity}' ({cases} cases)", el)
-        if not place_set.issuperset(gate.places):
-            for pname in gate.places:
-                if pname not in place_set:
-                    err("unknown-place",
-                        f"gate lists unknown place '{pname}'", el)
+        if id(gate.places) not in known_places:
+            if place_set.issuperset(gate.places):
+                known_places.add(id(gate.places))
+            else:
+                for pname in gate.places:
+                    if pname not in place_set:
+                        err("unknown-place",
+                            f"gate lists unknown place '{pname}'", el)
         if isinstance(gate, InputGate):
             for leaf in leaves(gate.predicate):
                 if leaf.place not in place_set:

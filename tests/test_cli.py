@@ -95,7 +95,7 @@ def test_instantiate_writes_instance(tmp_path, capsys):
                  "--assignment", "UserInternal", "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["schema"] == "santkit-instance/1"
+    assert doc["schema"] == "santkit-instance/2"
     assert set(doc["places"]) == {"Idle_1", "Req_1", "Req_6", "Req_7",
                                   "Dropped_1", "Failed_1"}
     stdout = capsys.readouterr().out
@@ -202,7 +202,94 @@ def test_export_instance_json_round_trip(tmp_path, capsys):
     assert main(["export", str(instance), "--format", "json",
                  "--out", "-"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema"] == "santkit-instance/1"
+    assert doc["schema"] == "santkit-instance/2"
+
+
+def _bundled_assignments():
+    for stem in ("geo", "tmi", "user"):
+        sasg = str(MODELS / f"{stem}.sasg")
+        for name in load_assignments(sasg).assignments:
+            yield pytest.param(str(MODELS / f"{stem}.sant"), sasg, name,
+                               id=f"{stem}/{name}")
+
+
+def _assert_export_reprints(tmp_path, capsys, sant, sasg, name):
+    instance = tmp_path / "written.sanx"
+    assert main(["instantiate", sant, sasg, "--assignment", name,
+                 "--out", str(instance)]) == 0
+    capsys.readouterr()
+    assert main(["export", str(instance), "--format", "json",
+                 "--out", "-"]) == 0
+    assert capsys.readouterr().out.encode() == instance.read_bytes()
+
+
+@pytest.mark.parametrize("sant, sasg, name", list(_bundled_assignments()))
+def test_export_json_reprints_a_bundled_instance(tmp_path, capsys, sant, sasg,
+                                                 name):
+    _assert_export_reprints(tmp_path, capsys, sant, sasg, name)
+
+
+def test_export_json_reprints_a_wide_user_instance(tmp_path, capsys):
+    size = 200
+    total = size * (size + 1) // 2
+    sasg = tmp_path / "wide.sasg"
+    sasg.write_text(
+        "assignments { UserWide { s = {"
+        + ", ".join(str(i) for i in range(1, size + 1)) + "} pb = {"
+        + ", ".join(repr(i / total) for i in range(1, size + 1)) + "} } }")
+    _assert_export_reprints(tmp_path, capsys, USER, str(sasg), "UserWide")
+
+
+@pytest.mark.parametrize("edit, fault", [
+    (lambda d: d.pop("place_lists") and None, "$.place_lists: missing"),
+    (lambda d: d.update(place_lists={"0": ["Idle_1"]}),
+     "$.place_lists: expected list"),
+    (lambda d: d["place_lists"].append("Idle_1"),
+     "$.place_lists[{n}]: expected list"),
+    (lambda d: d["place_lists"][0].append(7),
+     "$.place_lists[0][1]: expected string"),
+    (lambda d: d["input_gates"][0].update(places=-1),
+     "$.input_gates[0].places: index -1 outside $.place_lists ({n} entries)"),
+    (lambda d: d["input_gates"][0].update(places=True),
+     "$.input_gates[0].places: expected int"),
+    (lambda d: d["output_gates"][0].update(places=1.0),
+     "$.output_gates[0].places: expected int"),
+    (lambda d: d["output_gates"][0].update(places="0"),
+     "$.output_gates[0].places: expected int"),
+    (lambda d: d["output_gates"][0].update(places=len(d["place_lists"])),
+     "$.output_gates[0].places: index {n} outside $.place_lists "
+     "({n} entries)"),
+    (lambda d: d["input_gates"][0].pop("places") and None,
+     "$.input_gates[0].places: missing"),
+], ids=["missing", "not-a-list", "entry-not-a-list", "entry-item-int",
+        "index-negative", "index-bool", "index-float", "index-string",
+        "index-past-end", "no-places"])
+@pytest.mark.parametrize("command", [["instantiate"],
+                                     ["simulate", "--horizon", "10"],
+                                     ["export", "--format", "json"]])
+def test_malformed_place_list_table_is_a_user_error(tmp_path, capsys, edit,
+                                                    fault, command):
+    entries = len(_user_internal_doc()["place_lists"])
+    instance = tmp_path / "bad.sanx"
+    instance.write_text(json.dumps(_malformed(edit)))
+    out = tmp_path / "out"
+    argv = [command[0], str(instance), *command[1:], "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {fault.format(n=entries)}\n"
+    assert not out.exists()
+
+
+def test_schema_1_place_lists_are_inline_only(tmp_path, capsys):
+    # An index means nothing without a table: the earlier schema refuses it.
+    instance = tmp_path / "old.sanx"
+    instance.write_text(json.dumps(_malformed(lambda d: d.update(
+        schema="santkit-instance/1",
+        input_gates=[dict(g, places=d["place_lists"][g["places"]])
+                     for g in d["input_gates"]]))))
+    assert main(["export", str(instance), "--format", "json",
+                 "--out", "-"]) == 1
+    assert capsys.readouterr().err == \
+        "error: $.output_gates[0].places: expected list\n"
 
 
 @pytest.mark.parametrize("path, value", [

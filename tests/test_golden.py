@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +170,8 @@ def test_enabling_evaluated_once_per_reached_marking(assignment, monkeypatch):
 # `sant instantiate` writes for each bundled assignment, the canonical text,
 # JSON and DOT of each bundled template, and seeded `sant simulate` stdout
 # with one reward of each kind.  Recorded once; a refactor must keep them.
+# The `.sanx` pins are of the `santkit-instance/2` bytes, which write each
+# distinct gate place list once.
 SIMULATE_REWARDS = {
     "GeoPair": ("throughput:GEO_F", "tokens:Working_S_2", "atleast:GEO_1:1"),
     "TmiPair": ("throughput:SW_F", "tokens:Working_S_1",
@@ -177,23 +180,23 @@ SIMULATE_REWARDS = {
 
 OUTPUT_SHA256 = {
     ("sanx", "geo/GeoPair"):
-        "7229bde7a07a2c100f6c7156b19b2dcc09ad849d0b406a4e798228bf1af4e6ef",
+        "b98d5e01fa4dcb53125cddb57a92b3589260b692313cae46f790cc8eabc3ef3d",
     ("sanx", "geo/GeoSingle"):
-        "5b51e1cf5e54d8d0430e7af2907d9e903597c0ba970992b6321417459d003e97",
+        "4a33f119862a70971fb2f9409078ae56b277ab7faa9f16c5242ae123c159b1b5",
     ("sanx", "geo/GeoTriple"):
-        "c8f6c1c81ea76ad4c869be4b1b7286ce40d08f1c361a51ec8690daee8bcc1941",
+        "46d6d2adacf3797d59fe6dc0b4514b6fb0de0fd3dc8af4d42596c4cbb3076c3d",
     ("sanx", "tmi/TmiNoDep"):
-        "abb47e87e0db06b7d86a7b70819b1ca09dd174ab9f5e69d79d84a0e3feec856a",
+        "0ded350426e0f0de9a1b78e88847a98c7bf316efbc6f2178739e8dde73c4a463",
     ("sanx", "tmi/TmiPair"):
-        "22a47295de73068e6e85bb75805f25908102c4037104600b20537d7b055f04db",
+        "e014758ff47090e9d2f50c56df0de7bcb28f2f0b2619bb781f2b371771015b95",
     ("sanx", "tmi/TmiWide"):
-        "b33b4354004ada520bd76d459ae85de99265de4aa193a3c655a82bd94596ad0a",
+        "5cd5aafbcee3bda1907d76bf011eec31ac8c876e9fafcdd642c8f04b9836ef93",
     ("sanx", "user/UserInternal"):
-        "d657bdc37b4b74ce43a7c5ce460361c1991ae3514fde45ed7aa42dcbcb601ddb",
+        "3f7bcf9c930368d714dfda0c7ff49f1b229f99d2ff7614d99c655435aaf3cc61",
     ("sanx", "user/UserPress"):
-        "76d5c2625325cbe4b18446d49430894b580f63276816f5e0aed6e77a6af270b2",
+        "070def0a46d9c48627eb30a0b7d08e71ea9923dcc27a2443dc9979d4380db805",
     ("sanx", "user/UserSingle"):
-        "faf85d72f15da3521e98cb8740941b9efa7730b10da5cf3df0307ba387bb06a8",
+        "775090ba1a09e33c750193a5d26a13a9f22b6822d5eabec10cc984e1ed19595d",
     ("text", "geo"):
         "1e3f04c49a1e169b0bc31f83fb7867ee8f10cc0eeb57e4379745bbaaaf85c64d",
     ("json", "geo"):
@@ -252,3 +255,17 @@ def _output(kind: str, subject: str, tmp_path, capsys) -> bytes:
 def test_golden_output_sha256(kind, subject, tmp_path, capsys):
     data = _output(kind, subject, tmp_path, capsys)
     assert hashlib.sha256(data).hexdigest() == OUTPUT_SHA256[kind, subject]
+
+
+def test_schema_1_instance_simulates_as_pinned(capsys):
+    # A TmiPair `.sanx` written by the schema-1 writer, every gate's places
+    # inline: seeded `sant simulate` of it prints the pinned TmiPair report.
+    from santkit.cli import main
+
+    instance = Path(__file__).parent / "data" / "TmiPair.instance1.sanx"
+    rewards = [a for r in SIMULATE_REWARDS["TmiPair"] for a in ("--reward", r)]
+    assert main(["simulate", str(instance), "--seed", "7", "--horizon", "50",
+                 "--reps", "2", *rewards, "--out", "-"]) == 0
+    data = capsys.readouterr().out.encode()
+    assert hashlib.sha256(data).hexdigest() == \
+        OUTPUT_SHA256["simulate", "tmi/TmiPair"]

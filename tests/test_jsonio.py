@@ -3,9 +3,11 @@ plus a newline, and an instance round-trips through it."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -36,7 +38,9 @@ SCALARS = st.one_of(
     st.none(), st.booleans(),
     st.integers(), st.integers(min_value=-2 ** 200, max_value=2 ** 200),
     st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([-0.0, 1e300, math.nan, math.inf, -math.inf]),
+    st.sampled_from([-0.0, 1e16, 1e-7, 1e300, 2 ** 70, -2 ** 70, math.nan,
+                     math.inf, -math.inf]),
+    st.lists(st.booleans(), max_size=3),
     TEXT)
 VALUES = st.recursive(
     SCALARS,
@@ -101,8 +105,86 @@ def test_equal_place_tuples_map_to_one_list():
     request = [g["places"] for g in doc["output_gates"]
                if g["activity"] == "Request"]
     assert len(request) == 3
-    assert all(places is request[0] for places in request)
-    assert request[0] == ["Req_1", "Req_6", "Req_7"]
+    assert len(set(request)) == 1
+    assert doc["place_lists"][request[0]] == ["Req_1", "Req_6", "Req_7"]
+    assert doc["place_lists"].count(["Req_1", "Req_6", "Req_7"]) == 1
+
+
+def _with_fresh_place_tuples(san: ConcreteSan) -> ConcreteSan:
+    """``san`` with every gate's places in a tuple object of its own."""
+    return dataclasses.replace(
+        san,
+        input_gates=tuple(dataclasses.replace(g, places=tuple(list(g.places)))
+                          for g in san.input_gates),
+        output_gates=tuple(dataclasses.replace(g, places=tuple(list(g.places)))
+                           for g in san.output_gates))
+
+
+@pytest.mark.parametrize("template, assignment", list(_bundled_instances()))
+def test_place_lists_depend_only_on_the_instance_value(template, assignment):
+    san = concretize(template, coerce_assignment(template, assignment))
+    fresh = _with_fresh_place_tuples(san)
+    assert fresh == san
+    assert dumps(san_to_json(fresh)) == dumps(san_to_json(san))
+
+
+def test_gates_index_the_place_lists_in_first_use_order():
+    doc = json.loads(dumps(san_to_json(
+        concretize(build_user_template(), USER_INTERNAL))))
+    gates = doc["input_gates"] + doc["output_gates"]
+    first_use = list(dict.fromkeys(g["places"] for g in gates))
+    assert first_use == list(range(len(doc["place_lists"])))
+    # The reader gives every gate that names one entry that entry's tuple.
+    san = json_to_san(doc)
+    tuples = {}
+    for gate, read in zip(gates, san.input_gates + san.output_gates):
+        assert list(read.places) == doc["place_lists"][gate["places"]]
+        assert tuples.setdefault(gate["places"], read.places) is read.places
+
+
+INSTANCE_1 = Path(__file__).parent / "data" / "TmiPair.instance1.sanx"
+
+
+def _tmi_pair() -> ConcreteSan:
+    template = load_template(str(MODELS / "tmi.sant")).template
+    raw = load_assignments(str(MODELS / "tmi.sasg")).assignments["TmiPair"]
+    return concretize(template, coerce_assignment(template, raw),
+                      name="TmiPair")
+
+
+def test_schema_1_file_loads_equal_with_shared_place_tuples():
+    # Written by the schema-1 writer: every gate lists its places inline.
+    doc = json.loads(INSTANCE_1.read_text())
+    assert doc["schema"] == "santkit-instance/1"
+    assert "place_lists" not in doc
+    san = json_to_san(doc)
+    expected = _tmi_pair()
+    assert san == expected
+    # Equal inline lists map to one tuple, as concretize's gates share one.
+    for read, made in ((san.output_gates, expected.output_gates),
+                       (san.input_gates, expected.input_gates)):
+        assert [[b.places is a.places for b in read] for a in read] == \
+            [[b.places is a.places for b in made] for a in made]
+    assert any(a is not b and a.places is b.places
+               for a in san.output_gates for b in san.output_gates)
+    assert dumps(san_to_json(san)) == dumps(san_to_json(expected))
+
+
+def _user_sanx_bytes(size: int) -> int:
+    services = tuple(range(1, size + 1))
+    san = concretize(build_user_template(),
+                     {"s": services, "pb": (1 / size,) * size})
+    return len(dumps(san_to_json(san)).encode())
+
+
+def test_sanx_bytes_grow_linearly_in_the_services():
+    # Each Request case's output gate names all |s| Req places; the
+    # place-list table writes that list once, so the bytes per added
+    # service stay the same (a copy per gate would double them here).
+    sizes = {n: _user_sanx_bytes(n) for n in (50, 100, 200)}
+    low = (sizes[100] - sizes[50]) / 50
+    high = (sizes[200] - sizes[100]) / 100
+    assert abs(high - low) <= 0.05 * low
 
 
 def test_hand_built_instance_round_trips_through_dumps():
@@ -129,16 +211,30 @@ def test_hand_built_instance_round_trips_through_dumps():
     assert json_to_san(json.loads(dumps(san_to_json(san)))) == san
 
 
-@pytest.mark.parametrize("field, items, message", [
-    ("places", ["a", "b", 3, None], "$.output_gates[0].places[2]: "
-                                    "expected string"),
-    ("effect", [{}, [], 1], "$.output_gates[0].effect[1]: expected object"),
-], ids=["places", "effect"])
-def test_list_items_report_the_first_failing_path(field, items, message):
-    from santkit.errors import SantError
-    doc = json.loads(dumps(san_to_json(
+def _user_doc() -> dict:
+    return json.loads(dumps(san_to_json(
         concretize(build_user_template(), USER_INTERNAL))))
-    doc["output_gates"][0][field] = items
+
+
+def _instance_1_doc() -> dict:
+    return json.loads(INSTANCE_1.read_text())
+
+
+@pytest.mark.parametrize("load, at, items, message", [
+    (_instance_1_doc, ("output_gates", 0, "places"), ["a", "b", 3, None],
+     "$.output_gates[0].places[2]: expected string"),
+    (_user_doc, ("place_lists", 0), ["a", "b", 3, None],
+     "$.place_lists[0][2]: expected string"),
+    (_user_doc, ("output_gates", 0, "effect"), [{}, [], 1],
+     "$.output_gates[0].effect[1]: expected object"),
+], ids=["places", "place_lists", "effect"])
+def test_list_items_report_the_first_failing_path(load, at, items, message):
+    from santkit.errors import SantError
+    doc = load()
+    node = doc
+    for key in at[:-1]:
+        node = node[key]
+    node[at[-1]] = items
     with pytest.raises(SantError) as info:
         json_to_san(doc)
     assert str(info.value) == message
