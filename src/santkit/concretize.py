@@ -286,7 +286,7 @@ def concretize(template: SanTemplate, assignment: Mapping[str, Value],
                               for p in at.time_distribution.params))
         activities.append(Activity(
             name=at.name, kind=at.kind, cases=cases, case_probs=probs,
-            distribution=dist, reactivation=at.reactivation.kind))
+            distribution=dist))
 
     input_gates = tuple(
         concretize_input_gate(template, gate, assignment, imap)

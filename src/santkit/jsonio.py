@@ -65,8 +65,8 @@ def template_to_json(template: SanTemplate) -> dict[str, Any]:
             "time": None if a.time_distribution is None else {
                 "family": a.time_distribution.family,
                 "params": [print_term(p) for p in a.time_distribution.params]},
-            "reactivation": {"kind": a.reactivation.kind,
-                             "description": a.reactivation.description},
+            # Templates have no reactivation syntax; the key keeps the layout.
+            "reactivation": {"kind": "empty", "description": ""},
         } for a in template.activities],
         "input_gates": [gate_json(g, True) for g in template.input_gates],
         "output_gates": [gate_json(g, False) for g in template.output_gates],

@@ -8,7 +8,8 @@ or real literal, a quoted string, or one of the fixed symbols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -19,9 +20,23 @@ _SYMBOLS = (
     "(", ")", "{", "}", "[", "]", ",", ";", ":", "|",
 )
 
+# One alternative per token kind, tried in order; ``error`` takes the one
+# character nothing else matches (an unterminated string's opening quote).
+# ``[^\W\d]`` also admits numeric non-letters such as "²"; ``tokenize``
+# rejects an identifier that does not start with a letter or "_".
+_TOKEN = re.compile(r"""
+    (?P<skip>(?:[ \t\r\n]|\#[^\n]*)+)
+  | <(?P<placeholder>CASE|PLACE)>
+  | "(?P<string>[^"\n]*)"
+  | (?P<real>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))
+  | (?P<int>[0-9]+)
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<sym>%s)
+  | (?P<error>[\s\S])
+""" % "|".join(map(re.escape, _SYMBOLS)), re.VERBOSE)
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str        # "int" | "real" | "ident" | "string" | "placeholder" | "sym" | "eof"
     value: str
     line: int
@@ -35,86 +50,24 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        value = m[kind]
+        if kind == "skip":
+            newlines = value.count("\n")
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", 0, m.end()) + 1
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        start_line, start_col = line, col
-        if text.startswith("<CASE>", i):
-            tokens.append(Token("placeholder", "CASE", start_line, start_col))
-            advance(6)
-            continue
-        if text.startswith("<PLACE>", i):
-            tokens.append(Token("placeholder", "PLACE", start_line, start_col))
-            advance(7)
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise ParseError("unterminated string", start_line, start_col)
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string", start_line, start_col)
-            tokens.append(Token("string", text[i + 1:j], start_line, start_col))
-            advance(j - i + 1)
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            is_real = False
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                is_real = True
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    is_real = True
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append(Token("real" if is_real else "int",
-                                text[i:j], start_line, start_col))
-            advance(j - i)
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], start_line, start_col))
-            advance(j - i)
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("sym", sym, start_line, start_col))
-                advance(len(sym))
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", start_line, start_col)
-    tokens.append(Token("eof", "", line, col))
+        column = m.start() - line_start + 1
+        if kind == "error" or (kind == "ident" and not (
+                value[0].isalpha() or value[0] == "_")):
+            message = ("unterminated string" if value == '"'
+                       else f"unexpected character {value[0]!r}")
+            raise ParseError(message, line, column)
+        tokens.append(Token(kind, value, line, column))
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 

@@ -482,7 +482,6 @@ def load_template(path: str) -> ModelDocument:
 
 
 def _literal(ts: TokenStream) -> Value:
-    tok = ts.peek()
     negative = bool(ts.accept_sym("-"))
     tok = ts.peek()
     if tok.kind == "int":

@@ -326,94 +326,89 @@ def fire(plan: _Plan, marking: Slots, index: int, case: int) -> None:
             marking[key] = value
 
 
-@dataclass(frozen=True)
-class _Replication:
-    plan: _Plan
-    cfg: SimConfig
-    rewards: tuple[RewardSpec, ...]
-    rng: random.Random
-    observer: Callable[[float, float, dict[str, int]], object] | None
-
-    def run(self) -> tuple[list[float], int, list[list[int]]]:
-        """The reward values, event count and per-activity case counts."""
-        plan, rng, observer = self.plan, self.rng, self.observer
-        horizon, max_events = self.cfg.horizon, self.cfg.max_events
-        activities = plan.activities
-        counts = [[0] * a.cases for a in activities]
-        distributions = [a.distribution for a in activities]
-        probs_of = [a.case_probs if a.cases > 1 else None for a in activities]
-        position = {id(a): i for i, a in enumerate(activities)}
-        kinds = [REWARDS[spec.kind] for spec in self.rewards]
-        accum = [0.0] * len(kinds)
-        # (reward, rate, slot, threshold) of each reward accrued over time.
-        rated = [(i, kind.rate, plan.slot[spec.target], spec.threshold)
-                 for i, (spec, kind) in enumerate(zip(self.rewards, kinds))
-                 if kind.rate is not None]
-        marking: Slots = list(plan.initial)
-        # Event list: (time, sequence, activity index). A stale entry is one
-        # whose sequence no longer matches ``active`` for its activity.
-        queue: list[tuple[float, int, int]] = []
-        active: list[int | None] = [None] * len(activities)
-        now, events, seq, chain = 0.0, 0, 0, 0
-        index = -1                       # the activity to fire, if any
-        while True:
-            if index >= 0:
-                events += 1
-                if events > max_events:
-                    raise MaxEventsExceeded(
-                        f"more than {max_events} events in one replication")
-                probs = probs_of[index]
-                case = 1 if probs is None else select_case(probs, rng)
-                counts[index][case - 1] += 1
-                fire(plan, marking, index, case)
-            ready = enabled_activities(plan, marking)
-            if plan.instantaneous:
-                ready, unstable = under_priority(ready)
-                if unstable:
-                    chain += 1
-                    if chain > STABILIZATION_LIMIT:
-                        raise NonStabilizingDetected(
-                            f"{chain} consecutive instantaneous firings at "
-                            f"time {now}")
-                    choice = ready[0] if len(ready) == 1 else \
-                        ready[rng.randrange(len(ready))]
-                    index = position[id(choice)]
-                    continue
-            chain = 0
-            # Stable: schedule newly enabled timed activities in declaration
-            # order, and drop disabled ones (resampled when enabled again).
-            j, n = 0, len(ready)
-            for i, act in enumerate(activities):
-                if j < n and ready[j] is act:
-                    j += 1
-                    if active[i] is None:
-                        seq += 1
-                        active[i] = seq
-                        heappush(queue, (now + sample_firing_time(
-                            distributions[i], rng), seq, i))
-                elif active[i] is not None:
-                    active[i] = None
-            index, time = -1, horizon
-            while queue:
-                t, s, i = heappop(queue)
-                if active[i] == s:       # not cancelled by a state change
-                    if t <= horizon:
-                        index, time = i, t
-                    break
-            dt = time - now
-            if dt > 0:
-                for r, rate, slot, threshold in rated:
-                    accum[r] += rate(marking[slot], threshold) * dt
-                if observer is not None:
-                    observer(now, time, dict(zip(plan.places, marking)))
-            now = time
-            if index < 0:
+def _replicate(
+        plan: _Plan, cfg: SimConfig, rewards: tuple[RewardSpec, ...],
+        rng: random.Random,
+        observer: Callable[[float, float, dict[str, int]], object] | None,
+) -> tuple[list[float], int, list[list[int]]]:
+    """The reward values, event count and per-activity case counts."""
+    horizon, max_events = cfg.horizon, cfg.max_events
+    activities = plan.activities
+    counts = [[0] * a.cases for a in activities]
+    distributions = [a.distribution for a in activities]
+    probs_of = [a.case_probs if a.cases > 1 else None for a in activities]
+    position = {id(a): i for i, a in enumerate(activities)}
+    kinds = [REWARDS[spec.kind] for spec in rewards]
+    accum = [0.0] * len(kinds)
+    # (reward, rate, slot, threshold) of each reward accrued over time.
+    rated = [(i, kind.rate, plan.slot[spec.target], spec.threshold)
+             for i, (spec, kind) in enumerate(zip(rewards, kinds))
+             if kind.rate is not None]
+    marking: Slots = list(plan.initial)
+    # Event list: (time, sequence, activity index). A stale entry is one
+    # whose sequence no longer matches ``active`` for its activity.
+    queue: list[tuple[float, int, int]] = []
+    active: list[int | None] = [None] * len(activities)
+    now, events, seq, chain = 0.0, 0, 0, 0
+    index = -1                       # the activity to fire, if any
+    while True:
+        if index >= 0:
+            events += 1
+            if events > max_events:
+                raise MaxEventsExceeded(
+                    f"more than {max_events} events in one replication")
+            probs = probs_of[index]
+            case = 1 if probs is None else select_case(probs, rng)
+            counts[index][case - 1] += 1
+            fire(plan, marking, index, case)
+        ready = enabled_activities(plan, marking)
+        if plan.instantaneous:
+            ready, unstable = under_priority(ready)
+            if unstable:
+                chain += 1
+                if chain > STABILIZATION_LIMIT:
+                    raise NonStabilizingDetected(
+                        f"{chain} consecutive instantaneous firings at "
+                        f"time {now}")
+                choice = ready[0] if len(ready) == 1 else \
+                    ready[rng.randrange(len(ready))]
+                index = position[id(choice)]
+                continue
+        chain = 0
+        # Stable: schedule newly enabled timed activities in declaration
+        # order, and drop disabled ones (resampled when enabled again).
+        j, n = 0, len(ready)
+        for i, act in enumerate(activities):
+            if j < n and ready[j] is act:
+                j += 1
+                if active[i] is None:
+                    seq += 1
+                    active[i] = seq
+                    heappush(queue, (now + sample_firing_time(
+                        distributions[i], rng), seq, i))
+            elif active[i] is not None:
+                active[i] = None
+        index, time = -1, horizon
+        while queue:
+            t, s, i = heappop(queue)
+            if active[i] == s:       # not cancelled by a state change
+                if t <= horizon:
+                    index, time = i, t
                 break
-            active[index] = None
-        return [(accum[i] if kind.rate else
-                 sum(counts[plan.index[spec.target]])) / horizon
-                for i, (spec, kind) in enumerate(zip(self.rewards, kinds))], \
-            events, counts
+        dt = time - now
+        if dt > 0:
+            for r, rate, slot, threshold in rated:
+                accum[r] += rate(marking[slot], threshold) * dt
+            if observer is not None:
+                observer(now, time, dict(zip(plan.places, marking)))
+        now = time
+        if index < 0:
+            break
+        active[index] = None
+    return [(accum[i] if kind.rate else
+             sum(counts[plan.index[spec.target]])) / horizon
+            for i, (spec, kind) in enumerate(zip(rewards, kinds))], \
+        events, counts
 
 
 def simulate(san: ConcreteSan, cfg: SimConfig,
@@ -443,8 +438,8 @@ def simulate(san: ConcreteSan, cfg: SimConfig,
     totals = {a.name: [0] * a.cases for a in san.activities}
     for rep in range(cfg.replications):
         rng = random.Random(replication_seed(cfg.seed, rep))
-        values, n_events, case_counts = _Replication(
-            plan, cfg, rewards, rng, observer).run()
+        values, n_events, case_counts = _replicate(
+            plan, cfg, rewards, rng, observer)
         per_rep.append(values)
         events.append(n_events)
         for act, counts in zip(san.activities, case_counts):

@@ -15,7 +15,7 @@ structures down to instance level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .errors import (Diagnostic, DuplicateIndex, EvalError, NegativeMarking,
@@ -62,27 +62,12 @@ class CaseDistribution:
 
 
 @dataclass(frozen=True)
-class ReactivationSpec:
-    """Only the empty reactivation set is executable.  A non-empty set can be
-    represented (with a description); the instance carries its kind, which
-    ``validate_san`` reports and ``simulate`` refuses."""
-
-    kind: str = "empty"          # "empty" | "unsupported"
-    description: str = ""
-
-    @property
-    def is_empty(self) -> bool:
-        return self.kind == "empty"
-
-
-@dataclass(frozen=True)
 class ActivityTemplate:
     name: str
     kind: ActivityKind
     cases: Term
     case_distribution: CaseDistribution
     time_distribution: DistributionSpec | None = None
-    reactivation: ReactivationSpec = field(default_factory=ReactivationSpec)
 
 
 # -- gate predicates ---------------------------------------------------------

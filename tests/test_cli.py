@@ -78,6 +78,28 @@ def test_parse_error_names_its_file(tmp_path, capsys, suffix, argv):
     assert re.fullmatch(rf"error: {re.escape(str(bad))}:\d+:\d+: .+\n", err)
 
 
+# Literals take only the ASCII digits: "²" once crashed int() (exit 2) and
+# "٣" was silently read as 3.
+@pytest.mark.parametrize("source, old, new, argv, position", [
+    ("geo.sant", "GEO = {1}", "GEO = {²}", ["validate", "{bad}"],
+     "13:10: unexpected character '²'"),
+    ("geo.sant", "Working_S = 1\n}", "Working_S = ٣\n}", ["validate", "{bad}"],
+     "44:15: unexpected character '٣'"),
+    ("geo.sasg", "n = {1, 2}", "n = ²",
+     ["instantiate", GEO, "{bad}", "--assignment", "GeoPair", "--out", "-"],
+     "3:9: unexpected character '²'"),
+], ids=["sant-superscript-multiplicity", "sant-arabic-indic-marking",
+        "sasg-superscript-binding"])
+def test_non_ascii_digit_is_a_user_error(tmp_path, capsys, source, old, new,
+                                         argv, position):
+    text = (MODELS / source).read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    bad = tmp_path / source
+    bad.write_text(text.replace(old, new), encoding="utf-8")
+    assert main([arg.format(bad=bad) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"error: {bad}:{position}\n"
+
+
 def test_validate_reports_sort_mismatch(tmp_path, capsys):
     text = (MODELS / "user.sant").read_text().replace(
         "cases = |s|", "cases = pb[1]")
@@ -154,7 +176,7 @@ def test_simulate_rejects_zero_horizon(capsys, monkeypatch):
         raise AssertionError("a replication started")
 
     # Refused by SimConfig.validate before any event runs.
-    monkeypatch.setattr(sim, "_Replication", no_run)
+    monkeypatch.setattr(sim, "_replicate", no_run)
     for horizon in ("0", "inf", "nan"):
         assert main(["simulate", USER, USER_ASSIGN,
                      "--assignment", "UserInternal", "--horizon", horizon,

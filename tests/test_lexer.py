@@ -64,6 +64,10 @@ ERRORS = {
     "unexpected-character": ("a\n  !b", "unexpected character '!'", 2, 3),
     "dot-after-int": ("1.", "unexpected character '.'", 1, 2),
     "numeric-non-letter": ("a ½", "unexpected character '½'", 1, 3),
+    # Literals take only the ASCII digits.
+    "superscript-digit": ("²", "unexpected character '²'", 1, 1),
+    "int-then-superscript": ("1²", "unexpected character '²'", 1, 2),
+    "arabic-indic-digit": ("٣", "unexpected character '٣'", 1, 1),
 }
 
 

@@ -212,7 +212,7 @@ def test_variable_case_detection():
 def test_every_template_symbol_has_a_home():
     # The whole parametric tuple is representable: parameters, place and
     # activity templates, both gate sets with their activity maps, case
-    # counts, kinds, case/time/reactivation assignments, initial marking.
+    # counts, kinds, case/time assignments, initial marking.
     user = build_user_template()
     assert dict(user.parameters) == {"s": Sort.SET_INT, "pb": Sort.SET_REAL}
     assert [p.name for p in user.places] == ["Idle", "Req", "Dropped",
@@ -227,7 +227,6 @@ def test_every_template_symbol_has_a_home():
     request = user.activity("Request")
     assert request.kind == ActivityKind.TIMED
     assert request.time_distribution.family == "uniform"
-    assert request.reactivation.is_empty
     assert dict(user.initial_marking)["Idle"] == MExpr(Const(1))
 
 
