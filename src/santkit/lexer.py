@@ -3,7 +3,8 @@ model file format.
 
 Whitespace and ``#`` comments are insignificant.  ``<CASE>`` and ``<PLACE>``
 are single placeholder tokens; everything else is an identifier, an integer
-or real literal, a quoted string, or one of the fixed symbols.
+or real literal (ASCII digits only), a quoted string, or one of the fixed
+symbols.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def tokenize(text: str) -> list[Token]:
             newlines = value.count("\n")
             if newlines:
                 line += newlines
-                line_start = text.rindex("\n", 0, m.end()) + 1
+                line_start = text.rindex("\n", m.start(), m.end()) + 1
             continue
         column = m.start() - line_start + 1
         if kind == "error" or (kind == "ident" and not (
