@@ -1,7 +1,8 @@
 """Command-line front end: validate, instantiate, simulate, export.
 
-Exit codes: 0 on success, 1 for user errors (unreadable or invalid input),
-2 for internal errors.  Set ``SANT_COLOR=1`` to colorize diagnostics.
+Exit codes: 0 on success, 1 for user errors (unreadable or invalid input,
+and command-line usage errors), 2 for internal errors.  Set
+``SANT_COLOR=1`` to colorize diagnostics.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from typing import NoReturn
 
 from .concretize import concretize, instance_summary
 from .errors import Diagnostic, SantError, ValidationError, has_errors
@@ -172,8 +174,27 @@ def cmd_bundled(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """``argparse`` with usage errors exiting 1, a user error, not 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _ascii(convert):
+    """An option type that reads only ASCII text, as the model files' number
+    literals do; ``int`` and ``float`` alone accept any Unicode digit."""
+    def read(text: str):
+        if not text.isascii():
+            raise ValueError(text)
+        return convert(text)
+    read.__name__ = convert.__name__    # named in argparse's error message
+    return read
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sant",
         description="Stochastic activity network templates: validate, "
                     "instantiate, simulate, export.")
@@ -198,10 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assignment", help="assignment set name")
     p.add_argument("--reward", action="append", default=[],
                    help=" | ".join(_REWARD_FORMS))
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--max-events", type=int, default=1_000_000)
+    p.add_argument("--seed", type=_ascii(int), default=1)
+    p.add_argument("--horizon", type=_ascii(float), required=True)
+    p.add_argument("--reps", type=_ascii(int), default=1)
+    p.add_argument("--max-events", type=_ascii(int), default=1_000_000)
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_simulate)
 

@@ -13,7 +13,10 @@ instance has an instantaneous activity (otherwise it would change nothing).
 ``simulate`` compiles the validated instance once into an execution plan.
 Each place gets a slot and the marking is a list of token counts; each
 activity's enabling is one closure over slots, and each gate is a flat list
-of marking updates applied in place.  ``sancore.fire`` and
+of marking updates applied in place.  A conjunction of lower bounds that
+share one value, such as GEO's ``all Working_S > 0`` over |n| places, is one
+C-level scan of its slots: a slice when they are consecutive, and a test for
+a zero count when the bound is one token.  ``sancore.fire`` and
 ``sancore.is_enabled`` stay the reference the plan is tested against.  The
 plan is run through three module-level functions, called through this
 module's globals once per reached marking (``enabled_activities``), once
@@ -203,9 +206,20 @@ def _compile_predicate(pred: Predicate, slot: dict[str, int]) -> Check:
     if conjunction and all(isinstance(a, PredLeaf) for a in args) and \
             len({(a.cmp, a.value) for a in args}) == 1 and \
             args[0].cmp in (">", ">="):
-        # Lower bounds sharing one value: one C-level pass over their slots.
+        # Lower bounds sharing one value: one C-level pass over their slots,
+        # read as one slice when they are consecutive (``concretize`` lays a
+        # place template's instances out that way).  A bound that fails at 0
+        # and holds at 1 (``> 0``, ``>= 1``) holds iff no slot is 0, because
+        # a plan marking is never negative: ``validate_san`` refuses negative
+        # initial tokens and ``set`` amounts, and ``fire`` raises
+        # ``NegativeMarking`` before it writes a negative count.
         op, value = COMPARISONS[args[0].cmp], args[0].value
-        get = itemgetter(*(slot[a.place] for a in args))
+        slots = sorted({slot[a.place] for a in args})
+        lo, hi = slots[0], slots[-1] + 1
+        get = itemgetter(slice(lo, hi)) if hi - lo == len(slots) \
+            else itemgetter(*slots)
+        if not op(0, value) and op(1, value):
+            return lambda m: 0 not in get(m)
         return lambda m: op(min(get(m)), value)
     checks = [_compile_predicate(a, slot) for a in args]
     if conjunction:

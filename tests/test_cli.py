@@ -100,6 +100,60 @@ def test_non_ascii_digit_is_a_user_error(tmp_path, capsys, source, old, new,
     assert capsys.readouterr().err == f"error: {bad}:{position}\n"
 
 
+_SIMULATE = ["simulate", GEO, GEO_ASSIGN, "--assignment", "GeoPair"]
+
+
+# A usage error is a user error (exit 1), not an internal one (exit 2); the
+# usage line still goes to stderr.  The numeric options, like the model
+# files' literals, take only ASCII digits.
+@pytest.mark.parametrize("argv, fault", [
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+    (["validate"], "the following arguments are required: model"),
+    (_SIMULATE, "the following arguments are required: --horizon"),
+    (_SIMULATE + ["--horizon", "10", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (_SIMULATE + ["--horizon", "abc"],
+     "argument --horizon: invalid float value: 'abc'"),
+    (_SIMULATE + ["--horizon", "٣"],
+     "argument --horizon: invalid float value: '٣'"),
+    (_SIMULATE + ["--horizon", "10", "--seed", "٣"],
+     "argument --seed: invalid int value: '٣'"),
+    (_SIMULATE + ["--horizon", "10", "--reps", "٣"],
+     "argument --reps: invalid int value: '٣'"),
+    (_SIMULATE + ["--horizon", "10", "--max-events", "٣"],
+     "argument --max-events: invalid int value: '٣'"),
+    (_SIMULATE + ["--horizon", "1٠"],
+     "argument --horizon: invalid float value: '1٠'"),
+], ids=["unknown-command", "no-command", "no-model", "no-horizon",
+        "unknown-option", "horizon-not-a-number", "horizon-arabic-indic",
+        "seed-arabic-indic", "reps-arabic-indic", "max-events-arabic-indic",
+        "horizon-mixed-digits"])
+def test_usage_error_is_a_user_error(capsys, argv, fault):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: sant")
+    assert f": error: {fault}" in captured.err
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["simulate", "--help"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: sant")
+
+
+def test_ascii_numeric_options_still_read(capsys):
+    assert main(_SIMULATE + ["--horizon", "1e1", "--seed", "-3",
+                             "--reps", "2", "--max-events", "1000",
+                             "--reward", "throughput:GEO_F"]) == 0
+    assert "seed=-3 horizon=10.0 reps=2" in capsys.readouterr().out
+
+
 def test_validate_reports_sort_mismatch(tmp_path, capsys):
     text = (MODELS / "user.sant").read_text().replace(
         "cases = |s|", "cases = pb[1]")

@@ -15,7 +15,7 @@ import importlib
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import santkit.sim as sim
@@ -113,11 +113,15 @@ _predicates = st.recursive(
         st.builds(PredOr, st.lists(inner, max_size=4).map(tuple)),
         st.builds(PredNot, inner)),
     max_leaves=12)
+
+
+def _bound(places, cmp: str, value: int) -> PredAnd:
+    return PredAnd(tuple(PredLeaf(place, cmp, value) for place in places))
+
+
 # Lower bounds sharing one value, which the plan checks in one pass.
 _bounds = st.builds(
-    lambda places, cmp, value: PredAnd(
-        tuple(PredLeaf(place, cmp, value) for place in places)),
-    st.lists(st.sampled_from(PLACES), min_size=2, max_size=4),
+    _bound, st.lists(st.sampled_from(PLACES), min_size=2, max_size=4),
     st.sampled_from((">", ">=")), _values)
 _updates = st.lists(st.builds(
     Update, st.sampled_from(PLACES), st.sampled_from(("set", "add", "sub")),
@@ -125,6 +129,29 @@ _updates = st.lists(st.builds(
                                    _values)), max_size=6).map(tuple)
 
 
+def _shape(predicate: PredAnd, *tokens: int):
+    return example(predicate=predicate, inputs=(), outputs=(),
+                   tokens=list(tokens))
+
+
+# The plan scans a lower bound's slots as one slice when they are
+# consecutive and as an ``itemgetter`` otherwise, and tests ``0 not in``
+# them for a one-token bound (> 0, >= 1) and their ``min`` otherwise.  These
+# pin each shape at the ends of its range and just outside it.
+@_shape(_bound("ABC", ">", 0), 0, 3, 3, 3)       # zero at the first slot
+@_shape(_bound("ABC", ">", 0), 3, 3, 0, 3)       # zero at the last slot
+@_shape(_bound("ABC", ">", 0), 3, 3, 3, 0)       # zero just past the range
+@_shape(_bound("BCD", ">=", 1), 0, 1, 1, 1)      # zero just before it
+@_shape(_bound("CABA", ">", 0), 1, 1, 0, 1)      # out of order, repeated
+@_shape(_bound("BB", ">", 0), 1, 0, 1, 1)        # one place, repeated
+@_shape(_bound("BC", ">=", 2), 0, 2, 1, 0)       # min, last slot low
+@_shape(_bound("BC", ">=", 2), 1, 2, 2, 0)       # min, outside low
+@_shape(_bound("ABCD", ">", 1), 1, 2, 2, 2)      # min, first slot low
+@_shape(_bound("BB", ">=", 2), 0, 2, 0, 0)       # min, one place
+@_shape(_bound("AC", ">", 0), 1, 0, 1, 0)        # gap: zeros not read
+@_shape(_bound("DA", ">=", 1), 1, 1, 1, 0)       # gap: zero at the end
+@_shape(_bound("AD", ">=", 2), 2, 0, 0, 2)       # min, gap not read
+@_shape(_bound("DAD", ">", 1), 2, 3, 3, 1)       # min, gap, repeated
 @settings(max_examples=300, deadline=None)
 @given(predicate=_predicates | _bounds, inputs=_updates, outputs=_updates,
        tokens=st.lists(st.integers(0, 3), min_size=4, max_size=4))
@@ -145,6 +172,25 @@ def test_plan_agrees_on_arbitrary_gates(predicate, inputs, outputs, tokens):
     for case in (0, 1, 2):
         assert _outcome(lambda: _plan_fire(plan, san, marking, 0, case)) == \
             _outcome(lambda: fire(san, marking, "T", case))
+
+
+def test_plan_agrees_on_wide_geo():
+    # GEO_F's bound reads 1000 consecutive Working_S slots: all up, then
+    # exactly one of them empty at the first, a middle and the last slot.
+    san = concretize(build_geo_template(),
+                     {"n": tuple(range(1, 1001)), **RATES})
+    plan = sim._build_plan(san)
+    working = [p for p in san.places if p.startswith("Working_S_")]
+    assert len(working) == 1000
+    up = dict(san.initial_marking)
+    assert all(up[p] == 1 for p in working)
+    for empty in (None, working[0], working[500], working[-1]):
+        marking = dict(up) if empty is None else dict(up, **{empty: 0})
+        slots = [marking[p] for p in san.places]
+        assert sim.enabled_activities(plan, slots) == [
+            a for a in san.activities if is_enabled(san, marking, a.name)]
+        assert [a.name for a in sim.enabled_activities(plan, slots)] == \
+            ([] if empty else ["GEO_F"])
 
 
 # -- errors on the simulate path ---------------------------------------------

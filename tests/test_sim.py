@@ -74,6 +74,21 @@ def test_select_case_skips_zero_probability():
     assert all(select_case((0.0, 1.0), rng) == 2 for _ in range(100))
 
 
+class _LastDraw:
+    """A generator whose every draw is the largest ``random()`` returns."""
+
+    def random(self) -> float:
+        return 1.0 - 2.0 ** -53
+
+
+def test_select_case_falls_back_to_last_positive_case():
+    # Case probabilities that round to just under 1 leave the largest draw
+    # past their running sum; the last case with positive probability wins.
+    probs = (0.5, 0.5 - 1e-12, 0.0)
+    assert math.fsum(probs) < 1.0 - 2.0 ** -53
+    assert select_case(probs, _LastDraw()) == 2
+
+
 # -- configuration -------------------------------------------------------------
 
 def test_config_validation():
@@ -83,6 +98,9 @@ def test_config_validation():
     with pytest.raises(InvalidConfig):
         simulate(_single_activity(Dist("exponential", (1.0,))),
                  SimConfig(seed=1, horizon=1.0, replications=0), [])
+    with pytest.raises(InvalidConfig, match="max_events must be positive"):
+        simulate(_single_activity(Dist("exponential", (1.0,))),
+                 SimConfig(seed=1, horizon=1.0, max_events=0), [])
 
 
 def test_unknown_reward_target():
@@ -384,6 +402,19 @@ def test_case_counts_accumulate_across_replications():
     assert sum(counts["Fail"]) + sum(counts["Drop"]) == sum(counts["Request"])
     freqs = result.case_frequencies("Request")
     assert abs(sum(freqs) - 1.0) < 1e-12
+
+
+def test_case_frequencies_of_an_activity_that_never_fired():
+    never = ConcreteSan(
+        name="never", places=("P_1",),
+        activities=(Activity("Pick", ActivityKind.TIMED, 2, (0.4, 0.6),
+                             Dist("exponential", (1.0,))),),
+        input_gates=(InputGate("g", "Pick", ("P_1",),
+                               PredLeaf("P_1", ">", 0), ()),),
+        output_gates=(), initial_marking=(("P_1", 0),))
+    result = simulate(never, SimConfig(seed=1, horizon=10.0), [])
+    assert dict(result.case_counts) == {"Pick": (0, 0)}
+    assert result.case_frequencies("Pick") == (0.0, 0.0)
 
 
 def test_throughput_matches_poisson_rate():
