@@ -559,13 +559,15 @@ def coerce_assignment(template: SanTemplate,
 
 
 def pred_to_text(pred: GatePredicate) -> str:
+    # A connective directly inside one of its own kind keeps its parentheses:
+    # the parser reads "a or b or c" as one flat node.
     def emit(node: GatePredicate, parent: int) -> str:
         if isinstance(node, PredOr):
             text = " or ".join(emit(a, 1) for a in node.args)
-            return f"({text})" if parent > 1 else text
+            return f"({text})" if parent >= 1 else text
         if isinstance(node, PredAnd):
             text = " and ".join(emit(a, 2) for a in node.args)
-            return f"({text})" if parent > 2 else text
+            return f"({text})" if parent >= 2 else text
         if isinstance(node, PredNot):
             return f"not {emit(node.arg, 3)}"
         atom = node

@@ -13,6 +13,7 @@ from santkit.errors import (DuplicateIndex, EvalError, IndexOutOfRange,
                             SortMismatch, UnboundParameter, UnknownParameter)
 from santkit.fixtures import (USER_INTERNAL, USER_PRESS, build_geo_template,
                               build_tmi_template, build_user_template)
+from santkit.modelfile import parse_template_text
 from santkit.sancore import (PredAnd, PredLeaf, Update, case_probability,
                              eval_predicate, fire, is_enabled,
                              reachable_markings)
@@ -279,6 +280,63 @@ def test_concretize_evaluates_each_case_count_once(monkeypatch):
 
 # -- invariants over the fixture grid ----------------------------------------
 
+# Every connective and every quantifier and selector of the gate language;
+# the at-index ``Q[k]`` falls outside ``s`` unless ``k`` is in it.
+_GATE_LANGUAGE = """template Gates
+
+params {
+  s : set<int>
+  k : int
+}
+
+places {
+  Src = {1}
+  Q = s
+  R = {1, 2}
+}
+
+activities {
+  timed Go { time = exponential(1.0) }
+  timed Back { time = exponential(2.0) }
+  timed Clear { time = exponential(3.0) }
+}
+
+gates {
+  input GGo : Go {
+    places = Src, Q
+    enabled = Src[1] >= 1 and (all Q = 0 or not exists Q >= 2)
+    effect = Src[1] -= 1 ; Q[except k] := 1
+  }
+  output OGo : Go {
+    places = Q, R
+    effect = Q[k] += 1 ; R[except 1] := 1
+  }
+  input GBack : Back {
+    places = Src, Q, R
+    enabled = not (Src[1] >= 1) and (exists Q = 1 or R[2] >= 1 or Q[k] > 0)
+    effect = R[all] := 0
+  }
+  output OBack : Back {
+    places = Src
+    effect = Src[1] := 1
+  }
+  input GClear : Clear {
+    places = Q, R
+    enabled = (exists Q >= 2 or (R[2] = 1 and not all Q = 0))
+    effect = Q[except k] := 0
+  }
+}
+
+marking {
+  Src = 1
+}
+"""
+
+
+def build_gate_language_template():
+    return parse_template_text(_GATE_LANGUAGE).template
+
+
 GRID = [
     (build_user_template, USER_INTERNAL), (build_user_template, USER_PRESS),
     (build_user_template, {"s": (2,), "pb": (1.0,)}),
@@ -289,6 +347,9 @@ GRID = [
     (build_tmi_template, dict(TMI_PAIR, p_TMI=0.0)),
     (build_tmi_template, {"k": 3, "J": (4, 5), "p_TMI": 0.2,
                           "lambda_f": 1.5, "lambda_r": 3.0}),
+    (build_gate_language_template, {"s": (1, 3, 4), "k": 3}),
+    (build_gate_language_template, {"s": (2, 5), "k": 1}),
+    (build_gate_language_template, {"s": (), "k": 1}),
 ]
 
 

@@ -16,7 +16,7 @@ from santkit.jsonio import dumps, json_to_san, san_to_json
 from santkit.modelfile import (assignments_to_text, coerce_assignment,
                                load_assignments, load_template,
                                parse_assignments_text, parse_template_text,
-                               template_to_text)
+                               pred_to_text, template_to_text)
 from santkit.sancore import fire
 from santkit.template import (marking_tokens_at, template_fire,
                               validate_template)
@@ -236,6 +236,24 @@ def test_random_template_round_trip_fuzz():
         assert again.template == doc.template, (round_no, text, canon)
 
 
+@pytest.mark.parametrize("enabled, printed", [
+    ("(all Idle >= 1 or Idle[1] = 0) or exists Idle > 1",
+     "(all Idle >= 1 or Idle[1] = 0) or exists Idle > 1"),
+    ("all Idle >= 1 and ((Idle[1] = 0 and (exists Idle > 1)))",
+     "all Idle >= 1 and (Idle[1] = 0 and exists Idle > 1)"),
+    ("not (Idle[1] = 0 or all Idle > 1 and exists Idle = 2) or Idle[2] > 0",
+     "not (Idle[1] = 0 or all Idle > 1 and exists Idle = 2) or Idle[2] > 0"),
+])
+def test_nested_connectives_keep_their_parentheses(enabled, printed):
+    # "(a or b) or c" is two nested nodes; printed flat it would read back
+    # as one node of three arguments.
+    template = parse_template_text(
+        _gate_text(f"enabled = {enabled}  effect = Idle[1] -= 1")).template
+    assert pred_to_text(template.input_gates[0].predicate) == printed
+    assert parse_template_text(template_to_text(template)).template == \
+        template
+
+
 def _random_template_text(rng):
     from santkit.arclabel import print_input_label, print_output_label
     from test_arclabel import _gen_input_spec, _gen_output_spec
@@ -268,11 +286,14 @@ def _random_template_text(rng):
         lines.append(f'  output Out{i} : {a} -> {q} label "{olabel}"')
     lines.append("}")
     if rng.random() < 0.7:
+        gate_places = ", ".join(places)
+        effect = " ; ".join(_random_rule(rng, places)
+                            for _ in range(rng.randint(1, 3)))
         lines.append("gates {")
         lines.append(f"""  input GX : {acts[0]} {{
-    places = {places[0]}
-    enabled = all {places[0]} >= 1
-    effect = {places[0]}[all] -= 1
+    places = {gate_places}
+    enabled = {_random_predicate(rng, places)}
+    effect = {effect}
   }}""")
         lines.append("}")
     marked = [p for p in places if rng.random() < 0.5]
@@ -282,6 +303,31 @@ def _random_template_text(rng):
             lines.append(f"  {p} = {rng.randint(1, 3)}")
         lines.append("}")
     return "\n".join(lines)
+
+
+def _random_predicate(rng, places, depth=0):
+    """Gate predicate text over every quantifier and connective, with
+    redundant parentheses now and then."""
+    roll = rng.random()
+    if depth < 3 and roll < 0.45:
+        op = rng.choice(["and", "or"])
+        text = f" {op} ".join(_random_predicate(rng, places, depth + 1)
+                              for _ in range(rng.randint(2, 3)))
+    elif depth < 3 and roll < 0.6:
+        text = f"not {_random_predicate(rng, places, depth + 1)}"
+    else:
+        place = rng.choice(places)
+        lhs = rng.choice([f"all {place}", f"exists {place}", f"{place}[k]",
+                          f"{place}[{rng.randint(1, 6)}]"])
+        cmp = rng.choice(["=", ">", ">="])
+        text = f"{lhs} {cmp} {rng.choice(['0', '1', 'k', '<PLACE>'])}"
+    return f"({text})" if rng.random() < 0.4 else text
+
+
+def _random_rule(rng, places):
+    sel = rng.choice(["all", "sat", "k", "2", "except k", "except 1"])
+    sign = rng.choice([":=", "+=", "-="])
+    return f"{rng.choice(places)}[{sel}] {sign} {rng.choice(['1', '<PLACE>'])}"
 
 
 def test_unknown_marking_place_is_flagged():

@@ -321,6 +321,22 @@ def test_reachability_finds_no_underflow_on_fixtures():
         assert all(min(m.values()) >= 0 for m in markings)
 
 
+def test_reachability_stops_at_max_states():
+    # A counter: T adds a token on every firing, so the reachable markings
+    # are unbounded and the search must stop at exactly max_states.
+    san = ConcreteSan(
+        name="counter", places=("P_1",),
+        activities=(Activity("T", ActivityKind.TIMED, 1, (1.0,),
+                             Dist("exponential", (1.0,))),),
+        input_gates=(),
+        output_gates=(OutputGate("O", "T", 1, ("P_1",),
+                                 (Update("P_1", "add", 1),)),),
+        initial_marking=(("P_1", 0),))
+    markings, truncated = reachable_markings(san, max_states=5)
+    assert truncated
+    assert markings == [{"P_1": i} for i in range(5)]
+
+
 def test_geo_reachable_markings_alternate(geo_pair):
     markings, _ = reachable_markings(geo_pair)
     keys = {geo_pair.marking_key(m) for m in markings}
