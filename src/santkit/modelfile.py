@@ -188,9 +188,7 @@ class _TemplateParser:
         self._span("parameter", tok)
         self.ts.expect_sym(":")
         sort = self._sort()
-        if tok.value in self.params:
-            raise ParseError(f"parameter '{tok.value}' declared twice",
-                             tok.line, tok.column)
+        _once(tok, self.params, f"parameter '{tok.value}' declared twice")
         self.params[tok.value] = sort
         self.param_order.append((tok.value, sort))
 
@@ -209,8 +207,12 @@ class _TemplateParser:
         entries = _DEFAULT_PROBS
         time = None
         if self.ts.accept_sym("{"):
+            keys: set[str] = set()
             while not self.ts.at_sym("}"):
                 key = self.ts.expect_ident("cases", "prob", "time")
+                _once(key, keys, f"activity '{tok.value}' sets "
+                                 f"'{key.value}' twice")
+                keys.add(key.value)
                 if key.value == "cases":
                     self.ts.expect_sym("=")
                     cases = self._term()
@@ -301,6 +303,9 @@ class _TemplateParser:
                 if side.value == "output":
                     raise ParseError("output gates have no predicate",
                                      key.line, key.column)
+                if predicate is not None:
+                    raise ParseError(f"gate '{name.value}' sets 'enabled' "
+                                     f"twice", key.line, key.column)
                 self.ts.expect_sym("=")
                 predicate = self._pred_expr()
             elif key.value == "effect":
@@ -392,6 +397,7 @@ class _TemplateParser:
 
     def _section_marking(self) -> None:
         tok = self._name()
+        _once(tok, self.marking, f"place '{tok.value}' marked twice")
         self.ts.expect_sym("=")
         self.marking[tok.value] = self._marking_fn()
 
@@ -438,6 +444,13 @@ class _TemplateParser:
             entries[int(tok.value)] = int(val.value)
             self.ts.accept_sym(",")
         return MTable.of(entries)
+
+
+def _once(key: Token, seen, message: str) -> None:
+    """A ``ParseError`` at ``key`` when ``seen`` already holds its value:
+    each key of a block is given at most once."""
+    if key.value in seen:
+        raise ParseError(message, key.line, key.column)
 
 
 def _singleton(index: Term) -> Term:
@@ -516,13 +529,13 @@ def parse_assignments_text(text: str) -> AssignmentDocument:
     sets: dict[str, dict[str, Value]] = {}
     while not ts.at_sym("}"):
         name = ts.expect_ident()
-        if name.value in sets:
-            raise ParseError(f"assignment '{name.value}' declared twice",
-                             name.line, name.column)
+        _once(name, sets, f"assignment '{name.value}' declared twice")
         ts.expect_sym("{")
         bindings: dict[str, Value] = {}
         while not ts.at_sym("}"):
             param = ts.expect_ident()
+            _once(param, bindings, f"parameter '{param.value}' bound twice "
+                                   f"in assignment '{name.value}'")
             ts.expect_sym("=")
             bindings[param.value] = _literal(ts)
         ts.expect_sym("}")

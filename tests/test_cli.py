@@ -100,6 +100,30 @@ def test_non_ascii_digit_is_a_user_error(tmp_path, capsys, source, old, new,
     assert capsys.readouterr().err == f"error: {bad}:{position}\n"
 
 
+# A repeated key was once read last-wins and validated "ok" (exit 0).
+@pytest.mark.parametrize("source, old, new, argv, position", [
+    ("user.sant", "    cases = |s|\n", "    cases = |s|\n    cases = 1\n",
+     ["validate", "{bad}"], "22:5: activity 'Request' sets 'cases' twice"),
+    ("user.sant", "    enabled = Idle[1] >= 1\n",
+     "    enabled = Idle[1] >= 1\n    enabled = Idle[1] >= 0\n",
+     ["validate", "{bad}"], "33:5: gate 'IGRequest' sets 'enabled' twice"),
+    ("user.sant", "  Idle = 1\n}", "  Idle = 1\n  Idle = 3\n}",
+     ["validate", "{bad}"], "55:3: place 'Idle' marked twice"),
+    ("user.sasg", "    s = {2}\n", "    s = {2}\n    s = {3}\n",
+     ["instantiate", USER, "{bad}", "--assignment", "UserSingle",
+      "--out", "-"],
+     "12:5: parameter 's' bound twice in assignment 'UserSingle'"),
+], ids=["cases", "enabled", "marking", "binding"])
+def test_repeated_key_is_a_user_error(tmp_path, capsys, source, old, new,
+                                      argv, position):
+    text = (MODELS / source).read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    bad = tmp_path / source
+    bad.write_text(text.replace(old, new), encoding="utf-8")
+    assert main([arg.format(bad=bad) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"error: {bad}:{position}\n"
+
+
 _SIMULATE = ["simulate", GEO, GEO_ASSIGN, "--assignment", "GeoPair"]
 
 

@@ -98,8 +98,31 @@ def _gate_text(body: str) -> str:
      "activities { instantaneous A }\n"
      'arcs { input G : P -> A label "[forall < 1] 0" }\n',
      "5:14: in label of arc 'G': 1:9: found '<' (expected '=', '>', '>=')"),
+    (parse_template_text,
+     "template T\nparams { }\nplaces { }\n"
+     "activities { instantaneous A { cases = 2 cases = 1 } }\n",
+     "4:42: activity 'A' sets 'cases' twice"),
+    (parse_template_text,
+     "template T\nparams { }\nplaces { }\nactivities {\n  timed A {\n"
+     "    time = exponential(1.0)\n    time = deterministic(2.0)\n  }\n}\n",
+     "7:5: activity 'A' sets 'time' twice"),
+    (parse_template_text,
+     "template T\nparams { }\nplaces { }\n"
+     "activities { instantaneous A { prob = 1.0 prob = 0.5 } }\n",
+     "4:43: activity 'A' sets 'prob' twice"),
+    (parse_template_text,
+     _gate_text("enabled = Idle[1] >= 1  enabled = Idle[1] >= 0"),
+     "5:62: gate 'G' sets 'enabled' twice"),
+    (parse_template_text,
+     "template T\nparams { }\nplaces { P = {1} }\nmarking { P = 1  P = 3 }\n",
+     "4:18: place 'P' marked twice"),
+    (parse_assignments_text,
+     "assignments {\n  A { s = {1, 2} pb = {0.5, 0.5} s = {3} }\n}",
+     "2:34: parameter 's' bound twice in assignment 'A'"),
 ], ids=["effect-sign", "comparison", "label-comparison",
-        "arc-label-comparison"])
+        "arc-label-comparison", "repeated-cases", "repeated-time",
+        "repeated-prob", "repeated-enabled", "repeated-marking",
+        "repeated-binding"])
 def test_gate_vocabulary_parse_errors(parse, text, message):
     with pytest.raises(ParseError) as err:
         parse(text)
