@@ -35,8 +35,7 @@ from typing import Mapping, Union
 from .lexer import TokenStream, tokenize
 from .sancore import COMPARISONS
 from .template import (GateAtom, GateRule, InputGateTemplate,
-                       OutputGateTemplate, QAll, QAt, QExists, SAll, SAt,
-                       SExcept, SWhere)
+                       OutputGateTemplate, QAt, SAt, SExcept)
 from .terms import Const, Sort, Term, parse_term_stream, print_term
 
 
@@ -220,7 +219,7 @@ def desugar_output_arc(spec: OutputArcSpec, place: str, activity: str,
                        label: str | None = None) -> OutputGateTemplate:
     """Compile an output arc-template label into its output gate."""
     if isinstance(spec, Unconditional):
-        rules = (_out_rule(place, SAll(), spec.out),)
+        rules = (_out_rule(place, "all", spec.out),)
     else:
         rules = [_out_rule(place, SAt(spec.index), spec.then)]
         if spec.otherwise is not None:
@@ -247,13 +246,13 @@ def desugar_input_arc(spec: InputArcSpec, place: str, activity: str,
     the satisfying instances (exists), or to the indexed instance.
     """
     if isinstance(spec, ImplicitSub):
-        predicate = GateAtom(QAll(), place, ">=", spec.value)
-        rules = (GateRule(place, SAll(), "sub", spec.value),)
+        predicate = GateAtom("all", place, ">=", spec.value)
+        rules = (GateRule(place, "all", "sub", spec.value),)
     else:
         if spec.quantifier == "forall":
-            quant, selector = QAll(), SAll()
+            quant, selector = "all", "all"
         elif spec.quantifier == "exists":
-            quant, selector = QExists(), SWhere()
+            quant, selector = "exists", "sat"
         else:
             quant, selector = QAt(spec.at_index), SAt(spec.at_index)
         predicate = GateAtom(quant, place, spec.cmp, spec.value)

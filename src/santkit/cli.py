@@ -18,8 +18,8 @@ from .errors import Diagnostic, SantError, ValidationError, has_errors
 from .export import san_to_dot, template_to_dot
 from .jsonio import (dumps, json_to_san, load_json_file, san_to_json,
                      template_to_json)
-from .modelfile import (AssignmentDocument, ModelDocument, coerce_assignment,
-                        load_assignments, load_template)
+from .modelfile import (ModelDocument, coerce_assignment, load_assignments,
+                        load_template)
 from .sancore import validate_san
 from .sim import REWARDS, RewardSpec, SimConfig, simulate
 from .template import validate_template
@@ -38,7 +38,7 @@ def _print_diagnostic(diag: Diagnostic, doc: ModelDocument | None) -> None:
         text = dataclasses.replace(diag, span=None).format()
     else:
         located = dataclasses.replace(
-            diag, span=diag.span or doc.span_of(diag.element))
+            diag, span=diag.span or doc.spans.get(diag.element))
         text = f"{doc.path}:{'' if located.span else ' '}{located.format()}"
     if _color_enabled():
         color = _COLORS.get(diag.severity, "")
@@ -79,12 +79,12 @@ def _resolve_instance(args: argparse.Namespace):
     if not args.assignments or not args.assignment:
         raise SantError(
             "a .sant model needs an assignment file and --assignment NAME")
-    adoc: AssignmentDocument = load_assignments(args.assignments)
-    if args.assignment not in adoc.assignments:
-        known = ", ".join(adoc.assignments) or "none"
+    sets = load_assignments(args.assignments)
+    if args.assignment not in sets:
+        known = ", ".join(sets) or "none"
         raise SantError(
             f"no assignment named '{args.assignment}' (available: {known})")
-    raw = adoc.assignments[args.assignment]
+    raw = sets[args.assignment]
     assignment = coerce_assignment(doc.template, raw)
     return concretize(doc.template, assignment, name=args.assignment)
 

@@ -20,10 +20,10 @@ from .sancore import (Activity, ConcreteSan, Dist, InputGate, Marking,
                       OutputGate, PredAnd, PredConst, PredLeaf, PredNot,
                       PredOr, Predicate, Update)
 from .template import (GateAtom, InputGateTemplate, MTable,
-                       OutputGateTemplate, PlaceTemplate, QAll, QExists,
-                       SAll, SAt, SExcept, SanTemplate, TemplateMarking,
-                       marking_tokens_at, place_index_values,
-                       validate_template, where_condition)
+                       OutputGateTemplate, PlaceTemplate, SAt, SanTemplate,
+                       TemplateMarking, marking_tokens_at,
+                       place_index_values, validate_template,
+                       where_condition)
 from .terms import Value, eval_term, matches_sort
 
 SEPARATOR = "_"
@@ -151,11 +151,11 @@ def _fold_atom(atom: GateAtom, assignment, imap: PlaceIndexMap) -> Predicate:
         rhs = eval_term(atom.value, assignment, place_index=index)
         return PredLeaf(names[position], atom.cmp, rhs)
 
-    if isinstance(atom.quantifier, QAll):
+    if atom.quantifier == "all":
         if not indices:
             return PredConst(True)
         return PredAnd(tuple(leaf(i) for i in range(len(indices))))
-    if isinstance(atom.quantifier, QExists):
+    if atom.quantifier == "exists":
         if not indices:
             return PredConst(False)
         return PredOr(tuple(leaf(i) for i in range(len(indices))))
@@ -183,10 +183,17 @@ def _fold_rules(template: SanTemplate, gate, assignment,
                              case_index=case_index, place_index=index)
 
         sel = rule.selector
-        if isinstance(sel, SAll):
+        if sel == "all":
             chosen = list(range(len(indices)))
             guard_for = None
-        elif isinstance(sel, (SAt, SExcept)):
+        elif sel == "sat":
+            cmp, value = where_condition(gate, rule.place)
+
+            def guard_for(index: int) -> tuple[str, int]:
+                return (cmp, eval_term(value, assignment, place_index=index))
+
+            chosen = list(range(len(indices)))
+        else:
             target = eval_term(sel.index, assignment, case_index=case_index)
             if isinstance(sel, SAt):
                 offset = imap.offsets[rule.place].get(target)
@@ -194,13 +201,6 @@ def _fold_rules(template: SanTemplate, gate, assignment,
             else:
                 chosen = [i for i, v in enumerate(indices) if v != target]
             guard_for = None
-        else:
-            cmp, value = where_condition(gate, rule.place)
-
-            def guard_for(index: int) -> tuple[str, int]:
-                return (cmp, eval_term(value, assignment, place_index=index))
-
-            chosen = list(range(len(indices)))
         for position in chosen:
             index = indices[position]
             updates.append(Update(
@@ -316,7 +316,7 @@ def concretize(template: SanTemplate, assignment: Mapping[str, Value],
 
 
 def _case_prob(at, case: int, assignment) -> float:
-    for entry in at.case_distribution.entries:
+    for entry in at.case_distribution:
         if entry.guard is None or eval_term(entry.guard, assignment,
                                             case_index=case):
             return float(eval_term(entry.prob, assignment, case_index=case))

@@ -9,12 +9,10 @@ These are built programmatically here and also shipped as model files in
 from __future__ import annotations
 
 from .arclabel import arc_gate
-from .sancore import PredAnd
-from .template import (ActivityKind, ActivityTemplate, CaseDistribution,
-                       CaseEntry, DistributionSpec, GateAtom, GateRule,
-                       InputGateTemplate, MExpr, OutputGateTemplate,
-                       PlaceTemplate, QAll, QAt, QExists, SAll, SAt, SWhere,
-                       SanTemplate)
+from .sancore import Dist, PredAnd
+from .template import (ActivityKind, ActivityTemplate, CaseEntry, GateAtom,
+                       GateRule, InputGateTemplate, MExpr, OutputGateTemplate,
+                       PlaceTemplate, QAt, SAt, SanTemplate)
 from .terms import Sort, parse_term
 
 
@@ -40,18 +38,18 @@ def build_user_template() -> SanTemplate:
     request = ActivityTemplate(
         name="Request", kind=ActivityKind.TIMED,
         cases=_term("|s|", params),
-        case_distribution=CaseDistribution(
-            (CaseEntry(None, _term("pb[<CASE>]", params, allow_case=True)),)),
-        time_distribution=DistributionSpec(
+        case_distribution=(
+            CaseEntry(None, _term("pb[<CASE>]", params, allow_case=True)),),
+        time_distribution=Dist(
             "uniform", (_term("1.0", params), _term("2.0", params))))
     fail = ActivityTemplate(
         name="Fail", kind=ActivityKind.INSTANTANEOUS,
         cases=_term("1", params),
-        case_distribution=CaseDistribution((CaseEntry(None, _term("1.0", params)),)))
+        case_distribution=(CaseEntry(None, _term("1.0", params)),))
     drop = ActivityTemplate(
         name="Drop", kind=ActivityKind.INSTANTANEOUS,
         cases=_term("1", params),
-        case_distribution=CaseDistribution((CaseEntry(None, _term("1.0", params)),)))
+        case_distribution=(CaseEntry(None, _term("1.0", params)),))
 
     one = _term("1", params)
     zero = _term("0", params)
@@ -64,15 +62,15 @@ def build_user_template() -> SanTemplate:
     arc_in_fail = InputGateTemplate(
         name="ArcInFail", activity="Fail", places=("Failed", "Req"),
         predicate=PredAnd((GateAtom(QAt(one), "Failed", ">=", one),
-                           GateAtom(QExists(), "Req", ">=", one))),
+                           GateAtom("exists", "Req", ">=", one))),
         rules=(GateRule("Failed", SAt(one), "sub", one),
-               GateRule("Req", SWhere(), "set", zero)))
+               GateRule("Req", "sat", "set", zero)))
     arc_in_drop = InputGateTemplate(
         name="ArcInDrop", activity="Drop", places=("Dropped", "Req"),
         predicate=PredAnd((GateAtom(QAt(one), "Dropped", ">=", one),
-                           GateAtom(QExists(), "Req", ">=", one))),
+                           GateAtom("exists", "Req", ">=", one))),
         rules=(GateRule("Dropped", SAt(one), "sub", one),
-               GateRule("Req", SWhere(), "set", zero)))
+               GateRule("Req", "sat", "set", zero)))
 
     og_request = arc_gate("output", "OGRequest", "Req", "Request",
                           "s[<CASE>] -> 1", params)
@@ -101,28 +99,26 @@ def build_geo_template() -> SanTemplate:
     geo = PlaceTemplate("GEO", _term("{1}", params))
     working = PlaceTemplate("Working_S", _term("n", params))
 
-    single = CaseDistribution((CaseEntry(None, _term("1.0", params)),))
+    single = (CaseEntry(None, _term("1.0", params)),)
     geo_f = ActivityTemplate(
         name="GEO_F", kind=ActivityKind.TIMED, cases=_term("1", params),
         case_distribution=single,
-        time_distribution=DistributionSpec(
-            "exponential", (_term("lambda_f", params),)))
+        time_distribution=Dist("exponential", (_term("lambda_f", params),)))
     geo_r = ActivityTemplate(
         name="GEO_R", kind=ActivityKind.TIMED, cases=_term("1", params),
         case_distribution=single,
-        time_distribution=DistributionSpec(
-            "exponential", (_term("lambda_r", params),)))
+        time_distribution=Dist("exponential", (_term("lambda_r", params),)))
 
     zero = _term("0", params)
     one = _term("1", params)
     ig_gf = InputGateTemplate(
         name="IG_GF", activity="GEO_F", places=("Working_S",),
-        predicate=GateAtom(QAll(), "Working_S", ">", zero),
-        rules=(GateRule("Working_S", SAll(), "set", zero),))
+        predicate=GateAtom("all", "Working_S", ">", zero),
+        rules=(GateRule("Working_S", "all", "set", zero),))
     geo_to_geor = arc_gate("input", "GEOtoGEO_R", "GEO", "GEO_R", "", params)
     og_gr = OutputGateTemplate(
         name="OG_GR", activity="GEO_R", places=("Working_S",),
-        rules=(GateRule("Working_S", SAll(), "set", one),))
+        rules=(GateRule("Working_S", "all", "set", one),))
     geof_to_geo = arc_gate("output", "GEO_FtoGEO", "GEO", "GEO_F", "", params)
 
     return SanTemplate(
@@ -153,18 +149,16 @@ def build_tmi_template() -> SanTemplate:
     sw_f = ActivityTemplate(
         name="SW_F", kind=ActivityKind.TIMED,
         cases=_term("1 + (p_TMI > 0.0)", params),
-        case_distribution=CaseDistribution((
+        case_distribution=(
             CaseEntry(_term("<CASE> = 1", params, allow_case=True),
                       _term("1.0 - p_TMI", params)),
             CaseEntry(_term("<CASE> = 2", params, allow_case=True),
-                      _term("p_TMI", params)))),
-        time_distribution=DistributionSpec(
-            "exponential", (_term("lambda_f", params),)))
+                      _term("p_TMI", params))),
+        time_distribution=Dist("exponential", (_term("lambda_f", params),)))
     sw_r = ActivityTemplate(
         name="SW_R", kind=ActivityKind.TIMED, cases=_term("1", params),
-        case_distribution=CaseDistribution((CaseEntry(None, _term("1.0", params)),)),
-        time_distribution=DistributionSpec(
-            "exponential", (_term("lambda_r", params),)))
+        case_distribution=(CaseEntry(None, _term("1.0", params)),),
+        time_distribution=Dist("exponential", (_term("lambda_r", params),)))
 
     working_to_swf = arc_gate("input", "Working_StoSW_F", "Working_S",
                               "SW_F", "[k >= 1] -1", params)
@@ -178,9 +172,9 @@ def build_tmi_template() -> SanTemplate:
         rules=(GateRule("Failed_SW_S", SAt(_term("k", params)),
                         "set", _term("1", params),
                         when=_term("<CASE> = 1", params, allow_case=True)),
-               GateRule("Working_S", SAll(), "set", _term("0", params),
+               GateRule("Working_S", "all", "set", _term("0", params),
                         when=_term("<CASE> = 2", params, allow_case=True)),
-               GateRule("Failed_SW_S", SAll(), "set", _term("1", params),
+               GateRule("Failed_SW_S", "all", "set", _term("1", params),
                         when=_term("<CASE> = 2", params, allow_case=True))))
     swr_to_working = arc_gate("output", "SW_RtoWorking_S", "Working_S",
                               "SW_R", "k -> +1", params)

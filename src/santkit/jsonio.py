@@ -61,7 +61,7 @@ def template_to_json(template: SanTemplate) -> dict[str, Any]:
             "cases": print_term(a.cases),
             "prob": [{"when": None if e.guard is None else print_term(e.guard),
                       "value": print_term(e.prob)}
-                     for e in a.case_distribution.entries],
+                     for e in a.case_distribution],
             "time": None if a.time_distribution is None else {
                 "family": a.time_distribution.family,
                 "params": [print_term(p) for p in a.time_distribution.params]},

@@ -63,13 +63,13 @@ from typing import Callable, TypeVar
 from .arclabel import arc_gate
 from .errors import ParseError, SantError
 from .lexer import Token, TokenStream, tokenize
-from .sancore import (COMPARISONS, FAMILIES, ActivityKind, PredAnd, PredNot,
-                      PredOr)
-from .template import (ActivityTemplate, CaseDistribution, CaseEntry,
-                       DistributionSpec, GateAtom, GatePredicate, GateRule,
-                       InputGateTemplate, MExpr, MSetOn, MTable, MarkingFn,
-                       OutputGateTemplate, PlaceTemplate, QAll, QAt, QExists,
-                       SAll, SAt, SExcept, SWhere, SanTemplate, Selector)
+from .sancore import (COMPARISONS, FAMILIES, ActivityKind, Dist, PredAnd,
+                      PredNot, PredOr)
+from .template import (QUANTIFIERS, SELECTORS, ActivityTemplate, CaseEntry,
+                       GateAtom, GatePredicate, GateRule, InputGateTemplate,
+                       MExpr, MSetOn, MTable, MarkingFn, OutputGateTemplate,
+                       PlaceTemplate, QAt, SAt, SExcept, SanTemplate,
+                       Selector)
 from .terms import (Apply, CaseIndex, Const, PlaceIndex, Sort, Term, Value,
                     contains_node, format_value, parse_term_stream,
                     print_term)
@@ -94,19 +94,6 @@ class ModelDocument:
     spans: dict[str, tuple[int, int]] = field(default_factory=dict)
     path: str = "<string>"
 
-    def span_of(self, element: str | None) -> tuple[int, int] | None:
-        if element is None:
-            return None
-        return self.spans.get(element)
-
-
-@dataclass
-class AssignmentDocument:
-    """Named assignment sets; values are plain literals, coerced to the
-    template's sorts at binding time."""
-
-    assignments: dict[str, dict[str, Value]]
-
 
 class _TemplateParser:
     def __init__(self, text: str, path: str):
@@ -114,7 +101,6 @@ class _TemplateParser:
         self.path = path
         self.spans: dict[str, tuple[int, int]] = {}
         self.params: dict[str, Sort] = {}
-        self.param_order: list[tuple[str, Sort]] = []
         self.places: list[PlaceTemplate] = []
         self.activities: list[ActivityTemplate] = []
         self.input_gates: list[InputGateTemplate] = []
@@ -150,7 +136,7 @@ class _TemplateParser:
         init = tuple(init)
         template = SanTemplate(
             name=name_tok.value,
-            parameters=tuple(self.param_order),
+            parameters=tuple(self.params.items()),
             places=tuple(self.places),
             activities=tuple(self.activities),
             input_gates=tuple(self.input_gates),
@@ -190,7 +176,6 @@ class _TemplateParser:
         sort = self._sort()
         _once(tok, self.params, f"parameter '{tok.value}' declared twice")
         self.params[tok.value] = sort
-        self.param_order.append((tok.value, sort))
 
     def _section_places(self) -> None:
         tok = self._name()
@@ -224,7 +209,7 @@ class _TemplateParser:
             self.ts.expect_sym("}")
         self.activities.append(ActivityTemplate(
             name=tok.value, kind=kind, cases=cases,
-            case_distribution=CaseDistribution(entries),
+            case_distribution=entries,
             time_distribution=time))
 
     def _prob_entries(self) -> tuple[CaseEntry, ...]:
@@ -248,14 +233,14 @@ class _TemplateParser:
         self.ts.expect_sym("}")
         return tuple(entries)
 
-    def _distribution(self) -> DistributionSpec:
+    def _distribution(self) -> Dist:
         tok = self.ts.expect_ident(*FAMILIES)
         self.ts.expect_sym("(")
         params = [self._term()]
         while self.ts.accept_sym(","):
             params.append(self._term())
         self.ts.expect_sym(")")
-        return DistributionSpec(tok.value, tuple(params))
+        return Dist(tok.value, tuple(params))
 
     def _section_arcs(self) -> None:
         side = self.ts.expect_ident("input", "output")
@@ -354,10 +339,8 @@ class _TemplateParser:
         return self._atom()
 
     def _atom(self) -> GateAtom:
-        if self.ts.accept_ident("all"):
-            quant, place = QAll(), self._name().value
-        elif self.ts.accept_ident("exists"):
-            quant, place = QExists(), self._name().value
+        if self.ts.at_ident(*QUANTIFIERS):
+            quant, place = self.ts.next().value, self._name().value
         else:
             place = self._name().value
             self.ts.expect_sym("[")
@@ -380,10 +363,8 @@ class _TemplateParser:
         place = self._name().value
         self.ts.expect_sym("[")
         selector: Selector
-        if self.ts.accept_ident("all"):
-            selector = SAll()
-        elif self.ts.accept_ident("sat"):
-            selector = SWhere()
+        if self.ts.at_ident(*SELECTORS):
+            selector = self.ts.next().value
         elif self.ts.accept_ident("except"):
             selector = SExcept(self._term(allow_case=is_output))
         else:
@@ -522,7 +503,9 @@ def _literal(ts: TokenStream) -> Value:
                      expected=("a literal",))
 
 
-def parse_assignments_text(text: str) -> AssignmentDocument:
+def parse_assignments_text(text: str) -> dict[str, dict[str, Value]]:
+    """Named parameter bindings; values are plain literals, coerced to the
+    template's sorts at binding time (``coerce_assignment``)."""
     ts = TokenStream(tokenize(text))
     ts.expect_ident("assignments")
     ts.expect_sym("{")
@@ -542,10 +525,10 @@ def parse_assignments_text(text: str) -> AssignmentDocument:
         sets[name.value] = bindings
     ts.expect_sym("}")
     ts.expect_eof()
-    return AssignmentDocument(sets)
+    return sets
 
 
-def load_assignments(path: str) -> AssignmentDocument:
+def load_assignments(path: str) -> dict[str, dict[str, Value]]:
     return parse_file(path, parse_assignments_text)
 
 
@@ -584,26 +567,22 @@ def pred_to_text(pred: GatePredicate) -> str:
         if isinstance(node, PredNot):
             return f"not {emit(node.arg, 3)}"
         atom = node
-        if isinstance(atom.quantifier, QAll):
-            lhs = f"all {atom.place}"
-        elif isinstance(atom.quantifier, QExists):
-            lhs = f"exists {atom.place}"
-        else:
+        if isinstance(atom.quantifier, QAt):
             lhs = f"{atom.place}[{print_term(atom.quantifier.index)}]"
+        else:
+            lhs = f"{atom.quantifier} {atom.place}"
         return f"{lhs} {atom.cmp} {print_term(atom.value)}"
 
     return emit(pred, 0)
 
 
 def rule_to_text(rule: GateRule) -> str:
-    if isinstance(rule.selector, SAll):
-        sel = "all"
-    elif isinstance(rule.selector, SWhere):
-        sel = "sat"
-    elif isinstance(rule.selector, SExcept):
+    if isinstance(rule.selector, SExcept):
         sel = f"except {print_term(rule.selector.index)}"
-    else:
+    elif isinstance(rule.selector, SAt):
         sel = print_term(rule.selector.index)
+    else:
+        sel = rule.selector
     sign = _SIGNS[rule.action]
     return f"{rule.place}[{sel}] {sign} {print_term(rule.value)}"
 
@@ -623,8 +602,8 @@ def _activity_lines(at: ActivityTemplate) -> list[str]:
     body: list[str] = []
     if at.cases != _DEFAULT_CASES:
         body.append(f"cases = {print_term(at.cases)}")
-    if at.case_distribution.entries != _DEFAULT_PROBS:
-        entries = at.case_distribution.entries
+    if at.case_distribution != _DEFAULT_PROBS:
+        entries = at.case_distribution
         if len(entries) == 1 and entries[0].guard is None:
             body.append(f"prob = {print_term(entries[0].prob)}")
         else:
@@ -738,9 +717,9 @@ def _chunk_by(items, key):
     return chunks
 
 
-def assignments_to_text(doc: AssignmentDocument) -> str:
+def assignments_to_text(sets: dict[str, dict[str, Value]]) -> str:
     out = ["assignments {"]
-    for name, bindings in doc.assignments.items():
+    for name, bindings in sets.items():
         out.append(f"  {name} {{")
         for param, value in bindings.items():
             out.append(f"    {param} = {format_value(value)}")

@@ -74,6 +74,8 @@ FAMILIES: dict[str, Family] = {
 }
 
 
+# A template activity's distribution (``template.ActivityTemplate``) is a
+# Dist too, with Real terms as its parameters.
 @dataclass(frozen=True)
 class Dist:
     family: str                  # a key of FAMILIES

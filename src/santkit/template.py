@@ -6,7 +6,8 @@ predicates combine quantified comparisons on instance markings with
 sancore's connectives, and update rules address instances through a
 selector and apply an action of ``sancore.ACTIONS``.  Rules may carry a
 case guard so that an output gate can behave differently per case of its
-activity.
+activity.  Firing-time distributions are ``sancore.Dist`` records whose
+parameters are Real terms.
 
 Everything here evaluates directly against template markings and a
 parameter assignment; the concretize module separately compiles the same
@@ -21,8 +22,8 @@ from typing import Mapping, Union
 from .errors import (Diagnostic, DuplicateIndex, EvalError, NegativeMarking,
                      NotEnabled, SantError)
 from . import terms
-from .sancore import (ACTIONS, COMPARISONS, FAMILIES, ActivityKind, PredAnd,
-                      PredNot, PredOr, leaves)
+from .sancore import (ACTIONS, COMPARISONS, FAMILIES, ActivityKind, Dist,
+                      PredAnd, PredNot, PredOr, leaves)
 from .terms import (CaseIndex, Const, PlaceIndex, Sort, Term, Value,
                     eval_term, infer_sort)
 
@@ -36,18 +37,6 @@ class PlaceTemplate:
 
 
 @dataclass(frozen=True)
-class DistributionSpec:
-    """Firing-time distribution; params are Real terms.
-
-    ``family`` names an entry of ``sancore.FAMILIES``: ``exponential(rate)``,
-    ``uniform(low, high)`` or ``deterministic(delay)``.
-    """
-
-    family: str
-    params: tuple[Term, ...]
-
-
-@dataclass(frozen=True)
 class CaseEntry:
     """One row of a case distribution: optional Bool guard over the case
     index, and a Real probability term."""
@@ -57,30 +46,21 @@ class CaseEntry:
 
 
 @dataclass(frozen=True)
-class CaseDistribution:
-    entries: tuple[CaseEntry, ...]
-
-
-@dataclass(frozen=True)
 class ActivityTemplate:
+    """Case ``i`` takes the probability of the first ``case_distribution``
+    entry whose guard holds at ``i``, and 0 when none does."""
+
     name: str
     kind: ActivityKind
     cases: Term
-    case_distribution: CaseDistribution
-    time_distribution: DistributionSpec | None = None
+    case_distribution: tuple[CaseEntry, ...]
+    time_distribution: Dist | None = None
 
 
 # -- gate predicates ---------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class QAll:
-    pass
-
-
-@dataclass(frozen=True)
-class QExists:
-    pass
+# The quantifiers over all of a place's instances, spelled as in ``.sant``.
+QUANTIFIERS = ("all", "exists")
 
 
 @dataclass(frozen=True)
@@ -88,7 +68,8 @@ class QAt:
     index: Term
 
 
-Quantifier = Union[QAll, QExists, QAt]
+Quantifier = Union[str, QAt]         # a QUANTIFIERS keyword, or one index
+
 
 @dataclass(frozen=True)
 class GateAtom:
@@ -109,10 +90,10 @@ GatePredicate = Union[GateAtom, PredAnd, PredOr, PredNot]
 
 # -- gate update rules -------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class SAll:
-    pass
+# The selectors that need no index, spelled as in ``.sant``: "sat" takes the
+# instances that satisfy the owning gate's condition on the rule's place
+# (input gates only).
+SELECTORS = ("all", "sat")
 
 
 @dataclass(frozen=True)
@@ -125,13 +106,7 @@ class SExcept:
     index: Term
 
 
-@dataclass(frozen=True)
-class SWhere:
-    """Select the instances satisfying the owning gate's condition on this
-    place (input gates only)."""
-
-
-Selector = Union[SAll, SAt, SExcept, SWhere]
+Selector = Union[str, SAt, SExcept]  # a SELECTORS keyword, or an index
 
 
 @dataclass(frozen=True)
@@ -323,9 +298,9 @@ def eval_gate_predicate(template: SanTemplate, pred: GatePredicate,
         return COMPARISONS[atom.cmp](
             marking_tokens_at(marking[atom.place], i, assignment), rhs)
 
-    if isinstance(atom.quantifier, QAll):
+    if atom.quantifier == "all":
         return all(holds(i) for i in indices)
-    if isinstance(atom.quantifier, QExists):
+    if atom.quantifier == "exists":
         return any(holds(i) for i in indices)
     target = eval_term(atom.quantifier.index, assignment)
     if target not in indices:
@@ -371,7 +346,7 @@ def _select(template: SanTemplate, gate, rule: GateRule, indices: list[int],
             entry: TemplateMarking, assignment: Mapping[str, Value],
             case_index: int | None) -> list[int]:
     sel = rule.selector
-    if isinstance(sel, SAll):
+    if sel == "all":
         return indices
     if isinstance(sel, SAt):
         i = eval_term(sel.index, assignment, case_index=case_index)
@@ -455,9 +430,9 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
     for at in template.activities:
         el = f"activity {at.name}"
         check_term(at.cases, Sort.INT, el)
-        if not at.case_distribution.entries:
+        if not at.case_distribution:
             err("empty-case-distribution", "no case probability entries", el)
-        for entry in at.case_distribution.entries:
+        for entry in at.case_distribution:
             check_term(entry.guard, Sort.BOOL, el, allow_case=True)
             check_term(entry.prob, Sort.REAL, el, allow_case=True)
         if at.kind == ActivityKind.TIMED:
@@ -498,6 +473,9 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
                 check_term(atom.value, Sort.INT, el, allow_place=True)
                 if isinstance(atom.quantifier, QAt):
                     check_term(atom.quantifier.index, Sort.INT, el)
+                elif atom.quantifier not in QUANTIFIERS:
+                    err("bad-quantifier", f"quantifier '{atom.quantifier}'",
+                        el)
         for rule in gate.rules:
             if rule.place not in gate.places:
                 err("place-outside-gate",
@@ -510,7 +488,9 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
             if isinstance(rule.selector, (SAt, SExcept)):
                 check_term(rule.selector.index, Sort.INT, el,
                            allow_case=not is_input)
-            if isinstance(rule.selector, SWhere):
+            elif rule.selector not in SELECTORS:
+                err("bad-selector", f"selector '{rule.selector}'", el)
+            elif rule.selector == "sat":
                 if not is_input:
                     err("where-in-output",
                         "where-selector needs a gate predicate; output gates "

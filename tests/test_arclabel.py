@@ -14,11 +14,10 @@ from santkit.arclabel import (Conditional, ExplicitInput, ImplicitSub,
                               parse_input_label, parse_output_label,
                               print_input_label, print_output_label)
 from santkit.errors import ParseError, SantError
-from santkit.template import (ActivityKind, ActivityTemplate,
-                              CaseDistribution, CaseEntry, MExpr, MTable,
-                              PlaceTemplate, SanTemplate, apply_gate_rules,
-                              eval_gate_predicate, marking_tokens_at,
-                              validate_template)
+from santkit.template import (ActivityKind, ActivityTemplate, CaseEntry,
+                              MExpr, MTable, PlaceTemplate, SanTemplate,
+                              apply_gate_rules, eval_gate_predicate,
+                              marking_tokens_at, validate_template)
 from santkit.terms import Apply, CaseIndex, Const, Param, PlaceIndex, Sort, parse_term
 
 PARAMS = {"s": Sort.SET_INT, "k": Sort.INT}
@@ -27,7 +26,7 @@ PARAMS = {"s": Sort.SET_INT, "k": Sort.INT}
 def _activity(name="Act"):
     return ActivityTemplate(
         name=name, kind=ActivityKind.INSTANTANEOUS, cases=Const(1),
-        case_distribution=CaseDistribution((CaseEntry(None, Const(1.0)),)))
+        case_distribution=(CaseEntry(None, Const(1.0)),))
 
 
 def _template_with(place: PlaceTemplate, gate, is_input: bool):

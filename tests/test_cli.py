@@ -308,7 +308,7 @@ def test_export_instance_json_round_trip(tmp_path, capsys):
 def _bundled_assignments():
     for stem in ("geo", "tmi", "user"):
         sasg = str(MODELS / f"{stem}.sasg")
-        for name in load_assignments(sasg).assignments:
+        for name in load_assignments(sasg):
             yield pytest.param(str(MODELS / f"{stem}.sant"), sasg, name,
                                id=f"{stem}/{name}")
 
@@ -423,7 +423,7 @@ def test_simulate_rejects_bad_instance_vocabulary(tmp_path, capsys, path,
 @functools.cache
 def _user_internal_doc() -> dict:
     template = load_template(USER).template
-    raw = load_assignments(USER_ASSIGN).assignments["UserInternal"]
+    raw = load_assignments(USER_ASSIGN)["UserInternal"]
     return san_to_json(concretize(template,
                                   coerce_assignment(template, raw),
                                   name="UserInternal"))
@@ -494,7 +494,7 @@ def test_instantiate_refuses_invalid_instance(tmp_path, capsys):
         assert not out.exists(), argv
     # concretize builds the instance; validate_san is what refuses it.
     user = load_template(USER).template
-    raw = load_assignments(str(assignments)).assignments["Skewed"]
+    raw = load_assignments(str(assignments))["Skewed"]
     san = concretize(user, coerce_assignment(user, raw))
     assert "normalization" in {d.code for d in sancore.validate_san(san)}
 

@@ -67,8 +67,7 @@ GOLDEN = {
 def _golden_instance(assignment: str) -> ConcreteSan:
     model = GOLDEN[assignment][0]
     template = load_template(str(MODELS / f"{model}.sant")).template
-    raw = load_assignments(str(MODELS / f"{model}.sasg")).assignments[
-        assignment]
+    raw = load_assignments(str(MODELS / f"{model}.sasg"))[assignment]
     san = concretize(template, coerce_assignment(template, raw),
                      name=assignment)
     if assignment == "UserInternal":

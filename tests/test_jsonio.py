@@ -82,7 +82,7 @@ def test_dumps_refuses_what_json_refuses(doc):
 def _bundled_instances():
     for stem in STEMS:
         template = load_template(str(MODELS / f"{stem}.sant")).template
-        raw = load_assignments(str(MODELS / f"{stem}.sasg")).assignments
+        raw = load_assignments(str(MODELS / f"{stem}.sasg"))
         for name, assignment in raw.items():
             yield pytest.param(template, assignment, id=f"{stem}/{name}")
 
@@ -147,7 +147,7 @@ INSTANCE_1 = Path(__file__).parent / "data" / "TmiPair.instance1.sanx"
 
 def _tmi_pair() -> ConcreteSan:
     template = load_template(str(MODELS / "tmi.sant")).template
-    raw = load_assignments(str(MODELS / "tmi.sasg")).assignments["TmiPair"]
+    raw = load_assignments(str(MODELS / "tmi.sasg"))["TmiPair"]
     return concretize(template, coerce_assignment(template, raw),
                       name="TmiPair")
 

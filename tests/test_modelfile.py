@@ -187,25 +187,23 @@ gates {
 
 
 def test_assignment_file_and_coercion():
-    adoc = load_assignments(str(MODELS / "user.sasg"))
-    assert adoc.assignments["UserInternal"] == {"s": (1, 6, 7),
-                                                "pb": (0.7, 0.2, 0.1)}
-    assert adoc.assignments["UserPress"] == {"s": (3, 7), "pb": (0.6, 0.4)}
+    sets = load_assignments(str(MODELS / "user.sasg"))
+    assert sets["UserInternal"] == {"s": (1, 6, 7), "pb": (0.7, 0.2, 0.1)}
+    assert sets["UserPress"] == {"s": (3, 7), "pb": (0.6, 0.4)}
     user = build_user_template()
     coerced = coerce_assignment(user, {"s": (1, 2), "pb": (1, 0)})
     assert coerced["pb"] == (1.0, 0.0)
 
 
 def test_assignment_round_trip():
-    adoc = load_assignments(str(MODELS / "tmi.sasg"))
-    again = parse_assignments_text(assignments_to_text(adoc))
-    assert again.assignments == adoc.assignments
+    sets = load_assignments(str(MODELS / "tmi.sasg"))
+    assert parse_assignments_text(assignments_to_text(sets)) == sets
 
 
 def test_assignment_literals():
     doc = parse_assignments_text(
         'assignments { A { x = -2  y = 1.5  z = true  s = {}  t = {1, 2.5} } }')
-    values = doc.assignments["A"]
+    values = doc["A"]
     assert values == {"x": -2, "y": 1.5, "z": True, "s": (),
                       "t": (1.0, 2.5)}
 
@@ -230,15 +228,15 @@ def test_schema_version_checked():
 
 def test_multi_entry_prob_with_default_round_trips():
     import dataclasses
-    from santkit.template import CaseDistribution, CaseEntry
+    from santkit.template import CaseEntry
     from santkit.terms import Const, parse_term
     tmi = build_tmi_template()
     sw_f = tmi.activities[0]
-    entries = (sw_f.case_distribution.entries[0],
+    entries = (sw_f.case_distribution[0],
                CaseEntry(None, Const(0.0)))
     mutated = dataclasses.replace(
         tmi, activities=(dataclasses.replace(
-            sw_f, case_distribution=CaseDistribution(entries)),
+            sw_f, case_distribution=entries),
             tmi.activities[1]))
     text = template_to_text(mutated)
     assert "default:" in text

@@ -10,9 +10,8 @@ from santkit.concretize import concretize
 from santkit.errors import NegativeMarking, ValidationError, has_errors
 from santkit.fixtures import (USER_INTERNAL, build_geo_template,
                               build_tmi_template, build_user_template)
-from santkit.template import (ActivityKind, CaseDistribution, CaseEntry,
-                              GateAtom, GateRule, MExpr, MSetOn, MTable,
-                              PlaceTemplate, QAll, SAt, SWhere,
+from santkit.template import (ActivityKind, CaseEntry, GateAtom, GateRule,
+                              MExpr, MSetOn, MTable, PlaceTemplate, SAt,
                               apply_gate_rules, has_variable_cases,
                               is_unary_multiplicity, marking_tokens_at,
                               place_index_values, validate_template)
@@ -45,13 +44,13 @@ def test_wrong_sorted_case_probability_detected():
     # the classic parameter-sort mistake.
     tmi = build_tmi_template()
     sw_f = tmi.activities[0]
-    bad_entries = (CaseEntry(sw_f.case_distribution.entries[0].guard,
+    bad_entries = (CaseEntry(sw_f.case_distribution[0].guard,
                              parse_term("k", dict(tmi.parameters))),
-                   sw_f.case_distribution.entries[1])
+                   sw_f.case_distribution[1])
     mutated = dataclasses.replace(
         tmi, activities=(
             dataclasses.replace(
-                sw_f, case_distribution=CaseDistribution(bad_entries)),
+                sw_f, case_distribution=bad_entries),
             tmi.activities[1]))
     diags = validate_template(mutated)
     assert "sort-mismatch" in codes(diags)
@@ -91,6 +90,23 @@ def test_action_outside_vocabulary_is_an_error():
         concretize(bad_user, USER_INTERNAL)
 
 
+@pytest.mark.parametrize("predicate, rule, code", [
+    (GateAtom("forall", "Idle", ">=", Const(1)),
+     GateRule("Idle", "all", "sub", Const(1)), "bad-quantifier"),
+    (GateAtom("all", "Idle", ">=", Const(1)),
+     GateRule("Idle", "where", "sub", Const(1)), "bad-selector"),
+], ids=["quantifier", "selector"])
+def test_keyword_outside_vocabulary_is_an_error(predicate, rule, code):
+    user = build_user_template()
+    bad = dataclasses.replace(user.input_gates[0], predicate=predicate,
+                              rules=(rule,))
+    bad_user = dataclasses.replace(
+        user, input_gates=(bad,) + user.input_gates[1:])
+    assert code in codes(validate_template(bad_user))
+    with pytest.raises(ValidationError, match=code):
+        concretize(bad_user, USER_INTERNAL)
+
+
 def test_timed_activity_requires_distribution():
     user = build_user_template()
     request = dataclasses.replace(user.activities[0], time_distribution=None)
@@ -113,7 +129,7 @@ def test_gate_place_outside_declared_set():
     user = build_user_template()
     gate = user.input_gates[0]
     bad = dataclasses.replace(
-        gate, predicate=GateAtom(QAll(), "Req", ">=", Const(1)))
+        gate, predicate=GateAtom("all", "Req", ">=", Const(1)))
     diags = validate_template(dataclasses.replace(
         user, input_gates=(bad,) + user.input_gates[1:]))
     assert "place-outside-gate" in codes(diags)
@@ -124,7 +140,7 @@ def test_where_selector_needs_matching_atom():
     gate = user.input_gates[0]   # predicate only mentions Idle
     bad = dataclasses.replace(
         gate, places=("Idle", "Req"),
-        rules=gate.rules + (GateRule("Req", SWhere(), "set", Const(0)),))
+        rules=gate.rules + (GateRule("Req", "sat", "set", Const(0)),))
     diags = validate_template(dataclasses.replace(
         user, input_gates=(bad,) + user.input_gates[1:]))
     assert "ambiguous-where" in codes(diags)
@@ -134,7 +150,7 @@ def test_where_selector_rejected_in_output_gate():
     geo = build_geo_template()
     gate = geo.output_gates[0]
     bad = dataclasses.replace(
-        gate, rules=(GateRule("Working_S", SWhere(), "set", Const(1)),))
+        gate, rules=(GateRule("Working_S", "sat", "set", Const(1)),))
     diags = validate_template(dataclasses.replace(
         geo, output_gates=(bad,) + geo.output_gates[1:]))
     assert "where-in-output" in codes(diags)
