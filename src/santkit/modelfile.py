@@ -58,7 +58,7 @@ An assignment file holds named parameter bindings::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, TypeVar
+from typing import Callable, Container, TypeVar
 
 from .arclabel import arc_gate
 from .errors import ParseError, SantError
@@ -427,7 +427,7 @@ class _TemplateParser:
         return MTable.of(entries)
 
 
-def _once(key: Token, seen, message: str) -> None:
+def _once(key: Token, seen: Container[str], message: str) -> None:
     """A ``ParseError`` at ``key`` when ``seen`` already holds its value:
     each key of a block is given at most once."""
     if key.value in seen:
