@@ -252,6 +252,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -48,12 +48,6 @@ class PlaceIndexMap:
     names: dict[str, tuple[str, ...]]
     offsets: dict[str, dict[int, int]]
 
-    def place(self, template_name: str, position: int) -> str:
-        """The concrete place at 1-based ``position`` of a template."""
-        if position < 1:
-            raise IndexError(f"position {position} is not 1-based")
-        return self.names[template_name][position - 1]
-
 
 def expand_place(pt: PlaceTemplate,
                  assignment: Mapping[str, Value]) -> list[str]:

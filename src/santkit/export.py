@@ -9,26 +9,21 @@ gates touching either.  Instances never have dashed elements.
 
 from __future__ import annotations
 
+from typing import Callable, Iterable
+
 from .sancore import ActivityKind, ConcreteSan
 from .template import (SanTemplate, has_variable_cases,
                        is_unary_multiplicity)
 
 
-def _node(name: str, shape: str, dashed: bool, label: str | None = None,
-          filled: bool = False) -> str:
-    style = "dashed" if dashed else "solid"
-    if filled:
-        style = f"filled,{style}"
+def _node(name: str, shape: str, style: str, label: str | None = None) -> str:
     label = name if label is None else label
-    return (f'  "{name}" [label="{label}", shape={shape}, '
-            f'style="{style}"];')
+    return f'  "{name}" [label="{label}", shape={shape}, style="{style}"];'
 
 
-def _edge(src: str, dst: str, dashed: bool, label: str | None = None) -> str:
-    attrs = [f'style="{"dashed" if dashed else "solid"}"']
-    if label:
-        attrs.append(f'label="{label}"')
-    return f'  "{src}" -> "{dst}" [{", ".join(attrs)}];'
+def _edge(src: str, dst: str, style: str, label: str | None = None) -> str:
+    label = f', label="{label}"' if label else ""
+    return f'  "{src}" -> "{dst}" [style="{style}"{label}];'
 
 
 _PLACE = "circle"
@@ -40,64 +35,54 @@ _OUT_GATE = "triangle, orientation=90"
 
 def template_dashed_elements(template: SanTemplate) -> set[str]:
     """Names of the template elements that must be drawn dashed."""
-    dashed: set[str] = set()
     nonunary = {p.name for p in template.places
                 if not is_unary_multiplicity(p)}
-    dashed |= nonunary
     variable = {a.name for a in template.activities if has_variable_cases(a)}
-    dashed |= variable
-    for gate in template.input_gates:
-        if any(p in nonunary for p in gate.places):
-            dashed.add(gate.name)
-    for gate in template.output_gates:
-        if any(p in nonunary for p in gate.places) or gate.activity in variable:
-            dashed.add(gate.name)
-    return dashed
+    return nonunary | variable | {
+        g.name for g in template.input_gates + template.output_gates
+        if not nonunary.isdisjoint(g.places)} | {
+        g.name for g in template.output_gates if g.activity in variable}
+
+
+def _to_dot(net, places: Iterable[tuple[str, str]], dashed: set[str],
+            arc_label: Callable[[object], str | None]) -> str:
+    """One drawing of a template or an instance: ``places`` pairs each
+    place with its label, the elements named in ``dashed`` are dashed, and
+    ``arc_label(gate)`` labels the arcs between a gate and its places."""
+
+    def style(name: str) -> str:
+        return "dashed" if name in dashed else "solid"
+
+    lines = [f'digraph "{net.name}" {{', "  rankdir=LR;"]
+    for place, label in places:
+        lines.append(_node(place, _PLACE, style(place), label))
+    for act in net.activities:
+        shape = _TIMED if act.kind == ActivityKind.TIMED else _INSTANT
+        lines.append(_node(act.name, shape, f"filled,{style(act.name)}"))
+    for gate in net.input_gates:
+        gate_style, label = style(gate.name), arc_label(gate)
+        lines.append(_node(gate.name, _IN_GATE, gate_style))
+        for place in gate.places:
+            lines.append(_edge(place, gate.name, gate_style, label))
+        lines.append(_edge(gate.name, gate.activity, gate_style))
+    for gate in net.output_gates:
+        gate_style, label = style(gate.name), arc_label(gate)
+        lines.append(_node(gate.name, _OUT_GATE, gate_style))
+        lines.append(_edge(gate.activity, gate.name, gate_style))
+        for place in gate.places:
+            lines.append(_edge(gate.name, place, gate_style, label))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def template_to_dot(template: SanTemplate) -> str:
-    dashed = template_dashed_elements(template)
-    lines = [f'digraph "{template.name}" {{', "  rankdir=LR;"]
-    for place in template.places:
-        lines.append(_node(place.name, _PLACE, place.name in dashed))
-    for act in template.activities:
-        shape = _TIMED if act.kind == ActivityKind.TIMED else _INSTANT
-        lines.append(_node(act.name, shape, act.name in dashed, filled=True))
-    for gate in template.input_gates:
-        lines.append(_node(gate.name, _IN_GATE, gate.name in dashed))
-        for place in gate.places:
-            lines.append(_edge(place, gate.name, gate.name in dashed,
-                               label=gate.arc_label or None))
-        lines.append(_edge(gate.name, gate.activity, gate.name in dashed))
-    for gate in template.output_gates:
-        lines.append(_node(gate.name, _OUT_GATE, gate.name in dashed))
-        lines.append(_edge(gate.activity, gate.name, gate.name in dashed))
-        for place in gate.places:
-            lines.append(_edge(gate.name, place, gate.name in dashed,
-                               label=gate.arc_label or None))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _to_dot(template, [(p.name, p.name) for p in template.places],
+                   template_dashed_elements(template),
+                   lambda gate: gate.arc_label)
 
 
 def san_to_dot(san: ConcreteSan) -> str:
     marking = san.initial_marking_dict()
-    lines = [f'digraph "{san.name}" {{', "  rankdir=LR;"]
-    for place in san.places:
-        tokens = marking.get(place, 0)
-        label = f"{place}\\n({tokens})" if tokens else place
-        lines.append(_node(place, _PLACE, False, label=label))
-    for act in san.activities:
-        shape = _TIMED if act.kind == ActivityKind.TIMED else _INSTANT
-        lines.append(_node(act.name, shape, False, filled=True))
-    for gate in san.input_gates:
-        lines.append(_node(gate.name, _IN_GATE, False))
-        for place in gate.places:
-            lines.append(_edge(place, gate.name, False))
-        lines.append(_edge(gate.name, gate.activity, False))
-    for gate in san.output_gates:
-        lines.append(_node(gate.name, _OUT_GATE, False))
-        lines.append(_edge(gate.activity, gate.name, False))
-        for place in gate.places:
-            lines.append(_edge(gate.name, place, False))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    places = [(p, f"{p}\\n({marking[p]})" if marking.get(p) else p)
+              for p in san.places]
+    return _to_dot(san, places, set(), lambda gate: None)

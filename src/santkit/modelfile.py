@@ -202,7 +202,7 @@ class _TemplateParser:
                     self.ts.expect_sym("=")
                     cases = self._term()
                 elif key.value == "prob":
-                    entries = self._prob_entries()
+                    entries = self._prob_entries(tok.value)
                 else:
                     self.ts.expect_sym("=")
                     time = self._distribution()
@@ -212,7 +212,7 @@ class _TemplateParser:
             case_distribution=entries,
             time_distribution=time))
 
-    def _prob_entries(self) -> tuple[CaseEntry, ...]:
+    def _prob_entries(self, activity: str) -> tuple[CaseEntry, ...]:
         if self.ts.accept_sym("="):
             return (CaseEntry(None, self._term(allow_case=True)),)
         self.ts.expect_sym("{")
@@ -226,6 +226,15 @@ class _TemplateParser:
                 guard = self._term(allow_case=True)
             else:
                 guard = None
+            # A case takes the first row whose guard holds, and a default
+            # always holds: a row after one, or repeating a guard, is dead.
+            guards = [entry.guard for entry in entries]
+            if None in guards or guard in guards:
+                dead = "a repeated guard" if None not in guards else \
+                    "a second 'default:'" if guard is None else \
+                    "a row after 'default:'"
+                raise ParseError(f"activity '{activity}' prob has {dead}",
+                                 key.line, key.column)
             self.ts.expect_sym(":")
             prob = self._term(allow_case=True)
             entries.append(CaseEntry(guard, prob))

@@ -16,7 +16,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .errors import (Diagnostic, NegativeMarking, NotEnabled, SantError)
 
@@ -384,12 +384,9 @@ def validate_san(san: ConcreteSan) -> list[Diagnostic]:
             severity: str = "error") -> None:
         diags.append(Diagnostic(code, message, severity, element))
 
-    place_set = set(san.places)
-    if len(place_set) != len(san.places):
-        err("duplicate-name", "duplicate concrete place names")
-    activity_names = {a.name for a in san.activities}
-    if len(activity_names) != len(san.activities):
-        err("duplicate-name", "duplicate activity names")
+    place_set = check_unique("place", san.places, err)
+    activity_names = check_unique(
+        "activity", [a.name for a in san.activities], err)
 
     for act in san.activities:
         el = f"activity {act.name}"
@@ -404,15 +401,10 @@ def validate_san(san: ConcreteSan) -> list[Diagnostic]:
         if not abs(total - 1.0) <= PROB_TOLERANCE:
             err("normalization",
                 f"case probabilities sum to {total!r}, not 1", el)
-        if act.kind == ActivityKind.TIMED:
-            if act.distribution is None:
-                err("missing-distribution", "timed activity has no "
-                    "firing-time distribution", el)
-            else:
-                _check_dist(act.distribution, el, err)
-        elif act.distribution is not None:
-            err("unexpected-distribution",
-                "instantaneous activity has a firing-time distribution", el)
+        family = check_timing(act.kind, act.distribution, el, err)
+        if family is not None and family.invalid(*act.distribution.params):
+            err("invalid-parameter",
+                f"{family.requirement}, got {act.distribution.params}", el)
         if act.reactivation != "empty":
             err("reactivation-unsupported",
                 "non-empty reactivation sets are not executable", el,
@@ -423,35 +415,23 @@ def validate_san(san: ConcreteSan) -> list[Diagnostic]:
     known_places: set[int] = set()
     for gate in san.input_gates + san.output_gates:
         el = f"gate {gate.name}"
-        if gate.activity not in activity_names:
-            err("dangling-gate",
-                f"gate is mapped to unknown activity '{gate.activity}'", el)
-        elif isinstance(gate, OutputGate):
+        is_input = isinstance(gate, InputGate)
+        atoms = tuple(leaves(gate.predicate)) if is_input else ()
+        check_gate(gate, atoms, gate.updates, activity_names, place_set,
+                   known_places, el, err)
+        if not is_input and gate.activity in activity_names:
             cases = san.activity(gate.activity).cases
             if not 1 <= gate.case <= cases:
                 err("case-out-of-range",
                     f"gate is mapped to case {gate.case} of "
                     f"'{gate.activity}' ({cases} cases)", el)
-        if id(gate.places) not in known_places:
-            if place_set.issuperset(gate.places):
-                known_places.add(id(gate.places))
-            else:
-                for pname in gate.places:
-                    if pname not in place_set:
-                        err("unknown-place",
-                            f"gate lists unknown place '{pname}'", el)
-        if isinstance(gate, InputGate):
-            for leaf in leaves(gate.predicate):
-                if leaf.place not in place_set:
-                    err("unknown-place",
-                        f"predicate tests unknown place '{leaf.place}'", el)
-                if leaf.cmp not in COMPARISONS:
-                    err("bad-comparison", f"comparison '{leaf.cmp}'", el)
+        for leaf in atoms:
+            if leaf.place not in place_set:
+                err("unknown-place",
+                    f"predicate tests unknown place '{leaf.place}'", el)
         for u in gate.updates:
             if u.place not in place_set:
                 err("unknown-place", f"update on unknown place '{u.place}'", el)
-            if u.action not in ACTIONS:
-                err("bad-action", f"update action '{u.action}'", el)
             if u.when is not None and u.when[0] not in COMPARISONS:
                 err("bad-comparison", f"comparison '{u.when[0]}'", el)
             if u.action == "set" and u.amount < 0:
@@ -483,13 +463,67 @@ def validate_san(san: ConcreteSan) -> list[Diagnostic]:
     return diags
 
 
-def _check_dist(dist: Dist, element: str, err) -> None:
+# -- rules shared with template.validate_template ------------------------------
+# ``err(code, message, element)`` records one diagnostic.
+
+
+def check_unique(kind: str, names: Iterable[str], err) -> set[str]:
+    """A ``duplicate-name`` for each repeat among one kind's names; returns
+    the set of names."""
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            err("duplicate-name", f"duplicate {kind} name '{name}'",
+                f"{kind} {name}")
+        seen.add(name)
+    return seen
+
+
+def check_timing(kind: ActivityKind, dist: Dist | None, element: str,
+                 err) -> Family | None:
+    """A timed activity has a distribution of a known family with its
+    arity, and an instantaneous one has none; returns the family when
+    ``dist`` names a known one with the right number of parameters."""
+    if kind == ActivityKind.TIMED and dist is None:
+        err("missing-distribution",
+            "timed activity has no firing-time distribution", element)
+    elif kind != ActivityKind.TIMED and dist is not None:
+        err("unexpected-distribution",
+            "instantaneous activity has a firing-time distribution", element)
+    if dist is None:
+        return None
     family = FAMILIES.get(dist.family)
     if family is None:
         err("unknown-distribution", f"unknown family '{dist.family}'", element)
-    elif len(dist.params) != family.arity or family.invalid(*dist.params):
-        err("invalid-parameter", f"{family.requirement}, got {dist.params}",
-            element)
+    elif len(dist.params) != family.arity:
+        err("distribution-arity",
+            f"'{dist.family}' takes {family.arity} parameter(s)", element)
+        return None
+    return family
+
+
+def check_gate(gate, atoms, updates, activities: set[str], places: set[str],
+               known: set[int], element: str, err) -> None:
+    """A gate names a known activity and known places, and its ``atoms``
+    and ``updates`` use known comparisons and actions.  ``known`` holds the
+    ids of place tuples found clean, and gains this gate's when it is."""
+    if gate.activity not in activities:
+        err("dangling-gate",
+            f"gate is mapped to unknown activity '{gate.activity}'", element)
+    if id(gate.places) not in known:
+        if places.issuperset(gate.places):
+            known.add(id(gate.places))
+        else:
+            for pname in gate.places:
+                if pname not in places:
+                    err("unknown-place", f"gate lists unknown place '{pname}'",
+                        element)
+    for atom in atoms:
+        if atom.cmp not in COMPARISONS:
+            err("bad-comparison", f"comparison '{atom.cmp}'", element)
+    for update in updates:
+        if update.action not in ACTIONS:
+            err("bad-action", f"update action '{update.action}'", element)
 
 
 def leaves(pred) -> Iterator:

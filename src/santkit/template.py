@@ -22,8 +22,9 @@ from typing import Mapping, Union
 from .errors import (Diagnostic, DuplicateIndex, EvalError, NegativeMarking,
                      NotEnabled, SantError)
 from . import terms
-from .sancore import (ACTIONS, COMPARISONS, FAMILIES, ActivityKind, Dist,
-                      PredAnd, PredNot, PredOr, leaves)
+from .sancore import (ACTIONS, COMPARISONS, ActivityKind, Dist, PredAnd,
+                      PredNot, PredOr, check_gate, check_timing, check_unique,
+                      leaves)
 from .terms import (CaseIndex, Const, PlaceIndex, Sort, Term, Value,
                     eval_term, infer_sort)
 
@@ -399,8 +400,6 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
     """
     diags: list[Diagnostic] = []
     declared = template.param_sorts()
-    place_names = [p.name for p in template.places]
-    activity_names = [a.name for a in template.activities]
 
     def err(code: str, message: str, element: str | None = None) -> None:
         diags.append(Diagnostic(code, message, element=element))
@@ -422,7 +421,7 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
         if not allow_place and terms.contains_node(term, PlaceIndex):
             err("place-placeholder", "<PLACE> is not allowed here", element)
 
-    _check_names(template, diags, err)
+    place_names, activity_names = _check_names(template, err)
 
     for pt in template.places:
         check_term(pt.multiplicity, Sort.SET_INT, f"place {pt.name}")
@@ -435,54 +434,33 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
         for entry in at.case_distribution:
             check_term(entry.guard, Sort.BOOL, el, allow_case=True)
             check_term(entry.prob, Sort.REAL, el, allow_case=True)
-        if at.kind == ActivityKind.TIMED:
-            if at.time_distribution is None:
-                err("missing-distribution",
-                    "timed activity has no firing-time distribution", el)
-        elif at.time_distribution is not None:
-            err("unexpected-distribution",
-                "instantaneous activity has a firing-time distribution", el)
+        check_timing(at.kind, at.time_distribution, el, err)
         if at.time_distribution is not None:
-            dist = at.time_distribution
-            family = FAMILIES.get(dist.family)
-            if family is None:
-                err("unknown-distribution", f"unknown family '{dist.family}'", el)
-            elif len(dist.params) != family.arity:
-                err("distribution-arity",
-                    f"'{dist.family}' takes {family.arity} parameter(s)", el)
-            for p in dist.params:
+            for p in at.time_distribution.params:
                 check_term(p, Sort.REAL, el)
 
+    known_places: set[int] = set()
     for gate in template.input_gates + template.output_gates:
         is_input = isinstance(gate, InputGateTemplate)
         el = f"gate {gate.name}"
-        if gate.activity not in activity_names:
-            err("dangling-gate",
-                f"gate is mapped to unknown activity '{gate.activity}'", el)
-        for pname in gate.places:
-            if pname not in place_names:
-                err("unknown-place", f"gate lists unknown place '{pname}'", el)
-        if is_input:
-            for atom in leaves(gate.predicate):
-                if atom.place not in gate.places:
-                    err("place-outside-gate",
-                        f"predicate tests place '{atom.place}' outside the "
-                        f"gate's place set", el)
-                if atom.cmp not in COMPARISONS:
-                    err("bad-comparison", f"comparison '{atom.cmp}'", el)
-                check_term(atom.value, Sort.INT, el, allow_place=True)
-                if isinstance(atom.quantifier, QAt):
-                    check_term(atom.quantifier.index, Sort.INT, el)
-                elif atom.quantifier not in QUANTIFIERS:
-                    err("bad-quantifier", f"quantifier '{atom.quantifier}'",
-                        el)
+        atoms = tuple(leaves(gate.predicate)) if is_input else ()
+        check_gate(gate, atoms, gate.rules, activity_names, place_names,
+                   known_places, el, err)
+        for atom in atoms:
+            if atom.place not in gate.places:
+                err("place-outside-gate",
+                    f"predicate tests place '{atom.place}' outside the "
+                    f"gate's place set", el)
+            check_term(atom.value, Sort.INT, el, allow_place=True)
+            if isinstance(atom.quantifier, QAt):
+                check_term(atom.quantifier.index, Sort.INT, el)
+            elif atom.quantifier not in QUANTIFIERS:
+                err("bad-quantifier", f"quantifier '{atom.quantifier}'", el)
         for rule in gate.rules:
             if rule.place not in gate.places:
                 err("place-outside-gate",
                     f"rule updates place '{rule.place}' outside the gate's "
                     f"place set", el)
-            if rule.action not in ACTIONS:
-                err("bad-action", f"update action '{rule.action}'", el)
             check_term(rule.value, Sort.INT, el,
                        allow_case=not is_input, allow_place=True)
             if isinstance(rule.selector, (SAt, SExcept)):
@@ -527,7 +505,9 @@ def _check_marking_fn(fn: MarkingFn, element: str, check_term) -> None:
         check_term(fn.value, Sort.INT, element)
 
 
-def _check_names(template: SanTemplate, diags: list[Diagnostic], err) -> None:
+def _check_names(template: SanTemplate, err) -> tuple[set[str], set[str]]:
+    """Names are unique within each kind, and no name serves two kinds;
+    returns the place names and the activity names."""
     classes = (
         ("parameter", [n for n, _ in template.parameters]),
         ("place", [p.name for p in template.places]),
@@ -535,16 +515,13 @@ def _check_names(template: SanTemplate, diags: list[Diagnostic], err) -> None:
         ("gate", [g.name for g in
                   template.input_gates + template.output_gates]),
     )
+    unique: dict[str, set[str]] = {}
     seen_all: dict[str, str] = {}
     for kind, names in classes:
-        seen = set()
+        unique[kind] = check_unique(kind, names, err)
         for name in names:
-            if name in seen:
-                err("duplicate-name", f"duplicate {kind} name '{name}'",
-                    f"{kind} {name}")
-            seen.add(name)
-            if name in seen_all and seen_all[name] != kind:
+            if seen_all.setdefault(name, kind) != kind:
                 err("name-collision",
                     f"'{name}' is used as both a {seen_all[name]} and a "
                     f"{kind}", f"{kind} {name}")
-            seen_all.setdefault(name, kind)
+    return unique["place"], unique["activity"]

@@ -7,6 +7,7 @@ import functools
 import json
 import math
 import re
+import runpy
 import shlex
 import sys
 from importlib import resources
@@ -122,6 +123,43 @@ def test_repeated_key_is_a_user_error(tmp_path, capsys, source, old, new,
     bad.write_text(text.replace(old, new), encoding="utf-8")
     assert main([arg.format(bad=bad) for arg in argv]) == 1
     assert capsys.readouterr().err == f"error: {bad}:{position}\n"
+
+
+# A case takes the first prob row whose guard holds, so these rows were
+# never used, yet they validated "ok" (exit 0).
+_TMI_CASE_2 = "      case 2: p_TMI\n"
+
+
+@pytest.mark.parametrize("rows, position", [
+    ("case 2: 0.9", "26:7: activity 'SW_F' prob has a repeated guard"),
+    ("when <CASE> = 2: 0.9",
+     "26:7: activity 'SW_F' prob has a repeated guard"),
+    ("default: 0.5\n      default: 0.1",
+     "27:7: activity 'SW_F' prob has a second 'default:'"),
+    ("default: 0.5\n      when <CASE> > 2: 0.1",
+     "27:7: activity 'SW_F' prob has a row after 'default:'"),
+    ("case 2: 0.9\n      default: 0.5\n      default: 0.1",
+     "26:7: activity 'SW_F' prob has a repeated guard"),
+], ids=["case-twice", "case-then-when", "default-twice", "row-after-default",
+        "all-three"])
+def test_dead_prob_row_is_a_user_error(tmp_path, capsys, rows, position):
+    text = (MODELS / "tmi.sant").read_text(encoding="utf-8")
+    assert text.count(_TMI_CASE_2) == 1
+    bad = tmp_path / "tmi.sant"
+    bad.write_text(text.replace(_TMI_CASE_2, f"{_TMI_CASE_2}      {rows}\n"),
+                   encoding="utf-8")
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}:{position}\n"
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["sant", "bundled"])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("santkit", run_name="__main__")
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        str(MODELS / name) for name in sorted(
+            entry.name for entry in MODELS.iterdir())]
 
 
 _SIMULATE = ["simulate", GEO, GEO_ASSIGN, "--assignment", "GeoPair"]
@@ -538,6 +576,32 @@ def test_export_refuses_invalid_instance(tmp_path, capsys, edit, codes, fmt):
     assert err.startswith("error: validation failed")
     assert all(code in err for code in codes)
     assert not out.exists()
+
+
+def _rename_drop_to_fail(doc):
+    for node in doc["activities"] + doc["input_gates"] + doc["output_gates"]:
+        key = "activity" if "activity" in node else "name"
+        if node[key] == "Drop":
+            node[key] = "Fail"
+
+
+# An instance is checked by the rules its template is: a wrong arity and a
+# repeated name read as they do for a template, the name included.
+@pytest.mark.parametrize("edit, diagnostic", [
+    (lambda d: d["activities"][0]["time"].update(params=[1.0]),
+     "distribution-arity: 'uniform' takes 2 parameter(s) [activity Request]"),
+    (lambda d: d["places"].append("Req_6"),
+     "duplicate-name: duplicate place name 'Req_6' [place Req_6]"),
+    (_rename_drop_to_fail,
+     "duplicate-name: duplicate activity name 'Fail' [activity Fail]"),
+], ids=["uniform-arity", "duplicate-place", "duplicate-activity"])
+def test_instance_diagnostics_match_the_template_rules(tmp_path, capsys, edit,
+                                                       diagnostic):
+    instance = tmp_path / "bad.sanx"
+    instance.write_text(json.dumps(_malformed(edit)))
+    assert main(["export", str(instance), "--out", "-"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: validation failed:\nerror: {diagnostic}\n"
 
 
 @pytest.mark.parametrize("argv", [

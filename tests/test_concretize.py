@@ -14,9 +14,9 @@ from santkit.errors import (DuplicateIndex, EvalError, IndexOutOfRange,
 from santkit.fixtures import (USER_INTERNAL, USER_PRESS, build_geo_template,
                               build_tmi_template, build_user_template)
 from santkit.modelfile import parse_template_text
-from santkit.sancore import (PredAnd, PredLeaf, Update, case_probability,
-                             eval_predicate, fire, is_enabled,
-                             reachable_markings)
+from santkit.sancore import (PredAnd, PredConst, PredLeaf, Update,
+                             case_probability, eval_predicate, fire,
+                             is_enabled, reachable_markings)
 from santkit.template import (MExpr, MSetOn, MTable, PlaceTemplate,
                               template_enabled, template_fire)
 from santkit.terms import Const, Param, Sort, eval_term, parse_term
@@ -56,7 +56,7 @@ def test_expand_rejects_duplicates():
 def test_index_map_bijection():
     user = build_user_template()
     imap = build_index_map(user, USER_INTERNAL)
-    assert imap.place("Req", 2) == "Req_6"
+    assert imap.names["Req"] == ("Req_1", "Req_6", "Req_7")
     assert imap.inverse["Req_6"] == ("Req", 6)
     assert imap.indices["Req"] == (1, 6, 7)
 
@@ -276,6 +276,34 @@ def test_concretize_evaluates_each_case_count_once(monkeypatch):
     san = concretize(user, {"s": tuple(range(1, 51)), "pb": (1 / 50,) * 50})
     assert san.activity("Request").cases == 50
     assert len(evaluated) == 1
+
+
+@pytest.mark.parametrize("index, enabled", [(9, False), (2, True)])
+def test_at_index_outside_its_place_decides_a_gate(index, enabled):
+    # ``>= 0`` holds on every instance, so only the index decides: one
+    # outside the place's instances never holds.
+    template = parse_template_text(f"""template Outside
+places {{
+  P = {{1, 2}}
+}}
+activities {{
+  timed T {{ time = exponential(1.0) }}
+}}
+gates {{
+  input G : T {{
+    places = P
+    enabled = P[{index}] >= 0
+  }}
+}}
+""").template
+    san = concretize(template, {})
+    if not enabled:
+        assert san.input_gates[0].predicate == PredConst(False)
+    marking = san.initial_marking_dict()
+    lifted = lift_marking(template, marking, {},
+                          build_index_map(template, {}))
+    assert is_enabled(san, marking, "T") is enabled
+    assert template_enabled(template, lifted, "T", {}) is enabled
 
 
 # -- invariants over the fixture grid ----------------------------------------

@@ -17,8 +17,9 @@ from santkit.fixtures import (USER_INTERNAL, build_geo_template,
                               build_tmi_template, build_user_template)
 from santkit.sancore import (Activity, ConcreteSan, Dist, InputGate,
                              OutputGate, PredLeaf, Update, is_stable)
-from santkit.sim import (RewardSpec, SimConfig, replication_seed,
-                         sample_firing_time, select_case, simulate)
+from santkit.sim import (STABILIZATION_LIMIT, RewardSpec, SimConfig,
+                         replication_seed, sample_firing_time, select_case,
+                         simulate)
 from santkit.template import ActivityKind
 
 
@@ -124,6 +125,27 @@ def test_reward_labels(spec, label):
     assert spec.label() == label
 
 
+def test_default_threshold_is_zero():
+    spec = RewardSpec("prob_tokens_at_least", "P_1")
+    assert spec.label() == "prob_tokens_at_least(P_1,0)"
+    # P_1 stays at 0 tokens, which meets threshold 0 and misses 1.
+    san = _single_activity(Dist("exponential", (1.0,)))
+    result = simulate(san, SimConfig(seed=1, horizon=5.0),
+                      [spec, RewardSpec("prob_tokens_at_least", "P_1", 1)])
+    assert [r.estimate for r in result.rewards] == [1.0, 0.0]
+
+
+def test_one_event_is_a_valid_bound():
+    SimConfig(seed=1, horizon=1.0, max_events=1).validate()
+    once = simulate(_single_activity(Dist("deterministic", (0.6,))),
+                    SimConfig(seed=1, horizon=1.0, max_events=1), [])
+    assert once.events == (1,)
+    with pytest.raises(MaxEventsExceeded,
+                       match="^more than 1 events in one replication$"):
+        simulate(_single_activity(Dist("deterministic", (0.4,))),
+                 SimConfig(seed=1, horizon=1.0, max_events=1), [])
+
+
 def test_reactivation_rejected():
     san = _single_activity(Dist("exponential", (1.0,)))
     marked = dataclasses.replace(
@@ -198,6 +220,25 @@ def test_nonstabilizing_guard():
         simulate(delayed, SimConfig(seed=1, horizon=10.0, max_events=10_000),
                  [], observer=lambda t0, t1, m: seen.append((t0, t1, m)))
     assert seen == first
+
+
+def test_first_stabilization_boundary():
+    # Chain k is counted before the k-th firing, so the first stabilization
+    # reaches STABILIZATION_LIMIT + 1 on the event max_events = LIMIT allows.
+    loop = ConcreteSan(
+        name="selfloop", places=("P_1",),
+        activities=(Activity("Loop", ActivityKind.INSTANTANEOUS, 1, (1.0,)),),
+        input_gates=(InputGate("g", "Loop", ("P_1",),
+                               PredLeaf("P_1", ">=", 0), ()),),
+        output_gates=(), initial_marking=(("P_1", 0),))
+    with pytest.raises(MaxEventsExceeded, match=rf"^more than "
+                       rf"{STABILIZATION_LIMIT - 1} events in one"):
+        simulate(loop, SimConfig(seed=1, horizon=1.0,
+                                 max_events=STABILIZATION_LIMIT - 1), [])
+    with pytest.raises(NonStabilizingDetected, match=r"^10001 consecutive "
+                       r"instantaneous firings at time 0\.0$"):
+        simulate(loop, SimConfig(seed=1, horizon=1.0,
+                                 max_events=STABILIZATION_LIMIT), [])
 
 
 # -- execution ------------------------------------------------------------------
