@@ -29,36 +29,32 @@ is the one path from an arc's label text to its gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .lexer import TokenStream, tokenize
+from .record import Record
 from .sancore import COMPARISONS
 from .template import (GateAtom, GateRule, InputGateTemplate,
                        OutputGateTemplate, QAt, SAt, SExcept)
 from .terms import Const, Sort, Term, parse_term_stream, print_term
 
 
-@dataclass(frozen=True)
-class OutSet:
+class OutSet(Record):
     value: Term
 
 
-@dataclass(frozen=True)
-class OutAdd:
+class OutAdd(Record):
     value: Term
 
 
 OutExpr = Union[OutSet, OutAdd]
 
 
-@dataclass(frozen=True)
-class Unconditional:
+class Unconditional(Record):
     out: OutExpr
 
 
-@dataclass(frozen=True)
-class Conditional:
+class Conditional(Record):
     index: Term
     then: OutExpr
     otherwise: OutExpr | None = None
@@ -67,8 +63,7 @@ class Conditional:
 OutputArcSpec = Union[Unconditional, Conditional]
 
 
-@dataclass(frozen=True)
-class ExplicitInput:
+class ExplicitInput(Record):
     quantifier: str              # "forall" | "exists" | "at"
     at_index: Term | None        # set when quantifier == "at"
     cmp: str                     # a key of sancore.COMPARISONS
@@ -77,8 +72,7 @@ class ExplicitInput:
     func_value: Term
 
 
-@dataclass(frozen=True)
-class ImplicitSub:
+class ImplicitSub(Record):
     value: Term
 
 

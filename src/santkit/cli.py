@@ -8,7 +8,6 @@ and command-line usage errors), 2 for internal errors.  Set
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from typing import NoReturn
@@ -20,6 +19,7 @@ from .jsonio import (dumps, json_to_san, load_json_file, san_to_json,
                      template_to_json)
 from .modelfile import (ModelDocument, coerce_assignment, load_assignments,
                         load_template)
+from .record import replace
 from .sancore import validate_san
 from .sim import REWARDS, RewardSpec, SimConfig, simulate
 from .template import validate_template
@@ -35,10 +35,9 @@ _COLORS = {"error": "\x1b[31m", "warning": "\x1b[33m"}
 def _print_diagnostic(diag: Diagnostic, doc: ModelDocument | None) -> None:
     """Print ``diag`` to stderr, located in ``doc`` when there is one."""
     if doc is None:
-        text = dataclasses.replace(diag, span=None).format()
+        text = replace(diag, span=None).format()
     else:
-        located = dataclasses.replace(
-            diag, span=diag.span or doc.spans.get(diag.element))
+        located = replace(diag, span=diag.span or doc.spans.get(diag.element))
         text = f"{doc.path}:{'' if located.span else ' '}{located.format()}"
     if _color_enabled():
         color = _COLORS.get(diag.severity, "")

@@ -10,12 +10,12 @@ resulting instance is fully numeric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import (EvalError, IndexOutOfRange, SortMismatch,
                      UnboundParameter, UnknownParameter, ValidationError,
                      has_errors)
+from .record import Record
 from .sancore import (Activity, ConcreteSan, Dist, InputGate, Marking,
                       OutputGate, PredAnd, PredConst, PredLeaf, PredNot,
                       PredOr, Predicate, Update)
@@ -33,8 +33,7 @@ def concrete_place_name(template_name: str, index: int) -> str:
     return f"{template_name}{SEPARATOR}{index}"
 
 
-@dataclass(frozen=True)
-class PlaceIndexMap:
+class PlaceIndexMap(Record):
     """Bijection between (place template, position) and concrete places.
 
     ``names`` and ``indices`` list each template's concrete places and
@@ -199,7 +198,7 @@ def _fold_rules(template: SanTemplate, gate, assignment,
             index = indices[position]
             updates.append(Update(
                 names[position], rule.action, amount(index),
-                when=guard_for(index) if guard_for else None))
+                guard_for(index) if guard_for else None))
     return tuple(updates)
 
 
@@ -217,10 +216,9 @@ def concretize_input_gate(template: SanTemplate, gate: InputGateTemplate,
     folded update list."""
     imap = index_map or build_index_map(template, assignment)
     return InputGate(
-        name=gate.name, activity=gate.activity,
-        places=_gate_places(gate, imap),
-        predicate=_fold_predicate(template, gate.predicate, assignment, imap),
-        updates=_fold_rules(template, gate, assignment, imap))
+        gate.name, gate.activity, _gate_places(gate, imap),
+        _fold_predicate(template, gate.predicate, assignment, imap),
+        _fold_rules(template, gate, assignment, imap))
 
 
 def concretize_output_gate(template: SanTemplate, gate: OutputGateTemplate,
@@ -242,9 +240,9 @@ def concretize_output_gate(template: SanTemplate, gate: OutputGateTemplate,
         raise IndexOutOfRange(
             f"case {case} out of range for '{gate.activity}' ({cases} cases)")
     return OutputGate(
-        name=name or gate.name, activity=gate.activity, case=case,
-        places=_gate_places(gate, imap) if places is None else places,
-        updates=_fold_rules(template, gate, assignment, imap, case_index=case))
+        name or gate.name, gate.activity, case,
+        _gate_places(gate, imap) if places is None else places,
+        _fold_rules(template, gate, assignment, imap, case_index=case))
 
 
 def concretize(template: SanTemplate, assignment: Mapping[str, Value],

@@ -7,7 +7,7 @@ else (evaluation, parsing, firing, simulation) raises a subclass of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 
 class SantError(Exception):
@@ -84,8 +84,7 @@ class ParseError(SantError):
         super().__init__(f"{line}:{column}: {message}{suffix}")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     """One finding from a validator.
 
     ``severity`` is ``"error"`` or ``"warning"``; ``element`` names the model

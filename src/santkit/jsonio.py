@@ -172,7 +172,7 @@ def _json_update(doc: dict[str, Any], path: str) -> Update:
                 _typed(when[1], "int", f"{path}.when[1]"))
     return Update(_field(doc, "place", "string", path),
                   _field(doc, "action", "string", path),
-                  _field(doc, "amount", "int", path), when=when)
+                  _field(doc, "amount", "int", path), when)
 
 
 def san_to_json(san: ConcreteSan) -> dict[str, Any]:

@@ -57,12 +57,12 @@ An assignment file holds named parameter bindings::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Container, TypeVar
 
 from .arclabel import arc_gate
 from .errors import ParseError, SantError
 from .lexer import Token, TokenStream, tokenize
+from .record import Record
 from .sancore import (COMPARISONS, FAMILIES, ActivityKind, Dist, PredAnd,
                       PredNot, PredOr)
 from .template import (QUANTIFIERS, SELECTORS, ActivityTemplate, CaseEntry,
@@ -86,13 +86,12 @@ _DEFAULT_PROBS = (CaseEntry(None, Const(1.0)),)
 _NO_TOKENS = MExpr(Const(0))
 
 
-@dataclass
-class ModelDocument:
+class ModelDocument(Record):
     """A parsed template plus source positions for diagnostics."""
 
     template: SanTemplate
-    spans: dict[str, tuple[int, int]] = field(default_factory=dict)
-    path: str = "<string>"
+    spans: dict[str, tuple[int, int]]
+    path: str
 
 
 class _TemplateParser:

@@ -14,11 +14,11 @@ import math
 import operator
 import random
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Union
 
 from .errors import (Diagnostic, NegativeMarking, NotEnabled, SantError)
+from .record import Record
 
 PROB_TOLERANCE = 1e-9
 
@@ -45,8 +45,7 @@ ACTIONS: dict[str, Callable[[int, int], int]] = {
     "sub": operator.sub}
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """A firing-time distribution family.
 
     ``invalid`` takes the ``arity`` parameters and is true when they are out
@@ -76,14 +75,12 @@ FAMILIES: dict[str, Family] = {
 
 # A template activity's distribution (``template.ActivityTemplate``) is a
 # Dist too, with Real terms as its parameters.
-@dataclass(frozen=True)
-class Dist:
+class Dist(Record):
     family: str                  # a key of FAMILIES
     params: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class Activity:
+class Activity(Record):
     name: str
     kind: ActivityKind
     cases: int
@@ -92,13 +89,11 @@ class Activity:
     reactivation: str = "empty"
 
 
-@dataclass(frozen=True)
-class PredConst:
+class PredConst(Record):
     value: bool
 
 
-@dataclass(frozen=True)
-class PredLeaf:
+class PredLeaf(Record):
     place: str
     cmp: str                     # a key of COMPARISONS
     value: int
@@ -106,26 +101,22 @@ class PredLeaf:
 
 # The connectives also combine the quantified atoms of template gates
 # (``template.GatePredicate``); ``leaves`` walks either kind of tree.
-@dataclass(frozen=True)
-class PredAnd:
+class PredAnd(Record):
     args: tuple["Predicate", ...]
 
 
-@dataclass(frozen=True)
-class PredOr:
+class PredOr(Record):
     args: tuple["Predicate", ...]
 
 
-@dataclass(frozen=True)
-class PredNot:
+class PredNot(Record):
     arg: "Predicate"
 
 
 Predicate = Union[PredConst, PredLeaf, PredAnd, PredOr, PredNot]
 
 
-@dataclass(frozen=True)
-class Update:
+class Update(Record):
     """One marking update: set/add/sub ``amount`` tokens on ``place``.
 
     ``when`` guards the update on the place's own token count as it was
@@ -138,8 +129,7 @@ class Update:
     when: tuple[str, int] | None = None
 
 
-@dataclass(frozen=True)
-class InputGate:
+class InputGate(Record):
     name: str
     activity: str
     places: tuple[str, ...]
@@ -147,8 +137,7 @@ class InputGate:
     updates: tuple[Update, ...]
 
 
-@dataclass(frozen=True)
-class OutputGate:
+class OutputGate(Record):
     name: str
     activity: str
     case: int
@@ -156,8 +145,7 @@ class OutputGate:
     updates: tuple[Update, ...]
 
 
-@dataclass(frozen=True)
-class ConcreteSan:
+class ConcreteSan(Record):
     name: str
     places: tuple[str, ...]
     activities: tuple[Activity, ...]
@@ -300,8 +288,7 @@ def _successors(san: ConcreteSan, marking: Marking,
             if act.case_probs[case - 1] > 0.0)
 
 
-@dataclass(frozen=True)
-class InstabilityReport:
+class InstabilityReport(Record):
     """Witness of a (potentially) non-stabilizing net.
 
     ``kind`` is "cycle" when an instantaneous firing chain revisits a
@@ -387,6 +374,8 @@ def validate_san(san: ConcreteSan) -> list[Diagnostic]:
     place_set = check_unique("place", san.places, err)
     activity_names = check_unique(
         "activity", [a.name for a in san.activities], err)
+    check_unique(
+        "gate", [g.name for g in san.input_gates + san.output_gates], err)
 
     for act in san.activities:
         el = f"activity {act.name}"

@@ -42,13 +42,13 @@ from heapq import heappop, heappush
 import math
 import random
 import statistics
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .errors import (InvalidConfig, MaxEventsExceeded, NegativeMarking,
                      NonStabilizingDetected, NotEnabled,
                      UnsupportedReactivation, ValidationError, has_errors)
+from .record import Record
 from .sancore import (COMPARISONS, FAMILIES, Activity, ConcreteSan, Dist,
                       PredAnd, PredConst, PredLeaf, PredNot, Predicate,
                       Update, under_priority, validate_san)
@@ -57,8 +57,7 @@ from .sancore import (COMPARISONS, FAMILIES, Activity, ConcreteSan, Dist,
 STABILIZATION_LIMIT = 10_000  # instantaneous firings per time point
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     seed: int
     horizon: float
     replications: int = 1
@@ -74,8 +73,7 @@ class SimConfig:
             raise InvalidConfig("max_events must be positive")
 
 
-@dataclass(frozen=True)
-class RewardKind:
+class RewardKind(Record):
     """One reward kind.  ``rate(tokens, threshold)`` is what the target
     place's marking accrues per unit time; a kind without a rate counts the
     target activity's firings instead."""
@@ -99,8 +97,7 @@ REWARDS: dict[str, RewardKind] = {
 }
 
 
-@dataclass(frozen=True)
-class RewardSpec:
+class RewardSpec(Record):
     """What to estimate: a ``REWARDS`` kind, its target and, for kinds
     that take one, a token threshold."""
 
@@ -122,16 +119,14 @@ class RewardSpec:
             raise InvalidConfig(f"unknown {entry.target} '{self.target}'")
 
 
-@dataclass(frozen=True)
-class RewardEstimate:
+class RewardEstimate(Record):
     name: str
     estimate: float
     std: float                   # sample std across replications
     replications: int
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(Record):
     rewards: tuple[RewardEstimate, ...]
     events: tuple[int, ...]      # per replication
     case_counts: tuple[tuple[str, tuple[int, ...]], ...]  # per activity, total
@@ -274,7 +269,7 @@ def _compile_gate(name: str, updates: tuple[Update, ...],
     return any(u.when is not None for u in updates), tuple(ops)
 
 
-class _Plan(NamedTuple):
+class _Plan(Record):
     """A validated instance compiled for ``enabled_activities`` and
     ``fire``: per activity (in declaration order) its enabling check and,
     per case, the programs of its input gates then of the case's output

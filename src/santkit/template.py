@@ -16,12 +16,12 @@ structures down to instance level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .errors import (Diagnostic, DuplicateIndex, EvalError, NegativeMarking,
                      NotEnabled, SantError)
 from . import terms
+from .record import Record
 from .sancore import (ACTIONS, COMPARISONS, ActivityKind, Dist, PredAnd,
                       PredNot, PredOr, check_gate, check_timing, check_unique,
                       leaves)
@@ -29,16 +29,14 @@ from .terms import (CaseIndex, Const, PlaceIndex, Sort, Term, Value,
                     eval_term, infer_sort)
 
 
-@dataclass(frozen=True)
-class PlaceTemplate:
+class PlaceTemplate(Record):
     """A named place with a multiplicity term of sort set<int>."""
 
     name: str
     multiplicity: Term
 
 
-@dataclass(frozen=True)
-class CaseEntry:
+class CaseEntry(Record):
     """One row of a case distribution: optional Bool guard over the case
     index, and a Real probability term."""
 
@@ -46,8 +44,7 @@ class CaseEntry:
     prob: Term
 
 
-@dataclass(frozen=True)
-class ActivityTemplate:
+class ActivityTemplate(Record):
     """Case ``i`` takes the probability of the first ``case_distribution``
     entry whose guard holds at ``i``, and 0 when none does."""
 
@@ -64,16 +61,14 @@ class ActivityTemplate:
 QUANTIFIERS = ("all", "exists")
 
 
-@dataclass(frozen=True)
-class QAt:
+class QAt(Record):
     index: Term
 
 
 Quantifier = Union[str, QAt]         # a QUANTIFIERS keyword, or one index
 
 
-@dataclass(frozen=True)
-class GateAtom:
+class GateAtom(Record):
     """Quantified comparison on the marking of one place template.
 
     The comparison value may use <PLACE> for the instance index under test.
@@ -97,21 +92,18 @@ GatePredicate = Union[GateAtom, PredAnd, PredOr, PredNot]
 SELECTORS = ("all", "sat")
 
 
-@dataclass(frozen=True)
-class SAt:
+class SAt(Record):
     index: Term
 
 
-@dataclass(frozen=True)
-class SExcept:
+class SExcept(Record):
     index: Term
 
 
 Selector = Union[str, SAt, SExcept]  # a SELECTORS keyword, or an index
 
 
-@dataclass(frozen=True)
-class GateRule:
+class GateRule(Record):
     place: str
     selector: Selector
     action: str                  # a key of sancore.ACTIONS
@@ -119,8 +111,7 @@ class GateRule:
     when: Term | None = None     # Bool guard over <CASE> (output gates)
 
 
-@dataclass(frozen=True)
-class InputGateTemplate:
+class InputGateTemplate(Record):
     name: str
     activity: str
     places: tuple[str, ...]
@@ -129,8 +120,7 @@ class InputGateTemplate:
     arc_label: str | None = None
 
 
-@dataclass(frozen=True)
-class OutputGateTemplate:
+class OutputGateTemplate(Record):
     name: str
     activity: str
     places: tuple[str, ...]
@@ -141,21 +131,18 @@ class OutputGateTemplate:
 # -- marking templates -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MExpr:
+class MExpr(Record):
     value: Term               # Int term; may use <PLACE> for the index
 
 
-@dataclass(frozen=True)
-class MSetOn:
+class MSetOn(Record):
     """``value`` tokens on the listed indices, 0 elsewhere."""
 
     indices: Term
     value: Term
 
 
-@dataclass(frozen=True)
-class MTable:
+class MTable(Record):
     entries: tuple[tuple[int, int], ...]   # (index, tokens), unlisted -> 0
 
     @staticmethod
@@ -195,8 +182,7 @@ def _as_count(value: Value) -> int:
 # -- the template tuple ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SanTemplate:
+class SanTemplate(Record):
     """The full parametric net: parameters, place/activity/gate templates,
     and the initial marking template."""
 

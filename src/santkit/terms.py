@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
 from .errors import (DivisionByZero, IndexOutOfRange, MissingContext,
                      ParseError, SortMismatch, UnknownParameter)
 from .lexer import TokenStream, tokenize
+from .record import Record
 
 Value = Union[int, float, bool, tuple]
 
@@ -76,29 +76,24 @@ def matches_sort(value: Value, sort: Sort) -> bool:
 # Term nodes
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Record):
     value: Value
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(Record):
     name: str
     sort: Sort
 
 
-@dataclass(frozen=True)
-class CaseIndex:
+class CaseIndex(Record):
     """Placeholder for the case index of the surrounding activity."""
 
 
-@dataclass(frozen=True)
-class PlaceIndex:
+class PlaceIndex(Record):
     """Placeholder for the index of the place instance being updated/tested."""
 
 
-@dataclass(frozen=True)
-class Apply:
+class Apply(Record):
     op: str
     args: tuple["Term", ...]
 
@@ -122,8 +117,7 @@ _PREC_ATOM = 9
 Overloads = tuple[tuple[tuple[Sort, ...], Sort], ...]
 
 
-@dataclass(frozen=True)
-class Op:
+class Op(Record):
     """One operator: its overloads (argument sorts -> result sort), its
     strict evaluator (``and`` / ``or`` see both operands) and precedence.
     An ``infix`` operator is spelled by its name between its operands; the
@@ -286,8 +280,7 @@ _RESERVED = {name for name, op in OPS.items()
     | {"not", "to_real", "true", "false"}
 
 
-@dataclass(frozen=True)
-class _Paren:
+class _Paren(Record):
     # Parse-time marker for an explicitly parenthesized subterm; it is what
     # allows a Bool expression to coerce to Int where an Int is expected.
     inner: Term

@@ -594,7 +594,12 @@ def _rename_drop_to_fail(doc):
      "duplicate-name: duplicate place name 'Req_6' [place Req_6]"),
     (_rename_drop_to_fail,
      "duplicate-name: duplicate activity name 'Fail' [activity Fail]"),
-], ids=["uniform-arity", "duplicate-place", "duplicate-activity"])
+    (lambda d: d["output_gates"][1].update(name="OGRequest_1"),
+     "duplicate-name: duplicate gate name 'OGRequest_1' [gate OGRequest_1]"),
+    (lambda d: d["output_gates"][4].update(name="ArcInDrop"),
+     "duplicate-name: duplicate gate name 'ArcInDrop' [gate ArcInDrop]"),
+], ids=["uniform-arity", "duplicate-place", "duplicate-activity",
+        "duplicate-output-gate", "input-and-output-gate"])
 def test_instance_diagnostics_match_the_template_rules(tmp_path, capsys, edit,
                                                        diagnostic):
     instance = tmp_path / "bad.sanx"
@@ -602,6 +607,31 @@ def test_instance_diagnostics_match_the_template_rules(tmp_path, capsys, edit,
     assert main(["export", str(instance), "--out", "-"]) == 1
     assert capsys.readouterr().err == \
         f"error: validation failed:\nerror: {diagnostic}\n"
+
+
+# concretize names the gates of a two-case activity OG_SW_1 and OG_SW_2, so
+# a template gate named OG_SW_1 passes the template rules but collides in
+# the instance; DOT would draw the two as one node.
+@pytest.mark.parametrize("command", [["instantiate"],
+                                     ["simulate", "--horizon", "10"]])
+def test_generated_gate_name_collision_is_a_user_error(tmp_path, capsys,
+                                                       command):
+    text = (MODELS / "tmi.sant").read_text(encoding="utf-8")
+    old = "output SW_RtoWorking_S : SW_R"
+    assert text.count(old) == 1
+    bad = tmp_path / "tmi.sant"
+    bad.write_text(text.replace(old, "output OG_SW_1 : SW_R"),
+                   encoding="utf-8")
+    assert main(["validate", str(bad)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out.sanx"
+    assert main([command[0], str(bad), str(MODELS / "tmi.sasg"),
+                 "--assignment", "TmiPair", *command[1:],
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation failed")
+    assert "duplicate-name: duplicate gate name 'OG_SW_1'" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,7 +12,6 @@ activity that is scheduled, then disabled, then resampled on re-enable.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from importlib import resources
 from pathlib import Path
@@ -22,6 +21,7 @@ import pytest
 from santkit.concretize import concretize
 from santkit.modelfile import (coerce_assignment, load_assignments,
                                load_template)
+from santkit.record import replace
 from santkit.sancore import (Activity, ActivityKind, ConcreteSan, Dist,
                              InputGate, OutputGate, PredLeaf, Update)
 from santkit.sim import RewardSpec, SimConfig, simulate
@@ -74,7 +74,7 @@ def _golden_instance(assignment: str) -> ConcreteSan:
         # Alone, User deadlocks after one request; a supply of completion
         # tokens (as in acceptance 6b) keeps the idle/request cycle going.
         supply = dict(san.initial_marking, Failed_1=300, Dropped_1=300)
-        san = dataclasses.replace(san, initial_marking=tuple(supply.items()))
+        san = replace(san, initial_marking=tuple(supply.items()))
     return san
 
 

@@ -3,7 +3,6 @@ plus a newline, and an instance round-trips through it."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from importlib import resources
@@ -18,6 +17,7 @@ from santkit.fixtures import USER_INTERNAL, build_user_template
 from santkit.jsonio import dumps, json_to_san, san_to_json, template_to_json
 from santkit.modelfile import (coerce_assignment, load_assignments,
                                load_template)
+from santkit.record import replace
 from santkit.sancore import (Activity, ActivityKind, ConcreteSan, Dist,
                              InputGate, OutputGate, PredAnd, PredConst,
                              PredLeaf, PredNot, PredOr, Update)
@@ -112,11 +112,11 @@ def test_equal_place_tuples_map_to_one_list():
 
 def _with_fresh_place_tuples(san: ConcreteSan) -> ConcreteSan:
     """``san`` with every gate's places in a tuple object of its own."""
-    return dataclasses.replace(
+    return replace(
         san,
-        input_gates=tuple(dataclasses.replace(g, places=tuple(list(g.places)))
+        input_gates=tuple(replace(g, places=tuple(list(g.places)))
                           for g in san.input_gates),
-        output_gates=tuple(dataclasses.replace(g, places=tuple(list(g.places)))
+        output_gates=tuple(replace(g, places=tuple(list(g.places)))
                            for g in san.output_gates))
 
 

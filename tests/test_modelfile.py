@@ -227,15 +227,15 @@ def test_schema_version_checked():
 
 
 def test_multi_entry_prob_with_default_round_trips():
-    import dataclasses
+    from santkit.record import replace
     from santkit.template import CaseEntry
     from santkit.terms import Const, parse_term
     tmi = build_tmi_template()
     sw_f = tmi.activities[0]
     entries = (sw_f.case_distribution[0],
                CaseEntry(None, Const(0.0)))
-    mutated = dataclasses.replace(
-        tmi, activities=(dataclasses.replace(
+    mutated = replace(
+        tmi, activities=(replace(
             sw_f, case_distribution=entries),
             tmi.activities[1]))
     text = template_to_text(mutated)

@@ -10,7 +10,6 @@ names the layered benchmark in ``perfbench/`` wraps.
 from __future__ import annotations
 
 import ast
-import dataclasses
 import importlib
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from santkit.concretize import concretize
 from santkit.errors import NegativeMarking, NotEnabled, SantError
 from santkit.fixtures import (build_geo_template, build_tmi_template,
                               build_user_template)
+from santkit.record import replace
 from santkit.sancore import (COMPARISONS, Activity, ActivityKind,
                              ConcreteSan, Dist, InputGate, OutputGate,
                              PredAnd, PredConst, PredLeaf, PredNot, PredOr,
@@ -92,7 +92,7 @@ def test_plan_agrees_on_user(s, failed, dropped):
     san = concretize(build_user_template(), {"s": s, "pb": PB[len(s)]})
     supply = dict(san.initial_marking, Failed_1=failed, Dropped_1=dropped)
     _assert_plan_agrees(
-        dataclasses.replace(san, initial_marking=tuple(supply.items())))
+        replace(san, initial_marking=tuple(supply.items())))
 
 
 def test_plan_agrees_on_race():

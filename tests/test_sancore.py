@@ -4,7 +4,6 @@ validation, and bounded reachability."""
 from __future__ import annotations
 
 import ast
-import dataclasses
 import inspect
 import math
 
@@ -14,6 +13,7 @@ from santkit.concretize import concretize
 from santkit.errors import NegativeMarking, NotEnabled, has_errors
 from santkit.fixtures import (USER_INTERNAL, build_geo_template,
                               build_tmi_template, build_user_template)
+from santkit.record import replace
 from santkit.sancore import (Activity, ConcreteSan, Dist, InputGate,
                              OutputGate, PredConst, PredLeaf, Update,
                              case_probability, find_instability, fire,
@@ -189,24 +189,24 @@ def test_unnormalized_case_probabilities():
     san = concretize(build_user_template(), USER_INTERNAL)
     request = san.activity("Request")
     for probs in ((0.7, 0.2, 0.2), (math.nan, 0.2, 0.1)):
-        broken = dataclasses.replace(
-            san, activities=(dataclasses.replace(request, case_probs=probs),)
+        broken = replace(
+            san, activities=(replace(request, case_probs=probs),)
             + san.activities[1:])
         assert any(d.code == "normalization" for d in validate_san(broken))
 
 
 def test_case_out_of_range():
     san = concretize(build_user_template(), USER_INTERNAL)
-    gate = dataclasses.replace(san.output_gates[0], case=4)
-    broken = dataclasses.replace(
+    gate = replace(san.output_gates[0], case=4)
+    broken = replace(
         san, output_gates=(gate,) + san.output_gates[1:])
     assert any(d.code == "case-out-of-range" for d in validate_san(broken))
 
 
 def test_timed_activity_without_distribution():
     san = concretize(build_geo_template(), GEO_PAIR)
-    geo_f = dataclasses.replace(san.activity("GEO_F"), distribution=None)
-    broken = dataclasses.replace(san, activities=(geo_f,) + san.activities[1:])
+    geo_f = replace(san.activity("GEO_F"), distribution=None)
+    broken = replace(san, activities=(geo_f,) + san.activities[1:])
     assert any(d.code == "missing-distribution" for d in validate_san(broken))
 
 
@@ -215,8 +215,8 @@ def test_invalid_distribution_parameters():
     for dist in (Dist("exponential", (0.0,)), Dist("exponential", (math.nan,)),
                  Dist("uniform", (1.0, math.nan)),
                  Dist("deterministic", (math.nan,))):
-        geo_f = dataclasses.replace(san.activity("GEO_F"), distribution=dist)
-        broken = dataclasses.replace(
+        geo_f = replace(san.activity("GEO_F"), distribution=dist)
+        broken = replace(
             san, activities=(geo_f,) + san.activities[1:])
         assert any(d.code == "invalid-parameter"
                    for d in validate_san(broken)), dist

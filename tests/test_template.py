@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 
 import pytest
 
@@ -10,6 +9,7 @@ from santkit.concretize import concretize
 from santkit.errors import NegativeMarking, ValidationError, has_errors
 from santkit.fixtures import (USER_INTERNAL, build_geo_template,
                               build_tmi_template, build_user_template)
+from santkit.record import replace
 from santkit.template import (ActivityKind, CaseEntry, GateAtom, GateRule,
                               MExpr, MSetOn, MTable, PlaceTemplate, SAt,
                               apply_gate_rules, has_variable_cases,
@@ -30,10 +30,10 @@ def test_fixture_templates_are_clean():
 
 def test_dangling_gate_detected():
     user = build_user_template()
-    broken = dataclasses.replace(
+    broken = replace(
         user,
         output_gates=user.output_gates[:1] + (
-            dataclasses.replace(user.output_gates[1], activity="Missing"),))
+            replace(user.output_gates[1], activity="Missing"),))
     diags = validate_template(broken)
     assert "dangling-gate" in codes(diags)
     assert has_errors(diags)
@@ -47,9 +47,9 @@ def test_wrong_sorted_case_probability_detected():
     bad_entries = (CaseEntry(sw_f.case_distribution[0].guard,
                              parse_term("k", dict(tmi.parameters))),
                    sw_f.case_distribution[1])
-    mutated = dataclasses.replace(
+    mutated = replace(
         tmi, activities=(
-            dataclasses.replace(
+            replace(
                 sw_f, case_distribution=bad_entries),
             tmi.activities[1]))
     diags = validate_template(mutated)
@@ -61,7 +61,7 @@ def test_wrong_sorted_case_probability_detected():
 def test_multiplicity_must_be_int_set():
     bad = PlaceTemplate("P", Const(3))
     user = build_user_template()
-    diags = validate_template(dataclasses.replace(
+    diags = validate_template(replace(
         user, places=user.places + (bad,),
         initial_marking=user.initial_marking + (("P", MExpr(Const(0))),)))
     assert "sort-mismatch" in codes(diags)
@@ -72,8 +72,8 @@ def test_case_placeholder_rejected_in_input_gate():
     gate = user.input_gates[0]
     bad_rule = GateRule("Idle", SAt(Const(1)), "sub",
                         parse_term("<CASE>", {}, allow_case=True))
-    diags = validate_template(dataclasses.replace(
-        user, input_gates=(dataclasses.replace(gate, rules=(bad_rule,)),)
+    diags = validate_template(replace(
+        user, input_gates=(replace(gate, rules=(bad_rule,)),)
         + user.input_gates[1:]))
     assert "case-placeholder" in codes(diags)
 
@@ -81,9 +81,9 @@ def test_case_placeholder_rejected_in_input_gate():
 def test_action_outside_vocabulary_is_an_error():
     user = build_user_template()
     gate = user.input_gates[0]
-    bad = dataclasses.replace(
+    bad = replace(
         gate, rules=(GateRule("Idle", SAt(Const(1)), "mul", Const(1)),))
-    bad_user = dataclasses.replace(
+    bad_user = replace(
         user, input_gates=(bad,) + user.input_gates[1:])
     assert "bad-action" in codes(validate_template(bad_user))
     with pytest.raises(ValidationError, match="bad-action"):
@@ -98,9 +98,9 @@ def test_action_outside_vocabulary_is_an_error():
 ], ids=["quantifier", "selector"])
 def test_keyword_outside_vocabulary_is_an_error(predicate, rule, code):
     user = build_user_template()
-    bad = dataclasses.replace(user.input_gates[0], predicate=predicate,
-                              rules=(rule,))
-    bad_user = dataclasses.replace(
+    bad = replace(user.input_gates[0], predicate=predicate,
+                  rules=(rule,))
+    bad_user = replace(
         user, input_gates=(bad,) + user.input_gates[1:])
     assert code in codes(validate_template(bad_user))
     with pytest.raises(ValidationError, match=code):
@@ -109,18 +109,18 @@ def test_keyword_outside_vocabulary_is_an_error(predicate, rule, code):
 
 def test_timed_activity_requires_distribution():
     user = build_user_template()
-    request = dataclasses.replace(user.activities[0], time_distribution=None)
-    diags = validate_template(dataclasses.replace(
+    request = replace(user.activities[0], time_distribution=None)
+    diags = validate_template(replace(
         user, activities=(request,) + user.activities[1:]))
     assert "missing-distribution" in codes(diags)
 
 
 def test_instantaneous_activity_rejects_distribution():
     user = build_user_template()
-    fail = dataclasses.replace(
+    fail = replace(
         user.activities[1],
         time_distribution=user.activities[0].time_distribution)
-    diags = validate_template(dataclasses.replace(
+    diags = validate_template(replace(
         user, activities=(user.activities[0], fail, user.activities[2])))
     assert "unexpected-distribution" in codes(diags)
 
@@ -128,9 +128,9 @@ def test_instantaneous_activity_rejects_distribution():
 def test_gate_place_outside_declared_set():
     user = build_user_template()
     gate = user.input_gates[0]
-    bad = dataclasses.replace(
+    bad = replace(
         gate, predicate=GateAtom("all", "Req", ">=", Const(1)))
-    diags = validate_template(dataclasses.replace(
+    diags = validate_template(replace(
         user, input_gates=(bad,) + user.input_gates[1:]))
     assert "place-outside-gate" in codes(diags)
 
@@ -138,10 +138,10 @@ def test_gate_place_outside_declared_set():
 def test_where_selector_needs_matching_atom():
     user = build_user_template()
     gate = user.input_gates[0]   # predicate only mentions Idle
-    bad = dataclasses.replace(
+    bad = replace(
         gate, places=("Idle", "Req"),
         rules=gate.rules + (GateRule("Req", "sat", "set", Const(0)),))
-    diags = validate_template(dataclasses.replace(
+    diags = validate_template(replace(
         user, input_gates=(bad,) + user.input_gates[1:]))
     assert "ambiguous-where" in codes(diags)
 
@@ -149,18 +149,18 @@ def test_where_selector_needs_matching_atom():
 def test_where_selector_rejected_in_output_gate():
     geo = build_geo_template()
     gate = geo.output_gates[0]
-    bad = dataclasses.replace(
+    bad = replace(
         gate, rules=(GateRule("Working_S", "sat", "set", Const(1)),))
-    diags = validate_template(dataclasses.replace(
+    diags = validate_template(replace(
         geo, output_gates=(bad,) + geo.output_gates[1:]))
     assert "where-in-output" in codes(diags)
 
 
 def test_duplicate_and_colliding_names():
     user = build_user_template()
-    dup = dataclasses.replace(user, places=user.places + (user.places[0],))
+    dup = replace(user, places=user.places + (user.places[0],))
     assert "duplicate-name" in codes(validate_template(dup))
-    clash = dataclasses.replace(
+    clash = replace(
         user, places=user.places + (PlaceTemplate("Request", Const((1,))),),
         initial_marking=user.initial_marking + (("Request", MExpr(Const(0))),))
     assert "name-collision" in codes(validate_template(clash))
