@@ -33,7 +33,7 @@ PACKAGE = ROOT / "src" / "santkit"
 
 # The total this tree has; a change that leaves more statements unexecuted
 # must test them or delete them.
-MAX_UNEXECUTED = 44
+MAX_UNEXECUTED = 29
 
 
 def statement_lines(path: Path) -> dict[int, set[int]]:

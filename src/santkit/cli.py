@@ -15,10 +15,9 @@ from typing import NoReturn
 from .concretize import concretize, instance_summary
 from .errors import Diagnostic, SantError, ValidationError, has_errors
 from .export import san_to_dot, template_to_dot
-from .jsonio import (dumps, json_to_san, load_json_file, san_to_json,
-                     template_to_json)
+from .jsonio import dumps, json_to_san, load_json_file, san_to_json
 from .modelfile import (ModelDocument, coerce_assignment, load_assignments,
-                        load_template)
+                        load_template, template_to_json)
 from .record import replace
 from .sancore import validate_san
 from .sim import REWARDS, RewardSpec, SimConfig, simulate

@@ -7,6 +7,8 @@ else (evaluation, parsing, firing, simulation) raises a subclass of
 
 from __future__ import annotations
 
+from typing import Callable, TypeVar
+
 from .record import Record
 
 
@@ -115,3 +117,22 @@ class ValidationError(SantError):
         self.diagnostics = diagnostics
         lines = [d.format() for d in diagnostics if d.severity == "error"]
         super().__init__("validation failed:\n" + "\n".join(lines))
+
+
+T = TypeVar("T")
+
+
+def parse_file(path: str, parse: Callable[[str], T]) -> T:
+    """``parse`` applied to the text of a user file.  A file that is not
+    UTF-8 is a user error, and a syntax error names the file before its
+    line and column."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise SantError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    try:
+        return parse(text)
+    except ParseError as exc:
+        exc.args = (f"{path}:{exc}",)
+        raise

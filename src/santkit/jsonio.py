@@ -1,12 +1,10 @@
-"""JSON interchange: instances both ways, templates as an export only.
+"""The instance codec: concrete SANs to JSON and back.
 
-The instance schema is fully numeric and is read back by ``json_to_san``
-with typed, path-reporting checks.  It writes each distinct gate place list
-once, in a table that gates index; files of the earlier schema, which list
-a gate's places inline, are still read.  The template schema stores terms,
-predicates, rules and marking functions as their canonical surface text;
-like DOT, it is written but never read (the ``.sant`` text is the template
-format that is read back).  Both schemas carry a version tag.
+The schema is fully numeric, carries a version tag and is read back by
+``json_to_san`` with typed, path-reporting checks.  It writes each distinct
+gate place list once, in a table that gates index; files of the earlier
+schema, which list a gate's places inline, are still read.  Template JSON
+is written by ``modelfile``: this module imports no template code.
 """
 
 from __future__ import annotations
@@ -16,63 +14,14 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from math import isfinite
 from typing import Any, Callable
 
-from .errors import ParseError, SantError
-from .modelfile import (marking_fn_to_text, parse_file, pred_to_text,
-                        rule_to_text)
+from .errors import ParseError, SantError, parse_file
 from .sancore import (Activity, ActivityKind, ConcreteSan, Dist, InputGate,
                       OutputGate, PredAnd, PredConst, PredLeaf, PredNot,
                       PredOr, Predicate, Update)
-from .template import SanTemplate
-from .terms import print_term
 
-TEMPLATE_SCHEMA = "santkit-template/1"
 INSTANCE_SCHEMA = "santkit-instance/2"
 # The earlier instance schema: no place-list table, every gate's places inline.
 INLINE_PLACES_SCHEMA = "santkit-instance/1"
-
-
-def template_to_json(template: SanTemplate) -> dict[str, Any]:
-    def gate_json(gate, is_input: bool) -> dict[str, Any]:
-        doc: dict[str, Any] = {
-            "name": gate.name,
-            "activity": gate.activity,
-            "places": list(gate.places),
-        }
-        if gate.arc_label is not None:
-            doc["arc_label"] = gate.arc_label
-            return doc
-        if is_input:
-            doc["enabled"] = pred_to_text(gate.predicate)
-        doc["effect"] = [
-            {"when": None if r.when is None else print_term(r.when),
-             "rule": rule_to_text(r)}
-            for r in gate.rules]
-        return doc
-
-    return {
-        "schema": TEMPLATE_SCHEMA,
-        "name": template.name,
-        "params": [{"name": n, "sort": s.value} for n, s in template.parameters],
-        "places": [{"name": p.name, "multiplicity": print_term(p.multiplicity)}
-                   for p in template.places],
-        "activities": [{
-            "name": a.name,
-            "kind": a.kind.value,
-            "cases": print_term(a.cases),
-            "prob": [{"when": None if e.guard is None else print_term(e.guard),
-                      "value": print_term(e.prob)}
-                     for e in a.case_distribution],
-            "time": None if a.time_distribution is None else {
-                "family": a.time_distribution.family,
-                "params": [print_term(p) for p in a.time_distribution.params]},
-            # Templates have no reactivation syntax; the key keeps the layout.
-            "reactivation": {"kind": "empty", "description": ""},
-        } for a in template.activities],
-        "input_gates": [gate_json(g, True) for g in template.input_gates],
-        "output_gates": [gate_json(g, False) for g in template.output_gates],
-        "marking": {name: marking_fn_to_text(fn)
-                    for name, fn in template.initial_marking},
-    }
 
 
 def _pred_json(pred: Predicate) -> Any:

@@ -1,4 +1,6 @@
-"""The text model format (``.sant``) and assignment sets (``.sasg``).
+"""The text model format (``.sant``), assignment sets (``.sasg``) and
+template JSON, which holds terms, predicates, rules and marking functions
+as the same canonical text; like DOT, it is written but never read.
 
 A template file is block structured::
 
@@ -57,10 +59,10 @@ An assignment file holds named parameter bindings::
 
 from __future__ import annotations
 
-from typing import Callable, Container, TypeVar
+from typing import Any, Container
 
 from .arclabel import arc_gate
-from .errors import ParseError, SantError
+from .errors import ParseError, parse_file
 from .lexer import Token, TokenStream, tokenize
 from .record import Record
 from .sancore import (COMPARISONS, FAMILIES, ActivityKind, Dist, PredAnd,
@@ -84,6 +86,7 @@ _SIGNS = {"set": ":=", "add": "+=", "sub": "-="}
 _DEFAULT_CASES = Const(1)
 _DEFAULT_PROBS = (CaseEntry(None, Const(1.0)),)
 _NO_TOKENS = MExpr(Const(0))
+TEMPLATE_SCHEMA = "santkit-template/1"
 
 
 class ModelDocument(Record):
@@ -457,25 +460,6 @@ def parse_template_text(text: str, path: str = "<string>") -> ModelDocument:
     return _TemplateParser(text, path).parse()
 
 
-T = TypeVar("T")
-
-
-def parse_file(path: str, parse: Callable[[str], T]) -> T:
-    """``parse`` applied to the text of a user file.  A file that is not
-    UTF-8 is a user error, and a syntax error names the file before its
-    line and column."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError as exc:
-            raise SantError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    try:
-        return parse(text)
-    except ParseError as exc:
-        exc.args = (f"{path}:{exc}",)
-        raise
-
-
 def load_template(path: str) -> ModelDocument:
     return parse_file(path, lambda text: parse_template_text(text, path))
 
@@ -712,6 +696,45 @@ def template_to_text(template: SanTemplate) -> str:
         out.append("}")
         out.append("")
     return "\n".join(out)
+
+
+def template_to_json(template: SanTemplate) -> dict[str, Any]:
+    def gate_json(gate, is_input: bool) -> dict[str, Any]:
+        doc: dict[str, Any] = {"name": gate.name, "activity": gate.activity,
+                               "places": list(gate.places)}
+        if gate.arc_label is not None:
+            doc["arc_label"] = gate.arc_label
+            return doc
+        if is_input:
+            doc["enabled"] = pred_to_text(gate.predicate)
+        doc["effect"] = [
+            {"when": None if r.when is None else print_term(r.when),
+             "rule": rule_to_text(r)}
+            for r in gate.rules]
+        return doc
+
+    return {
+        "schema": TEMPLATE_SCHEMA,
+        "name": template.name,
+        "params": [{"name": n, "sort": s.value} for n, s in template.parameters],
+        "places": [{"name": p.name, "multiplicity": print_term(p.multiplicity)}
+                   for p in template.places],
+        "activities": [{
+            "name": a.name, "kind": a.kind.value, "cases": print_term(a.cases),
+            "prob": [{"when": None if e.guard is None else print_term(e.guard),
+                      "value": print_term(e.prob)}
+                     for e in a.case_distribution],
+            "time": None if a.time_distribution is None else {
+                "family": a.time_distribution.family,
+                "params": [print_term(p) for p in a.time_distribution.params]},
+            # Templates have no reactivation syntax; the key keeps the layout.
+            "reactivation": {"kind": "empty", "description": ""},
+        } for a in template.activities],
+        "input_gates": [gate_json(g, True) for g in template.input_gates],
+        "output_gates": [gate_json(g, False) for g in template.output_gates],
+        "marking": {name: marking_fn_to_text(fn)
+                    for name, fn in template.initial_marking},
+    }
 
 
 def _chunk_by(items, key):

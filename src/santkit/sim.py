@@ -41,7 +41,6 @@ from __future__ import annotations
 from heapq import heappop, heappush
 import math
 import random
-import statistics
 from operator import itemgetter
 from typing import Callable
 
@@ -420,6 +419,34 @@ def _replicate(
         events, counts
 
 
+def _mean_std(samples: list[float]) -> tuple[float, float]:
+    """The mean and the sample standard deviation, each correctly rounded,
+    as ``statistics.fmean`` and (from Python 3.11) ``statistics.stdev`` give
+    them.  One sample has deviation 0; samples whose mean is not finite,
+    such as a throughput over a subnormal horizon, have deviation NaN.
+
+    A finite float is an integer over a power of two, so the samples scale
+    to integers and the variance is an exact ratio of integers.  Its square
+    root is taken in integers to 109 bits, rounded to odd, so that the one
+    division into a float rounds it correctly.
+    """
+    n = len(samples)
+    mean = math.fsum(samples) / n
+    if n == 1 or not math.isfinite(mean):
+        return mean, 0.0 if n == 1 else math.nan
+    ratios = [x.as_integer_ratio() for x in samples]
+    scale = max(den for _, den in ratios)
+    scaled = [num * (scale // den) for num, den in ratios]
+    total = sum(scaled)
+    num = n * sum(k * k for k in scaled) - total * total
+    den = n * (n - 1) * scale * scale
+    q = (num.bit_length() - den.bit_length() - 109) // 2
+    num, den = num << max(-2 * q, 0), den << max(2 * q, 0)
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return mean, (root << max(q, 0)) / (1 << max(-q, 0))
+
+
 def simulate(san: ConcreteSan, cfg: SimConfig,
              rewards: list[RewardSpec] | tuple[RewardSpec, ...] = (),
              observer=None) -> SimResult:
@@ -458,8 +485,7 @@ def simulate(san: ConcreteSan, cfg: SimConfig,
     estimates = []
     for i, spec in enumerate(rewards):
         samples = [values[i] for values in per_rep]
-        mean = statistics.fmean(samples)
-        std = statistics.stdev(samples) if len(samples) > 1 else 0.0
+        mean, std = _mean_std(samples)
         estimates.append(RewardEstimate(spec.label(), mean, std,
                                         cfg.replications))
     return SimResult(

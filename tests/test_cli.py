@@ -609,6 +609,34 @@ def test_instance_diagnostics_match_the_template_rules(tmp_path, capsys, edit,
         f"error: validation failed:\nerror: {diagnostic}\n"
 
 
+def _negative_set(doc):
+    doc["output_gates"][0]["effect"].append(
+        {"place": "Idle_1", "action": "set", "amount": -2, "when": None})
+
+
+# Validation faults reached by editing an instance, each pinned in full.
+@pytest.mark.parametrize("edit, diagnostics", [
+    (lambda d: d["activities"][1].update(cases=0, probs=[]),
+     ["case-count: activity has 0 cases [activity Fail]",
+      "normalization: case probabilities sum to 0, not 1 [activity Fail]",
+      "case-out-of-range: gate is mapped to case 1 of 'Fail' (0 cases) "
+      "[gate ArcOutFail]"]),
+    (lambda d: d["activities"][0].update(probs=[0.5, 0.5]),
+     ["case-count: 2 probabilities for 3 cases [activity Request]"]),
+    (_negative_set,
+     ["negative-marking: update sets 'Idle_1' to -2 [gate OGRequest_1]"]),
+    (lambda d: d["marking"].pop("Idle_1") and None,
+     ["marking-incomplete: initial marking does not cover place 'Idle_1'"]),
+], ids=["zero-cases", "probs-for-cases", "negative-set", "unmarked-place"])
+def test_edited_instance_faults_are_user_errors(tmp_path, capsys, edit,
+                                                diagnostics):
+    instance = tmp_path / "bad.sanx"
+    instance.write_text(json.dumps(_malformed(edit)))
+    assert main(["simulate", str(instance), "--horizon", "10"]) == 1
+    assert capsys.readouterr().err == "error: validation failed:\n" + "".join(
+        f"error: {line}\n" for line in diagnostics)
+
+
 # concretize names the gates of a two-case activity OG_SW_1 and OG_SW_2, so
 # a template gate named OG_SW_1 passes the template rules but collides in
 # the instance; DOT would draw the two as one node.

@@ -231,6 +231,13 @@ def test_case_count_must_be_positive():
         concretize(user, {"s": (), "pb": ()})
 
 
+def test_case_without_a_prob_row_has_probability_zero():
+    text = ("template T\nparams { }\nplaces { }\nactivities {\n"
+            "  instantaneous A { cases = 2 prob { case 1: 1.0 } }\n}\n")
+    san = concretize(parse_template_text(text).template, {})
+    assert san.activity("A").case_probs == (1.0, 0.0)
+
+
 def test_determinism_bit_identical():
     from santkit.jsonio import dumps, san_to_json
     first = concretize(build_tmi_template(), TMI_PAIR)

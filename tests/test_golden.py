@@ -223,8 +223,8 @@ OUTPUT_SHA256 = {
 
 def _output(kind: str, subject: str, tmp_path, capsys) -> bytes:
     from santkit.cli import main
-    from santkit.jsonio import dumps, template_to_json
-    from santkit.modelfile import template_to_text
+    from santkit.jsonio import dumps
+    from santkit.modelfile import template_to_json, template_to_text
 
     model, _, assignment = subject.partition("/")
     sant = str(MODELS / f"{model}.sant")

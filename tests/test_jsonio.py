@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from santkit.concretize import concretize
 from santkit.fixtures import USER_INTERNAL, build_user_template
-from santkit.jsonio import dumps, json_to_san, san_to_json, template_to_json
+from santkit.jsonio import dumps, json_to_san, san_to_json
 from santkit.modelfile import (coerce_assignment, load_assignments,
-                               load_template)
+                               load_template, template_to_json)
 from santkit.record import replace
 from santkit.sancore import (Activity, ActivityKind, ConcreteSan, Dist,
                              InputGate, OutputGate, PredAnd, PredConst,

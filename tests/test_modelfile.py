@@ -16,7 +16,8 @@ from santkit.jsonio import dumps, json_to_san, san_to_json
 from santkit.modelfile import (assignments_to_text, coerce_assignment,
                                load_assignments, load_template,
                                parse_assignments_text, parse_template_text,
-                               pred_to_text, template_to_text)
+                               pred_to_text, rule_to_text,
+                               template_to_text)
 from santkit.sancore import fire
 from santkit.template import (marking_tokens_at, template_fire,
                               validate_template)
@@ -431,3 +432,51 @@ def test_duplicate_table_index_is_a_parse_error():
     with pytest.raises(ParseError) as err:
         parse_template_text(text)
     assert str(err.value) == "4:27: duplicate table index 1"
+
+
+_PLACE = "template T\nparams { }\nplaces { P = {1} }\n"
+_HEAD = _PLACE + "activities { instantaneous A }\n"
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_template_text, _HEAD + "arcs { input G : P -> A label 5 }\n",
+     "5:31: expected a label string"),
+    (parse_template_text,
+     _HEAD + "gates { output G : A { places = P enabled = P[1] >= 1 } }\n",
+     "5:35: output gates have no predicate"),
+    (parse_template_text,
+     _HEAD + "gates { input G : A { places = P effect = P[1] -= 1 } }\n",
+     "5:15: input gate 'G' has no 'enabled' predicate"),
+    (parse_template_text,
+     _PLACE + "marking { P = table(x: 1) }\n",
+     "4:21: expected an index literal"),
+    (parse_template_text,
+     _PLACE + "marking { P = table(1: y) }\n",
+     "4:24: expected a token-count literal"),
+    (parse_assignments_text, "assignments { A { x = -true } }",
+     "1:24: expected a number"),
+    (parse_assignments_text, 'assignments { A { x = "s" } }',
+     "1:23: found 's' (expected a literal)"),
+], ids=["non-string-label", "output-gate-enabled", "input-gate-no-enabled",
+        "table-index", "table-count", "negated-bool", "string-literal"])
+def test_malformed_file_is_a_positioned_parse_error(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+def test_when_block_may_end_with_a_separator():
+    text = (_HEAD + "gates { output G : A { places = P\n"
+            "  when <CASE> = 1 { P[1] += 1 ; } } }\n")
+    gate, = parse_template_text(text).template.output_gates
+    assert [rule_to_text(rule) for rule in gate.rules] == ["P[1] += 1"]
+
+
+def test_false_literal_and_int_bound_to_a_real_parameter():
+    template = parse_template_text(
+        "template T\nparams { r : real  b : bool }\nplaces { }\n").template
+    raw = parse_assignments_text("assignments { A { r = 2  b = false } }")["A"]
+    assert raw == {"r": 2, "b": False}
+    bound = coerce_assignment(template, raw)
+    assert bound == {"r": 2.0, "b": False}
+    assert type(bound["r"]) is float

@@ -5,9 +5,12 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from santkit.concretize import concretize
 from santkit.errors import (InvalidConfig, MaxEventsExceeded,
@@ -88,6 +91,24 @@ def test_select_case_falls_back_to_last_positive_case():
     probs = (0.5, 0.5 - 1e-12, 0.0)
     assert math.fsum(probs) < 1.0 - 2.0 ** -53
     assert select_case(probs, _LastDraw()) == 2
+
+
+# -- estimates ----------------------------------------------------------------
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="statistics.stdev rounds correctly from 3.11 on")
+@given(st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=20))
+def test_estimates_match_statistics(samples):
+    from santkit import sim
+    assert sim._mean_std(samples) == (statistics.fmean(samples),
+                                      statistics.stdev(samples))
+
+
+def test_estimate_of_one_or_a_non_finite_sample():
+    from santkit import sim
+    assert sim._mean_std([2.5]) == (2.5, 0.0)
+    mean, std = sim._mean_std([math.inf, 1.0])
+    assert mean == math.inf and math.isnan(std)
 
 
 # -- configuration -------------------------------------------------------------
