@@ -38,11 +38,9 @@ class PlaceIndexMap(Record):
 
     ``names`` and ``indices`` list each template's concrete places and
     index values in expansion order; ``offsets`` maps each template's index
-    values to their 0-based offset in those lists; ``inverse`` maps a
-    concrete place back to (template name, index value).
+    values to their 0-based offset in those lists.
     """
 
-    inverse: dict[str, tuple[str, int]]
     indices: dict[str, tuple[int, ...]]
     names: dict[str, tuple[str, ...]]
     offsets: dict[str, dict[int, int]]
@@ -57,23 +55,19 @@ def expand_place(pt: PlaceTemplate,
 
 def build_index_map(template: SanTemplate,
                     assignment: Mapping[str, Value]) -> PlaceIndexMap:
-    inverse: dict[str, tuple[str, int]] = {}
+    """Index map of every place template.  Precondition: place template
+    names are unique (``concretize`` refuses a ``duplicate-name``); as
+    ``<i>`` prints with no ``_``, no two places then share ``<P>_<i>``."""
     indices: dict[str, tuple[int, ...]] = {}
     names: dict[str, tuple[str, ...]] = {}
     offsets: dict[str, dict[int, int]] = {}
     for pt in template.places:
         values = tuple(place_index_values(pt, assignment))
-        row = []
-        for index in values:
-            name = concrete_place_name(pt.name, index)
-            if name in inverse:
-                raise EvalError(f"concrete place name collision: '{name}'")
-            inverse[name] = (pt.name, index)
-            row.append(name)
         indices[pt.name] = values
-        names[pt.name] = tuple(row)
+        names[pt.name] = tuple(concrete_place_name(pt.name, index)
+                               for index in values)
         offsets[pt.name] = {index: i for i, index in enumerate(values)}
-    return PlaceIndexMap(inverse, indices, names, offsets)
+    return PlaceIndexMap(indices, names, offsets)
 
 
 def check_assignment(template: SanTemplate,
@@ -224,11 +218,11 @@ def concretize_input_gate(template: SanTemplate, gate: InputGateTemplate,
 def concretize_output_gate(template: SanTemplate, gate: OutputGateTemplate,
                            case: int, assignment: Mapping[str, Value],
                            index_map: PlaceIndexMap | None = None,
-                           name: str | None = None,
                            places: tuple[str, ...] | None = None,
                            cases: int | None = None) -> OutputGate:
     """The case-th concrete output gate generated from a template gate.
 
+    It is named ``<gate>_<case>`` when its activity has several cases.
     ``places``, when given, is the gate's expanded place tuple, which
     ``concretize`` builds once and shares across the gate's cases; ``cases``
     is the activity's case count, which ``concretize`` has evaluated once.
@@ -240,7 +234,8 @@ def concretize_output_gate(template: SanTemplate, gate: OutputGateTemplate,
         raise IndexOutOfRange(
             f"case {case} out of range for '{gate.activity}' ({cases} cases)")
     return OutputGate(
-        name or gate.name, gate.activity, case,
+        gate.name if cases == 1 else f"{gate.name}_{case}",
+        gate.activity, case,
         _gate_places(gate, imap) if places is None else places,
         _fold_rules(template, gate, assignment, imap, case_index=case))
 
@@ -290,10 +285,9 @@ def concretize(template: SanTemplate, assignment: Mapping[str, Value],
         cases = case_counts[gate.activity]
         gate_places = _gate_places(gate, imap)
         for case in range(1, cases + 1):
-            gate_name = gate.name if cases == 1 else f"{gate.name}_{case}"
             output_gates.append(concretize_output_gate(
-                template, gate, case, assignment, imap, name=gate_name,
-                places=gate_places, cases=cases))
+                template, gate, case, assignment, imap, places=gate_places,
+                cases=cases))
 
     initial = project_marking(template, template.initial_marking_map(),
                               assignment, imap)

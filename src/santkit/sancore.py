@@ -64,8 +64,8 @@ FAMILIES: dict[str, Family] = {
         1, lambda rate: not rate > 0.0, "exponential rate must be positive",
         lambda p, rng: -math.log(1.0 - rng.random()) / p[0]),
     "uniform": Family(
-        2, lambda low, high: not low <= high,
-        "uniform bounds must satisfy low <= high",
+        2, lambda low, high: not 0.0 <= low <= high,
+        "uniform bounds must satisfy 0 <= low <= high",
         lambda p, rng: p[0] + (p[1] - p[0]) * rng.random()),
     "deterministic": Family(
         1, lambda delay: not delay >= 0.0,

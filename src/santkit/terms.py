@@ -42,8 +42,8 @@ class Sort(enum.Enum):
 
 
 def value_sort(value: Value) -> Sort:
-    """Sort of a runtime value. Empty sequences are reported as SET_INT;
-    use :func:`matches_sort` when validating against a declaration."""
+    """Sort of a runtime value.  The empty sequence has none; use
+    :func:`matches_sort`, which accepts it for either set sort."""
     if isinstance(value, bool):
         return Sort.BOOL
     if isinstance(value, int):
@@ -52,7 +52,7 @@ def value_sort(value: Value) -> Sort:
         return Sort.REAL
     if isinstance(value, tuple):
         if not value:
-            return Sort.SET_INT
+            raise SortMismatch("empty set literal has no sort")
         if all(isinstance(v, bool) for v in value):
             raise SortMismatch("sequences of booleans are not a sort")
         if all(isinstance(v, int) and not isinstance(v, bool) for v in value):
@@ -208,7 +208,8 @@ def infer_sort(term: Term, declared: Mapping[str, Sort] | None = None) -> Sort:
                 return _SI
             if all(s == _R for s in arg_sorts):
                 return _SR
-            raise SortMismatch(f"mixed sorts in set literal: {arg_sorts}")
+            raise SortMismatch("mixed sorts in set literal: (%s)"
+                               % ", ".join(str(s) for s in arg_sorts))
         op = OPS.get(term.op)
         if op is None:
             raise SortMismatch(f"unknown operator '{term.op}'")

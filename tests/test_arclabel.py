@@ -271,6 +271,13 @@ def test_output_corpus_round_trip():
         assert parse_output_label(text, PARAMS) == spec, text
 
 
+def test_negative_set_amount_keeps_its_parentheses():
+    # An amount printed with a leading sign is parenthesized.
+    spec = Unconditional(OutSet(Const(-1)))
+    assert print_output_label(spec) == "(-1)"
+    assert parse_output_label("(-1)") == spec
+
+
 def test_input_corpus_round_trip():
     rng = random.Random(4321)
     for _ in range(500):

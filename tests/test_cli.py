@@ -152,6 +152,129 @@ def test_dead_prob_row_is_a_user_error(tmp_path, capsys, rows, position):
     assert capsys.readouterr().err == f"error: {bad}:{position}\n"
 
 
+# Well-formedness rules of terms and templates, each broken in one bundled
+# model; a rule that ran in no test once let faults through unnoticed.
+@pytest.mark.parametrize("source, old, new, fault", [
+    ("user.sant", "  Req = s\n", "  Req = {1, 2.0}\n",
+     "error: {bad}:14:9: mixed sorts in set literal: (int, real)"),
+    ("user.sant", "cases = |s|", "cases = not 1",
+     "error: {bad}:21:13: expected a boolean operand"),
+    ("user.sant", "cases = |s|", "cases = union",
+     "error: {bad}:21:13: found 'union' (expected a term)"),
+    ("tmi.sant", "prob {\n      case 1: 1.0 - p_TMI\n      case 2: p_TMI\n"
+     "    }", "prob { }",
+     "{bad}:21:9: error: empty-case-distribution: no case probability "
+     "entries [activity SW_F]"),
+    ("geo.sant", "effect = Working_S[all] := 0", "effect = GEO[all] := 0",
+     "{bad}:27:9: error: place-outside-gate: rule updates place 'GEO' "
+     "outside the gate's place set [gate IG_GF]"),
+], ids=["mixed-set-literal", "not-of-an-int", "keyword-as-term",
+        "empty-prob-block", "rule-outside-gate"])
+def test_ill_formed_template_is_a_user_error(tmp_path, capsys, source, old,
+                                             new, fault):
+    text = (MODELS / source).read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    bad = tmp_path / source
+    bad.write_text(text.replace(old, new), encoding="utf-8")
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr() == ("", fault.format(bad=bad) + "\n")
+
+
+def test_negative_uniform_delay_is_refused(tmp_path, capsys):
+    # It once validated, and the simulator ran time backwards.
+    text = (MODELS / "geo.sant").read_text(encoding="utf-8")
+    bad = tmp_path / "geo.sant"
+    bad.write_text(text.replace("exponential(lambda_r)", "uniform(-1.0, 1.0)"),
+                   encoding="utf-8")
+    assert main(["simulate", str(bad), GEO_ASSIGN, "--assignment", "GeoPair",
+                 "--horizon", "100", "--reps", "3"]) == 1
+    assert capsys.readouterr() == ("", (
+        "error: validation failed:\n"
+        "error: invalid-parameter: uniform bounds must satisfy "
+        "0 <= low <= high, got (-1.0, 1.0) [activity GEO_R]\n"))
+
+
+_NO_PARAMETERS = "assignments {\n  Empty { }\n}\n"
+
+# One instantaneous activity that takes a token its place does not hold.
+_UNDERFLOW = """template Underflow
+
+places {
+  P = {1}
+}
+
+activities {
+  instantaneous I
+}
+
+gates {
+  input G : I {
+    places = P
+    enabled = P[1] >= 0
+    effect = P[1] -= 1
+  }
+}
+"""
+
+# Two instantaneous activities that each move P's token to Q.
+_DIAMOND = """template Diamond
+
+places {
+  P = {1}
+  Q = {1}
+}
+
+activities {
+  instantaneous A
+  instantaneous B
+}
+
+arcs {
+  input PtoA : P -> A
+  input PtoB : P -> B
+  output AtoQ : A -> Q
+  output BtoQ : B -> Q
+}
+
+marking {
+  P = 1
+}
+"""
+
+
+def _instantiate(tmp_path, text: str) -> list[str]:
+    template = tmp_path / "net.sant"
+    template.write_text(text, encoding="utf-8")
+    assignments = tmp_path / "empty.sasg"
+    assignments.write_text(_NO_PARAMETERS, encoding="utf-8")
+    return ["instantiate", str(template), str(assignments),
+            "--assignment", "Empty", "--out", str(tmp_path / "net.sanx")]
+
+
+def test_failed_instability_search_warns(tmp_path, capsys):
+    # The search fires I from the initial marking, which drives P_1 below
+    # zero: validation warns, and the simulator refuses the instance.
+    assert main(_instantiate(tmp_path, _UNDERFLOW)) == 0
+    assert capsys.readouterr() == (
+        "Empty: |P|=1 |A|=1 |I|=1 |O|=0 sum(cases)=1\n"
+        f"wrote {tmp_path / 'net.sanx'}\n",
+        "warning: instability-check: instability search failed: gate 'G' "
+        "drives place 'P_1' to -1\n")
+    assert main(["simulate", str(tmp_path / "net.sanx"),
+                 "--horizon", "10"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: gate 'G' drives place 'P_1' to -1\n")
+
+
+def test_instability_search_meets_a_stable_marking_twice(tmp_path, capsys):
+    # A and B both lead to P_1=0, Q_1=1; the search finds it stable once
+    # and skips it the second time.
+    assert main(_instantiate(tmp_path, _DIAMOND)) == 0
+    assert capsys.readouterr().err == ""
+    diamond = parse_template_text(_DIAMOND).template
+    assert sancore.validate_san(concretize(diamond, {})) == []
+
+
 def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["sant", "bundled"])
     with pytest.raises(SystemExit) as stop:

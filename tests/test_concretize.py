@@ -57,8 +57,12 @@ def test_index_map_bijection():
     user = build_user_template()
     imap = build_index_map(user, USER_INTERNAL)
     assert imap.names["Req"] == ("Req_1", "Req_6", "Req_7")
-    assert imap.inverse["Req_6"] == ("Req", 6)
     assert imap.indices["Req"] == (1, 6, 7)
+    # Each concrete place comes from one (place template, index) pair.
+    inverse = {name: (place, index) for place in imap.names
+               for name, index in zip(imap.names[place], imap.indices[place])}
+    assert len(inverse) == sum(len(row) for row in imap.names.values())
+    assert inverse["Req_6"] == ("Req", 6)
 
 
 # -- marking projection and lifting ------------------------------------------
@@ -83,6 +87,15 @@ def test_project_set_at():
               Req=MSetOn(Const((6,)), Const(1)))
     marking = project_marking(user, tm, USER_INTERNAL)
     assert (marking["Req_6"], marking["Req_1"], marking["Req_7"]) == (1, 0, 0)
+
+
+def test_project_needs_every_place():
+    user = build_user_template()
+    marking = dict(user.initial_marking_map())
+    del marking["Req"]
+    with pytest.raises(EvalError) as info:
+        project_marking(user, marking, USER_INTERNAL)
+    assert str(info.value) == "marking does not cover place 'Req'"
 
 
 def test_lift_then_project_is_identity_on_expanded_indices():
@@ -197,6 +210,10 @@ def test_assignment_validation():
         concretize(user, {"s": (1, 2), "pb": (1, 0)})
     with pytest.raises(UnknownParameter):
         concretize(user, dict(USER_INTERNAL, extra=1))
+    # A binding that is no value of any sort.
+    with pytest.raises(SortMismatch) as info:
+        concretize(user, {"s": "abc", "pb": (1.0,)})
+    assert str(info.value) == "parameter 's' expects set<int>, bound to 'abc'"
 
 
 def _sort_checks_during_concretize(monkeypatch, size: int) -> int:
@@ -258,8 +275,7 @@ def test_output_gates_of_one_template_gate_share_their_places():
         assert len(generated) == san.activity(gate.activity).cases
         assert len({id(g.places) for g in generated}) == 1
         for g in generated:
-            assert g == concretize_output_gate(user, gate, g.case, assignment,
-                                               name=g.name)
+            assert g == concretize_output_gate(user, gate, g.case, assignment)
     request = [g for g in san.output_gates if g.activity == "Request"]
     assert len(request) == 50
     assert len(request[0].places) == 50

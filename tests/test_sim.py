@@ -7,6 +7,7 @@ import math
 import random
 import statistics
 import sys
+from importlib import resources
 
 import pytest
 from hypothesis import given
@@ -17,6 +18,8 @@ from santkit.errors import (InvalidConfig, MaxEventsExceeded,
                             NonStabilizingDetected, UnsupportedReactivation)
 from santkit.fixtures import (USER_INTERNAL, build_geo_template,
                               build_tmi_template, build_user_template)
+from santkit.modelfile import (coerce_assignment, load_assignments,
+                               load_template)
 from santkit.record import replace
 from santkit.sancore import (Activity, ConcreteSan, Dist, InputGate,
                              OutputGate, PredLeaf, Update, is_stable)
@@ -320,9 +323,10 @@ def test_simulate_rejects_invalid_instance():
     Dist("exponential", (math.nan,)),
     Dist("uniform", (math.nan, 1.0)),
     Dist("deterministic", (math.nan,)),
+    Dist("uniform", (-1.0, 1.0)),
 ], ids=["rate-zero", "rate-negative", "uniform-inverted",
         "delay-negative", "arity-over", "arity-under", "unknown-family",
-        "rate-nan", "uniform-nan", "delay-nan"])
+        "rate-nan", "uniform-nan", "delay-nan", "uniform-negative"])
 def test_simulate_refuses_bad_distribution_before_any_draw(dist, monkeypatch):
     from santkit import sim
     from santkit.errors import ValidationError
@@ -485,3 +489,37 @@ def test_throughput_matches_poisson_rate():
     est = result.rewards[0]
     stderr = est.std / math.sqrt(est.replications)
     assert abs(est.estimate - 2.0) <= 3 * stderr
+
+
+@pytest.mark.parametrize("model, name", [("geo", "GeoPair"),
+                                         ("tmi", "TmiPair")])
+@pytest.mark.parametrize("c", [2.0, 0.25])
+def test_scaled_rates_and_horizon_give_the_same_run(model, name, c):
+    # Metamorphic relation: every exponential rate times c and the horizon
+    # over c replay the same seeded runs on a clock scaled by 1/c.  Scaling
+    # by a power of two is exact in floating point, so event and case counts
+    # and time averages are equal, and throughputs are exactly c times.
+    models = resources.files("santkit") / "models"
+    template = load_template(str(models / f"{model}.sant")).template
+    bindings = load_assignments(str(models / f"{model}.sasg"))[name]
+    san = concretize(template, coerce_assignment(template, bindings))
+    assert {a.distribution.family for a in san.activities} == {"exponential"}
+    scaled_san = replace(san, activities=tuple(
+        replace(a, distribution=Dist("exponential",
+                                     (a.distribution.params[0] * c,)))
+        for a in san.activities))
+    rewards = [RewardSpec("throughput", a.name) for a in san.activities] + [
+        RewardSpec(kind, place, 1) for place in san.places
+        for kind in ("time_avg_tokens", "prob_tokens_at_least")]
+    horizon, reps = 50.0, 3
+    base = simulate(san, SimConfig(seed=11, horizon=horizon,
+                                   replications=reps), rewards)
+    scaled = simulate(scaled_san, SimConfig(seed=11, horizon=horizon / c,
+                                            replications=reps), rewards)
+    assert min(base.events) > 10
+    assert scaled.events == base.events
+    assert scaled.case_counts == base.case_counts
+    for spec, ours, theirs in zip(rewards, base.rewards, scaled.rewards):
+        factor = c if spec.kind == "throughput" else 1.0
+        assert (theirs.estimate, theirs.std) == \
+            (ours.estimate * factor, ours.std * factor), spec

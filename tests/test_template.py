@@ -6,7 +6,8 @@ from __future__ import annotations
 import pytest
 
 from santkit.concretize import concretize
-from santkit.errors import NegativeMarking, ValidationError, has_errors
+from santkit.errors import (Diagnostic, NegativeMarking, NotEnabled,
+                            SantError, ValidationError, has_errors)
 from santkit.fixtures import (USER_INTERNAL, build_geo_template,
                               build_tmi_template, build_user_template)
 from santkit.record import replace
@@ -14,8 +15,10 @@ from santkit.template import (ActivityKind, CaseEntry, GateAtom, GateRule,
                               MExpr, MSetOn, MTable, PlaceTemplate, SAt,
                               apply_gate_rules, has_variable_cases,
                               is_unary_multiplicity, marking_tokens_at,
-                              place_index_values, validate_template)
-from santkit.terms import Apply, Const, Param, Sort, parse_term
+                              place_index_values, template_fire,
+                              validate_template)
+from santkit.terms import (Apply, Const, Param, PlaceIndex, Sort, Term,
+                           parse_term)
 
 
 def codes(diags):
@@ -154,6 +157,71 @@ def test_where_selector_rejected_in_output_gate():
     diags = validate_template(replace(
         geo, output_gates=(bad,) + geo.output_gates[1:]))
     assert "where-in-output" in codes(diags)
+
+
+def _with_request_cases(cases: Term):
+    user = build_user_template()
+    return replace(user, activities=(
+        replace(user.activities[0], cases=cases),) + user.activities[1:])
+
+
+def test_unknown_operator_is_a_sort_mismatch():
+    bad = _with_request_cases(Apply("pow", (Const(2), Const(3))))
+    assert validate_template(bad) == [Diagnostic(
+        "sort-mismatch", "unknown operator 'pow'", element="activity Request")]
+
+
+def test_place_placeholder_outside_a_place_slot():
+    bad = _with_request_cases(PlaceIndex())
+    assert validate_template(bad) == [Diagnostic(
+        "place-placeholder", "<PLACE> is not allowed here",
+        element="activity Request")]
+
+
+def test_empty_set_multiplicity_is_a_sort_mismatch():
+    # It once validated clean, and template_to_text printed it as "{}",
+    # which the parser refuses.
+    user = build_user_template()
+    bad = replace(
+        user, places=user.places + (PlaceTemplate("P", Const(())),),
+        initial_marking=user.initial_marking + (("P", MExpr(Const(0))),))
+    assert validate_template(bad) == [Diagnostic(
+        "sort-mismatch", "empty set literal has no sort", element="place P")]
+
+
+def test_initial_marking_must_cover_every_place():
+    user = build_user_template()
+    assert validate_template(replace(user, initial_marking=())) == [
+        Diagnostic("marking-incomplete",
+                   f"initial marking does not cover place '{name}'",
+                   element=f"place {name}")
+        for name in ("Idle", "Req", "Dropped", "Failed")]
+
+
+def test_marking_entry_must_be_a_marking_function():
+    user = build_user_template()
+    bad = replace(user, initial_marking=tuple(
+        (name, Const(1) if name == "Idle" else fn)
+        for name, fn in user.initial_marking))
+    with pytest.raises(SantError) as info:
+        concretize(bad, USER_INTERNAL)
+    assert str(info.value) == "not a marking function: Const(value=1)"
+
+
+def test_lookup_of_an_unknown_name_is_a_key_error():
+    user = build_user_template()
+    for lookup in (user.place, user.activity):
+        with pytest.raises(KeyError) as info:
+            lookup("Nope")
+        assert info.value.args == ("Nope",)
+
+
+def test_template_fire_refuses_a_disabled_activity():
+    user = build_user_template()
+    marking = dict(user.initial_marking_map(), Idle=MExpr(Const(0)))
+    with pytest.raises(NotEnabled) as info:
+        template_fire(user, marking, "Request", 1, USER_INTERNAL)
+    assert str(info.value) == "activity 'Request' is not enabled"
 
 
 def test_duplicate_and_colliding_names():

@@ -12,8 +12,8 @@ from hypothesis import given, strategies as st
 from santkit.errors import (DivisionByZero, IndexOutOfRange, MissingContext,
                             ParseError, SortMismatch, UnknownParameter)
 from santkit.terms import (Apply, CaseIndex, Const, Param, PlaceIndex, Sort,
-                           eval_term, infer_sort, parse_term, print_term,
-                           value_sort)
+                           eval_term, infer_sort, matches_sort, parse_term,
+                           print_term, value_sort)
 
 PARAMS = {"s": Sort.SET_INT, "pb": Sort.SET_REAL, "i": Sort.INT,
           "x": Sort.REAL, "b": Sort.BOOL, "k": Sort.INT, "J": Sort.SET_INT,
@@ -398,3 +398,29 @@ def test_value_sort_rejects_mixed():
         value_sort((1, 0.5))
     with pytest.raises(SortMismatch):
         value_sort((True, False))
+
+
+def test_empty_set_has_no_sort():
+    # It once sorted as set<int>, and printed as an unparseable "{}".
+    with pytest.raises(SortMismatch, match=r"^empty set literal has no sort$"):
+        value_sort(())
+    with pytest.raises(SortMismatch, match=r"^empty set literal has no sort$"):
+        infer_sort(Apply("setlit", ()))
+    # An empty binding still fits either set parameter.
+    assert matches_sort((), Sort.SET_INT) and matches_sort((), Sort.SET_REAL)
+    assert not matches_sort((), Sort.INT)
+
+
+def test_eval_of_an_unknown_operator_is_a_sort_mismatch():
+    with pytest.raises(SortMismatch) as info:
+        eval_term(Apply("pow", (Const(2), Const(3))), {})
+    assert str(info.value) == "unknown operator 'pow'"
+
+
+@pytest.mark.parametrize("check", [
+    infer_sort, lambda term: eval_term(term, {}), print_term,
+], ids=["infer_sort", "eval_term", "print_term"])
+def test_a_non_term_is_refused(check):
+    with pytest.raises(SortMismatch) as info:
+        check(42)
+    assert str(info.value) == "not a term: 42"
