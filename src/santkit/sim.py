@@ -7,8 +7,7 @@ instantaneous activities are then exhausted (choosing uniformly at random
 among them) before time advances again.  A timed activity that becomes
 disabled loses its scheduled firing and is resampled if it is enabled
 again later (enabling memory).  Equal timestamps resolve in scheduling
-order.  The priority rule is ``sancore.under_priority``, applied when the
-instance has an instantaneous activity (otherwise it would change nothing).
+order.  This is the priority rule of ``sancore.under_priority``.
 
 ``simulate`` compiles the validated instance once into an execution plan.
 Each place gets a slot and the marking is a list of token counts; each
@@ -17,18 +16,16 @@ of marking updates applied in place.  A conjunction of lower bounds that
 share one value, such as GEO's ``all Working_S > 0`` over |n| places, is one
 C-level scan of its slots: a slice when they are consecutive, and a test for
 a zero count when the bound is one token.  ``sancore.fire`` and
-``sancore.is_enabled`` stay the reference the plan is tested against.  The
-plan is run through three module-level functions, called through this
-module's globals once per reached marking (``enabled_activities``), once
-per firing (``fire``) and once per firing-time draw
-(``sample_firing_time``).  These are the boundaries the layered benchmark
-in ``perfbench/`` measures, by wrapping the three names.
+``sancore.is_enabled`` stay the reference the plan is tested against,
+through the module-level ``enabled_activities`` and ``fire``.
 
-A replication is one loop over local arrays.  Each turn fires the chosen
-activity (drawing a case only when it has several), evaluates the enabling
-of the marking reached, and either picks the next instantaneous activity
-or, once the marking is stable, schedules and cancels the timed activities
-and advances to the earliest pending firing, accruing the rated rewards and
+A replication is one loop that runs the plan directly.  Each turn fires
+the chosen activity (drawing a case only when it has several) by running
+its case's gate program, then evaluates each enabling closure at most once
+on the marking reached: the instantaneous activities first and, when none
+is enabled, the timed ones, which it schedules and cancels.  An enabled
+instantaneous activity is picked uniformly to fire next; otherwise time
+advances to the earliest pending firing, accruing the rated rewards and
 calling the observer (if any) for the interval.
 
 Replications are independent: replication ``r`` runs on its own generator
@@ -50,7 +47,7 @@ from .errors import (InvalidConfig, MaxEventsExceeded, NegativeMarking,
 from .record import Record
 from .sancore import (COMPARISONS, FAMILIES, Activity, ConcreteSan, Dist,
                       PredAnd, PredConst, PredLeaf, PredNot, Predicate,
-                      Update, under_priority, validate_san)
+                      Update, validate_san)
 
 
 STABILIZATION_LIMIT = 10_000  # instantaneous firings per time point
@@ -140,8 +137,9 @@ class SimResult(Record):
 
 def sample_firing_time(dist: Dist, rng: random.Random) -> float:
     """Draw a firing delay by inverse transform; deterministic draws do not
-    consume randomness.  ``simulate`` has checked the parameters through
-    ``validate_san``."""
+    consume randomness.  The parameters must pass ``validate_san``'s check
+    of the family; ``simulate`` draws through the same ``FAMILIES``
+    sampler."""
     return FAMILIES[dist.family].sample(dist.params, rng)
 
 
@@ -229,6 +227,10 @@ def _compile_predicate(pred: Predicate, slot: dict[str, int]) -> Check:
 # None.  A gate is (whether any of its updates is guarded, its ops).
 Op = tuple
 Gate = tuple[bool, tuple[Op, ...]]
+Program = tuple[Gate, ...]
+# A timed activity's delay sampler and parameters, as ``FAMILIES`` gives them.
+Sampler = tuple[Callable[[tuple[float, ...], random.Random], float],
+                tuple[float, ...]]
 
 
 def _compile_gate(name: str, updates: tuple[Update, ...],
@@ -269,19 +271,19 @@ def _compile_gate(name: str, updates: tuple[Update, ...],
 
 
 class _Plan(Record):
-    """A validated instance compiled for ``enabled_activities`` and
-    ``fire``: per activity (in declaration order) its enabling check and,
-    per case, the programs of its input gates then of the case's output
-    gates, in declaration order."""
+    """A validated instance compiled for the event loop: per activity (in
+    declaration order) its enabling check, its sampler (None for an
+    instantaneous activity) and, per case, the program of its input gates
+    then of the case's output gates, in declaration order."""
 
     places: tuple[str, ...]
     slot: dict[str, int]
     initial: tuple[int, ...]
     activities: tuple[Activity, ...]
     index: dict[str, int]
-    instantaneous: bool          # whether the priority rule can apply
     enabling: tuple[Check, ...]
-    programs: tuple[tuple[tuple[Gate, ...], ...], ...]
+    samplers: tuple[Sampler | None, ...]
+    programs: tuple[tuple[Program, ...], ...]
 
 
 def _build_plan(san: ConcreteSan) -> _Plan:
@@ -304,8 +306,12 @@ def _build_plan(san: ConcreteSan) -> _Plan:
         initial=tuple(initial[p] for p in san.places),
         activities=san.activities,
         index={act.name: i for i, act in enumerate(san.activities)},
-        instantaneous=under_priority(list(san.activities))[1],
-        enabling=tuple(enabling), programs=tuple(programs))
+        enabling=tuple(enabling),
+        samplers=tuple(
+            None if act.distribution is None else
+            (FAMILIES[act.distribution.family].sample, act.distribution.params)
+            for act in san.activities),
+        programs=tuple(programs))
 
 
 def enabled_activities(plan: _Plan, marking: Slots) -> list[Activity]:
@@ -322,7 +328,12 @@ def fire(plan: _Plan, marking: Slots, index: int, case: int) -> None:
         raise NotEnabled(f"activity '{act.name}' has no case {case}")
     if not plan.enabling[index](marking):
         raise NotEnabled(f"activity '{act.name}' is not enabled")
-    for guarded, ops in plan.programs[index][case - 1]:
+    _run_program(plan.programs[index][case - 1], marking)
+
+
+def _run_program(program: Program, marking: Slots) -> None:
+    """Apply one firing's gate program to ``marking`` in place."""
+    for guarded, ops in program:
         entry = marking[:] if guarded else marking
         for adds, key, value, when, overdraw in ops:
             if when is not None and not when[0](entry[key], when[1]):
@@ -341,11 +352,16 @@ def _replicate(
 ) -> tuple[list[float], int, list[list[int]]]:
     """The reward values, event count and per-activity case counts."""
     horizon, max_events = cfg.horizon, cfg.max_events
-    activities = plan.activities
-    counts = [[0] * a.cases for a in activities]
-    distributions = [a.distribution for a in activities]
-    probs_of = [a.case_probs if a.cases > 1 else None for a in activities]
-    position = {id(a): i for i, a in enumerate(activities)}
+    programs = plan.programs
+    counts = [[0] * a.cases for a in plan.activities]
+    probs_of = [a.case_probs if a.cases > 1 else None
+                for a in plan.activities]
+    instantaneous = [(i, holds) for i, (holds, sampler) in
+                     enumerate(zip(plan.enabling, plan.samplers))
+                     if sampler is None]
+    timed = [(i, holds, *sampler) for i, (holds, sampler) in
+             enumerate(zip(plan.enabling, plan.samplers))
+             if sampler is not None]
     kinds = [REWARDS[spec.kind] for spec in rewards]
     accum = [0.0] * len(kinds)
     # (reward, rate, slot, threshold) of each reward accrued over time.
@@ -356,11 +372,13 @@ def _replicate(
     # Event list: (time, sequence, activity index). A stale entry is one
     # whose sequence no longer matches ``active`` for its activity.
     queue: list[tuple[float, int, int]] = []
-    active: list[int | None] = [None] * len(activities)
+    active: list[int | None] = [None] * len(plan.activities)
     now, events, seq, chain = 0.0, 0, 0, 0
     index = -1                       # the activity to fire, if any
     while True:
         if index >= 0:
+            # Only an activity just found enabled fires, with a case from
+            # its own range, so ``fire``'s checks would always pass.
             events += 1
             if events > max_events:
                 raise MaxEventsExceeded(
@@ -368,32 +386,29 @@ def _replicate(
             probs = probs_of[index]
             case = 1 if probs is None else select_case(probs, rng)
             counts[index][case - 1] += 1
-            fire(plan, marking, index, case)
-        ready = enabled_activities(plan, marking)
-        if plan.instantaneous:
-            ready, unstable = under_priority(ready)
-            if unstable:
-                chain += 1
-                if chain > STABILIZATION_LIMIT:
-                    raise NonStabilizingDetected(
-                        f"{chain} consecutive instantaneous firings at "
-                        f"time {now}")
-                choice = ready[0] if len(ready) == 1 else \
-                    ready[rng.randrange(len(ready))]
-                index = position[id(choice)]
-                continue
+            _run_program(programs[index][case - 1], marking)
+        ready = []                   # a loop: no comprehension call
+        for i, holds in instantaneous:
+            if holds(marking):
+                ready.append(i)
+        if ready:
+            chain += 1
+            if chain > STABILIZATION_LIMIT:
+                raise NonStabilizingDetected(
+                    f"{chain} consecutive instantaneous firings at "
+                    f"time {now}")
+            index = ready[0] if len(ready) == 1 else \
+                ready[rng.randrange(len(ready))]
+            continue
         chain = 0
         # Stable: schedule newly enabled timed activities in declaration
         # order, and drop disabled ones (resampled when enabled again).
-        j, n = 0, len(ready)
-        for i, act in enumerate(activities):
-            if j < n and ready[j] is act:
-                j += 1
+        for i, holds, sample, params in timed:
+            if holds(marking):
                 if active[i] is None:
                     seq += 1
                     active[i] = seq
-                    heappush(queue, (now + sample_firing_time(
-                        distributions[i], rng), seq, i))
+                    heappush(queue, (now + sample(params, rng), seq, i))
             elif active[i] is not None:
                 active[i] = None
         index, time = -1, horizon

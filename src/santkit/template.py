@@ -474,7 +474,7 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
                 f"initial marking does not cover place '{pt.name}'",
                 f"place {pt.name}")
             continue
-        _check_marking_fn(fn, f"marking {pt.name}", check_term)
+        _check_marking_fn(fn, f"marking {pt.name}", check_term, err)
     for name in init:
         if name not in place_names:
             err("unknown-place",
@@ -483,12 +483,14 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
     return diags
 
 
-def _check_marking_fn(fn: MarkingFn, element: str, check_term) -> None:
+def _check_marking_fn(fn: MarkingFn, element: str, check_term, err) -> None:
     if isinstance(fn, MExpr):
         check_term(fn.value, Sort.INT, element, allow_place=True)
     elif isinstance(fn, MSetOn):
         check_term(fn.indices, Sort.SET_INT, element)
         check_term(fn.value, Sort.INT, element)
+    elif not isinstance(fn, MTable):
+        err("bad-marking", f"not a marking function: {fn!r}", element)
 
 
 def _check_names(template: SanTemplate, err) -> tuple[set[str], set[str]]:

@@ -135,34 +135,57 @@ def test_golden_enabling_memory_race():
 @pytest.mark.parametrize("assignment", sorted(GOLDEN))
 def test_enabling_evaluated_once_per_reached_marking(assignment, monkeypatch):
     # Each replication reaches its settled initial marking plus one marking
-    # per firing; the simulator evaluates the enabling of each exactly once.
-    # Per-activity ``is_enabled`` calls from ``sim`` count as evaluations too.
-    # ``fire`` runs once per firing and ``sample_firing_time`` once per draw:
-    # these are the names the layered benchmark wraps.
+    # per firing.  On each, the loop runs every instantaneous activity's
+    # enabling closure once and, when none of them holds, every timed one
+    # once; so with no instantaneous activity each closure runs once per
+    # reached marking.  One gate program runs per firing, and delays are
+    # drawn through the plan's samplers.
     import santkit.sim as sim
-    from santkit.sancore import is_enabled
 
-    calls = {"enabled_activities": 0, "fire": 0, "sample_firing_time": 0}
+    closures: dict[str, int] = {}
+    draws: dict[str, int] = {}
+    programs = 0
 
-    def counted(name, fn):
+    def counted(table, name, fn):
+        table[name] = 0
+
         def wrapper(*args):
-            calls[name] += 1
+            table[name] += 1
             return fn(*args)
         return wrapper
 
-    for name in ("fire", "sample_firing_time"):
-        monkeypatch.setattr(sim, name, counted(name, getattr(sim, name)))
-    monkeypatch.setattr(sim, "enabled_activities",
-                        counted("enabled_activities", sim.enabled_activities))
-    monkeypatch.setattr(sim, "is_enabled",
-                        counted("enabled_activities", is_enabled),
-                        raising=False)
-    result = simulate(_golden_instance(assignment), CFG,
-                      GOLDEN[assignment][1])
+    def counted_plan(san, build=sim._build_plan):
+        plan = build(san)
+        names = [act.name for act in plan.activities]
+        return replace(
+            plan,
+            enabling=tuple(counted(closures, name, holds)
+                           for name, holds in zip(names, plan.enabling)),
+            samplers=tuple(
+                None if sampler is None else
+                (counted(draws, name, sampler[0]), sampler[1])
+                for name, sampler in zip(names, plan.samplers)))
+
+    def counted_program(*args, run=sim._run_program):
+        nonlocal programs
+        programs += 1
+        return run(*args)
+
+    monkeypatch.setattr(sim, "_build_plan", counted_plan)
+    monkeypatch.setattr(sim, "_run_program", counted_program)
+    san = _golden_instance(assignment)
+    result = simulate(san, CFG, GOLDEN[assignment][1])
     events = sum(result.events)
-    assert calls["enabled_activities"] == events + CFG.replications
-    assert calls["fire"] == events
-    assert calls["sample_firing_time"] > 0
+    reached = events + CFG.replications
+    timed = [a.name for a in san.activities if a.kind == ActivityKind.TIMED]
+    for act in san.activities:
+        if act.name in timed and len(timed) < len(san.activities):
+            assert closures[act.name] <= reached, act.name
+        else:
+            assert closures[act.name] == reached, act.name
+    assert programs == events
+    assert sorted(draws) == sorted(timed)
+    assert all(count >= 1 for count in draws.values())
 
 
 # sha256 of every byte-level output of the bundled models: the `.sanx` that

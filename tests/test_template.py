@@ -203,8 +203,15 @@ def test_marking_entry_must_be_a_marking_function():
     bad = replace(user, initial_marking=tuple(
         (name, Const(1) if name == "Idle" else fn)
         for name, fn in user.initial_marking))
-    with pytest.raises(SantError) as info:
+    expected = Diagnostic("bad-marking", "not a marking function: "
+                          "Const(value=1)", element="marking Idle")
+    assert validate_template(bad) == [expected]
+    with pytest.raises(ValidationError) as info:
         concretize(bad, USER_INTERNAL)
+    assert info.value.diagnostics == [expected]
+    # Called directly, the evaluator refuses it too.
+    with pytest.raises(SantError) as info:
+        marking_tokens_at(Const(1), 1, USER_INTERNAL)
     assert str(info.value) == "not a marking function: Const(value=1)"
 
 
