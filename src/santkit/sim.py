@@ -9,24 +9,15 @@ disabled loses its scheduled firing and is resampled if it is enabled
 again later (enabling memory).  Equal timestamps resolve in scheduling
 order.  This is the priority rule of ``sancore.under_priority``.
 
-``simulate`` compiles the validated instance once into an execution plan.
-Each place gets a slot and the marking is a list of token counts; each
-activity's enabling is one closure over slots, and each gate is a flat list
-of marking updates applied in place.  A conjunction of lower bounds that
-share one value, such as GEO's ``all Working_S > 0`` over |n| places, is one
-C-level scan of its slots: a slice when they are consecutive, and a test for
-a zero count when the bound is one token.  ``sancore.fire`` and
-``sancore.is_enabled`` stay the reference the plan is tested against,
-through the module-level ``enabled_activities`` and ``fire``.
-
-A replication is one loop that runs the plan directly.  Each turn fires
-the chosen activity (drawing a case only when it has several) by running
-its case's gate program, then evaluates each enabling closure at most once
-on the marking reached: the instantaneous activities first and, when none
-is enabled, the timed ones, which it schedules and cancels.  An enabled
-instantaneous activity is picked uniformly to fire next; otherwise time
-advances to the earliest pending firing, accruing the rated rewards and
-calling the observer (if any) for the interval.
+``simulate`` compiles the validated instance to Python source, as Möbius
+compiles a model to C++ before it simulates it.  Each place gets a slot
+and the marking is a list of token counts.  Each activity's enabling test
+is one expression over slots, each case's gates are one function that
+updates the marking in place, and each simulation is one generated
+replication function whose loop inlines the enabling expressions.
+``sancore.fire`` and ``sancore.is_enabled`` stay the reference the plan is
+tested against, through the module-level ``enabled_activities`` and
+``fire``, which run the same compiled tests and programs as the loop.
 
 Replications are independent: replication ``r`` runs on its own generator
 seeded with ``seed * 2**32 + r``.  Identical configurations reproduce
@@ -35,10 +26,12 @@ bit-identical results.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from functools import partial
 from heapq import heappop, heappush
 import math
+import operator
 import random
-from operator import itemgetter
 from typing import Callable
 
 from .errors import (InvalidConfig, MaxEventsExceeded, NegativeMarking,
@@ -46,8 +39,8 @@ from .errors import (InvalidConfig, MaxEventsExceeded, NegativeMarking,
                      UnsupportedReactivation, ValidationError, has_errors)
 from .record import Record
 from .sancore import (COMPARISONS, FAMILIES, Activity, ConcreteSan, Dist,
-                      PredAnd, PredConst, PredLeaf, PredNot, Predicate,
-                      Update, validate_san)
+                      InputGate, OutputGate, PredAnd, PredConst, PredLeaf,
+                      PredNot, Predicate, validate_san)
 
 
 STABILIZATION_LIMIT = 10_000  # instantaneous firings per time point
@@ -166,24 +159,75 @@ def replication_seed(seed: int, replication: int) -> int:
 
 
 # -- execution plan ----------------------------------------------------------
+#
+# The plan is Python source, compiled with ``compile``.  Only ints (slots,
+# token counts, indices) are written into that source.  Every other value it
+# needs, such as a float, a sampler, a list of amounts or the head of an
+# error message, is bound to a generated name in the plan's namespace, so no
+# text of the model (a place name read from a ``.sanx``, say) is compiled.
 
 # A marking as the plan runs it: token counts indexed by ``_Plan.slot``.
 Slots = list[int]
 Check = Callable[[Slots], bool]
+Program = Callable[[Slots], None]
+# A timed activity's delay sampler and parameters, as ``FAMILIES`` gives them.
+Sampler = tuple[Callable[[tuple[float, ...], random.Random], float],
+                tuple[float, ...]]
+# One replication: the reward values, event count and per-activity case
+# counts of a run on the given generator.
+Replication = Callable[[random.Random],
+                       tuple[list[float], int, list[list[int]]]]
+
+# The operator that spells each ``COMPARISONS`` function in source.
+_INFIX = {operator.eq: "==", operator.gt: ">", operator.ge: ">="}
 
 
-def _compile_predicate(pred: Predicate, slot: dict[str, int]) -> Check:
-    """One closure over slots that agrees with ``sancore.eval_predicate``;
-    nested connectives of one kind are flattened first."""
+def _bind(namespace: dict[str, object], value: object) -> str:
+    """A fresh name for ``value`` in ``namespace``."""
+    name = f"_k{len(namespace)}"
+    namespace[name] = value
+    return name
+
+
+def _literal(namespace: dict[str, object], value: object) -> str:
+    """``value`` in source: an int as itself, anything else by name."""
+    return str(value) if type(value) is int else _bind(namespace, value)
+
+
+def _define(namespace: dict[str, object], source: str, name: str):
+    """Run ``source`` in ``namespace`` and return what it defines as
+    ``name``."""
+    exec(compile(source, "<santkit plan>", "exec"), namespace)
+    return namespace[name]
+
+
+def _comparison(left: str, cmp: str, value: object,
+                namespace: dict[str, object]) -> str:
+    return f"{left} {_INFIX[COMPARISONS[cmp]]} {_literal(namespace, value)}"
+
+
+# Connectives nested this deep in one expression are compiled as a function
+# of their own, because Python's parser refuses 200 nested parentheses.
+_NESTING = 50
+
+
+def _predicate_source(pred: Predicate, slot: dict[str, int],
+                      namespace: dict[str, object], depth: int = 0) -> str:
+    """An expression over the marking ``m`` with the truth value of
+    ``sancore.eval_predicate``; nested connectives of one kind are
+    flattened first."""
     if isinstance(pred, PredConst):
-        value = pred.value
-        return lambda m: value
+        return "True" if pred.value else "False"
     if isinstance(pred, PredLeaf):
-        i, op, value = slot[pred.place], COMPARISONS[pred.cmp], pred.value
-        return lambda m: op(m[i], value)
+        return _comparison(f"m[{slot[pred.place]}]", pred.cmp, pred.value,
+                           namespace)
+    if depth == _NESTING:
+        check = _define(namespace, "check = lambda m: " + _predicate_source(
+            pred, slot, namespace), "check")
+        return f"{_bind(namespace, check)}(m)"
     if isinstance(pred, PredNot):
-        arg = _compile_predicate(pred.arg, slot)
-        return lambda m: not arg(m)
+        arg = _predicate_source(pred.arg, slot, namespace, depth + 1)
+        return f"not ({arg})"
     conjunction = isinstance(pred, PredAnd)
     args: list[Predicate] = []
     pending = list(reversed(pred.args))
@@ -193,245 +237,308 @@ def _compile_predicate(pred: Predicate, slot: dict[str, int]) -> Check:
             pending.extend(reversed(arg.args))
         else:
             args.append(arg)
-    if len(args) == 1:
-        return _compile_predicate(args[0], slot)
-    if conjunction and all(isinstance(a, PredLeaf) for a in args) and \
+    if len(args) > 1 and all(isinstance(a, PredLeaf) for a in args) and \
             len({(a.cmp, a.value) for a in args}) == 1 and \
             args[0].cmp in (">", ">="):
         # Lower bounds sharing one value: one C-level pass over their slots,
         # read as one slice when they are consecutive (``concretize`` lays a
-        # place template's instances out that way).  A bound that fails at 0
-        # and holds at 1 (``> 0``, ``>= 1``) holds iff no slot is 0, because
-        # a plan marking is never negative: ``validate_san`` refuses negative
-        # initial tokens and ``set`` amounts, and ``fire`` raises
-        # ``NegativeMarking`` before it writes a negative count.
-        op, value = COMPARISONS[args[0].cmp], args[0].value
+        # place template's instances out that way).  All of them hold iff
+        # the least count passes, and any of them iff the greatest does.  A
+        # bound that fails at 0 and holds at 1 (``> 0``, ``>= 1``) holds for
+        # all iff no slot is 0, because a plan marking is never negative:
+        # ``validate_san`` refuses negative initial tokens and ``set``
+        # amounts, and a program raises ``NegativeMarking`` before it writes
+        # a negative count.
+        cmp, value = args[0].cmp, args[0].value
         slots = sorted({slot[a.place] for a in args})
         lo, hi = slots[0], slots[-1] + 1
-        get = itemgetter(slice(lo, hi)) if hi - lo == len(slots) \
-            else itemgetter(*slots)
-        if not op(0, value) and op(1, value):
-            return lambda m: 0 not in get(m)
-        return lambda m: op(min(get(m)), value)
-    checks = [_compile_predicate(a, slot) for a in args]
+        scan = f"m[{lo}:{hi}]" if hi - lo == len(slots) else \
+            "(" + "".join(f"m[{i}], " for i in slots) + ")"
+        if not conjunction:
+            return _comparison(f"max({scan})", cmp, value, namespace)
+        if not COMPARISONS[cmp](0, value) and COMPARISONS[cmp](1, value):
+            return f"0 not in {scan}"
+        return _comparison(f"min({scan})", cmp, value, namespace)
+    parts = [f"({_predicate_source(a, slot, namespace, depth + 1)})"
+             for a in args]
     if conjunction:
-        return lambda m: all(check(m) for check in checks)
-    return lambda m: any(check(m) for check in checks)
+        return " and ".join(parts) or "True"
+    return " or ".join(parts) or "False"
 
 
-# One marking update: (adds, key, value, when, overdraw).  An update that
-# adds stores its signed amount in ``value`` and, in ``overdraw``, the head
-# of the error raised when it drives the place negative.  One that sets
-# assigns ``value`` to ``m[key]``, where ``key`` is a slot or, for a run of
-# sets on consecutive slots, a slice.  ``when`` is (comparison, value) or
-# None.  A gate is (whether any of its updates is guarded, its ops).
-Op = tuple
-Gate = tuple[bool, tuple[Op, ...]]
-Program = tuple[Gate, ...]
-# A timed activity's delay sampler and parameters, as ``FAMILIES`` gives them.
-Sampler = tuple[Callable[[tuple[float, ...], random.Random], float],
-                tuple[float, ...]]
-
-
-def _compile_gate(name: str, updates: tuple[Update, ...],
-                  slot: dict[str, int]) -> Gate:
-    """A gate whose ops, run in order on the marking in place, agree with
-    ``sancore.apply_updates``."""
-    ops: list[Op] = []
-    run: list[int] = []          # amounts of unguarded sets from run_start
-    run_start = 0
+def _gate_source(gate: InputGate | OutputGate, slot: dict[str, int],
+                 namespace: dict[str, object]) -> list[str]:
+    """Statements that run ``gate``'s updates on ``m`` in place, as
+    ``sancore.apply_updates`` does: a guard reads its place's count as the
+    gate found it, and an add or sub raises ``NegativeMarking`` before it
+    would write a negative count.  A run of unguarded sets on consecutive
+    slots is one slice assignment."""
+    lines = [f"e{i} = m[{i}]" for i in
+             sorted({slot[u.place] for u in gate.updates
+                     if u.when is not None})]
+    run: list[int] = []          # amounts of unguarded sets from ``start``
+    start = 0
 
     def close_run() -> None:
-        if len(run) == 1:
-            ops.append((False, run_start, run[0], None, None))
+        if len(run) > 1:
+            lines.append(f"m[{start}:{start + len(run)}] = "
+                         f"{_bind(namespace, tuple(run))}")
         elif run:
-            ops.append((False, slice(run_start, run_start + len(run)),
-                        list(run), None, None))
+            lines.append(f"m[{start}] = {_literal(namespace, run[0])}")
         run.clear()
 
-    for u in updates:
+    for u in gate.updates:
         i = slot[u.place]
         if u.action == "set" and u.when is None:
-            if run and i != run_start + len(run):
+            if run and i != start + len(run):
                 close_run()
             if not run:
-                run_start = i
+                start = i
             run.append(u.amount)
             continue
         close_run()
-        when = None if u.when is None else (COMPARISONS[u.when[0]], u.when[1])
+        indent = ""
+        if u.when is not None:
+            lines.append(f"if {_comparison(f'e{i}', *u.when, namespace)}:")
+            indent = "    "
+        amount = _literal(namespace, u.amount)
         if u.action == "set":
-            ops.append((False, i, u.amount, when, None))
-        else:
-            delta = u.amount if u.action == "add" else -u.amount
-            ops.append((True, i, delta, when,
-                        f"gate '{name}' drives place '{u.place}' to"))
+            lines.append(f"{indent}m[{i}] = {amount}")
+            continue
+        head = _bind(namespace,
+                     f"gate '{gate.name}' drives place '{u.place}' to")
+        lines += [f"{indent}v = m[{i}] {'+' if u.action == 'add' else '-'} "
+                  f"{amount}",
+                  f"{indent}if v < 0:",
+                  f"{indent}    raise NegativeMarking(f'{{{head}}} {{v}}')",
+                  f"{indent}m[{i}] = v"]
     close_run()
-    return any(u.when is not None for u in updates), tuple(ops)
+    return lines
 
 
 class _Plan(Record):
-    """A validated instance compiled for the event loop: per activity (in
-    declaration order) its enabling check, its sampler (None for an
-    instantaneous activity) and, per case, the program of its input gates
-    then of the case's output gates, in declaration order."""
+    """A validated instance compiled for the event loop.  Per activity, in
+    declaration order: its enabling test as an expression over the marking
+    ``m`` and that expression compiled, its sampler (None for an
+    instantaneous activity) and, per case, the program that runs its input
+    gates then the case's output gates in declaration order.  A program is
+    compiled on its first run.  ``namespace`` binds every name the source
+    uses."""
 
-    places: tuple[str, ...]
+    san: ConcreteSan
     slot: dict[str, int]
     initial: tuple[int, ...]
-    activities: tuple[Activity, ...]
-    index: dict[str, int]
-    enabling: tuple[Check, ...]
+    enabling: tuple[str, ...]
+    checks: tuple[Check, ...]
     samplers: tuple[Sampler | None, ...]
-    programs: tuple[tuple[Program, ...], ...]
+    programs: tuple[list[Program], ...]
+    namespace: dict[str, object]
 
 
 def _build_plan(san: ConcreteSan) -> _Plan:
     """Compile an instance that ``validate_san`` accepts."""
     slot = {place: i for i, place in enumerate(san.places)}
     initial = dict(san.initial_marking)
-    enabling = []
-    programs = []
-    for act in san.activities:
-        inputs = san.inputs_of(act.name)
-        enabling.append(_compile_predicate(
-            PredAnd(tuple(g.predicate for g in inputs)), slot))
-        head = tuple(_compile_gate(g.name, g.updates, slot) for g in inputs)
-        programs.append(tuple(
-            head + tuple(_compile_gate(g.name, g.updates, slot)
-                         for g in san.outputs_of(act.name, case))
-            for case in range(1, act.cases + 1)))
-    return _Plan(
-        places=san.places, slot=slot,
-        initial=tuple(initial[p] for p in san.places),
-        activities=san.activities,
-        index={act.name: i for i, act in enumerate(san.activities)},
-        enabling=tuple(enabling),
+    namespace: dict[str, object] = {"NegativeMarking": NegativeMarking}
+    enabling = tuple(_predicate_source(
+        PredAnd(tuple(g.predicate for g in san.inputs_of(act.name))),
+        slot, namespace) for act in san.activities)
+    checks = _define(namespace, "checks = (" + "".join(
+        f"lambda m: {expr}, " for expr in enabling) + ")", "checks")
+    plan = _Plan(
+        san=san, slot=slot, initial=tuple(initial[p] for p in san.places),
+        enabling=enabling, checks=checks,
         samplers=tuple(
             None if act.distribution is None else
             (FAMILIES[act.distribution.family].sample, act.distribution.params)
             for act in san.activities),
-        programs=tuple(programs))
+        programs=tuple([] for _ in san.activities), namespace=namespace)
+    for index, (act, row) in enumerate(zip(san.activities, plan.programs)):
+        row.extend(_first_run(plan, index, case)
+                   for case in range(1, act.cases + 1))
+    return plan
+
+
+def _compile_program(plan: _Plan, index: int, case: int) -> Program:
+    """The program of ``case`` of the ``index``-th activity, compiled."""
+    san = plan.san
+    name = san.activities[index].name
+    body = [line for gate in san.inputs_of(name) + san.outputs_of(name, case)
+            for line in _gate_source(gate, plan.slot, plan.namespace)]
+    return _define(plan.namespace, "def program(m):\n" + "".join(
+        f"    {line}\n" for line in body or ["pass"]), "program")
+
+
+def _first_run(plan: _Plan, index: int, case: int) -> Program:
+    """A stand-in for a program not yet compiled: its first call compiles
+    the program, puts it in its place in ``plan.programs`` and runs it."""
+    def compile_and_run(marking: Slots) -> None:
+        program = _compile_program(plan, index, case)
+        plan.programs[index][case - 1] = program
+        program(marking)
+    return compile_and_run
 
 
 def enabled_activities(plan: _Plan, marking: Slots) -> list[Activity]:
     """The enabled activities, in declaration order."""
-    return [act for act, holds in zip(plan.activities, plan.enabling)
+    return [act for act, holds in zip(plan.san.activities, plan.checks)
             if holds(marking)]
 
 
 def fire(plan: _Plan, marking: Slots, index: int, case: int) -> None:
     """Fire ``case`` of the ``index``-th activity on ``marking`` in place,
     with the checks and errors of ``sancore.fire``."""
-    act = plan.activities[index]
+    act = plan.san.activities[index]
     if not 1 <= case <= act.cases:
         raise NotEnabled(f"activity '{act.name}' has no case {case}")
-    if not plan.enabling[index](marking):
+    if not plan.checks[index](marking):
         raise NotEnabled(f"activity '{act.name}' is not enabled")
-    _run_program(plan.programs[index][case - 1], marking)
+    plan.programs[index][case - 1](marking)
 
 
-def _run_program(program: Program, marking: Slots) -> None:
-    """Apply one firing's gate program to ``marking`` in place."""
-    for guarded, ops in program:
-        entry = marking[:] if guarded else marking
-        for adds, key, value, when, overdraw in ops:
-            if when is not None and not when[0](entry[key], when[1]):
-                continue
-            if adds:
-                value += marking[key]
-                if value < 0:
-                    raise NegativeMarking(f"{overdraw} {value}")
-            marking[key] = value
+def _case_table(probs: tuple[float, ...]) -> tuple[tuple[float, ...],
+                                                   tuple[int, ...]]:
+    """``select_case`` as a table ``(sums, pick)``: for a draw ``u``, the
+    0-based case is ``pick[bisect_right(sums, u)]``.  ``sums`` are the
+    running sums of ``probs``, added in order as ``select_case`` adds them,
+    so the first sum above ``u`` names the same case; ``pick``'s extra last
+    entry is the last case of positive probability, for a ``u`` at or
+    above the total when rounding leaves it below 1."""
+    sums: list[float] = []
+    acc, last_positive = 0.0, 0
+    for i, p in enumerate(probs):
+        if p > 0.0:
+            last_positive = i
+        acc += p
+        sums.append(acc)
+    return tuple(sums), tuple(range(len(probs))) + (last_positive,)
 
 
-def _replicate(
-        plan: _Plan, cfg: SimConfig, rewards: tuple[RewardSpec, ...],
-        rng: random.Random,
-        observer: Callable[[float, float, dict[str, int]], object] | None,
-) -> tuple[list[float], int, list[list[int]]]:
-    """The reward values, event count and per-activity case counts."""
-    horizon, max_events = cfg.horizon, cfg.max_events
-    programs = plan.programs
-    counts = [[0] * a.cases for a in plan.activities]
-    probs_of = [a.case_probs if a.cases > 1 else None
-                for a in plan.activities]
-    instantaneous = [(i, holds) for i, (holds, sampler) in
-                     enumerate(zip(plan.enabling, plan.samplers))
+def _compile_loop(plan: _Plan, cfg: SimConfig,
+                  rewards: tuple[RewardSpec, ...],
+                  observer: Callable[[float, float, dict[str, int]], object]
+                  | None) -> Replication:
+    """One replication of ``plan`` as one compiled function.
+
+    Each turn fires the chosen activity by calling its case's program,
+    drawing the case through ``_case_table`` only when it has several.  It
+    then tests each enabling expression at most once on the marking
+    reached: the instantaneous activities' first and, when none holds, the
+    timed ones', which are scheduled and cancelled.  An enabled
+    instantaneous activity is picked uniformly to fire next; otherwise time
+    advances to the earliest pending firing, accruing the rated rewards and
+    calling the observer for the interval.  The code for instantaneous
+    activities, rated rewards and the observer is generated only when there
+    are some."""
+    namespace = plan.namespace
+    namespace.update(heappush=heappush, heappop=heappop,
+                     bisect_right=bisect_right,
+                     MaxEventsExceeded=MaxEventsExceeded,
+                     NonStabilizingDetected=NonStabilizingDetected)
+    bind, lit = partial(_bind, namespace), partial(_literal, namespace)
+    activities = plan.san.activities
+    names = [act.name for act in activities]
+    horizon = bind(cfg.horizon)
+    rated = [(r, spec) for r, spec in enumerate(rewards)
+             if REWARDS[spec.kind].rate is not None]
+    head = ["def replicate(rng):",
+            "    random = rng.random",
+            f"    m = list({bind(plan.initial)})",
+            "    queue = []",
+            f"    active = [0] * {len(activities)}",
+            *(f"    c{i} = [0] * {act.cases}"
+              for i, act in enumerate(activities)),
+            *(f"    a{r} = 0.0" for r, _ in rated),
+            "    now = 0.0",
+            "    events = seq = chain = 0",
+            "    index = -1",
+            "    while True:"]
+    body = []
+    if activities:
+        # Only an activity just found enabled fires, with a case from its
+        # own range, so ``fire``'s checks would always pass.
+        too_many = f"more than {cfg.max_events} events in one replication"
+        body += ["if index >= 0:",
+                 "    events += 1",
+                 f"    if events > {lit(cfg.max_events)}:",
+                 f"        raise MaxEventsExceeded({bind(too_many)})"]
+        for i, act in enumerate(activities):
+            programs = bind(plan.programs[i])
+            body.append(f"    {'if' if i == 0 else 'elif'} index == {i}:")
+            if act.cases > 1:
+                sums, pick = _case_table(act.case_probs)
+                body += [f"        case = {bind(pick)}"
+                         f"[bisect_right({bind(sums)}, random())]",
+                         f"        c{i}[case] += 1",
+                         f"        {programs}[case](m)"]
+            else:
+                body += [f"        c{i}[0] += 1",
+                         f"        {programs}[0](m)"]
+    instantaneous = [i for i, sampler in enumerate(plan.samplers)
                      if sampler is None]
-    timed = [(i, holds, *sampler) for i, (holds, sampler) in
-             enumerate(zip(plan.enabling, plan.samplers))
-             if sampler is not None]
-    kinds = [REWARDS[spec.kind] for spec in rewards]
-    accum = [0.0] * len(kinds)
-    # (reward, rate, slot, threshold) of each reward accrued over time.
-    rated = [(i, kind.rate, plan.slot[spec.target], spec.threshold)
-             for i, (spec, kind) in enumerate(zip(rewards, kinds))
-             if kind.rate is not None]
-    marking: Slots = list(plan.initial)
-    # Event list: (time, sequence, activity index). A stale entry is one
-    # whose sequence no longer matches ``active`` for its activity.
-    queue: list[tuple[float, int, int]] = []
-    active: list[int | None] = [None] * len(plan.activities)
-    now, events, seq, chain = 0.0, 0, 0, 0
-    index = -1                       # the activity to fire, if any
-    while True:
-        if index >= 0:
-            # Only an activity just found enabled fires, with a case from
-            # its own range, so ``fire``'s checks would always pass.
-            events += 1
-            if events > max_events:
-                raise MaxEventsExceeded(
-                    f"more than {max_events} events in one replication")
-            probs = probs_of[index]
-            case = 1 if probs is None else select_case(probs, rng)
-            counts[index][case - 1] += 1
-            _run_program(programs[index][case - 1], marking)
-        ready = []                   # a loop: no comprehension call
-        for i, holds in instantaneous:
-            if holds(marking):
-                ready.append(i)
-        if ready:
-            chain += 1
-            if chain > STABILIZATION_LIMIT:
-                raise NonStabilizingDetected(
-                    f"{chain} consecutive instantaneous firings at "
-                    f"time {now}")
-            index = ready[0] if len(ready) == 1 else \
-                ready[rng.randrange(len(ready))]
-            continue
-        chain = 0
-        # Stable: schedule newly enabled timed activities in declaration
-        # order, and drop disabled ones (resampled when enabled again).
-        for i, holds, sample, params in timed:
-            if holds(marking):
-                if active[i] is None:
-                    seq += 1
-                    active[i] = seq
-                    heappush(queue, (now + sample(params, rng), seq, i))
-            elif active[i] is not None:
-                active[i] = None
-        index, time = -1, horizon
-        while queue:
-            t, s, i = heappop(queue)
-            if active[i] == s:       # not cancelled by a state change
-                if t <= horizon:
-                    index, time = i, t
-                break
-        dt = time - now
-        if dt > 0:
-            for r, rate, slot, threshold in rated:
-                accum[r] += rate(marking[slot], threshold) * dt
-            if observer is not None:
-                observer(now, time, dict(zip(plan.places, marking)))
-        now = time
-        if index < 0:
-            break
-        active[index] = None
-    return [(accum[i] if kind.rate else
-             sum(counts[plan.index[spec.target]])) / horizon
-            for i, (spec, kind) in enumerate(zip(rewards, kinds))], \
-        events, counts
+    if instantaneous:
+        body.append("ready = []")
+        for i in instantaneous:
+            body += [f"if {plan.enabling[i]}:",
+                     f"    ready.append({i})"]
+        body += ["if ready:",
+                 "    chain += 1",
+                 f"    if chain > {lit(STABILIZATION_LIMIT)}:",
+                 "        raise NonStabilizingDetected(f'{chain} consecutive "
+                 "instantaneous firings at time {now}')",
+                 "    index = ready[0] if len(ready) == 1 else \\",
+                 "        ready[rng.randrange(len(ready))]",
+                 "    continue",
+                 "chain = 0"]
+    # Stable: schedule newly enabled timed activities in declaration order,
+    # and drop disabled ones (resampled when enabled again).
+    for i, sampler in enumerate(plan.samplers):
+        if sampler is not None:
+            sample, params = bind(sampler[0]), bind(sampler[1])
+            body += [f"if {plan.enabling[i]}:",
+                     f"    if not active[{i}]:",
+                     "        seq += 1",
+                     f"        active[{i}] = seq",
+                     "        heappush(queue, "
+                     f"(now + {sample}({params}, rng), seq, {i}))",
+                     f"elif active[{i}]:",
+                     f"    active[{i}] = 0"]
+    # An entry whose sequence no longer matches ``active`` was cancelled by
+    # a state change.
+    body += ["index = -1",
+             f"time = {horizon}",
+             "while queue:",
+             "    t, s, i = heappop(queue)",
+             "    if active[i] == s:",
+             f"        if t <= {horizon}:",
+             "            index = i",
+             "            time = t",
+             "        break"]
+    if rated or observer is not None:
+        body += ["dt = time - now",
+                 "if dt > 0:"]
+        for r, spec in rated:
+            body.append(f"    a{r} += {bind(REWARDS[spec.kind].rate)}"
+                        f"(m[{plan.slot[spec.target]}], "
+                        f"{lit(spec.threshold)}) * dt")
+        if observer is not None:
+            body.append(f"    {bind(observer)}(now, time, "
+                        f"dict(zip({bind(plan.san.places)}, m)))")
+    body += ["now = time",
+             "if index < 0:",
+             "    break",
+             "active[index] = 0"]
+    # A rated reward is its accrual over the horizon, and a throughput its
+    # activity's firings over the horizon.
+    values = ", ".join(
+        f"a{r} / {horizon}" if REWARDS[spec.kind].rate is not None else
+        f"sum(c{names.index(spec.target)}) / {horizon}"
+        for r, spec in enumerate(rewards))
+    tail = [f"    return [{values}], events, "
+            f"[{''.join(f'c{i}, ' for i in range(len(activities)))}]"]
+    return _define(namespace, "".join(
+        line + "\n" for line in head + [f"        {line}" for line in body]
+        + tail), "replicate")
 
 
 def _mean_std(samples: list[float]) -> tuple[float, float]:
@@ -483,14 +590,13 @@ def simulate(san: ConcreteSan, cfg: SimConfig,
                 f"activity '{act.name}' declares reactivation markings; "
                 f"only the empty reactivation set is executable")
 
-    plan = _build_plan(san)
+    replicate = _compile_loop(_build_plan(san), cfg, rewards, observer)
     per_rep: list[list[float]] = []
     events: list[int] = []
     totals = {a.name: [0] * a.cases for a in san.activities}
     for rep in range(cfg.replications):
-        rng = random.Random(replication_seed(cfg.seed, rep))
-        values, n_events, case_counts = _replicate(
-            plan, cfg, rewards, rng, observer)
+        values, n_events, case_counts = replicate(
+            random.Random(replication_seed(cfg.seed, rep)))
         per_rep.append(values)
         events.append(n_events)
         for act, counts in zip(san.activities, case_counts):

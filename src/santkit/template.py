@@ -391,14 +391,16 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
         diags.append(Diagnostic(code, message, element=element))
 
     def check_term(term: Term | None, expected: Sort, element: str,
-                   allow_case: bool = False, allow_place: bool = False) -> None:
+                   allow_case: bool = False,
+                   allow_place: bool = False) -> bool:
+        """Whether ``term`` is absent or has the ``expected`` sort."""
         if term is None:
-            return
+            return True
         try:
             got = infer_sort(term, declared)
         except SantError as exc:
             err("sort-mismatch", str(exc), element)
-            return
+            return False
         if got != expected:
             err("sort-mismatch", f"term has sort {got}, expected {expected}",
                 element)
@@ -406,6 +408,7 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
             err("case-placeholder", "<CASE> is not allowed here", element)
         if not allow_place and terms.contains_node(term, PlaceIndex):
             err("place-placeholder", "<PLACE> is not allowed here", element)
+        return got == expected
 
     place_names, activity_names = _check_names(template, err)
 
@@ -420,10 +423,22 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
         for entry in at.case_distribution:
             check_term(entry.guard, Sort.BOOL, el, allow_case=True)
             check_term(entry.prob, Sort.REAL, el, allow_case=True)
-        check_timing(at.kind, at.time_distribution, el, err)
+        family = check_timing(at.kind, at.time_distribution, el, err)
         if at.time_distribution is not None:
-            for p in at.time_distribution.params:
-                check_term(p, Sort.REAL, el)
+            params = at.time_distribution.params
+            well_sorted = [check_term(p, Sort.REAL, el) for p in params]
+            if family is not None and all(well_sorted) and \
+                    all(map(terms.is_closed, params)):
+                # Constant parameters get the family's check here, as
+                # ``validate_san`` gives it to every instance.
+                try:
+                    values = tuple(eval_term(p, {}) for p in params)
+                except EvalError as exc:
+                    err("invalid-parameter", str(exc), el)
+                else:
+                    if family.invalid(*values):
+                        err("invalid-parameter",
+                            f"{family.requirement}, got {values}", el)
 
     known_places: set[int] = set()
     for gate in template.input_gates + template.output_gates:

@@ -350,6 +350,41 @@ def test_validate_reports_sort_mismatch(tmp_path, capsys):
     assert "activity Request" in err
 
 
+@pytest.mark.parametrize("time, message", [
+    ("exponential(-1.0)", "exponential rate must be positive, got (-1.0,)"),
+    ("uniform(-1.0, 1.0)", "uniform bounds must satisfy 0 <= low <= high, "
+     "got (-1.0, 1.0)"),
+    ("deterministic(0.0 - 0.5)",
+     "deterministic delay must be nonnegative, got (-0.5,)"),
+    ("exponential(1.0 / 0.0)", "division by zero"),
+], ids=["rate-negative", "uniform-negative", "delay-negative",
+        "division-by-zero"])
+def test_validate_checks_constant_distribution_parameters(tmp_path, capsys,
+                                                          time, message):
+    # A parameter that names no model parameter is known before any
+    # instance exists, so the template gets the family's own check.
+    text = (MODELS / "geo.sant").read_text()
+    assert text.count("exponential(lambda_r)") == 1
+    bad = tmp_path / "bad.sant"
+    bad.write_text(text.replace("exponential(lambda_r)", time))
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err == \
+        f"{bad}:21:9: error: invalid-parameter: {message} [activity GEO_R]\n"
+
+
+@pytest.mark.parametrize("model", ["geo.sant", "tmi.sant", "user.sant"])
+def test_validate_passes_bundled_and_valid_constant_parameters(
+        tmp_path, capsys, model):
+    # user.sant's ``uniform(1.0, 2.0)`` is closed as bundled; GEO's and
+    # TMI's repair rate becomes a closed term too.
+    good = tmp_path / model
+    good.write_text((MODELS / model).read_text().replace(
+        "exponential(lambda_r)", "exponential(2.0 / 4.0)"))
+    for path in (MODELS / model, good):
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out == f"{path}: ok\n"
+
+
 def test_instantiate_writes_instance(tmp_path, capsys):
     out = tmp_path / "ui.sanx"
     code = main(["instantiate", USER, USER_ASSIGN,
@@ -412,10 +447,11 @@ def test_simulate_rejects_zero_horizon(capsys, monkeypatch):
     import santkit.sim as sim
 
     def no_run(*args, **kwargs):
-        raise AssertionError("a replication started")
+        raise AssertionError("a plan was compiled")
 
-    # Refused by SimConfig.validate before any event runs.
-    monkeypatch.setattr(sim, "_replicate", no_run)
+    # Refused by SimConfig.validate before a plan is compiled, so before
+    # any event runs.
+    monkeypatch.setattr(sim, "_build_plan", no_run)
     for horizon in ("0", "inf", "nan"):
         assert main(["simulate", USER, USER_ASSIGN,
                      "--assignment", "UserInternal", "--horizon", horizon,

@@ -135,14 +135,15 @@ def test_golden_enabling_memory_race():
 @pytest.mark.parametrize("assignment", sorted(GOLDEN))
 def test_enabling_evaluated_once_per_reached_marking(assignment, monkeypatch):
     # Each replication reaches its settled initial marking plus one marking
-    # per firing.  On each, the loop runs every instantaneous activity's
-    # enabling closure once and, when none of them holds, every timed one
-    # once; so with no instantaneous activity each closure runs once per
+    # per firing.  On each, the loop tests every instantaneous activity's
+    # enabling expression once and, when none of them holds, every timed
+    # one once; so with no instantaneous activity each test runs once per
     # reached marking.  One gate program runs per firing, and delays are
-    # drawn through the plan's samplers.
+    # drawn through the plan's samplers.  The counters sit in the generated
+    # loop itself: each enabling expression gains a call that counts it.
     import santkit.sim as sim
 
-    closures: dict[str, int] = {}
+    tests: dict[str, int] = {}
     draws: dict[str, int] = {}
     programs = 0
 
@@ -156,23 +157,34 @@ def test_enabling_evaluated_once_per_reached_marking(assignment, monkeypatch):
 
     def counted_plan(san, build=sim._build_plan):
         plan = build(san)
-        names = [act.name for act in plan.activities]
+        names = [act.name for act in san.activities]
+        tests.update(dict.fromkeys(names, 0))
+
+        def tally(index):
+            tests[names[index]] += 1
+            return False
+
+        plan.namespace["_tally"] = tally
         return replace(
             plan,
-            enabling=tuple(counted(closures, name, holds)
-                           for name, holds in zip(names, plan.enabling)),
+            enabling=tuple(f"(_tally({i}) or ({expr}))"
+                           for i, expr in enumerate(plan.enabling)),
             samplers=tuple(
                 None if sampler is None else
                 (counted(draws, name, sampler[0]), sampler[1])
                 for name, sampler in zip(names, plan.samplers)))
 
-    def counted_program(*args, run=sim._run_program):
-        nonlocal programs
-        programs += 1
-        return run(*args)
+    def counted_program(*args, compile_program=sim._compile_program):
+        program = compile_program(*args)
+
+        def run(marking):
+            nonlocal programs
+            programs += 1
+            program(marking)
+        return run
 
     monkeypatch.setattr(sim, "_build_plan", counted_plan)
-    monkeypatch.setattr(sim, "_run_program", counted_program)
+    monkeypatch.setattr(sim, "_compile_program", counted_program)
     san = _golden_instance(assignment)
     result = simulate(san, CFG, GOLDEN[assignment][1])
     events = sum(result.events)
@@ -180,9 +192,9 @@ def test_enabling_evaluated_once_per_reached_marking(assignment, monkeypatch):
     timed = [a.name for a in san.activities if a.kind == ActivityKind.TIMED]
     for act in san.activities:
         if act.name in timed and len(timed) < len(san.activities):
-            assert closures[act.name] <= reached, act.name
+            assert tests[act.name] <= reached, act.name
         else:
-            assert closures[act.name] == reached, act.name
+            assert tests[act.name] == reached, act.name
     assert programs == events
     assert sorted(draws) == sorted(timed)
     assert all(count >= 1 for count in draws.values())

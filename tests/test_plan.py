@@ -1,10 +1,11 @@
 """The simulator's execution plan against the reference interpreter.
 
-``sim`` compiles an instance into slot markings, predicate closures and
-flat update lists.  These tests check, marking by marking, that the plan's
-``enabled_activities`` and ``fire`` agree with ``sancore.is_enabled`` and
-``sancore.fire`` (results and errors), and that the plan keeps the module
-names the layered benchmark in ``perfbench/`` wraps.
+``sim`` compiles an instance into Python source over slot markings: an
+enabling expression per activity and a program per case.  These tests
+check, marking by marking, that the plan's ``enabled_activities`` and
+``fire`` agree with ``sancore.is_enabled`` and ``sancore.fire`` (results
+and errors), that model names never change the compiled code, and that the
+plan keeps the module names the layered benchmark in ``perfbench/`` wraps.
 """
 
 from __future__ import annotations
@@ -115,14 +116,15 @@ _predicates = st.recursive(
     max_leaves=12)
 
 
-def _bound(places, cmp: str, value: int) -> PredAnd:
-    return PredAnd(tuple(PredLeaf(place, cmp, value) for place in places))
+def _bound(places, cmp: str, value: int, connective=PredAnd):
+    return connective(tuple(PredLeaf(place, cmp, value) for place in places))
 
 
-# Lower bounds sharing one value, which the plan checks in one pass.
+# Lower bounds sharing one value, all or any of which must hold, which the
+# plan checks in one pass.
 _bounds = st.builds(
     _bound, st.lists(st.sampled_from(PLACES), min_size=2, max_size=4),
-    st.sampled_from((">", ">=")), _values)
+    st.sampled_from((">", ">=")), _values, st.sampled_from((PredAnd, PredOr)))
 _updates = st.lists(st.builds(
     Update, st.sampled_from(PLACES), st.sampled_from(("set", "add", "sub")),
     _values, st.none() | st.tuples(st.sampled_from(sorted(COMPARISONS)),
@@ -135,9 +137,10 @@ def _shape(predicate: PredAnd, *tokens: int):
 
 
 # The plan scans a lower bound's slots as one slice when they are
-# consecutive and as an ``itemgetter`` otherwise, and tests ``0 not in``
-# them for a one-token bound (> 0, >= 1) and their ``min`` otherwise.  These
-# pin each shape at the ends of its range and just outside it.
+# consecutive and as a tuple of slots otherwise.  For all of them it tests
+# ``0 not in`` them for a one-token bound (> 0, >= 1) and their ``min``
+# otherwise; for any of them, their ``max``.  These pin each shape at the
+# ends of its range and just outside it.
 @_shape(_bound("ABC", ">", 0), 0, 3, 3, 3)       # zero at the first slot
 @_shape(_bound("ABC", ">", 0), 3, 3, 0, 3)       # zero at the last slot
 @_shape(_bound("ABC", ">", 0), 3, 3, 3, 0)       # zero just past the range
@@ -152,6 +155,9 @@ def _shape(predicate: PredAnd, *tokens: int):
 @_shape(_bound("DA", ">=", 1), 1, 1, 1, 0)       # gap: zero at the end
 @_shape(_bound("AD", ">=", 2), 2, 0, 0, 2)       # min, gap not read
 @_shape(_bound("DAD", ">", 1), 2, 3, 3, 1)       # min, gap, repeated
+@_shape(_bound("BC", ">", 0, PredOr), 1, 0, 0, 1)     # max, outside high
+@_shape(_bound("BC", ">=", 1, PredOr), 0, 0, 1, 0)    # max, last slot
+@_shape(_bound("DB", ">=", 2, PredOr), 2, 1, 2, 1)    # max, gap not read
 @settings(max_examples=300, deadline=None)
 @given(predicate=_predicates | _bounds, inputs=_updates, outputs=_updates,
        tokens=st.lists(st.integers(0, 3), min_size=4, max_size=4))
@@ -191,6 +197,30 @@ def test_plan_agrees_on_wide_geo():
             a for a in san.activities if is_enabled(san, marking, a.name)]
         assert [a.name for a in sim.enabled_activities(plan, slots)] == \
             ([] if empty else ["GEO_F"])
+
+
+@pytest.mark.parametrize("depth", [10, 60, 300])
+def test_plan_agrees_on_deep_predicates(depth):
+    # Python's parser refuses 200 nested parentheses, so the plan compiles
+    # deep connectives as functions of their own; GEO_F's enabling is
+    # nested ``depth`` levels deep in alternating negations and
+    # disjunctions, which changes neither what it means nor the run.
+    from test_sim import _reference_simulate
+
+    san = concretize(build_geo_template(), {"n": (1, 2, 3), **RATES})
+    gate = san.input_gates[0]
+    predicate = gate.predicate
+    for level in range(depth):
+        predicate = PredNot(predicate) if level % 2 else \
+            PredOr((PredConst(False), predicate))
+    if depth // 2 % 2:           # an odd number of negations so far
+        predicate = PredNot(predicate)
+    deep = replace(san, input_gates=(replace(gate, predicate=predicate),
+                                     *san.input_gates[1:]))
+    _assert_plan_agrees(deep)
+    cfg = SimConfig(seed=3, horizon=50.0)
+    assert simulate(deep, cfg) == simulate(san, cfg) == \
+        _reference_simulate(deep, cfg, [])
 
 
 # -- errors on the simulate path ---------------------------------------------
@@ -254,3 +284,80 @@ def test_every_benchmark_layer_has_a_wrap_target():
         resolved[layer] = resolved.get(layer, False) or found
     assert resolved and all(resolved.values()), \
         [layer for layer, found in resolved.items() if not found]
+
+
+# -- model names stay data ----------------------------------------------------
+
+def _renamed(san: ConcreteSan, rename) -> ConcreteSan:
+    """``san`` with every place, activity and gate name passed through
+    ``rename``."""
+    def predicate(pred):
+        if isinstance(pred, PredLeaf):
+            return replace(pred, place=rename(pred.place))
+        if isinstance(pred, PredNot):
+            return replace(pred, arg=predicate(pred.arg))
+        if isinstance(pred, (PredAnd, PredOr)):
+            return replace(pred, args=tuple(map(predicate, pred.args)))
+        return pred
+
+    def gate(g, **more):
+        return replace(g, name=rename(g.name), activity=rename(g.activity),
+                       places=tuple(map(rename, g.places)),
+                       updates=tuple(replace(u, place=rename(u.place))
+                                     for u in g.updates), **more)
+
+    return replace(
+        san, places=tuple(map(rename, san.places)),
+        activities=tuple(replace(a, name=rename(a.name))
+                         for a in san.activities),
+        input_gates=tuple(gate(g, predicate=predicate(g.predicate))
+                          for g in san.input_gates),
+        output_gates=tuple(map(gate, san.output_gates)),
+        initial_marking=tuple((rename(p), n) for p, n in san.initial_marking))
+
+
+# Names that would change the program if they were ever written into its
+# source: quotes, newlines, braces, backslashes and Python keywords.
+NAMES = {
+    "quotes": ("'", '"', "'''", "it's", 'say "x"'),
+    "newlines": ("\n", "a\nb", "\r\n", "#\n", "\\"),
+    "braces": ("{", "}", "{v}", "{{m}}", "f'{0}'"),
+    "keywords": ("lambda", "if", "None", "m", "import os"),
+}
+
+
+@pytest.mark.parametrize("style", sorted(NAMES))
+def test_model_names_never_reach_the_source(style):
+    from test_golden import CFG, _race
+    from santkit.sim import RewardSpec
+
+    names: dict[str, str] = {}
+    tokens = NAMES[style]
+
+    def rename(name):
+        # Distinct names: the style's tokens, padded apart once they run out.
+        n = len(names)
+        return names.setdefault(
+            name, tokens[n % len(tokens)] + " " * (n // len(tokens)))
+
+    san = _race()
+    odd = _renamed(san, rename)
+    rewards = [("throughput", "Slow"), ("time_avg_tokens", "Held_1"),
+               ("prob_tokens_at_least", "Tok_1", 1)]
+    ours = simulate(odd, CFG, [RewardSpec(kind, rename(target), *more)
+                               for kind, target, *more in rewards])
+    plain = simulate(san, CFG, [RewardSpec(*reward) for reward in rewards])
+    assert ours.events == plain.events
+    assert [(e.estimate, e.std) for e in ours.rewards] == \
+        [(e.estimate, e.std) for e in plain.rewards]
+    assert ours.case_counts == tuple((rename(name), counts)
+                                     for name, counts in plain.case_counts)
+    # Their errors name them byte for byte as the reference's do.
+    _assert_plan_agrees(odd)
+    overdraw = _renamed(_overdraw(), rename)
+    with pytest.raises(NegativeMarking) as info:
+        simulate(overdraw, SimConfig(seed=1, horizon=10.0))
+    with pytest.raises(NegativeMarking) as reference:
+        fire(overdraw, dict(overdraw.initial_marking), rename("Take"), 1)
+    assert str(info.value) == str(reference.value) == \
+        f"gate '{rename('g')}' drives place '{rename('P')}' to -1"

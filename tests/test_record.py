@@ -126,16 +126,29 @@ def test_match_args_are_the_annotated_fields():
             pytest.fail("positional pattern did not match")
 
 
+def _generates_code(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+        and node.func.id in ("exec", "eval", "compile")
+
+
 def test_no_generated_code_under_the_package():
+    # Records generate no code.  The one code generator is the simulator's
+    # plan compiler: every ``exec``/``eval``/``compile`` call under the
+    # package is in ``sim._define``, which runs when a plan is built.
+    calls = 0
+    callers: dict[tuple[str, str], int] = {}
     for path in sorted((SRC / "santkit").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 assert "dataclasses" not in [a.name for a in node.names], path
             elif isinstance(node, ast.ImportFrom):
                 assert node.module != "dataclasses", path
-            elif isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Name):
-                assert node.func.id not in ("exec", "eval", "compile"), path
+            elif isinstance(node, ast.FunctionDef):
+                found = sum(map(_generates_code, ast.walk(node)))
+                if found:
+                    callers[path.name, node.name] = found
+            calls += _generates_code(node)
+    assert callers == {("sim.py", "_define"): calls}
 
 
 def test_importing_the_cli_loads_no_code_generators():

@@ -5,14 +5,16 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 import statistics
 import sys
 from importlib import resources
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from santkit import sim
 from santkit.concretize import concretize
 from santkit.errors import (InvalidConfig, MaxEventsExceeded,
                             NonStabilizingDetected, UnsupportedReactivation)
@@ -22,8 +24,8 @@ from santkit.modelfile import (coerce_assignment, load_assignments,
                                load_template)
 from santkit.record import replace
 from santkit.sancore import (Activity, ConcreteSan, Dist, InputGate,
-                             OutputGate, PredLeaf, Update, is_enabled,
-                             is_stable, under_priority)
+                             OutputGate, PredAnd, PredLeaf, PredNot, Update,
+                             is_enabled, is_stable, under_priority)
 from santkit.sancore import fire as sancore_fire
 from santkit.sim import (REWARDS, STABILIZATION_LIMIT, RewardEstimate,
                          RewardSpec, SimConfig, SimResult, _mean_std,
@@ -105,13 +107,11 @@ def test_select_case_falls_back_to_last_positive_case():
                     reason="statistics.stdev rounds correctly from 3.11 on")
 @given(st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=20))
 def test_estimates_match_statistics(samples):
-    from santkit import sim
     assert sim._mean_std(samples) == (statistics.fmean(samples),
                                       statistics.stdev(samples))
 
 
 def test_estimate_of_one_or_a_non_finite_sample():
-    from santkit import sim
     assert sim._mean_std([2.5]) == (2.5, 0.0)
     mean, std = sim._mean_std([math.inf, 1.0])
     assert mean == math.inf and math.isnan(std)
@@ -273,10 +273,10 @@ def test_first_stabilization_boundary():
 def test_python_calls_per_event():
     # Interpreter overhead per event, counted rather than timed: Python-level
     # calls (``sys.setprofile`` "call" events: functions, closures and
-    # comprehensions, set-up included) per firing on TmiPair.  Two enabling
-    # closures, one gate program, one draw and, on half the firings, one
-    # case selection come to about 4.6 on Python 3.10 to 3.13; the loop
-    # must add no per-event helper calls of its own.
+    # comprehensions, set-up included) per firing on TmiPair.  The generated
+    # loop tests enabling and picks cases inline, so a firing makes one call
+    # to its gate program and, when it reschedules an activity, one to the
+    # delay sampler: 2.10 on Python 3.12 and 3.13, 2.12 on 3.10 and 3.11.
     san = concretize(build_tmi_template(), {
         "k": 1, "J": (2,), "p_TMI": 0.5, "lambda_f": 1.0, "lambda_r": 2.0})
     calls = 0
@@ -292,7 +292,7 @@ def test_python_calls_per_event():
     finally:
         sys.setprofile(None)
     assert sum(result.events) > 2000
-    assert calls / sum(result.events) <= 5
+    assert calls / sum(result.events) <= 2.12
 
 def test_truly_dead_net_keeps_initial_reward_values():
     san = ConcreteSan(name="dead", places=("P_1",), activities=(),
@@ -333,7 +333,6 @@ def test_simulate_rejects_invalid_instance():
         "rate-nan", "uniform-nan", "delay-nan", "uniform-negative"])
 def test_simulate_refuses_bad_distribution_before_any_draw(dist, monkeypatch):
     # Neither compiled into a plan nor sampled: validation refuses it first.
-    from santkit import sim
     from santkit.errors import ValidationError
     from santkit.sancore import FAMILIES
 
@@ -535,9 +534,38 @@ def test_scaled_rates_and_horizon_give_the_same_run(model, name, c):
             (ours.estimate * factor, ours.std * factor), spec
 
 
+# -- the loop's case choice ---------------------------------------------------
+
+class _Draw:
+    """A generator whose one ``random()`` draw is ``u``."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+_probabilities = st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=2,
+                          max_size=6).map(tuple)
+
+
+@example(probs=(0.5, 0.0), u=0.75)             # short sum, zero last case
+@example(probs=(0.0, 0.3, 0.7), u=0.3)         # u on a running sum
+@example(probs=(0.1, 0.2, 0.7, 0.0), u=1.0 - 2 ** -53)   # rounding short
+@settings(max_examples=500, deadline=None)
+@given(probs=_probabilities, u=st.floats(0.0, 1.0, exclude_max=True))
+def test_case_table_picks_what_select_case_picks(probs, u):
+    # The generated loop picks a case as ``pick[bisect_right(sums, u)]``.
+    sums, pick = sim._case_table(probs)
+    for draw in (u, *sums, *(math.nextafter(x, 0.0) for x in sums)):
+        assert pick[bisect_right(sums, draw)] + 1 == \
+            select_case(probs, _Draw(draw)), draw
+
+
 # -- the event loop against the reference interpreter --------------------------
 
-def _reference_replication(san, cfg, rewards, rng):
+def _reference_replication(san, cfg, rewards, rng, observer):
     """One replication of the execution policy the ``sim`` docstring states,
     run on ``sancore``'s dict markings, without the compiled plan: the
     reward values, the event count and the per-activity case counts."""
@@ -568,6 +596,8 @@ def _reference_replication(san, cfg, rewards, rng):
                 if rate is not None and time > now:
                     accum[r] += rate(marking[spec.target],
                                      spec.threshold) * (time - now)
+            if observer is not None and time > now:
+                observer(now, time, dict(marking))
             now = time
             if first is None or scheduled[first][0] > cfg.horizon:
                 break
@@ -583,10 +613,10 @@ def _reference_replication(san, cfg, rewards, rng):
     return values, events, counts
 
 
-def _reference_simulate(san, cfg, rewards) -> SimResult:
+def _reference_simulate(san, cfg, rewards, observer=None) -> SimResult:
     runs = [_reference_replication(
-        san, cfg, rewards, random.Random(replication_seed(cfg.seed, rep)))
-        for rep in range(cfg.replications)]
+        san, cfg, rewards, random.Random(replication_seed(cfg.seed, rep)),
+        observer) for rep in range(cfg.replications)]
     return SimResult(
         rewards=tuple(
             RewardEstimate(spec.label(),
@@ -627,17 +657,59 @@ def _choice() -> ConcreteSan:
         initial_marking=(("P_1", 0), ("Q_1", 0)))
 
 
+def _guards() -> ConcreteSan:
+    """Every kind of gate statement the plan compiles.  The timed Cycle
+    counts up C to 3 and, through a guarded add, marks A once; its case 1
+    sets B_1 and B_2 in one run, its case 2 has probability 0 and its case
+    3 adds one to A, then clears it through a set guarded on A holding 2
+    before that add.  Drain takes both B tokens, and one
+    from C through a guarded sub.  At C = 3 Cycle is disabled (a negated
+    bound) and the instantaneous Reset sets C to 0."""
+    c_full = PredLeaf("C_1", ">=", 3)
+    return ConcreteSan(
+        name="guards", places=("A_1", "B_1", "B_2", "C_1"),
+        activities=(
+            Activity("Cycle", ActivityKind.TIMED, 3, (0.5, 0.0, 0.5),
+                     Dist("exponential", (1.0,))),
+            Activity("Drain", ActivityKind.TIMED, 1, (1.0,),
+                     Dist("uniform", (0.5, 1.5))),
+            Activity("Reset", ActivityKind.INSTANTANEOUS, 1, (1.0,))),
+        input_gates=(
+            InputGate("gc", "Cycle", ("A_1", "C_1"), PredNot(c_full),
+                      (Update("C_1", "add", 1),
+                       Update("A_1", "add", 1, ("=", 0)))),
+            InputGate("gd", "Drain", ("B_1", "B_2", "C_1"),
+                      PredAnd((PredLeaf("B_1", ">", 0),
+                               PredLeaf("B_2", ">", 0))),
+                      (Update("B_1", "sub", 1), Update("B_2", "sub", 1),
+                       Update("C_1", "sub", 1, (">=", 1)))),
+            InputGate("gr", "Reset", ("C_1",), c_full, ())),
+        output_gates=(
+            OutputGate("o1", "Cycle", 1, ("B_1", "B_2"),
+                       (Update("B_1", "set", 1), Update("B_2", "set", 1))),
+            OutputGate("o2", "Cycle", 2, ("A_1",),
+                       (Update("A_1", "set", 7),)),
+            OutputGate("o3", "Cycle", 3, ("A_1",),
+                       (Update("A_1", "add", 1),
+                        Update("A_1", "set", 0, (">=", 2)))),
+            OutputGate("or", "Reset", 1, ("C_1",),
+                       (Update("C_1", "set", 0),))),
+        initial_marking=(("A_1", 0), ("B_1", 0), ("B_2", 0), ("C_1", 0)))
+
+
 def _oracle_case(name: str) -> tuple[ConcreteSan, SimConfig]:
     from test_golden import CFG, GOLDEN, _golden_instance, _race
     if name in GOLDEN:
         return _golden_instance(name), CFG
     if name == "race":
         return _race(), CFG
+    if name == "guards":
+        return _guards(), SimConfig(seed=3, horizon=300.0, replications=2)
     return _choice(), SimConfig(seed=5, horizon=200.0, replications=2)
 
 
 @pytest.mark.parametrize("name", ["GeoPair", "TmiPair", "UserInternal",
-                                  "race", "choice"])
+                                  "race", "choice", "guards"])
 def test_event_loop_agrees_with_the_reference(name):
     san, cfg = _oracle_case(name)
     rewards = [RewardSpec("throughput", a.name) for a in san.activities] + [
@@ -646,6 +718,20 @@ def test_event_loop_agrees_with_the_reference(name):
     result = simulate(san, cfg, rewards)
     assert min(result.events) > 100
     assert result == _reference_simulate(san, cfg, rewards)
+    # With an observer, beside the rated rewards or alone: the same
+    # result, and the same calls as the reference makes.
+    reference: list = []
+    _reference_simulate(san, cfg, [], lambda *call: reference.append(call))
+    assert len(reference) > 100
+    for specs in (rewards, []):
+        ours: list = []
+        assert simulate(san, cfg, specs, lambda *call: ours.append(call)) \
+            == _reference_simulate(san, cfg, specs)
+        assert ours == reference
+    counts = dict(result.case_counts)
     if name == "choice":
-        left, right = (dict(result.case_counts)[a] for a in ("Left", "Right"))
-        assert left[0] > 50 and right[0] > 50
+        assert counts["Left"][0] > 50 and counts["Right"][0] > 50
+    if name == "guards":
+        assert counts["Cycle"][0] > 50 and counts["Cycle"][2] > 50
+        assert counts["Cycle"][1] == 0
+        assert counts["Drain"][0] > 50 and counts["Reset"][0] > 10
