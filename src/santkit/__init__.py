@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _HOMES = {name: module for module, names in {
     "concretize": ("PlaceIndexMap", "build_index_map", "concretize",
                    "concretize_input_gate", "concretize_output_gate",
-                   "expand_place", "lift_marking", "project_marking"),
+                   "lift_marking", "project_marking"),
     "errors": ("Diagnostic", "SantError", "ValidationError"),
     "fixtures": ("build_geo_template", "build_tmi_template",
                  "build_user_template"),

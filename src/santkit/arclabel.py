@@ -203,15 +203,15 @@ def arc_gate(side: str, name: str, place: str, activity: str, label: str,
     ``label`` as written."""
     if side == "input":
         return desugar_input_arc(parse_input_label(label, params), place,
-                                 activity, name, label=label)
+                                 activity, name, label)
     return desugar_output_arc(parse_output_label(label, params), place,
-                              activity, name, label=label)
+                              activity, name, label)
 
 
 def desugar_output_arc(spec: OutputArcSpec, place: str, activity: str,
-                       name: str,
-                       label: str | None = None) -> OutputGateTemplate:
-    """Compile an output arc-template label into its output gate."""
+                       name: str, label: str) -> OutputGateTemplate:
+    """Compile an output arc-template label into its output gate, which
+    keeps ``label`` as written."""
     if isinstance(spec, Unconditional):
         rules = (_out_rule(place, "all", spec.out),)
     else:
@@ -222,7 +222,7 @@ def desugar_output_arc(spec: OutputArcSpec, place: str, activity: str,
         rules = tuple(rules)
     return OutputGateTemplate(
         name=name, activity=activity, places=(place,), rules=rules,
-        arc_label=print_output_label(spec) if label is None else label)
+        arc_label=label)
 
 
 def _out_rule(place: str, selector, out: OutExpr) -> GateRule:
@@ -231,9 +231,9 @@ def _out_rule(place: str, selector, out: OutExpr) -> GateRule:
 
 
 def desugar_input_arc(spec: InputArcSpec, place: str, activity: str,
-                      name: str,
-                      label: str | None = None) -> InputGateTemplate:
-    """Compile an input arc-template label into its input gate.
+                      name: str, label: str) -> InputGateTemplate:
+    """Compile an input arc-template label into its input gate, which keeps
+    ``label`` as written.
 
     The implicit form requires every instance to hold the subtracted amount;
     an explicit predicate applies the function to all instances (forall), to
@@ -254,5 +254,4 @@ def desugar_input_arc(spec: InputArcSpec, place: str, activity: str,
         rules = (GateRule(place, selector, action, spec.func_value),)
     return InputGateTemplate(
         name=name, activity=activity, places=(place,),
-        predicate=predicate, rules=rules,
-        arc_label=print_input_label(spec) if label is None else label)
+        predicate=predicate, rules=rules, arc_label=label)

@@ -6,27 +6,39 @@ output gate templates expand to one output gate per case of their activity.
 Every term is evaluated under the assignment (with the case index bound on
 the output side and the instance index bound per expanded element), so the
 resulting instance is fully numeric.
+
+``concretize`` only builds.  It refuses what it cannot build: an assignment
+that does not bind the template, place indices that are not positive or
+repeat (they name places), and an instance above ``MAX_INSTANCE_SIZE``.
+Every other rule of a well-formed instance (case counts, probabilities,
+distribution parameters, token counts) is ``validate_san``'s, which each
+consumer of the instance runs.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import (EvalError, IndexOutOfRange, SortMismatch,
-                     UnboundParameter, UnknownParameter, ValidationError,
-                     has_errors)
+from .errors import (Diagnostic, EvalError, SortMismatch, UnboundParameter,
+                     UnknownParameter, ValidationError, has_errors)
 from .record import Record
 from .sancore import (Activity, ConcreteSan, Dist, InputGate, Marking,
                       OutputGate, PredAnd, PredConst, PredLeaf, PredNot,
                       PredOr, Predicate, Update)
 from .template import (GateAtom, InputGateTemplate, MTable,
-                       OutputGateTemplate, PlaceTemplate, SAt, SanTemplate,
-                       TemplateMarking, marking_tokens_at,
-                       place_index_values, validate_template,
-                       where_condition)
+                       OutputGateTemplate, SAt, SanTemplate, TemplateMarking,
+                       marking_tokens_at, place_index_values,
+                       validate_template, where_condition)
 from .terms import Value, eval_term, matches_sort
 
 SEPARATOR = "_"
+
+# The largest instance ``concretize`` builds, in |P| + sum of case counts +
+# sum over generated gates of their place-list lengths.  User at |s| = 4000
+# measures 16,020,011 (the |s| output gates of its Request activity each
+# list the |s| Req places); an instance past the ceiling would take
+# gigabytes and minutes to build.
+MAX_INSTANCE_SIZE = 20_000_000
 
 
 def concrete_place_name(template_name: str, index: int) -> str:
@@ -44,13 +56,6 @@ class PlaceIndexMap(Record):
     indices: dict[str, tuple[int, ...]]
     names: dict[str, tuple[str, ...]]
     offsets: dict[str, dict[int, int]]
-
-
-def expand_place(pt: PlaceTemplate,
-                 assignment: Mapping[str, Value]) -> list[str]:
-    """Concrete places of one template, in multiplicity order."""
-    return [concrete_place_name(pt.name, i)
-            for i in place_index_values(pt, assignment)]
 
 
 def build_index_map(template: SanTemplate,
@@ -87,10 +92,9 @@ def check_assignment(template: SanTemplate,
 
 def project_marking(template: SanTemplate, marking: TemplateMarking,
                     assignment: Mapping[str, Value],
-                    index_map: PlaceIndexMap | None = None) -> Marking:
+                    imap: PlaceIndexMap) -> Marking:
     """Concrete marking: each place's tokens are its template's marking
     function applied to the place's index."""
-    imap = index_map or build_index_map(template, assignment)
     result: Marking = {}
     for pt in template.places:
         fn = marking.get(pt.name)
@@ -103,10 +107,10 @@ def project_marking(template: SanTemplate, marking: TemplateMarking,
 
 def lift_marking(template: SanTemplate, marking: Marking,
                  assignment: Mapping[str, Value],
-                 index_map: PlaceIndexMap | None = None) -> TemplateMarking:
+                 imap: PlaceIndexMap) -> TemplateMarking:
     """Template marking reproducing a concrete one on the expanded indices
-    (a token table per place; zero elsewhere)."""
-    imap = index_map or build_index_map(template, assignment)
+    (a token table per place; zero elsewhere).  ``assignment`` is the one
+    ``imap`` was built under; the map alone decides the result."""
     lifted: TemplateMarking = {}
     for pt in template.places:
         table = {}
@@ -116,16 +120,15 @@ def lift_marking(template: SanTemplate, marking: Marking,
     return lifted
 
 
-def _fold_predicate(template: SanTemplate, pred, assignment,
-                    imap: PlaceIndexMap) -> Predicate:
+def _fold_predicate(pred, assignment, imap: PlaceIndexMap) -> Predicate:
     if isinstance(pred, PredAnd):
-        return PredAnd(tuple(_fold_predicate(template, a, assignment, imap)
+        return PredAnd(tuple(_fold_predicate(a, assignment, imap)
                              for a in pred.args))
     if isinstance(pred, PredOr):
-        return PredOr(tuple(_fold_predicate(template, a, assignment, imap)
+        return PredOr(tuple(_fold_predicate(a, assignment, imap)
                             for a in pred.args))
     if isinstance(pred, PredNot):
-        return PredNot(_fold_predicate(template, pred.arg, assignment, imap))
+        return PredNot(_fold_predicate(pred.arg, assignment, imap))
     return _fold_atom(pred, assignment, imap)
 
 
@@ -154,8 +157,7 @@ def _fold_atom(atom: GateAtom, assignment, imap: PlaceIndexMap) -> Predicate:
     return leaf(offset)
 
 
-def _fold_rules(template: SanTemplate, gate, assignment,
-                imap: PlaceIndexMap,
+def _fold_rules(gate, assignment, imap: PlaceIndexMap,
                 case_index: int | None = None) -> tuple[Update, ...]:
     updates: list[Update] = []
     for rule in gate.rules:
@@ -203,50 +205,60 @@ def _gate_places(gate, imap: PlaceIndexMap) -> tuple[str, ...]:
     return tuple(out)
 
 
-def concretize_input_gate(template: SanTemplate, gate: InputGateTemplate,
+def concretize_input_gate(gate: InputGateTemplate, places: tuple[str, ...],
                           assignment: Mapping[str, Value],
-                          index_map: PlaceIndexMap | None = None) -> InputGate:
-    """One concrete input gate: expanded place set, folded predicate and
-    folded update list."""
-    imap = index_map or build_index_map(template, assignment)
+                          imap: PlaceIndexMap) -> InputGate:
+    """One concrete input gate: the gate's expanded place tuple ``places``,
+    its folded predicate and its folded update list."""
     return InputGate(
-        gate.name, gate.activity, _gate_places(gate, imap),
-        _fold_predicate(template, gate.predicate, assignment, imap),
-        _fold_rules(template, gate, assignment, imap))
+        gate.name, gate.activity, places,
+        _fold_predicate(gate.predicate, assignment, imap),
+        _fold_rules(gate, assignment, imap))
 
 
-def concretize_output_gate(template: SanTemplate, gate: OutputGateTemplate,
-                           case: int, assignment: Mapping[str, Value],
-                           index_map: PlaceIndexMap | None = None,
-                           places: tuple[str, ...] | None = None,
-                           cases: int | None = None) -> OutputGate:
-    """The case-th concrete output gate generated from a template gate.
-
-    It is named ``<gate>_<case>`` when its activity has several cases.
-    ``places``, when given, is the gate's expanded place tuple, which
-    ``concretize`` builds once and shares across the gate's cases; ``cases``
-    is the activity's case count, which ``concretize`` has evaluated once.
-    Called without it, the gate evaluates the count itself."""
-    imap = index_map or build_index_map(template, assignment)
-    if cases is None:
-        cases = eval_term(template.activity(gate.activity).cases, assignment)
-    if not 1 <= case <= cases:
-        raise IndexOutOfRange(
-            f"case {case} out of range for '{gate.activity}' ({cases} cases)")
+def concretize_output_gate(gate: OutputGateTemplate, case: int, cases: int,
+                           places: tuple[str, ...],
+                           assignment: Mapping[str, Value],
+                           imap: PlaceIndexMap) -> OutputGate:
+    """The case-th of the ``cases`` concrete output gates generated from a
+    template gate, named ``<gate>_<case>`` when ``cases`` is not 1.  The
+    gates of one template gate share its expanded place tuple ``places``."""
     return OutputGate(
         gate.name if cases == 1 else f"{gate.name}_{case}",
-        gate.activity, case,
-        _gate_places(gate, imap) if places is None else places,
-        _fold_rules(template, gate, assignment, imap, case_index=case))
+        gate.activity, case, places,
+        _fold_rules(gate, assignment, imap, case_index=case))
+
+
+def _check_size(template: SanTemplate, imap: PlaceIndexMap,
+                cases: dict[str, int],
+                gate_places: dict[str, tuple[str, ...]]) -> None:
+    """Refuse an instance above ``MAX_INSTANCE_SIZE`` before building it,
+    naming its largest element."""
+    parts = [(len(imap.names[pt.name]), f"place {pt.name}")
+             for pt in template.places]
+    parts += [(max(cases[at.name], 0), f"activity {at.name}")
+              for at in template.activities]
+    parts += [(len(gate_places[g.name]), f"gate {g.name}")
+              for g in template.input_gates]
+    parts += [(len(gate_places[g.name]) * max(cases[g.activity], 0),
+               f"gate {g.name}") for g in template.output_gates]
+    total = sum(size for size, _ in parts)
+    if total > MAX_INSTANCE_SIZE:
+        size, element = max(parts)
+        raise ValidationError([Diagnostic(
+            "instance-size",
+            f"instance size {total} exceeds the ceiling {MAX_INSTANCE_SIZE}; "
+            f"the largest part counts {size}", element=element)])
 
 
 def concretize(template: SanTemplate, assignment: Mapping[str, Value],
                name: str | None = None) -> ConcreteSan:
     """Generate the concrete SAN for (template, assignment).
 
-    The template must validate cleanly and the assignment must bind every
-    parameter at its declared sort.  The instance is returned without
-    being validated: ``validate_san`` checks it, and ``simulate`` and
+    The template must validate cleanly, the assignment must bind every
+    parameter at its declared sort, and the instance must not exceed
+    ``MAX_INSTANCE_SIZE``.  The instance is returned without being
+    validated: ``validate_san`` checks it, and ``simulate`` and
     ``sant instantiate`` refuse an instance with validation errors.
     """
     template_diags = validate_template(template)
@@ -254,6 +266,11 @@ def concretize(template: SanTemplate, assignment: Mapping[str, Value],
         raise ValidationError(template_diags)
     check_assignment(template, assignment)
     imap = build_index_map(template, assignment)
+    cases = {at.name: eval_term(at.cases, assignment)
+             for at in template.activities}
+    gate_places = {gate.name: _gate_places(gate, imap) for gate in
+                   template.input_gates + template.output_gates}
+    _check_size(template, imap, cases, gate_places)
 
     places: list[str] = []
     for pt in template.places:
@@ -261,33 +278,27 @@ def concretize(template: SanTemplate, assignment: Mapping[str, Value],
 
     activities: list[Activity] = []
     for at in template.activities:
-        cases = eval_term(at.cases, assignment)
-        if cases < 1:
-            raise EvalError(
-                f"activity '{at.name}': case count is {cases!r}, must be >= 1")
-        probs = tuple(_case_prob(at, i, assignment) for i in range(1, cases + 1))
+        count = cases[at.name]
+        probs = tuple(_case_prob(at, i, assignment) for i in range(1, count + 1))
         dist = None
         if at.time_distribution is not None:
             dist = Dist(at.time_distribution.family,
                         tuple(float(eval_term(p, assignment))
                               for p in at.time_distribution.params))
         activities.append(Activity(
-            name=at.name, kind=at.kind, cases=cases, case_probs=probs,
+            name=at.name, kind=at.kind, cases=count, case_probs=probs,
             distribution=dist))
 
     input_gates = tuple(
-        concretize_input_gate(template, gate, assignment, imap)
+        concretize_input_gate(gate, gate_places[gate.name], assignment, imap)
         for gate in template.input_gates)
 
-    case_counts = {a.name: a.cases for a in activities}
     output_gates: list[OutputGate] = []
     for gate in template.output_gates:
-        cases = case_counts[gate.activity]
-        gate_places = _gate_places(gate, imap)
-        for case in range(1, cases + 1):
+        count = cases[gate.activity]
+        for case in range(1, count + 1):
             output_gates.append(concretize_output_gate(
-                template, gate, case, assignment, imap, places=gate_places,
-                cases=cases))
+                gate, case, count, gate_places[gate.name], assignment, imap))
 
     initial = project_marking(template, template.initial_marking_map(),
                               assignment, imap)

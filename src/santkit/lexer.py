@@ -9,6 +9,7 @@ symbols.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import NamedTuple
 
@@ -70,6 +71,17 @@ def tokenize(text: str) -> list[Token]:
         tokens.append(Token(kind, value, line, column))
     tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
+
+
+def real_value(tok: Token) -> float:
+    """The float a ``real`` token spells.  A literal past the float range
+    (``1e999``) would read as ``inf``, which no model text can spell back,
+    so it is a ``ParseError`` at the token."""
+    value = float(tok.value)
+    if math.isinf(value):
+        raise ParseError(f"real literal {tok.value} is out of range",
+                         tok.line, tok.column)
+    return value
 
 
 class TokenStream:

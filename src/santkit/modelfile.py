@@ -63,7 +63,7 @@ from typing import Any, Container
 
 from .arclabel import arc_gate
 from .errors import ParseError, parse_file
-from .lexer import Token, TokenStream, tokenize
+from .lexer import Token, TokenStream, real_value, tokenize
 from .record import Record
 from .sancore import (COMPARISONS, FAMILIES, ActivityKind, Dist, PredAnd,
                       PredNot, PredOr)
@@ -390,6 +390,7 @@ class _TemplateParser:
     def _section_marking(self) -> None:
         tok = self._name()
         _once(tok, self.marking, f"place '{tok.value}' marked twice")
+        self._span("marking", tok)
         self.ts.expect_sym("=")
         self.marking[tok.value] = self._marking_fn()
 
@@ -475,7 +476,7 @@ def _literal(ts: TokenStream) -> Value:
         return -int(tok.value) if negative else int(tok.value)
     if tok.kind == "real":
         ts.next()
-        return -float(tok.value) if negative else float(tok.value)
+        return -real_value(tok) if negative else real_value(tok)
     if negative:
         raise ParseError("expected a number", tok.line, tok.column)
     if ts.accept_ident("true"):

@@ -379,21 +379,18 @@ def validate_san(san: ConcreteSan) -> list[Diagnostic]:
 
     for act in san.activities:
         el = f"activity {act.name}"
-        if act.cases < 1:
-            err("case-count", f"activity has {act.cases} cases", el)
+        check_case_count(act.cases, el, err)
         if len(act.case_probs) != act.cases:
             err("case-count",
                 f"{len(act.case_probs)} probabilities for {act.cases} cases", el)
-        if any(not 0.0 <= p <= 1.0 for p in act.case_probs):
-            err("normalization", "case probability outside [0, 1]", el)
+        check_case_probs(act.case_probs, el, err)
         total = sum(act.case_probs)
         if not abs(total - 1.0) <= PROB_TOLERANCE:
             err("normalization",
                 f"case probabilities sum to {total!r}, not 1", el)
         family = check_timing(act.kind, act.distribution, el, err)
-        if family is not None and family.invalid(*act.distribution.params):
-            err("invalid-parameter",
-                f"{family.requirement}, got {act.distribution.params}", el)
+        if family is not None:
+            check_parameters(family, act.distribution.params, el, err)
         if act.reactivation != "empty":
             err("reactivation-unsupported",
                 "non-empty reactivation sets are not executable", el,
@@ -429,13 +426,10 @@ def validate_san(san: ConcreteSan) -> list[Diagnostic]:
 
     init = dict(san.initial_marking)
     for pname in san.places:
-        tokens = init.get(pname)
-        if tokens is None:
+        if pname not in init:
             err("marking-incomplete",
                 f"initial marking does not cover place '{pname}'")
-        elif tokens < 0:
-            err("negative-marking",
-                f"initial marking of '{pname}' is {tokens}")
+    check_marking(san.initial_marking, None, err)
 
     if not any(d.severity == "error" for d in diags):
         try:
@@ -489,6 +483,36 @@ def check_timing(kind: ActivityKind, dist: Dist | None, element: str,
             f"'{dist.family}' takes {family.arity} parameter(s)", element)
         return None
     return family
+
+
+def check_case_count(cases: int, element: str, err) -> None:
+    """An activity has at least one case."""
+    if cases < 1:
+        err("case-count", f"activity has {cases} cases", element)
+
+
+def check_case_probs(probs: Iterable[float], element: str, err) -> None:
+    """Each case probability lies in [0, 1]."""
+    if any(not 0.0 <= p <= 1.0 for p in probs):
+        err("normalization", "case probability outside [0, 1]", element)
+
+
+def check_parameters(family: Family, params: tuple[float, ...],
+                     element: str, err) -> None:
+    """The parameters are in the family's range."""
+    if family.invalid(*params):
+        err("invalid-parameter", f"{family.requirement}, got {params}",
+            element)
+
+
+def check_marking(marking: Iterable[tuple[str, int]], element: str | None,
+                  err) -> None:
+    """No place of an initial marking, given as (place, tokens) pairs,
+    holds a negative token count."""
+    for place, tokens in marking:
+        if tokens < 0:
+            err("negative-marking",
+                f"initial marking of '{place}' is {tokens}", element)
 
 
 def check_gate(gate, atoms, updates, activities: set[str], places: set[str],

@@ -23,8 +23,9 @@ from .errors import (Diagnostic, DuplicateIndex, EvalError, NegativeMarking,
 from . import terms
 from .record import Record
 from .sancore import (ACTIONS, COMPARISONS, ActivityKind, Dist, PredAnd,
-                      PredNot, PredOr, check_gate, check_timing, check_unique,
-                      leaves)
+                      PredNot, PredOr, check_case_count, check_case_probs,
+                      check_gate, check_marking, check_parameters,
+                      check_timing, check_unique, leaves)
 from .terms import (CaseIndex, Const, PlaceIndex, Sort, Term, Value,
                     eval_term, infer_sort)
 
@@ -158,12 +159,13 @@ TemplateMarking = dict[str, MarkingFn]
 
 def marking_tokens_at(fn: MarkingFn, index: int,
                       assignment: Mapping[str, Value]) -> int:
-    """Token count the marking function yields at one instance index."""
+    """Token count the marking function yields at one instance index; a
+    negative count is ``validate_san``'s ``negative-marking``."""
     if isinstance(fn, MExpr):
-        return _as_count(eval_term(fn.value, assignment, place_index=index))
+        return eval_term(fn.value, assignment, place_index=index)
     if isinstance(fn, MSetOn):
         if index in eval_term(fn.indices, assignment):
-            return _as_count(eval_term(fn.value, assignment))
+            return eval_term(fn.value, assignment)
         return 0
     if isinstance(fn, MTable):
         for i, tokens in fn.entries:
@@ -171,12 +173,6 @@ def marking_tokens_at(fn: MarkingFn, index: int,
                 return tokens
         return 0
     raise SantError(f"not a marking function: {fn!r}")
-
-
-def _as_count(value: Value) -> int:
-    if value < 0:
-        raise NegativeMarking(f"marking value {value} is negative")
-    return value
 
 
 # -- the template tuple ------------------------------------------------------
@@ -382,7 +378,9 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
     Covers sort errors of every term slot, dangling gate-to-activity maps,
     gates touching places outside their declared place set, case-index
     placeholders on the input side, and timed/instantaneous versus
-    distribution mismatches.
+    distribution mismatches.  A closed case count, ``prob`` row,
+    distribution parameter or marking value is evaluated and given the
+    ``sancore`` rule that ``validate_san`` gives its instance value.
     """
     diags: list[Diagnostic] = []
     declared = template.param_sorts()
@@ -410,6 +408,20 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
             err("place-placeholder", "<PLACE> is not allowed here", element)
         return got == expected
 
+    def closed(term: Term, expected: Sort, element: str, code: str,
+               **allow: bool) -> Value | None:
+        """The value of ``term`` when it has the ``expected`` sort and no
+        parameter or placeholder; a failed evaluation is a ``code``
+        diagnostic."""
+        if not check_term(term, expected, element, **allow) or \
+                not terms.is_closed(term):
+            return None
+        try:
+            return eval_term(term, {})
+        except EvalError as exc:
+            err(code, str(exc), element)
+            return None
+
     place_names, activity_names = _check_names(template, err)
 
     for pt in template.places:
@@ -417,28 +429,23 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
 
     for at in template.activities:
         el = f"activity {at.name}"
-        check_term(at.cases, Sort.INT, el)
+        cases = closed(at.cases, Sort.INT, el, "case-count")
+        if cases is not None:
+            check_case_count(cases, el, err)
         if not at.case_distribution:
             err("empty-case-distribution", "no case probability entries", el)
         for entry in at.case_distribution:
             check_term(entry.guard, Sort.BOOL, el, allow_case=True)
-            check_term(entry.prob, Sort.REAL, el, allow_case=True)
+            prob = closed(entry.prob, Sort.REAL, el, "normalization",
+                          allow_case=True)
+            if prob is not None:
+                check_case_probs((prob,), el, err)
         family = check_timing(at.kind, at.time_distribution, el, err)
         if at.time_distribution is not None:
-            params = at.time_distribution.params
-            well_sorted = [check_term(p, Sort.REAL, el) for p in params]
-            if family is not None and all(well_sorted) and \
-                    all(map(terms.is_closed, params)):
-                # Constant parameters get the family's check here, as
-                # ``validate_san`` gives it to every instance.
-                try:
-                    values = tuple(eval_term(p, {}) for p in params)
-                except EvalError as exc:
-                    err("invalid-parameter", str(exc), el)
-                else:
-                    if family.invalid(*values):
-                        err("invalid-parameter",
-                            f"{family.requirement}, got {values}", el)
+            values = tuple(closed(p, Sort.REAL, el, "invalid-parameter")
+                           for p in at.time_distribution.params)
+            if family is not None and None not in values:
+                check_parameters(family, values, el, err)
 
     known_places: set[int] = set()
     for gate in template.input_gates + template.output_gates:
@@ -489,7 +496,10 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
                 f"initial marking does not cover place '{pt.name}'",
                 f"place {pt.name}")
             continue
-        _check_marking_fn(fn, f"marking {pt.name}", check_term, err)
+        el = f"marking {pt.name}"
+        check_marking([(pt.name, tokens) for tokens in
+                       _known_tokens(fn, el, check_term, closed, err)],
+                      el, err)
     for name in init:
         if name not in place_names:
             err("unknown-place",
@@ -498,14 +508,20 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
     return diags
 
 
-def _check_marking_fn(fn: MarkingFn, element: str, check_term, err) -> None:
-    if isinstance(fn, MExpr):
-        check_term(fn.value, Sort.INT, element, allow_place=True)
-    elif isinstance(fn, MSetOn):
+def _known_tokens(fn: MarkingFn, element: str, check_term, closed,
+                  err) -> list[int]:
+    """Check the sorts of a marking function's terms; returns the token
+    counts it gives under every assignment (a table's, a closed value)."""
+    if isinstance(fn, MTable):
+        return [tokens for _, tokens in fn.entries]
+    if isinstance(fn, MSetOn):
         check_term(fn.indices, Sort.SET_INT, element)
-        check_term(fn.value, Sort.INT, element)
-    elif not isinstance(fn, MTable):
+    elif not isinstance(fn, MExpr):
         err("bad-marking", f"not a marking function: {fn!r}", element)
+        return []
+    tokens = closed(fn.value, Sort.INT, element, "negative-marking",
+                    allow_place=isinstance(fn, MExpr))
+    return [] if tokens is None else [tokens]
 
 
 def _check_names(template: SanTemplate, err) -> tuple[set[str], set[str]]:

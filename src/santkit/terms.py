@@ -22,9 +22,10 @@ import enum
 import operator
 from typing import Callable, Mapping, Union
 
-from .errors import (DivisionByZero, IndexOutOfRange, MissingContext,
-                     ParseError, SortMismatch, UnknownParameter)
-from .lexer import TokenStream, tokenize
+from .errors import (DivisionByZero, EvalError, IndexOutOfRange,
+                     MissingContext, ParseError, SortMismatch,
+                     UnknownParameter)
+from .lexer import TokenStream, real_value, tokenize
 from .record import Record
 
 Value = Union[int, float, bool, tuple]
@@ -141,6 +142,13 @@ def _mod(a, b):
     return a % b
 
 
+def _to_real(i):
+    try:
+        return float(i)
+    except OverflowError:
+        raise EvalError("integer too large to convert to a real") from None
+
+
 def _at(seq, i):
     if not 1 <= i <= len(seq):
         raise IndexOutOfRange(f"index {i} out of range for length {len(seq)}")
@@ -173,7 +181,7 @@ OPS: dict[str, Op] = {
     "neg": Op((((_I,), _I), ((_R,), _R)), operator.neg, _PREC_UNARY),
     "at": Op((((_SI, _I), _I), ((_SR, _I), _R)), _at, _PREC_POSTFIX),
     "size": Op((((_SI,), _I), ((_SR,), _I)), len),
-    "to_real": Op((((_I,), _R),), float),
+    "to_real": Op((((_I,), _R),), _to_real),
     "b2i": Op((((_B,), _I),), int),
     # Variadic: its sort rule is the set literal's own, in infer_sort.
     "setlit": Op((), lambda *elems: elems),
@@ -419,7 +427,7 @@ class _TermParser:
             return Const(int(tok.value))
         if tok.kind == "real":
             ts.next()
-            return Const(float(tok.value))
+            return Const(real_value(tok))
         if tok.kind == "placeholder":
             ts.next()
             if tok.value == "CASE":

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from santkit.arclabel import (Conditional, ExplicitInput, ImplicitSub,
-                              OutAdd, OutSet, Unconditional,
+                              OutAdd, OutSet, Unconditional, arc_gate,
                               desugar_input_arc, desugar_output_arc,
                               parse_input_label, parse_output_label,
                               print_input_label, print_output_label)
@@ -87,10 +87,10 @@ def test_label_sorts_belong_to_parser_and_validator():
     place = PlaceTemplate("P", parse_term("s", PARAMS))
     for gate, is_input in (
             (desugar_output_arc(Conditional(Const(1), OutSet(Const(1.5))),
-                                "P", "Act", "G"), False),
+                                "P", "Act", "G", "1 -> 1.5"), False),
             (desugar_input_arc(ExplicitInput("forall", None, ">=",
                                              Const(1.5), True, Const(1)),
-                               "P", "Act", "G"), True)):
+                               "P", "Act", "G", "[forall >= 1.5] -1"), True)):
         diags = validate_template(_template_with(place, gate, is_input))
         assert "sort-mismatch" in {d.code for d in diags}, gate
 
@@ -98,12 +98,12 @@ def test_label_sorts_belong_to_parser_and_validator():
 # -- desugaring semantics against a hand-written oracle ----------------------
 
 def _apply_output(label, indices, marking, case=1, assignment=None):
-    """Desugar, apply at template level, return the marking as a dict."""
+    """Desugar through ``arc_gate``, apply at template level, return the
+    marking as a dict."""
     assignment = dict(assignment or {}, idx=tuple(indices))
     params = dict(PARAMS, idx=Sort.SET_INT)
     place = PlaceTemplate("P", parse_term("idx", params))
-    gate = desugar_output_arc(parse_output_label(label, params), "P", "Act",
-                              "G")
+    gate = arc_gate("output", "G", "P", "Act", label, params)
     template = _template_with(place, gate, is_input=False)
     lifted = {"P": MTable.of(marking)}
     out = apply_gate_rules(template, gate, lifted, assignment,
@@ -148,8 +148,7 @@ def _input_gate(label, indices, assignment=None):
     assignment = dict(assignment or {}, idx=tuple(indices))
     params = dict(PARAMS, idx=Sort.SET_INT)
     place = PlaceTemplate("P", parse_term("idx", params))
-    gate = desugar_input_arc(parse_input_label(label, params), "P", "Act",
-                             "G")
+    gate = arc_gate("input", "G", "P", "Act", label, params)
     template = _template_with(place, gate, is_input=True)
     return template, gate, assignment
 

@@ -372,6 +372,76 @@ def test_validate_checks_constant_distribution_parameters(tmp_path, capsys,
         f"{bad}:21:9: error: invalid-parameter: {message} [activity GEO_R]\n"
 
 
+# The instance rules that a closed case count, prob row or marking value
+# decides, reported by the template at its element's position.
+@pytest.mark.parametrize("source, old, new, fault", [
+    ("tmi.sant", "cases = 1 + (p_TMI > 0.0)", "cases = 0",
+     "21:9: error: case-count: activity has 0 cases [activity SW_F]"),
+    ("tmi.sant", "cases = 1 + (p_TMI > 0.0)", "cases = 1 % 0",
+     "21:9: error: case-count: modulo by zero [activity SW_F]"),
+    ("user.sant", "prob = pb[<CASE>]", "prob = 1.5",
+     "20:9: error: normalization: case probability outside [0, 1] "
+     "[activity Request]"),
+    ("user.sant", "prob = pb[<CASE>]", f"prob = to_real(1{'0' * 400})",
+     "20:9: error: normalization: integer too large to convert to a real "
+     "[activity Request]"),
+    ("user.sant", "  Idle = 1\n}", "  Idle = 0 - 2\n}",
+     "54:3: error: negative-marking: initial marking of 'Idle' is -2 "
+     "[marking Idle]"),
+    ("tmi.sant", "Working_S = 1", "Working_S = on({1}, 0 - 1)",
+     "52:3: error: negative-marking: initial marking of 'Working_S' is -1 "
+     "[marking Working_S]"),
+], ids=["zero-cases", "cases-fail-to-evaluate", "prob-above-one",
+        "prob-past-the-real-range", "negative-marking",
+        "negative-marking-on-set"])
+def test_validate_decides_closed_instance_rules(tmp_path, capsys, source, old,
+                                                new, fault):
+    text = (MODELS / source).read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    bad = tmp_path / source
+    bad.write_text(text.replace(old, new), encoding="utf-8")
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr() == ("", f"{bad}:{fault}\n")
+
+
+def test_oversized_instance_is_refused_before_it_is_built(tmp_path, capsys):
+    # Ten million cases of a gate over four places: refused from the case
+    # count and place lists alone, before any case is built.
+    text = (MODELS / "tmi.sant").read_text(encoding="utf-8")
+    bad = tmp_path / "tmi.sant"
+    bad.write_text(text.replace("cases = 1 + (p_TMI > 0.0)",
+                                "cases = 10000000 + (p_TMI > 0.0)"),
+                   encoding="utf-8")
+    assert main(["instantiate", str(bad), str(MODELS / "tmi.sasg"),
+                 "--assignment", "TmiPair", "--out", "-"]) == 1
+    assert capsys.readouterr() == ("", (
+        "error: validation failed:\n"
+        "error: instance-size: instance size 50000016 exceeds the ceiling "
+        "20000000; the largest part counts 40000004 [gate OG_SW]\n"))
+
+
+# A real literal past the float range would read as inf; each text format
+# refuses it where it is written.
+@pytest.mark.parametrize("source, old, new, argv, fault", [
+    ("geo.sant", "exponential(lambda_r)", "exponential(1e999)",
+     ["validate", "{bad}"], "22:24: real literal 1e999 is out of range"),
+    ("user.sant", '"s[<CASE>] -> 1"', '"s[<CASE>] -> (1e999 > 0.0)"',
+     ["validate", "{bad}"], "48:10: in label of arc 'OGRequest': 1:15: "
+     "real literal 1e999 is out of range"),
+    ("geo.sasg", "lambda_f = 1.0", "lambda_f = 1e999",
+     ["simulate", GEO, "{bad}", "--assignment", "GeoPair", "--horizon", "10"],
+     "4:16: real literal 1e999 is out of range"),
+], ids=["template-term", "arc-label", "assignment-literal"])
+def test_real_literal_out_of_range_is_a_parse_error(tmp_path, capsys, source,
+                                                    old, new, argv, fault):
+    text = (MODELS / source).read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    bad = tmp_path / source
+    bad.write_text(text.replace(old, new), encoding="utf-8")
+    assert main([arg.format(bad=bad) for arg in argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {bad}:{fault}\n")
+
+
 @pytest.mark.parametrize("model", ["geo.sant", "tmi.sant", "user.sant"])
 def test_validate_passes_bundled_and_valid_constant_parameters(
         tmp_path, capsys, model):

@@ -7,18 +7,19 @@ import pytest
 
 from santkit.concretize import (build_index_map, concretize,
                                 concretize_input_gate,
-                                concretize_output_gate, expand_place,
-                                lift_marking, project_marking)
-from santkit.errors import (DuplicateIndex, EvalError, IndexOutOfRange,
-                            SortMismatch, UnboundParameter, UnknownParameter)
+                                concretize_output_gate, lift_marking,
+                                project_marking)
+from santkit.errors import (DuplicateIndex, EvalError, SortMismatch,
+                            UnboundParameter, UnknownParameter,
+                            ValidationError)
 from santkit.fixtures import (USER_INTERNAL, USER_PRESS, build_geo_template,
                               build_tmi_template, build_user_template)
 from santkit.modelfile import parse_template_text
 from santkit.sancore import (PredAnd, PredConst, PredLeaf, Update,
                              case_probability, eval_predicate, fire,
-                             is_enabled, reachable_markings)
+                             is_enabled, reachable_markings, validate_san)
 from santkit.template import (MExpr, MSetOn, MTable, PlaceTemplate,
-                              template_enabled, template_fire)
+                              SanTemplate, template_enabled, template_fire)
 from santkit.terms import Const, Param, Sort, eval_term, parse_term
 
 GEO_PAIR = {"n": (1, 2), "lambda_f": 1.0, "lambda_r": 10.0}
@@ -28,29 +29,35 @@ TMI_PAIR = {"k": 1, "J": (2,), "p_TMI": 0.5, "lambda_f": 1.0,
 
 # -- place expansion ---------------------------------------------------------
 
+def _place_names(pt: PlaceTemplate, assignment) -> tuple[str, ...]:
+    """The concrete places of one place template, in multiplicity order."""
+    template = SanTemplate("T", (), (pt,), (), (), (), ())
+    return build_index_map(template, assignment).names[pt.name]
+
+
 def test_expand_req_places():
     user = build_user_template()
-    assert expand_place(user.place("Req"), USER_INTERNAL) == \
-        ["Req_1", "Req_6", "Req_7"]
+    assert _place_names(user.place("Req"), USER_INTERNAL) == \
+        ("Req_1", "Req_6", "Req_7")
 
 
 def test_expand_unary_place():
     user = build_user_template()
-    assert expand_place(user.place("Idle"), USER_INTERNAL) == ["Idle_1"]
+    assert _place_names(user.place("Idle"), USER_INTERNAL) == ("Idle_1",)
 
 
 def test_expand_union_multiplicity():
     pt = PlaceTemplate("Working_S",
                        parse_term("J union {k}", {"J": Sort.SET_INT,
                                                   "k": Sort.INT}))
-    assert expand_place(pt, {"k": 2, "J": (5,)}) == \
-        ["Working_S_2", "Working_S_5"]
+    assert _place_names(pt, {"k": 2, "J": (5,)}) == \
+        ("Working_S_2", "Working_S_5")
 
 
 def test_expand_rejects_duplicates():
     pt = PlaceTemplate("P", Param("m", Sort.SET_INT))
     with pytest.raises(DuplicateIndex):
-        expand_place(pt, {"m": (1, 1)})
+        _place_names(pt, {"m": (1, 1)})
 
 
 def test_index_map_bijection():
@@ -69,7 +76,8 @@ def test_index_map_bijection():
 
 def test_project_initial_marking():
     user = build_user_template()
-    marking = project_marking(user, user.initial_marking_map(), USER_INTERNAL)
+    marking = project_marking(user, user.initial_marking_map(), USER_INTERNAL,
+                              build_index_map(user, USER_INTERNAL))
     assert marking == {"Idle_1": 1, "Req_1": 0, "Req_6": 0, "Req_7": 0,
                        "Dropped_1": 0, "Failed_1": 0}
 
@@ -77,7 +85,8 @@ def test_project_initial_marking():
 def test_project_constant_zero():
     user = build_user_template()
     tm = dict(user.initial_marking_map(), Idle=MExpr(Const(0)))
-    marking = project_marking(user, tm, USER_INTERNAL)
+    marking = project_marking(user, tm, USER_INTERNAL,
+                              build_index_map(user, USER_INTERNAL))
     assert all(v == 0 for v in marking.values())
 
 
@@ -85,7 +94,8 @@ def test_project_set_at():
     user = build_user_template()
     tm = dict(user.initial_marking_map(),
               Req=MSetOn(Const((6,)), Const(1)))
-    marking = project_marking(user, tm, USER_INTERNAL)
+    marking = project_marking(user, tm, USER_INTERNAL,
+                              build_index_map(user, USER_INTERNAL))
     assert (marking["Req_6"], marking["Req_1"], marking["Req_7"]) == (1, 0, 0)
 
 
@@ -94,7 +104,8 @@ def test_project_needs_every_place():
     marking = dict(user.initial_marking_map())
     del marking["Req"]
     with pytest.raises(EvalError) as info:
-        project_marking(user, marking, USER_INTERNAL)
+        project_marking(user, marking, USER_INTERNAL,
+                        build_index_map(user, USER_INTERNAL))
     assert str(info.value) == "marking does not cover place 'Req'"
 
 
@@ -118,9 +129,22 @@ def test_lift_on_empty_place_set():
 
 # -- gate concretization -----------------------------------------------------
 
+def _input_gate(template, gate, assignment):
+    imap = build_index_map(template, assignment)
+    places = sum((imap.names[p] for p in gate.places), ())
+    return concretize_input_gate(gate, places, assignment, imap)
+
+
+def _output_gate(template, gate, case, assignment):
+    imap = build_index_map(template, assignment)
+    places = sum((imap.names[p] for p in gate.places), ())
+    cases = eval_term(template.activity(gate.activity).cases, assignment)
+    return concretize_output_gate(gate, case, cases, places, assignment, imap)
+
+
 def test_geo_input_gate_folds_to_conjunction():
     geo = build_geo_template()
-    gate = concretize_input_gate(geo, geo.input_gates[0], GEO_PAIR)
+    gate = _input_gate(geo, geo.input_gates[0], GEO_PAIR)
     assert gate.predicate == PredAnd((PredLeaf("Working_S_1", ">", 0),
                                       PredLeaf("Working_S_2", ">", 0)))
     assert gate.updates == (Update("Working_S_1", "set", 0),
@@ -129,14 +153,13 @@ def test_geo_input_gate_folds_to_conjunction():
 
 def test_geo_input_gate_single_component():
     geo = build_geo_template()
-    gate = concretize_input_gate(geo, geo.input_gates[0],
-                                 dict(GEO_PAIR, n=(1,)))
+    gate = _input_gate(geo, geo.input_gates[0], dict(GEO_PAIR, n=(1,)))
     assert gate.predicate == PredAnd((PredLeaf("Working_S_1", ">", 0),))
 
 
 def test_implicit_arc_is_normal_input_arc():
     geo = build_geo_template()
-    gate = concretize_input_gate(geo, geo.input_gates[1], GEO_PAIR)
+    gate = _input_gate(geo, geo.input_gates[1], GEO_PAIR)
     assert eval_predicate(gate.predicate, {"GEO_1": 1}) is True
     assert eval_predicate(gate.predicate, {"GEO_1": 0}) is False
     assert gate.updates == (Update("GEO_1", "sub", 1),)
@@ -146,15 +169,14 @@ def test_output_gate_cases_target_selected_service():
     user = build_user_template()
     og = user.output_gates[0]
     for case, place in ((1, "Req_1"), (2, "Req_6"), (3, "Req_7")):
-        gate = concretize_output_gate(user, og, case, USER_INTERNAL)
+        gate = _output_gate(user, og, case, USER_INTERNAL)
+        assert gate.name == f"OGRequest_{case}"
         assert gate.updates == (Update(place, "set", 1),)
-    with pytest.raises(IndexOutOfRange):
-        concretize_output_gate(user, og, 4, USER_INTERNAL)
 
 
 def test_tmi_output_gate_case_two_fails_both_switches():
     tmi = build_tmi_template()
-    gate = concretize_output_gate(tmi, tmi.output_gates[0], 2, TMI_PAIR)
+    gate = _output_gate(tmi, tmi.output_gates[0], 2, TMI_PAIR)
     assert gate.updates == (
         Update("Working_S_1", "set", 0), Update("Working_S_2", "set", 0),
         Update("Failed_SW_S_1", "set", 1), Update("Failed_SW_S_2", "set", 1))
@@ -162,7 +184,7 @@ def test_tmi_output_gate_case_two_fails_both_switches():
 
 def test_tmi_output_gate_case_one_marks_own_switch():
     tmi = build_tmi_template()
-    gate = concretize_output_gate(tmi, tmi.output_gates[0], 1, TMI_PAIR)
+    gate = _output_gate(tmi, tmi.output_gates[0], 1, TMI_PAIR)
     assert gate.updates == (Update("Failed_SW_S_1", "set", 1),)
 
 
@@ -243,9 +265,33 @@ def test_sorts_checked_once_per_binding(monkeypatch):
 
 
 def test_case_count_must_be_positive():
+    # concretize builds the zero-case activity; the rule is validate_san's.
+    san = concretize(build_user_template(), {"s": (), "pb": ()})
+    assert san.activity("Request").cases == 0
+    assert [(d.code, d.message) for d in validate_san(san)
+            if d.element == "activity Request"] == [
+        ("case-count", "activity has 0 cases"),
+        ("normalization", "case probabilities sum to 0, not 1")]
+
+
+def test_size_ceiling_admits_user_at_4000_services(monkeypatch):
+    # User's size is |P| + sum of cases + sum of gate place lists, where
+    # the |s| Request gates each list the |s| Req places: 16,016,010 at
+    # |s| = 4000, below the ceiling.  One less and it is refused, before
+    # any gate is built, naming the largest part.
+    import importlib
+    module = importlib.import_module("santkit.concretize")
     user = build_user_template()
-    with pytest.raises(EvalError):
-        concretize(user, {"s": (), "pb": ()})
+    services = tuple(range(1, 4001))
+    assignment = {"s": services, "pb": (1 / 4000,) * 4000}
+    assert len(concretize(user, assignment).output_gates) == 4002
+    monkeypatch.setattr(module, "MAX_INSTANCE_SIZE", 16_016_009)
+    monkeypatch.setattr(module, "concretize_output_gate", None)
+    with pytest.raises(ValidationError) as info:
+        concretize(user, assignment)
+    assert [d.format() for d in info.value.diagnostics] == [
+        "error: instance-size: instance size 16016010 exceeds the ceiling "
+        "16016009; the largest part counts 16000000 [gate OGRequest]"]
 
 
 def test_case_without_a_prob_row_has_probability_zero():
@@ -275,7 +321,7 @@ def test_output_gates_of_one_template_gate_share_their_places():
         assert len(generated) == san.activity(gate.activity).cases
         assert len({id(g.places) for g in generated}) == 1
         for g in generated:
-            assert g == concretize_output_gate(user, gate, g.case, assignment)
+            assert g == _output_gate(user, gate, g.case, assignment)
     request = [g for g in san.output_gates if g.activity == "Request"]
     assert len(request) == 50
     assert len(request[0].places) == 50

@@ -29,7 +29,7 @@ TEMPLATE_SIDE = ("lexer", "terms", "template", "arclabel", "modelfile",
 PUBLIC = {
     "concretize": ("PlaceIndexMap", "build_index_map", "concretize",
                    "concretize_input_gate", "concretize_output_gate",
-                   "expand_place", "lift_marking", "project_marking"),
+                   "lift_marking", "project_marking"),
     "errors": ("Diagnostic", "SantError", "ValidationError"),
     "fixtures": ("build_geo_template", "build_tmi_template",
                  "build_user_template"),
@@ -114,7 +114,7 @@ print(json.dumps(santkit.__all__))
 """
     resolved, names = map(json.loads,
                           _fresh(code, json.dumps(PUBLIC)).splitlines())
-    assert sorted(names) == sorted(resolved) and len(names) == 34
+    assert sorted(names) == sorted(resolved) and len(names) == 33
     assert all(resolved.values()), resolved
 
 

@@ -11,6 +11,7 @@ from santkit.errors import (Diagnostic, NegativeMarking, NotEnabled,
 from santkit.fixtures import (USER_INTERNAL, build_geo_template,
                               build_tmi_template, build_user_template)
 from santkit.record import replace
+from santkit.sancore import validate_san
 from santkit.template import (ActivityKind, CaseEntry, GateAtom, GateRule,
                               MExpr, MSetOn, MTable, PlaceTemplate, SAt,
                               apply_gate_rules, has_variable_cases,
@@ -260,9 +261,18 @@ def test_marking_fn_forms():
 
 
 def test_marking_fn_rejects_negative():
+    # A marking function yields what its term gives; a negative count is
+    # refused by validate_san's negative-marking rule, which the template
+    # applies only to a closed value.
     expr = MExpr(parse_term("<PLACE> - 5", {}, allow_place=True))
-    with pytest.raises(NegativeMarking):
-        marking_tokens_at(expr, 1, {})
+    assert marking_tokens_at(expr, 1, {}) == -4
+    user = build_user_template()
+    marked = dict(user.initial_marking, Idle=expr)
+    template = replace(user, initial_marking=tuple(marked.items()))
+    assert validate_template(template) == []
+    diags = validate_san(concretize(template, USER_INTERNAL))
+    assert [(d.code, d.message) for d in diags] == [
+        ("negative-marking", "initial marking of 'Idle_1' is -4")]
 
 
 def test_place_index_values_validation():

@@ -9,8 +9,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from santkit.errors import (DivisionByZero, IndexOutOfRange, MissingContext,
-                            ParseError, SortMismatch, UnknownParameter)
+from santkit.errors import (DivisionByZero, EvalError, IndexOutOfRange,
+                            MissingContext, ParseError, SortMismatch,
+                            UnknownParameter)
 from santkit.terms import (Apply, CaseIndex, Const, Param, PlaceIndex, Sort,
                            eval_term, infer_sort, matches_sort, parse_term,
                            print_term, value_sort)
@@ -116,6 +117,14 @@ def test_division_by_zero():
         eval_term(t("x / 0.0"), ENV)
 
 
+def test_to_real_past_the_float_range_is_an_eval_error():
+    # float() of such an int raises OverflowError, which is no SantError.
+    assert eval_term(t("to_real(i)"), ENV) == float(ENV["i"])
+    with pytest.raises(EvalError) as err:
+        eval_term(t("to_real(i)"), dict(ENV, i=10 ** 400))
+    assert str(err.value) == "integer too large to convert to a real"
+
+
 def test_unbound_parameter():
     with pytest.raises(UnknownParameter):
         eval_term(t("k"), {})
@@ -157,6 +166,18 @@ def test_unknown_identifier_position():
 def test_empty_set_literal_rejected():
     with pytest.raises(ParseError):
         t("{}")
+
+
+@pytest.mark.parametrize("text, column", [("x * 1e999", 5),
+                                          ("-2.5e308", 2)])
+def test_real_literal_past_the_float_range_is_refused(text, column):
+    # float() would read it as inf, which print_term cannot spell back.
+    with pytest.raises(ParseError) as err:
+        t(text)
+    literal = text.split()[-1].lstrip("-")
+    assert str(err.value) == \
+        f"1:{column}: real literal {literal} is out of range"
+    assert t("1.7976931348623157e308") == Const(1.7976931348623157e308)
 
 
 PRINT_PARSE_CASES = [
