@@ -10,9 +10,10 @@ is written by ``modelfile``: this module imports no template code.
 from __future__ import annotations
 
 import json
+import re
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import isfinite
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .errors import ParseError, SantError, parse_file
 from .sancore import (Activity, ActivityKind, ConcreteSan, Dist, InputGate,
@@ -313,9 +314,33 @@ def dumps(doc: Any) -> str:
         else:
             chunks.append(json.dumps(value))
 
-    write(doc, "\n")
+    try:
+        write(doc, "\n")
+    except ValueError:
+        # int.__repr__ refuses an int past Python's integer string
+        # conversion limit; the largest int in ``doc`` is one such.
+        path, _ = max(_ints(doc, "$"), key=lambda pair: abs(pair[1]))
+        raise SantError(f"{path}: integer too large to write") from None
     chunks.append("\n")
     return "".join(chunks)
+
+
+def _ints(value: Any, path: str) -> Iterator[tuple[str, int]]:
+    """Each int in the JSON document ``value``, with its path."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _ints(item, f"{path}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _ints(item, f"{path}[{i}]")
+    elif isinstance(value, int):
+        yield path, value
+
+
+# A JSON string, or a number whose match ends with its integer digits
+# (group 1) exactly when it is an int literal.  Compiled on first use only:
+# compiling it on import would add to every run's peak memory.
+_JSON_NUMBER = r'"(?:[^"\\]|\\.)*"|-?(\d+)(?:\.\d+)?(?:[eE][+-]?\d+)?'
 
 
 def _decode_json(text: str) -> Any:
@@ -323,6 +348,16 @@ def _decode_json(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
+    except ValueError:
+        # int() refuses an int literal past Python's integer string
+        # conversion limit, and json.loads gives no position; the longest
+        # int literal is one such.
+        literal = max((m for m in re.finditer(_JSON_NUMBER, text)
+                       if m.end(1) == m.end()), key=lambda m: len(m[1]))
+        start = literal.start(1)
+        raise ParseError(f"integer literal of {len(literal[1])} digits is "
+                         f"too long", text.count("\n", 0, start) + 1,
+                         start - text.rfind("\n", 0, start)) from None
 
 
 def load_json_file(path: str) -> Any:

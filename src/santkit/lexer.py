@@ -73,6 +73,17 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+def int_value(tok: Token) -> int:
+    """The int an ``int`` token spells.  ``int()`` refuses a literal past
+    Python's integer string conversion limit (4,300 digits by default), so
+    such a literal is a ``ParseError`` at the token."""
+    try:
+        return int(tok.value)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(tok.value)} digits is "
+                         f"too long", tok.line, tok.column) from None
+
+
 def real_value(tok: Token) -> float:
     """The float a ``real`` token spells.  A literal past the float range
     (``1e999``) would read as ``inf``, which no model text can spell back,

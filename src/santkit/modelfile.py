@@ -62,8 +62,8 @@ from __future__ import annotations
 from typing import Any, Container
 
 from .arclabel import arc_gate
-from .errors import ParseError, parse_file
-from .lexer import Token, TokenStream, real_value, tokenize
+from .errors import EvalError, ParseError, parse_file
+from .lexer import Token, TokenStream, int_value, real_value, tokenize
 from .record import Record
 from .sancore import (COMPARISONS, FAMILIES, ActivityKind, Dist, PredAnd,
                       PredNot, PredOr)
@@ -74,7 +74,7 @@ from .template import (QUANTIFIERS, SELECTORS, ActivityTemplate, CaseEntry,
                        Selector)
 from .terms import (Apply, CaseIndex, Const, PlaceIndex, Sort, Term, Value,
                     contains_node, format_value, parse_term_stream,
-                    print_term)
+                    print_term, to_real)
 
 # Int slots inside gate bodies stop at the boolean connectives so that
 # "Failed[1] >= 1 and exists Req >= 1" splits where the grammar expects.
@@ -219,6 +219,7 @@ class _TemplateParser:
             return (CaseEntry(None, self._term(allow_case=True)),)
         self.ts.expect_sym("{")
         entries: list[CaseEntry] = []
+        guards: set[Term | None] = set()
         while not self.ts.at_sym("}"):
             key = self.ts.expect_ident("case", "when", "default")
             guard: Term | None
@@ -230,7 +231,6 @@ class _TemplateParser:
                 guard = None
             # A case takes the first row whose guard holds, and a default
             # always holds: a row after one, or repeating a guard, is dead.
-            guards = [entry.guard for entry in entries]
             if None in guards or guard in guards:
                 dead = "a repeated guard" if None not in guards else \
                     "a second 'default:'" if guard is None else \
@@ -240,6 +240,7 @@ class _TemplateParser:
             self.ts.expect_sym(":")
             prob = self._term(allow_case=True)
             entries.append(CaseEntry(guard, prob))
+            guards.add(guard)
             self.ts.accept_sym(";")
         self.ts.expect_sym("}")
         return tuple(entries)
@@ -425,7 +426,8 @@ class _TemplateParser:
                 raise ParseError("expected an index literal",
                                  tok.line, tok.column)
             self.ts.next()
-            if int(tok.value) in entries:
+            index = int_value(tok)
+            if index in entries:
                 raise ParseError(f"duplicate table index {tok.value}",
                                  tok.line, tok.column)
             self.ts.expect_sym(":")
@@ -434,7 +436,7 @@ class _TemplateParser:
                 raise ParseError("expected a token-count literal",
                                  val.line, val.column)
             self.ts.next()
-            entries[int(tok.value)] = int(val.value)
+            entries[index] = int_value(val)
             self.ts.accept_sym(",")
         return MTable.of(entries)
 
@@ -473,7 +475,7 @@ def _literal(ts: TokenStream) -> Value:
     tok = ts.peek()
     if tok.kind == "int":
         ts.next()
-        return -int(tok.value) if negative else int(tok.value)
+        return -int_value(tok) if negative else int_value(tok)
     if tok.kind == "real":
         ts.next()
         return -real_value(tok) if negative else real_value(tok)
@@ -490,7 +492,10 @@ def _literal(ts: TokenStream) -> Value:
             ts.accept_sym(",")
         ts.expect_sym("}")
         if any(isinstance(v, float) for v in items):
-            return tuple(float(v) for v in items)
+            try:
+                return tuple(map(to_real, items))
+            except EvalError as exc:
+                raise ParseError(str(exc), tok.line, tok.column) from None
         return tuple(items)
     raise ParseError(f"found {tok.describe()}", tok.line, tok.column,
                      expected=("a literal",))
@@ -533,13 +538,16 @@ def coerce_assignment(template: SanTemplate,
     out: dict[str, Value] = {}
     for name, value in raw.items():
         sort = declared.get(name)
-        if sort == Sort.REAL and isinstance(value, int) \
-                and not isinstance(value, bool):
-            value = float(value)
-        elif sort == Sort.SET_REAL and isinstance(value, tuple):
-            if all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                   for v in value):
-                value = tuple(float(v) for v in value)
+        try:
+            if sort == Sort.REAL and isinstance(value, int) \
+                    and not isinstance(value, bool):
+                value = to_real(value)
+            elif sort == Sort.SET_REAL and isinstance(value, tuple):
+                if all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       for v in value):
+                    value = tuple(map(to_real, value))
+        except EvalError as exc:
+            raise EvalError(f"parameter '{name}': {exc}") from None
         out[name] = value
     return out
 

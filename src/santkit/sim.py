@@ -190,8 +190,15 @@ def _bind(namespace: dict[str, object], value: object) -> str:
 
 
 def _literal(namespace: dict[str, object], value: object) -> str:
-    """``value`` in source: an int as itself, anything else by name."""
-    return str(value) if type(value) is int else _bind(namespace, value)
+    """``value`` in source: an int as itself, anything else by name, as is
+    an int past Python's integer string conversion limit (``str`` refuses
+    it)."""
+    if type(value) is int:
+        try:
+            return str(value)
+        except ValueError:
+            pass
+    return _bind(namespace, value)
 
 
 def _define(namespace: dict[str, object], source: str, name: str):

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import enum
 import operator
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .errors import (DivisionByZero, EvalError, IndexOutOfRange,
                      MissingContext, ParseError, SortMismatch,
                      UnknownParameter)
-from .lexer import TokenStream, real_value, tokenize
+from .lexer import TokenStream, int_value, real_value, tokenize
 from .record import Record
 
 Value = Union[int, float, bool, tuple]
@@ -142,7 +142,9 @@ def _mod(a, b):
     return a % b
 
 
-def _to_real(i):
+def to_real(i) -> float:
+    """The float of ``i``; an int past the float range is an error, where
+    ``float()`` would raise ``OverflowError``."""
     try:
         return float(i)
     except OverflowError:
@@ -181,11 +183,33 @@ OPS: dict[str, Op] = {
     "neg": Op((((_I,), _I), ((_R,), _R)), operator.neg, _PREC_UNARY),
     "at": Op((((_SI, _I), _I), ((_SR, _I), _R)), _at, _PREC_POSTFIX),
     "size": Op((((_SI,), _I), ((_SR,), _I)), len),
-    "to_real": Op((((_I,), _R),), _to_real),
+    "to_real": Op((((_I,), _R),), to_real),
     "b2i": Op((((_B,), _I),), int),
-    # Variadic: its sort rule is the set literal's own, in infer_sort.
+    # Variadic: its sort rule is the set literal's own, in _result_sort.
     "setlit": Op((), lambda *elems: elems),
 }
+
+
+def _result_sort(op: str, arg_sorts: tuple[Sort, ...]) -> Sort:
+    """The sort of ``op`` applied to arguments of ``arg_sorts``: the one
+    overload lookup, which both :func:`infer_sort` and the parser use."""
+    if op == "setlit":
+        if not arg_sorts:
+            raise SortMismatch("empty set literal has no sort")
+        if all(s == _I for s in arg_sorts):
+            return _SI
+        if all(s == _R for s in arg_sorts):
+            return _SR
+        raise SortMismatch("mixed sorts in set literal: (%s)"
+                           % ", ".join(str(s) for s in arg_sorts))
+    spec = OPS.get(op)
+    if spec is None:
+        raise SortMismatch(f"unknown operator '{op}'")
+    for sig, result in spec.overloads:
+        if sig == arg_sorts:
+            return result
+    raise SortMismatch("operator '%s' not applicable to (%s)"
+                       % (op, ", ".join(str(s) for s in arg_sorts)))
 
 
 def infer_sort(term: Term, declared: Mapping[str, Sort] | None = None) -> Sort:
@@ -208,25 +232,8 @@ def infer_sort(term: Term, declared: Mapping[str, Sort] | None = None) -> Sort:
     if isinstance(term, (CaseIndex, PlaceIndex)):
         return Sort.INT
     if isinstance(term, Apply):
-        arg_sorts = tuple(infer_sort(a, declared) for a in term.args)
-        if term.op == "setlit":
-            if not term.args:
-                raise SortMismatch("empty set literal has no sort")
-            if all(s == _I for s in arg_sorts):
-                return _SI
-            if all(s == _R for s in arg_sorts):
-                return _SR
-            raise SortMismatch("mixed sorts in set literal: (%s)"
-                               % ", ".join(str(s) for s in arg_sorts))
-        op = OPS.get(term.op)
-        if op is None:
-            raise SortMismatch(f"unknown operator '{term.op}'")
-        for sig, result in op.overloads:
-            if sig == arg_sorts:
-                return result
-        raise SortMismatch(
-            "operator '%s' not applicable to (%s)"
-            % (term.op, ", ".join(str(s) for s in arg_sorts)))
+        return _result_sort(term.op, tuple(infer_sort(a, declared)
+                                           for a in term.args))
     raise SortMismatch(f"not a term: {term!r}")
 
 
@@ -266,7 +273,7 @@ def eval_term(term: Term, assignment: Mapping[str, Value],
     raise SortMismatch(f"not a term: {term!r}")
 
 
-def contains_node(term: Term, kind: type) -> bool:
+def contains_node(term: Term, kind: type | tuple[type, ...]) -> bool:
     if isinstance(term, kind):
         return True
     if isinstance(term, Apply):
@@ -276,8 +283,7 @@ def contains_node(term: Term, kind: type) -> bool:
 
 def is_closed(term: Term) -> bool:
     """True when the term has no parameters and no placeholders."""
-    return not (contains_node(term, Param) or contains_node(term, CaseIndex)
-                or contains_node(term, PlaceIndex))
+    return not contains_node(term, (Param, CaseIndex, PlaceIndex))
 
 
 # --------------------------------------------------------------------------
@@ -289,25 +295,21 @@ _RESERVED = {name for name, op in OPS.items()
     | {"not", "to_real", "true", "false"}
 
 
-class _Paren(Record):
-    # Parse-time marker for an explicitly parenthesized subterm; it is what
-    # allows a Bool expression to coerce to Int where an Int is expected.
-    inner: Term
+# A parsed subterm: the term, its sort, and whether it was written in
+# parentheses, which is what lets a Bool stand where an Int is expected.
+_Node = tuple[Term, Sort, bool]
+
+# The connectives take Bool operands only, with no Int coercion.
+_CONNECTIVES = ("not", "and", "or")
 
 
-def _strip(term) -> Term:
-    return term.inner if isinstance(term, _Paren) else term
-
-
-def _coerced(term, want: Sort | None, declared) -> Term:
-    """Strip paren markers, inserting the Bool->Int coercion when an Int is
-    wanted and the parenthesized subterm is Bool."""
-    if isinstance(term, _Paren):
-        inner = _coerced(term.inner, None, declared)
-        if want == Sort.INT and infer_sort(inner, declared) == Sort.BOOL:
-            return Apply("b2i", (inner,))
-        return inner
-    return term
+def _as_int(node: _Node) -> _Node:
+    """The Bool-to-Int coercion of a parenthesized Bool subterm; any other
+    node is returned as it is."""
+    term, sort, paren = node
+    if paren and sort == Sort.BOOL:
+        return Apply("b2i", (term,)), Sort.INT, False
+    return node
 
 
 class _TermParser:
@@ -325,18 +327,17 @@ class _TermParser:
         self.restrict = restrict
         self.juxtaposition = juxtaposition
 
-    def parse(self, min_prec: int = _PREC_OR):
+    def parse(self, min_prec: int = _PREC_OR) -> _Node:
         tok = self.ts.peek()
         if self.ts.accept_ident("not"):
-            arg = self._resolve_bool(self.parse(_PREC_NOT), tok)
-            left = Apply("not", (arg,))
+            left = self._node(tok, "not", (self.parse(_PREC_NOT),))
         elif self.ts.accept_sym("-"):
-            operand = _coerced(self.parse(_PREC_UNARY), None, self.params)
-            if isinstance(operand, Const) and isinstance(operand.value, (int, float)) \
-                    and not isinstance(operand.value, bool):
-                left = Const(-operand.value)
+            operand = self.parse(_PREC_UNARY)
+            term, sort, _ = operand
+            if isinstance(term, Const) and sort in (Sort.INT, Sort.REAL):
+                left = Const(-term.value), sort, False
             else:
-                left = self._apply(tok, "neg", (operand,))
+                left = self._node(tok, "neg", (operand,))
         else:
             left = self._postfix(min_prec)
         while True:
@@ -355,52 +356,41 @@ class _TermParser:
             return None, 0
         return tok.value, op.prec
 
-    def _binop(self, tok, op: str, left, right) -> Term:
-        if OPS[op].overloads == _LOGIC:  # connectives take no Int coercion
-            args = (self._resolve_bool(left, tok), self._resolve_bool(right, tok))
-            return self._apply(tok, op, args)
+    def _binop(self, tok, op: str, left: _Node, right: _Node) -> _Node:
         # Arithmetic and comparisons may take a coerced parenthesized Bool,
         # but only where the exact-sorted reading does not already apply.
-        l0, r0 = _strip(left), _strip(right)
+        if op not in _CONNECTIVES and \
+                (left[1], right[1]) not in dict(OPS[op].overloads):
+            left, right = _as_int(left), _as_int(right)
+        return self._node(tok, op, (left, right))
+
+    def _node(self, tok, op: str, args: Sequence[_Node]) -> _Node:
+        """``op`` applied to the parsed ``args``; a sort error is a
+        ``ParseError`` at ``tok``."""
+        terms, sorts, _ = zip(*args)
         try:
-            infer_sort(Apply(op, (l0, r0)), self.params)
-            return Apply(op, (l0, r0))
+            sort = _result_sort(op, sorts)
         except SortMismatch as exc:
-            li = _coerced(left, Sort.INT, self.params)
-            ri = _coerced(right, Sort.INT, self.params)
-            if (li, ri) != (l0, r0):
-                return self._apply(tok, op, (li, ri))
-            raise ParseError(str(exc), tok.line, tok.column) from None
+            message = "expected a boolean operand" if op in _CONNECTIVES \
+                else str(exc)
+            raise ParseError(message, tok.line, tok.column) from None
+        return Apply(op, terms), sort, False
 
-    def _apply(self, tok, op: str, args: tuple[Term, ...]) -> Apply:
-        node = Apply(op, args)
-        try:
-            infer_sort(node, self.params)
-        except SortMismatch as exc:
-            raise ParseError(str(exc), tok.line, tok.column) from None
-        return node
-
-    def _resolve_bool(self, term, tok) -> Term:
-        term = _strip(term)
-        if infer_sort(term, self.params) != Sort.BOOL:
-            raise ParseError("expected a boolean operand", tok.line, tok.column)
-        return term
-
-    def _postfix(self, min_prec: int):
-        term = self._primary()
+    def _postfix(self, min_prec: int) -> _Node:
+        node = self._primary()
         while True:
             if self.ts.at_sym("["):
                 tok = self.ts.next()
                 index = self._nested(lambda: self.parse_expected(Sort.INT))
                 self.ts.expect_sym("]")
-                term = self._apply(tok, "at", (_strip(term), index))
+                node = self._node(tok, "at", (node, index))
                 continue
             if self.juxtaposition and self._at_juxtaposable():
                 tok = self.ts.peek()
                 rhs = self._postfix(min_prec)
-                term = self._binop(tok, "*", term, rhs)
+                node = self._binop(tok, "*", node, rhs)
                 continue
-            return term
+            return node
 
     def _at_juxtaposable(self) -> bool:
         tok = self.ts.peek()
@@ -419,35 +409,35 @@ class _TermParser:
         finally:
             self.restrict = saved
 
-    def _primary(self):
+    def _primary(self) -> _Node:
         ts = self.ts
         tok = ts.peek()
         if tok.kind == "int":
             ts.next()
-            return Const(int(tok.value))
+            return Const(int_value(tok)), Sort.INT, False
         if tok.kind == "real":
             ts.next()
-            return Const(real_value(tok))
+            return Const(real_value(tok)), Sort.REAL, False
         if tok.kind == "placeholder":
             ts.next()
             if tok.value == "CASE":
                 if not self.allow_case:
                     raise ParseError("<CASE> is not allowed here",
                                      tok.line, tok.column)
-                return CaseIndex()
+                return CaseIndex(), Sort.INT, False
             if not self.allow_place:
                 raise ParseError("<PLACE> is not allowed here",
                                  tok.line, tok.column)
-            return PlaceIndex()
+            return PlaceIndex(), Sort.INT, False
         if ts.accept_ident("true"):
-            return Const(True)
+            return Const(True), Sort.BOOL, False
         if ts.accept_ident("false"):
-            return Const(False)
+            return Const(False), Sort.BOOL, False
         if ts.accept_ident("to_real"):
             ts.expect_sym("(")
             arg = self.parse_expected(Sort.INT)
             ts.expect_sym(")")
-            return self._apply(tok, "to_real", (arg,))
+            return self._node(tok, "to_real", (arg,))
         if tok.kind == "ident":
             if tok.value in _RESERVED:
                 raise ParseError(f"found {tok.describe()}", tok.line, tok.column,
@@ -456,46 +446,42 @@ class _TermParser:
             if tok.value not in self.params:
                 raise ParseError(f"unknown parameter '{tok.value}'",
                                  tok.line, tok.column)
-            return Param(tok.value, self.params[tok.value])
+            sort = self.params[tok.value]
+            return Param(tok.value, sort), sort, False
         if ts.accept_sym("("):
-            inner = self._nested(self.parse)
+            term, sort, _ = self._nested(self.parse)
             ts.expect_sym(")")
-            return _Paren(_strip(inner))
+            return term, sort, True
         if ts.accept_sym("|"):
             inner = self._nested(self.parse)
             ts.expect_sym("|")
-            return self._apply(tok, "size", (_strip(inner),))
+            return self._node(tok, "size", (inner,))
         if ts.accept_sym("{"):
             if ts.at_sym("}"):
                 raise ParseError("empty set literal is not allowed in terms",
                                  tok.line, tok.column)
             # Elements are Int positions: set<bool> is not a sort, so a
             # parenthesized Bool element is the Bool-to-Int coercion.
-            elems = [_coerced(self._nested(self.parse), Sort.INT, self.params)]
+            elems = [_as_int(self._nested(self.parse))]
             while ts.accept_sym(","):
-                elems.append(_coerced(self._nested(self.parse), Sort.INT,
-                                      self.params))
+                elems.append(_as_int(self._nested(self.parse)))
             ts.expect_sym("}")
-            node = Apply("setlit", tuple(elems))
-            try:
-                infer_sort(node, self.params)
-            except SortMismatch as exc:
-                raise ParseError(str(exc), tok.line, tok.column) from None
-            if all(isinstance(e, Const) for e in elems):
-                return Const(tuple(e.value for e in elems))
+            node = self._node(tok, "setlit", elems)
+            if all(isinstance(e[0], Const) for e in elems):
+                return Const(tuple(e[0].value for e in elems)), node[1], False
             return node
         raise ParseError(f"found {tok.describe()}", tok.line, tok.column,
                          expected=("a term",))
 
-    def parse_expected(self, want: Sort | None):
+    def parse_expected(self, want: Sort | None) -> _Node:
         tok = self.ts.peek()
-        term = _coerced(self.parse(), want, self.params)
-        if want is not None:
-            got = infer_sort(term, self.params)
-            if got != want:
-                raise ParseError(f"term has sort {got}, expected {want}",
-                                 tok.line, tok.column)
-        return term
+        node = self.parse()
+        if want == Sort.INT:
+            node = _as_int(node)
+        if want is not None and node[1] != want:
+            raise ParseError(f"term has sort {node[1]}, expected {want}",
+                             tok.line, tok.column)
+        return node
 
 
 def parse_term_stream(stream: TokenStream, params: Mapping[str, Sort],
@@ -506,7 +492,7 @@ def parse_term_stream(stream: TokenStream, params: Mapping[str, Sort],
                       juxtaposition: bool = False) -> Term:
     parser = _TermParser(stream, params, allow_case, allow_place,
                          restrict=restrict, juxtaposition=juxtaposition)
-    return parser.parse_expected(expected)
+    return parser.parse_expected(expected)[0]
 
 
 def parse_term(text: str, params: Mapping[str, Sort] | None = None,

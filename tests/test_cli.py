@@ -442,6 +442,74 @@ def test_real_literal_out_of_range_is_a_parse_error(tmp_path, capsys, source,
     assert capsys.readouterr() == ("", f"error: {bad}:{fault}\n")
 
 
+# Ints past Python's 4,300-digit string conversion limit, and past the float
+# range where a real is expected, once crashed int() or float() (exit 2).
+_LONG = "1" * 5000
+_HUGE = "9" * 3000
+
+
+@pytest.mark.parametrize("source, old, new, argv, fault", [
+    ("user.sant", "cases = |s|", f"cases = {_LONG}", ["validate", "{bad}"],
+     "error: {bad}:21:13: integer literal of 5000 digits is too long"),
+    ("geo.sant", "  Working_S = 1\n}", f"  Working_S = table(1: {_LONG})\n}}",
+     ["validate", "{bad}"],
+     "error: {bad}:44:24: integer literal of 5000 digits is too long"),
+    ("geo.sasg", "lambda_f = 1.0", f"lambda_f = {_LONG}",
+     ["simulate", GEO, "{bad}", "--assignment", "GeoPair", "--horizon", "10"],
+     "error: {bad}:4:16: integer literal of 5000 digits is too long"),
+    ("geo.sasg", "lambda_f = 1.0", f"lambda_f = 1{'0' * 400}",
+     ["simulate", GEO, "{bad}", "--assignment", "GeoPair", "--horizon", "10"],
+     "error: parameter 'lambda_f': integer too large to convert to a real"),
+    ("user.sasg", "pb = {0.7, 0.2, 0.1}", f"pb = {{1{'0' * 400}, 0, 0}}",
+     ["instantiate", USER, "{bad}", "--assignment", "UserInternal",
+      "--out", "-"],
+     "error: parameter 'pb': integer too large to convert to a real"),
+    ("user.sasg", "pb = {0.7, 0.2, 0.1}", f"pb = {{1{'0' * 400}, 0.2, 0.1}}",
+     ["instantiate", USER, "{bad}", "--assignment", "UserInternal",
+      "--out", "-"],
+     "error: {bad}:4:10: integer too large to convert to a real"),
+    ("geo.sant", "  Working_S = 1\n}", f"  Working_S = {_HUGE} * {_HUGE}\n}}",
+     ["instantiate", "{bad}", GEO_ASSIGN, "--assignment", "GeoPair",
+      "--out", "-"],
+     "error: $.marking.Working_S_1: integer too large to write"),
+], ids=["sant-term", "sant-table", "sasg-literal", "sasg-real",
+        "sasg-set-of-reals", "sasg-mixed-set", "computed-marking"])
+def test_oversized_integer_is_a_user_error(tmp_path, capsys, source, old, new,
+                                           argv, fault):
+    text = (MODELS / source).read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    bad = tmp_path / source
+    bad.write_text(text.replace(old, new), encoding="utf-8")
+    assert main([arg.format(bad=bad) for arg in argv]) == 1
+    assert capsys.readouterr() == ("", fault.format(bad=bad) + "\n")
+
+
+def test_oversized_integer_in_an_instance_is_a_user_error(tmp_path, capsys):
+    instance = tmp_path / "tmi.sanx"
+    assert main(["instantiate", str(MODELS / "tmi.sant"),
+                 str(MODELS / "tmi.sasg"), "--assignment", "TmiPair",
+                 "--out", str(instance)]) == 0
+    capsys.readouterr()
+    text = instance.read_text()
+    assert text.count('"cases": 2,') == 1
+    instance.write_text(text.replace('"cases": 2,', f'"cases": {_LONG},'))
+    assert main(["simulate", str(instance), "--horizon", "10"]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {instance}:14:16: integer literal of 5000 digits is "
+        "too long\n")
+
+
+def test_oversized_computed_threshold_simulates(tmp_path, capsys):
+    # The simulator writes ints into its generated source; one that str()
+    # refuses is bound by name, and GEO_F is never enabled.
+    bad = tmp_path / "geo.sant"
+    bad.write_text((MODELS / "geo.sant").read_text().replace(
+        "all Working_S > 0", f"all Working_S >= {_HUGE} * {_HUGE}"))
+    assert main(["simulate", str(bad), GEO_ASSIGN, "--assignment", "GeoPair",
+                 "--horizon", "10", "--reward", "throughput:GEO_F"]) == 0
+    assert "events=0" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("model", ["geo.sant", "tmi.sant", "user.sant"])
 def test_validate_passes_bundled_and_valid_constant_parameters(
         tmp_path, capsys, model):
