@@ -25,6 +25,21 @@ PROB_TOLERANCE = 1e-9
 Marking = dict[str, int]
 
 
+def int_text(value: int) -> str:
+    """``value`` in decimal for a message, or ``a 6000-digit integer`` (``a
+    negative ...`` below zero) past Python's integer string conversion
+    limit, where ``str`` refuses it."""
+    try:
+        return str(value)
+    except ValueError:
+        size = abs(value)
+        digits = max(int(size.bit_length() * math.log10(2)) - 1, 1)
+        while size >= 10 ** digits:
+            digits += 1
+        sign = "negative " if value < 0 else ""
+        return f"a {sign}{digits}-digit integer"
+
+
 class ActivityKind(enum.Enum):
     TIMED = "timed"
     INSTANTANEOUS = "instantaneous"
@@ -50,26 +65,34 @@ class Family(Record):
 
     ``invalid`` takes the ``arity`` parameters and is true when they are out
     of range; ``requirement`` then heads the ``invalid-parameter`` message.
-    ``sample`` draws one delay by inverse transform.
+    ``sample`` draws one delay by inverse transform.  ``draw`` is the same
+    draw as an expression for the simulator's generated loop: over the
+    parameters ``{0}``, ``{1}``, …, the generator's ``random()`` and
+    ``log`` (``math.log``), with the operations of ``sample`` in its order,
+    so that both give bit-identical delays.
     """
 
     arity: int
     invalid: Callable[..., bool]
     requirement: str
     sample: Callable[[tuple[float, ...], random.Random], float]
+    draw: str
 
 
 FAMILIES: dict[str, Family] = {
     "exponential": Family(
         1, lambda rate: not rate > 0.0, "exponential rate must be positive",
-        lambda p, rng: -math.log(1.0 - rng.random()) / p[0]),
+        lambda p, rng: -math.log(1.0 - rng.random()) / p[0],
+        "-log(1.0 - random()) / {0}"),
     "uniform": Family(
         2, lambda low, high: not 0.0 <= low <= high,
         "uniform bounds must satisfy 0 <= low <= high",
-        lambda p, rng: p[0] + (p[1] - p[0]) * rng.random()),
+        lambda p, rng: p[0] + (p[1] - p[0]) * rng.random(),
+        "{0} + ({1} - {0}) * random()"),
     "deterministic": Family(
         1, lambda delay: not delay >= 0.0,
-        "deterministic delay must be nonnegative", lambda p, rng: p[0]),
+        "deterministic delay must be nonnegative", lambda p, rng: p[0],
+        "{0}"),
 }
 
 
@@ -223,7 +246,8 @@ def apply_updates(gate_name: str, updates: tuple[Update, ...],
             tokens = result[u.place] - u.amount
         if tokens < 0:
             raise NegativeMarking(
-                f"gate '{gate_name}' drives place '{u.place}' to {tokens}")
+                f"gate '{gate_name}' drives place '{u.place}' to "
+                f"{int_text(tokens)}")
         result[u.place] = tokens
     return result
 
@@ -382,7 +406,8 @@ def validate_san(san: ConcreteSan) -> list[Diagnostic]:
         check_case_count(act.cases, el, err)
         if len(act.case_probs) != act.cases:
             err("case-count",
-                f"{len(act.case_probs)} probabilities for {act.cases} cases", el)
+                f"{len(act.case_probs)} probabilities for "
+                f"{int_text(act.cases)} cases", el)
         check_case_probs(act.case_probs, el, err)
         total = sum(act.case_probs)
         if not abs(total - 1.0) <= PROB_TOLERANCE:
@@ -409,8 +434,8 @@ def validate_san(san: ConcreteSan) -> list[Diagnostic]:
             cases = san.activity(gate.activity).cases
             if not 1 <= gate.case <= cases:
                 err("case-out-of-range",
-                    f"gate is mapped to case {gate.case} of "
-                    f"'{gate.activity}' ({cases} cases)", el)
+                    f"gate is mapped to case {int_text(gate.case)} of "
+                    f"'{gate.activity}' ({int_text(cases)} cases)", el)
         for leaf in atoms:
             if leaf.place not in place_set:
                 err("unknown-place",
@@ -422,7 +447,7 @@ def validate_san(san: ConcreteSan) -> list[Diagnostic]:
                 err("bad-comparison", f"comparison '{u.when[0]}'", el)
             if u.action == "set" and u.amount < 0:
                 err("negative-marking",
-                    f"update sets '{u.place}' to {u.amount}", el)
+                    f"update sets '{u.place}' to {int_text(u.amount)}", el)
 
     init = dict(san.initial_marking)
     for pname in san.places:
@@ -488,7 +513,7 @@ def check_timing(kind: ActivityKind, dist: Dist | None, element: str,
 def check_case_count(cases: int, element: str, err) -> None:
     """An activity has at least one case."""
     if cases < 1:
-        err("case-count", f"activity has {cases} cases", element)
+        err("case-count", f"activity has {int_text(cases)} cases", element)
 
 
 def check_case_probs(probs: Iterable[float], element: str, err) -> None:
@@ -512,7 +537,8 @@ def check_marking(marking: Iterable[tuple[str, int]], element: str | None,
     for place, tokens in marking:
         if tokens < 0:
             err("negative-marking",
-                f"initial marking of '{place}' is {tokens}", element)
+                f"initial marking of '{place}' is {int_text(tokens)}",
+                element)
 
 
 def check_gate(gate, atoms, updates, activities: set[str], places: set[str],

@@ -12,12 +12,17 @@ order.  This is the priority rule of ``sancore.under_priority``.
 ``simulate`` compiles the validated instance to Python source, as Möbius
 compiles a model to C++ before it simulates it.  Each place gets a slot
 and the marking is a list of token counts.  Each activity's enabling test
-is one expression over slots, each case's gates are one function that
-updates the marking in place, and each simulation is one generated
-replication function whose loop inlines the enabling expressions.
-``sancore.fire`` and ``sancore.is_enabled`` stay the reference the plan is
-tested against, through the module-level ``enabled_activities`` and
-``fire``, which run the same compiled tests and programs as the loop.
+is one expression over slots, and each case's gates are statements that
+update the marking in place.  Each simulation is one generated
+replication function.  Its loop inlines the enabling expressions, the
+gates of every single-case activity and every delay draw, and keeps each
+timed activity's due time and scheduling sequence number in locals, so
+that firing a single-case activity calls no function.  A case of a
+multi-case activity is a function of its own, compiled on its first
+firing.  ``sancore.fire`` and ``sancore.is_enabled`` stay the reference
+the plan is tested against, through the module-level
+``enabled_activities`` and ``fire``, which run the same compiled tests
+and gate statements as the loop.
 
 Replications are independent: replication ``r`` runs on its own generator
 seeded with ``seed * 2**32 + r``.  Identical configurations reproduce
@@ -28,7 +33,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import partial
-from heapq import heappop, heappush
 import math
 import operator
 import random
@@ -40,7 +44,7 @@ from .errors import (InvalidConfig, MaxEventsExceeded, NegativeMarking,
 from .record import Record
 from .sancore import (COMPARISONS, FAMILIES, Activity, ConcreteSan, Dist,
                       InputGate, OutputGate, PredAnd, PredConst, PredLeaf,
-                      PredNot, Predicate, validate_san)
+                      PredNot, Predicate, int_text, validate_san)
 
 
 STABILIZATION_LIMIT = 10_000  # instantaneous firings per time point
@@ -131,8 +135,8 @@ class SimResult(Record):
 def sample_firing_time(dist: Dist, rng: random.Random) -> float:
     """Draw a firing delay by inverse transform; deterministic draws do not
     consume randomness.  The parameters must pass ``validate_san``'s check
-    of the family; ``simulate`` draws through the same ``FAMILIES``
-    sampler."""
+    of the family; ``simulate``'s loop draws the same delay from the
+    family's ``draw`` source."""
     return FAMILIES[dist.family].sample(dist.params, rng)
 
 
@@ -161,18 +165,16 @@ def replication_seed(seed: int, replication: int) -> int:
 # -- execution plan ----------------------------------------------------------
 #
 # The plan is Python source, compiled with ``compile``.  Only ints (slots,
-# token counts, indices) are written into that source.  Every other value it
-# needs, such as a float, a sampler, a list of amounts or the head of an
-# error message, is bound to a generated name in the plan's namespace, so no
-# text of the model (a place name read from a ``.sanx``, say) is compiled.
+# token counts, indices) and the package's own text, such as a family's
+# ``draw``, are written into that source.  Every other value it needs, such
+# as a float, a list of amounts or the head of an error message, is bound to
+# a generated name in the plan's namespace, so no text of the model (a place
+# name read from a ``.sanx``, say) is compiled.
 
 # A marking as the plan runs it: token counts indexed by ``_Plan.slot``.
 Slots = list[int]
 Check = Callable[[Slots], bool]
 Program = Callable[[Slots], None]
-# A timed activity's delay sampler and parameters, as ``FAMILIES`` gives them.
-Sampler = tuple[Callable[[tuple[float, ...], random.Random], float],
-                tuple[float, ...]]
 # One replication: the reward values, event count and per-activity case
 # counts of a run on the given generator.
 Replication = Callable[[random.Random],
@@ -317,7 +319,8 @@ def _gate_source(gate: InputGate | OutputGate, slot: dict[str, int],
         lines += [f"{indent}v = m[{i}] {'+' if u.action == 'add' else '-'} "
                   f"{amount}",
                   f"{indent}if v < 0:",
-                  f"{indent}    raise NegativeMarking(f'{{{head}}} {{v}}')",
+                  f"{indent}    raise NegativeMarking("
+                  f"f'{{{head}}} {{int_text(v)}}')",
                   f"{indent}m[{i}] = v"]
     close_run()
     return lines
@@ -326,18 +329,16 @@ def _gate_source(gate: InputGate | OutputGate, slot: dict[str, int],
 class _Plan(Record):
     """A validated instance compiled for the event loop.  Per activity, in
     declaration order: its enabling test as an expression over the marking
-    ``m`` and that expression compiled, its sampler (None for an
-    instantaneous activity) and, per case, the program that runs its input
-    gates then the case's output gates in declaration order.  A program is
-    compiled on its first run.  ``namespace`` binds every name the source
-    uses."""
+    ``m`` and that expression compiled and, per case, the program that runs
+    its input gates then the case's output gates in declaration order.  A
+    program is compiled on its first run.  ``namespace`` binds every name
+    the source uses."""
 
     san: ConcreteSan
     slot: dict[str, int]
     initial: tuple[int, ...]
     enabling: tuple[str, ...]
     checks: tuple[Check, ...]
-    samplers: tuple[Sampler | None, ...]
     programs: tuple[list[Program], ...]
     namespace: dict[str, object]
 
@@ -346,7 +347,8 @@ def _build_plan(san: ConcreteSan) -> _Plan:
     """Compile an instance that ``validate_san`` accepts."""
     slot = {place: i for i, place in enumerate(san.places)}
     initial = dict(san.initial_marking)
-    namespace: dict[str, object] = {"NegativeMarking": NegativeMarking}
+    namespace: dict[str, object] = {"NegativeMarking": NegativeMarking,
+                                    "int_text": int_text}
     enabling = tuple(_predicate_source(
         PredAnd(tuple(g.predicate for g in san.inputs_of(act.name))),
         slot, namespace) for act in san.activities)
@@ -355,10 +357,6 @@ def _build_plan(san: ConcreteSan) -> _Plan:
     plan = _Plan(
         san=san, slot=slot, initial=tuple(initial[p] for p in san.places),
         enabling=enabling, checks=checks,
-        samplers=tuple(
-            None if act.distribution is None else
-            (FAMILIES[act.distribution.family].sample, act.distribution.params)
-            for act in san.activities),
         programs=tuple([] for _ in san.activities), namespace=namespace)
     for index, (act, row) in enumerate(zip(san.activities, plan.programs)):
         row.extend(_first_run(plan, index, case)
@@ -366,14 +364,20 @@ def _build_plan(san: ConcreteSan) -> _Plan:
     return plan
 
 
-def _compile_program(plan: _Plan, index: int, case: int) -> Program:
-    """The program of ``case`` of the ``index``-th activity, compiled."""
+def _program_source(plan: _Plan, index: int, case: int) -> list[str]:
+    """Statements that fire ``case`` of the ``index``-th activity on ``m``:
+    its input gates, then the case's output gates, in declaration order."""
     san = plan.san
     name = san.activities[index].name
-    body = [line for gate in san.inputs_of(name) + san.outputs_of(name, case)
+    return [line for gate in san.inputs_of(name) + san.outputs_of(name, case)
             for line in _gate_source(gate, plan.slot, plan.namespace)]
+
+
+def _compile_program(plan: _Plan, index: int, case: int) -> Program:
+    """The program of ``case`` of the ``index``-th activity, compiled."""
     return _define(plan.namespace, "def program(m):\n" + "".join(
-        f"    {line}\n" for line in body or ["pass"]), "program")
+        f"    {line}\n" for line in _program_source(plan, index, case)
+        or ["pass"]), "program")
 
 
 def _first_run(plan: _Plan, index: int, case: int) -> Program:
@@ -421,43 +425,60 @@ def _case_table(probs: tuple[float, ...]) -> tuple[tuple[float, ...],
     return tuple(sums), tuple(range(len(probs))) + (last_positive,)
 
 
+def _delay_source(dist: Dist, params: list[str]) -> str:
+    """The firing time of a delay of ``dist`` drawn at ``now``, as an
+    expression over the parameter names ``params``, ``random`` and ``log``.
+    The draw is parenthesised so that ``now`` is added last, as in ``now +
+    sample_firing_time(dist, rng)``."""
+    return f"now + ({FAMILIES[dist.family].draw.format(*params)})"
+
+
 def _compile_loop(plan: _Plan, cfg: SimConfig,
                   rewards: tuple[RewardSpec, ...],
                   observer: Callable[[float, float, dict[str, int]], object]
                   | None) -> Replication:
     """One replication of ``plan`` as one compiled function.
 
-    Each turn fires the chosen activity by calling its case's program,
-    drawing the case through ``_case_table`` only when it has several.  It
-    then tests each enabling expression at most once on the marking
-    reached: the instantaneous activities' first and, when none holds, the
-    timed ones', which are scheduled and cancelled.  An enabled
-    instantaneous activity is picked uniformly to fire next; otherwise time
-    advances to the earliest pending firing, accruing the rated rewards and
-    calling the observer for the interval.  The code for instantaneous
+    Each timed activity ``i`` keeps its schedule in two locals: its due
+    time ``t{i}`` and its scheduling sequence number ``s{i}``, 0 when it
+    is not scheduled.  Each turn fires the chosen activity: a single-case
+    activity's gate statements are written into its branch, and a
+    multi-case activity draws its case through ``_case_table`` and calls
+    that case's program.  The turn then tests each enabling expression at
+    most once on the marking reached: the instantaneous activities' first
+    and, when none holds, the timed ones', which are scheduled, with the
+    delay drawn inline from the family's ``draw``, or unscheduled.  An
+    enabled instantaneous activity is picked uniformly to fire next;
+    otherwise an unrolled scan picks the least ``(t{i}, s{i})`` due by the
+    horizon, the order of ``sancore.under_priority``'s policy with ties in
+    scheduling order, and time advances to it, accruing the rated rewards
+    and calling the observer for the interval.  The code for instantaneous
     activities, rated rewards and the observer is generated only when there
     are some."""
     namespace = plan.namespace
-    namespace.update(heappush=heappush, heappop=heappop,
-                     bisect_right=bisect_right,
+    namespace.update(bisect_right=bisect_right,
                      MaxEventsExceeded=MaxEventsExceeded,
                      NonStabilizingDetected=NonStabilizingDetected)
     bind, lit = partial(_bind, namespace), partial(_literal, namespace)
     activities = plan.san.activities
     names = [act.name for act in activities]
-    horizon = bind(cfg.horizon)
+    timed = [i for i, act in enumerate(activities)
+             if act.distribution is not None]
     rated = [(r, spec) for r, spec in enumerate(rewards)
              if REWARDS[spec.kind].rate is not None]
     head = ["def replicate(rng):",
             "    random = rng.random",
+            f"    log = {bind(math.log)}",
+            f"    horizon = {bind(cfg.horizon)}",
             f"    m = list({bind(plan.initial)})",
-            "    queue = []",
-            f"    active = [0] * {len(activities)}",
             *(f"    c{i} = [0] * {act.cases}"
               for i, act in enumerate(activities)),
+            *(f"    d{i}_{j} = {bind(param)}" for i in timed
+              for j, param in enumerate(activities[i].distribution.params)),
+            *(f"    s{i} = 0" for i in timed),
             *(f"    a{r} = 0.0" for r, _ in rated),
             "    now = 0.0",
-            "    events = seq = chain = 0",
+            "    events = seq = chain = best = 0",
             "    index = -1",
             "    while True:"]
     body = []
@@ -470,19 +491,21 @@ def _compile_loop(plan: _Plan, cfg: SimConfig,
                  f"    if events > {lit(cfg.max_events)}:",
                  f"        raise MaxEventsExceeded({bind(too_many)})"]
         for i, act in enumerate(activities):
-            programs = bind(plan.programs[i])
             body.append(f"    {'if' if i == 0 else 'elif'} index == {i}:")
+            if i in timed:
+                body.append(f"        s{i} = 0")
             if act.cases > 1:
                 sums, pick = _case_table(act.case_probs)
                 body += [f"        case = {bind(pick)}"
                          f"[bisect_right({bind(sums)}, random())]",
                          f"        c{i}[case] += 1",
-                         f"        {programs}[case](m)"]
+                         f"        {bind(plan.programs[i])}[case](m)"]
             else:
                 body += [f"        c{i}[0] += 1",
-                         f"        {programs}[0](m)"]
-    instantaneous = [i for i, sampler in enumerate(plan.samplers)
-                     if sampler is None]
+                         *(f"        {line}"
+                           for line in _program_source(plan, i, 1))]
+    instantaneous = [i for i, act in enumerate(activities)
+                     if act.distribution is None]
     if instantaneous:
         body.append("ready = []")
         for i in instantaneous:
@@ -499,28 +522,28 @@ def _compile_loop(plan: _Plan, cfg: SimConfig,
                  "chain = 0"]
     # Stable: schedule newly enabled timed activities in declaration order,
     # and drop disabled ones (resampled when enabled again).
-    for i, sampler in enumerate(plan.samplers):
-        if sampler is not None:
-            sample, params = bind(sampler[0]), bind(sampler[1])
-            body += [f"if {plan.enabling[i]}:",
-                     f"    if not active[{i}]:",
-                     "        seq += 1",
-                     f"        active[{i}] = seq",
-                     "        heappush(queue, "
-                     f"(now + {sample}({params}, rng), seq, {i}))",
-                     f"elif active[{i}]:",
-                     f"    active[{i}] = 0"]
-    # An entry whose sequence no longer matches ``active`` was cancelled by
-    # a state change.
+    for i in timed:
+        dist = activities[i].distribution
+        params = [f"d{i}_{j}" for j in range(len(dist.params))]
+        body += [f"if {plan.enabling[i]}:",
+                 f"    if not s{i}:",
+                 "        seq += 1",
+                 f"        s{i} = seq",
+                 f"        t{i} = {_delay_source(dist, params)}",
+                 "else:",
+                 f"    s{i} = 0"]
+    # The earliest scheduled activity due by the horizon; of two due at
+    # once, the one scheduled first.
     body += ["index = -1",
-             f"time = {horizon}",
-             "while queue:",
-             "    t, s, i = heappop(queue)",
-             "    if active[i] == s:",
-             f"        if t <= {horizon}:",
-             "            index = i",
-             "            time = t",
-             "        break"]
+             "time = horizon"]
+    for n, i in enumerate(timed):
+        body += [f"if s{i} and (t{i} < time or t{i} == time and "
+                 f"(index < 0 or s{i} < best)):" if n else
+                 f"if s{i} and t{i} <= time:",
+                 f"    index = {i}",
+                 f"    time = t{i}"]
+        if n < len(timed) - 1:
+            body.append(f"    best = s{i}")
     if rated or observer is not None:
         body += ["dt = time - now",
                  "if dt > 0:"]
@@ -533,13 +556,12 @@ def _compile_loop(plan: _Plan, cfg: SimConfig,
                         f"dict(zip({bind(plan.san.places)}, m)))")
     body += ["now = time",
              "if index < 0:",
-             "    break",
-             "active[index] = 0"]
+             "    break"]
     # A rated reward is its accrual over the horizon, and a throughput its
     # activity's firings over the horizon.
     values = ", ".join(
-        f"a{r} / {horizon}" if REWARDS[spec.kind].rate is not None else
-        f"sum(c{names.index(spec.target)}) / {horizon}"
+        f"a{r} / horizon" if REWARDS[spec.kind].rate is not None else
+        f"sum(c{names.index(spec.target)}) / horizon"
         for r, spec in enumerate(rewards))
     tail = [f"    return [{values}], events, "
             f"[{''.join(f'c{i}, ' for i in range(len(activities)))}]"]

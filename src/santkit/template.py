@@ -25,7 +25,7 @@ from .record import Record
 from .sancore import (ACTIONS, COMPARISONS, ActivityKind, Dist, PredAnd,
                       PredNot, PredOr, check_case_count, check_case_probs,
                       check_gate, check_marking, check_parameters,
-                      check_timing, check_unique, leaves)
+                      check_timing, check_unique, int_text, leaves)
 from .terms import (CaseIndex, Const, PlaceIndex, Sort, Term, Value,
                     eval_term, infer_sort)
 
@@ -319,7 +319,7 @@ def apply_gate_rules(template: SanTemplate, gate, marking: TemplateMarking,
             if tokens < 0:
                 raise NegativeMarking(
                     f"gate '{gate.name}' drives '{rule.place}' index {i} "
-                    f"to {tokens}")
+                    f"to {int_text(tokens)}")
             current[i] = tokens
         result[rule.place] = MTable.of(current)
     return result

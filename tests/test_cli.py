@@ -510,6 +510,42 @@ def test_oversized_computed_threshold_simulates(tmp_path, capsys):
     assert "events=0" in capsys.readouterr().out
 
 
+_SIMULATE_GEO = ["simulate", "{bad}", GEO_ASSIGN, "--assignment", "GeoPair",
+                 "--horizon", "10"]
+
+
+# A computed int past the string conversion limit is named by its size in
+# a message (once exit 2 wherever a message formatted it).
+@pytest.mark.parametrize("source, old, new, argv, fault", [
+    ("geo.sant", "Working_S[all] := 0", f"Working_S[all] -= {_HUGE} * {_HUGE}",
+     _SIMULATE_GEO,
+     "error: gate 'IG_GF' drives place 'Working_S_1' to a negative "
+     "6000-digit integer"),
+    ("geo.sant", "Working_S[all] := 0",
+     f"Working_S[all] := 0 - {_HUGE} * {_HUGE}", _SIMULATE_GEO,
+     "error: validation failed:\n" + "".join(
+         f"error: negative-marking: update sets 'Working_S_{i}' to a "
+         "negative 6000-digit integer [gate IG_GF]\n" for i in (1, 2))[:-1]),
+    ("geo.sant", "  Working_S = 1\n}",
+     f"  Working_S = 0 - {_HUGE} * {_HUGE}\n}}", ["validate", "{bad}"],
+     "{bad}:44:3: error: negative-marking: initial marking of 'Working_S' "
+     "is a negative 6000-digit integer [marking Working_S]"),
+    ("tmi.sant", "cases = 1 + (p_TMI > 0.0)",
+     f"cases = 0 - {_HUGE} * {_HUGE}",
+     ["validate", "{bad}"],
+     "{bad}:21:9: error: case-count: activity has a negative 6000-digit "
+     "integer cases [activity SW_F]"),
+], ids=["sub-in-program", "negative-set", "negative-marking", "case-count"])
+def test_oversized_computed_int_in_a_message(tmp_path, capsys, source, old,
+                                             new, argv, fault):
+    text = (MODELS / source).read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    bad = tmp_path / source
+    bad.write_text(text.replace(old, new), encoding="utf-8")
+    assert main([arg.format(bad=bad) for arg in argv]) == 1
+    assert capsys.readouterr().err == fault.format(bad=bad) + "\n"
+
+
 @pytest.mark.parametrize("model", ["geo.sant", "tmi.sant", "user.sant"])
 def test_validate_passes_bundled_and_valid_constant_parameters(
         tmp_path, capsys, model):

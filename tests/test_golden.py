@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from importlib import resources
+import random
 from pathlib import Path
 
 import pytest
@@ -138,22 +139,17 @@ def test_enabling_evaluated_once_per_reached_marking(assignment, monkeypatch):
     # per firing.  On each, the loop tests every instantaneous activity's
     # enabling expression once and, when none of them holds, every timed
     # one once; so with no instantaneous activity each test runs once per
-    # reached marking.  One gate program runs per firing, and delays are
-    # drawn through the plan's samplers.  The counters sit in the generated
-    # loop itself: each enabling expression gains a call that counts it.
+    # reached marking.  The counters sit in the generated loop itself: each
+    # enabling expression gains a call that counts it.  A single-case
+    # firing runs its gates inline, so only a multi-case firing runs a
+    # compiled program, and the loop draws from the generator exactly as
+    # often as the reference replication does.
     import santkit.sim as sim
+    from test_sim import _reference_simulate
 
     tests: dict[str, int] = {}
-    draws: dict[str, int] = {}
-    programs = 0
-
-    def counted(table, name, fn):
-        table[name] = 0
-
-        def wrapper(*args):
-            table[name] += 1
-            return fn(*args)
-        return wrapper
+    compiled: list[tuple[int, int]] = []
+    programs = draws = 0
 
     def counted_plan(san, build=sim._build_plan):
         plan = build(san)
@@ -165,17 +161,14 @@ def test_enabling_evaluated_once_per_reached_marking(assignment, monkeypatch):
             return False
 
         plan.namespace["_tally"] = tally
-        return replace(
-            plan,
-            enabling=tuple(f"(_tally({i}) or ({expr}))"
-                           for i, expr in enumerate(plan.enabling)),
-            samplers=tuple(
-                None if sampler is None else
-                (counted(draws, name, sampler[0]), sampler[1])
-                for name, sampler in zip(names, plan.samplers)))
+        return replace(plan, enabling=tuple(
+            f"(_tally({i}) or ({expr}))"
+            for i, expr in enumerate(plan.enabling)))
 
-    def counted_program(*args, compile_program=sim._compile_program):
-        program = compile_program(*args)
+    def counted_program(plan, index, case,
+                        compile_program=sim._compile_program):
+        program = compile_program(plan, index, case)
+        compiled.append((index, case))
 
         def run(marking):
             nonlocal programs
@@ -183,8 +176,20 @@ def test_enabling_evaluated_once_per_reached_marking(assignment, monkeypatch):
             program(marking)
         return run
 
+    class CountingRandom(random.Random):
+        def random(self):
+            nonlocal draws
+            draws += 1
+            return super().random()
+
+        # Defined so that ``randrange`` keeps drawing through the bits, as
+        # it does on ``random.Random``.
+        def getrandbits(self, k):
+            return super().getrandbits(k)
+
     monkeypatch.setattr(sim, "_build_plan", counted_plan)
     monkeypatch.setattr(sim, "_compile_program", counted_program)
+    monkeypatch.setattr(random, "Random", CountingRandom)
     san = _golden_instance(assignment)
     result = simulate(san, CFG, GOLDEN[assignment][1])
     events = sum(result.events)
@@ -195,9 +200,13 @@ def test_enabling_evaluated_once_per_reached_marking(assignment, monkeypatch):
             assert tests[act.name] <= reached, act.name
         else:
             assert tests[act.name] == reached, act.name
-    assert programs == events
-    assert sorted(draws) == sorted(timed)
-    assert all(count >= 1 for count in draws.values())
+    cases = {a.name: a.cases for a in san.activities}
+    assert programs == sum(sum(counts) for name, counts in result.case_counts
+                           if cases[name] > 1)
+    assert all(san.activities[index].cases > 1 for index, _ in compiled)
+    loop_draws, draws = draws, 0
+    assert _reference_simulate(san, CFG, GOLDEN[assignment][1]) == result
+    assert loop_draws == draws > 0
 
 
 # sha256 of every byte-level output of the bundled models: the `.sanx` that

@@ -17,8 +17,8 @@ from santkit.record import replace
 from santkit.sancore import (Activity, ConcreteSan, Dist, InputGate,
                              OutputGate, PredConst, PredLeaf, Update,
                              case_probability, find_instability, fire,
-                             is_enabled, is_stable, reachable_markings,
-                             validate_san)
+                             int_text, is_enabled, is_stable,
+                             reachable_markings, validate_san)
 from santkit.jsonio import json_to_san, san_to_json
 from santkit.template import ActivityKind
 
@@ -356,3 +356,14 @@ def test_beyond_range_probability_is_zero(user_internal):
     marking = user_internal.initial_marking_dict()
     assert case_probability(user_internal, "Request", marking, 4) == 0.0
     assert case_probability(user_internal, "Request", marking, 0) == 0.0
+
+
+@pytest.mark.parametrize("value, text", [
+    (-12, "-12"),
+    (10 ** 4300 - 1, "9" * 4300),
+    (10 ** 4300, "a 4301-digit integer"),
+    (-(10 ** 6000 - 1), "a negative 6000-digit integer"),
+    (2 ** 20000, "a 6021-digit integer"),
+], ids=["small", "at-limit", "past-limit", "negative", "power-of-two"])
+def test_int_text_names_the_size_past_the_conversion_limit(value, text):
+    assert int_text(value) == text
