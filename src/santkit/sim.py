@@ -19,7 +19,13 @@ gates of every single-case activity and every delay draw, and keeps each
 timed activity's due time and scheduling sequence number in locals, so
 that firing a single-case activity calls no function.  A case of a
 multi-case activity is a function of its own, compiled on its first
-firing.  ``sancore.fire`` and ``sancore.is_enabled`` stay the reference
+firing.  An enabling test that some firing need not run again lives in a
+flag local: each firing branch leaves it alone when it writes none of the
+test's places, sets it to ``True`` or ``False`` when it sets all of them
+to constants (folded through ``sancore.is_enabled`` when the loop is
+compiled), and re-tests it otherwise.  So GEO's common-cause test over
+all of ``Working_S`` runs once per replication, not once per event.
+``sancore.fire`` and ``sancore.is_enabled`` stay the reference
 the plan is tested against, through the module-level
 ``enabled_activities`` and ``fire``, which run the same compiled tests
 and gate statements as the loop.
@@ -44,7 +50,7 @@ from .errors import (InvalidConfig, MaxEventsExceeded, NegativeMarking,
 from .record import Record
 from .sancore import (COMPARISONS, FAMILIES, Activity, ConcreteSan, Dist,
                       InputGate, OutputGate, PredAnd, PredConst, PredLeaf,
-                      PredNot, Predicate, int_text, validate_san)
+                      PredNot, Predicate, int_text, is_enabled, validate_san)
 
 
 STABILIZATION_LIMIT = 10_000  # instantaneous firings per time point
@@ -276,12 +282,15 @@ def _predicate_source(pred: Predicate, slot: dict[str, int],
 
 
 def _gate_source(gate: InputGate | OutputGate, slot: dict[str, int],
-                 namespace: dict[str, object]) -> list[str]:
+                 namespace: dict[str, object],
+                 nonnegative: bool = False) -> list[str]:
     """Statements that run ``gate``'s updates on ``m`` in place, as
     ``sancore.apply_updates`` does: a guard reads its place's count as the
     gate found it, and an add or sub raises ``NegativeMarking`` before it
     would write a negative count.  A run of unguarded sets on consecutive
-    slots is one slice assignment."""
+    slots is one slice assignment.  When ``m`` is ``nonnegative``, a plan
+    marking that holds no negative count, an add of a nonnegative int
+    literal cannot drive it negative and is written unchecked."""
     lines = [f"e{i} = m[{i}]" for i in
              sorted({slot[u.place] for u in gate.updates
                      if u.when is not None})]
@@ -313,6 +322,10 @@ def _gate_source(gate: InputGate | OutputGate, slot: dict[str, int],
         amount = _literal(namespace, u.amount)
         if u.action == "set":
             lines.append(f"{indent}m[{i}] = {amount}")
+            continue
+        # Only a nonnegative int written as itself is all digits.
+        if nonnegative and u.action == "add" and amount.isdigit():
+            lines.append(f"{indent}m[{i}] += {amount}")
             continue
         head = _bind(namespace,
                      f"gate '{gate.name}' drives place '{u.place}' to")
@@ -364,13 +377,16 @@ def _build_plan(san: ConcreteSan) -> _Plan:
     return plan
 
 
-def _program_source(plan: _Plan, index: int, case: int) -> list[str]:
+def _program_source(plan: _Plan, index: int, case: int,
+                    nonnegative: bool = False) -> list[str]:
     """Statements that fire ``case`` of the ``index``-th activity on ``m``:
-    its input gates, then the case's output gates, in declaration order."""
+    its input gates, then the case's output gates, in declaration order.
+    ``nonnegative`` is ``_gate_source``'s."""
     san = plan.san
     name = san.activities[index].name
     return [line for gate in san.inputs_of(name) + san.outputs_of(name, case)
-            for line in _gate_source(gate, plan.slot, plan.namespace)]
+            for line in _gate_source(gate, plan.slot, plan.namespace,
+                                     nonnegative)]
 
 
 def _compile_program(plan: _Plan, index: int, case: int) -> Program:
@@ -433,6 +449,74 @@ def _delay_source(dist: Dist, params: list[str]) -> str:
     return f"now + ({FAMILIES[dist.family].draw.format(*params)})"
 
 
+def _flag_ends(plan: _Plan) -> tuple[list[int], list[dict[int, str]]]:
+    """The activities whose enabling test the loop keeps in a flag and, per
+    activity's firing branch, the new value of each test the branch
+    decides or re-tests, by the test's activity.
+
+    A branch leaves a test's flag as it is when it writes none of the places
+    the test reads.  It sets the flag to ``True`` or ``False`` when every
+    place the test reads ends the branch with a known count: the place's
+    last write in a single-case firing is an unguarded set.  The value is
+    ``sancore.is_enabled`` (``eval_predicate`` over the input gates) on
+    those counts.  Otherwise the branch re-tests the enabling expression.
+    A multi-case branch writes the union of its cases' places, none of them
+    known.  A test that every branch re-tests gets no flag.
+
+    Written as plain loops, because a comprehension or generator is a call
+    and this runs on every simulation, and with one branch's writes alive
+    at a time."""
+    san = plan.san
+    activities = san.activities
+    row: dict[str, int] = {}
+    reads: list[list[str]] = []       # per activity, the places it tests
+    for i, act in enumerate(activities):
+        row[act.name] = i
+        reads.append([])
+    for gate in san.input_gates:
+        into = reads[row[gate.activity]]
+        pending = [gate.predicate]
+        while pending:
+            pred = pending.pop()
+            if isinstance(pred, PredLeaf):
+                into.append(pred.place)
+            elif isinstance(pred, PredNot):
+                pending.append(pred.arg)
+            elif not isinstance(pred, PredConst):
+                pending += pred.args
+    gates = san.input_gates + san.output_gates
+    decided: list[dict[int, str]] = []
+    retests = [0] * len(activities)
+    for act in activities:
+        single = act.cases == 1
+        known: dict[str, int | None] = {}  # written place: count or None
+        for gate in gates:
+            if gate.activity == act.name:
+                for u in gate.updates:
+                    known[u.place] = u.amount if single and \
+                        u.action == "set" and u.when is None else None
+        ends: dict[int, str] = {}
+        for a, places in enumerate(reads):
+            written = fixed = 0
+            for place in places:
+                if place in known:
+                    written += 1
+                    fixed += known[place] is not None
+            if not written:
+                continue
+            if fixed == len(places):
+                ends[a] = str(is_enabled(san, known, activities[a].name))
+            else:
+                ends[a] = plan.enabling[a]
+                retests[a] += 1
+        decided.append(ends)
+    flagged: list[int] = []
+    for a, count in enumerate(retests):
+        if count < len(activities):
+            flagged.append(a)
+    return flagged, decided
+
+
 def _compile_loop(plan: _Plan, cfg: SimConfig,
                   rewards: tuple[RewardSpec, ...],
                   observer: Callable[[float, float, dict[str, int]], object]
@@ -442,12 +526,26 @@ def _compile_loop(plan: _Plan, cfg: SimConfig,
     Each timed activity ``i`` keeps its schedule in two locals: its due
     time ``t{i}`` and its scheduling sequence number ``s{i}``, 0 when it
     is not scheduled.  Each turn fires the chosen activity: a single-case
-    activity's gate statements are written into its branch, and a
-    multi-case activity draws its case through ``_case_table`` and calls
-    that case's program.  The turn then tests each enabling expression at
-    most once on the marking reached: the instantaneous activities' first
-    and, when none holds, the timed ones', which are scheduled, with the
-    delay drawn inline from the family's ``draw``, or unscheduled.  An
+    activity's gate statements are written into its branch, with an add of
+    a nonnegative literal unchecked, and a multi-case activity draws its
+    case through ``_case_table`` and calls that case's program.
+
+    An enabling test that some firing need not run again is kept in a flag
+    ``on{a}`` (apart from the guard temporaries ``e{slot}`` of the gate
+    statements), set on the initial marking before the loop.  Each branch
+    ends, per flag, with one of three outcomes from ``_flag_ends``: nothing
+    when it writes none of the test's places, ``True`` or ``False`` when
+    it sets all of them to constants, and the enabling expression
+    otherwise.  GEO's common-cause test over all of ``Working_S`` is so
+    decided by both firings and runs once per replication.  A test that
+    every branch re-tests stays inline, as TmiPair's two do: each of its
+    firings writes a place of each test by an add, a sub, or a set in one
+    of SW_F's two cases.
+
+    The turn then tests each enabling expression or flag at most once on
+    the marking reached: the instantaneous activities' first and, when none
+    holds, the timed ones', which are scheduled, with the delay drawn
+    inline from the family's ``draw``, or unscheduled.  An
     enabled instantaneous activity is picked uniformly to fire next;
     otherwise an unrolled scan picks the least ``(t{i}, s{i})`` due by the
     horizon, the order of ``sancore.under_priority``'s policy with ties in
@@ -479,8 +577,13 @@ def _compile_loop(plan: _Plan, cfg: SimConfig,
             *(f"    a{r} = 0.0" for r, _ in rated),
             "    now = 0.0",
             "    events = seq = chain = best = 0",
-            "    index = -1",
-            "    while True:"]
+            "    index = -1"]
+    flagged, ends = _flag_ends(plan)
+    test = list(plan.enabling)
+    for a in flagged:
+        head.append(f"    on{a} = {test[a]}")
+        test[a] = f"on{a}"
+    head.append("    while True:")
     body = []
     if activities:
         # Only an activity just found enabled fires, with a case from its
@@ -502,14 +605,17 @@ def _compile_loop(plan: _Plan, cfg: SimConfig,
                          f"        {bind(plan.programs[i])}[case](m)"]
             else:
                 body += [f"        c{i}[0] += 1",
-                         *(f"        {line}"
-                           for line in _program_source(plan, i, 1))]
+                         *(f"        {line}" for line in _program_source(
+                             plan, i, 1, nonnegative=True))]
+            for a in flagged:
+                if a in ends[i]:
+                    body.append(f"        on{a} = {ends[i][a]}")
     instantaneous = [i for i, act in enumerate(activities)
                      if act.distribution is None]
     if instantaneous:
         body.append("ready = []")
         for i in instantaneous:
-            body += [f"if {plan.enabling[i]}:",
+            body += [f"if {test[i]}:",
                      f"    ready.append({i})"]
         body += ["if ready:",
                  "    chain += 1",
@@ -525,7 +631,7 @@ def _compile_loop(plan: _Plan, cfg: SimConfig,
     for i in timed:
         dist = activities[i].distribution
         params = [f"d{i}_{j}" for j in range(len(dist.params))]
-        body += [f"if {plan.enabling[i]}:",
+        body += [f"if {test[i]}:",
                  f"    if not s{i}:",
                  "        seq += 1",
                  f"        s{i} = seq",

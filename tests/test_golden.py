@@ -24,7 +24,7 @@ from santkit.modelfile import (coerce_assignment, load_assignments,
                                load_template)
 from santkit.record import replace
 from santkit.sancore import (Activity, ActivityKind, ConcreteSan, Dist,
-                             InputGate, OutputGate, PredLeaf, Update)
+                             InputGate, OutputGate, PredLeaf, Update, leaves)
 from santkit.sim import RewardSpec, SimConfig, simulate
 
 MODELS = resources.files("santkit") / "models"
@@ -133,13 +133,38 @@ def test_golden_enabling_memory_race():
         (0.18122826931745586, 0.0046370662000556695)]
 
 
+def _retested_by(san: ConcreteSan, activity: str, branch: str) -> bool:
+    """Whether a firing of ``branch`` leaves ``activity``'s enabling test to
+    be run again: it writes a place the test reads, and the firing is of
+    more than one case or some place the test reads does not end it with
+    an unguarded set."""
+    reads = {leaf.place for gate in san.inputs_of(activity)
+             for leaf in leaves(gate.predicate)}
+    cases = san.activity(branch).cases
+    last: dict[str, Update] = {}
+    for case in range(1, cases + 1):
+        for gate in san.inputs_of(branch) + san.outputs_of(branch, case):
+            for update in gate.updates:
+                last[update.place] = update
+    if not reads & set(last):
+        return False
+    return cases > 1 or not all(
+        place in last and last[place].action == "set" and
+        last[place].when is None for place in reads)
+
+
 @pytest.mark.parametrize("assignment", sorted(GOLDEN))
 def test_enabling_evaluated_once_per_reached_marking(assignment, monkeypatch):
     # Each replication reaches its settled initial marking plus one marking
     # per firing.  On each, the loop tests every instantaneous activity's
     # enabling expression once and, when none of them holds, every timed
     # one once; so with no instantaneous activity each test runs once per
-    # reached marking.  The counters sit in the generated loop itself: each
+    # reached marking.  A test that some firing need not run again is kept
+    # in a flag instead: it runs once per replication, on the initial
+    # marking, and once per firing that writes a place it reads without
+    # deciding it.  On GeoPair, GEO_F's firing sets every Working_S place
+    # to 0 and GEO_R's sets them to 1, so GEO_F's test runs only once per
+    # replication.  The counters sit in the generated loop itself: each
     # enabling expression gains a call that counts it.  A single-case
     # firing runs its gates inline, so only a multi-case firing runs a
     # compiled program, and the loop draws from the generator exactly as
@@ -195,11 +220,22 @@ def test_enabling_evaluated_once_per_reached_marking(assignment, monkeypatch):
     events = sum(result.events)
     reached = events + CFG.replications
     timed = [a.name for a in san.activities if a.kind == ActivityKind.TIMED]
+    firings = {name: sum(counts) for name, counts in result.case_counts}
+    flagged = []
     for act in san.activities:
-        if act.name in timed and len(timed) < len(san.activities):
+        retesting = [b.name for b in san.activities
+                     if _retested_by(san, act.name, b.name)]
+        if len(retesting) < len(san.activities):
+            flagged.append(act.name)
+            assert tests[act.name] == CFG.replications + sum(
+                firings[b] for b in retesting), act.name
+        elif act.name in timed and len(timed) < len(san.activities):
             assert tests[act.name] <= reached, act.name
         else:
             assert tests[act.name] == reached, act.name
+    assert flagged == (["GEO_F"] if assignment == "GeoPair" else [])
+    if assignment == "GeoPair":
+        assert tests["GEO_F"] == CFG.replications
     cases = {a.name: a.cases for a in san.activities}
     assert programs == sum(sum(counts) for name, counts in result.case_counts
                            if cases[name] > 1)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from bisect import bisect_right
 import statistics
 import sys
@@ -24,9 +25,9 @@ from santkit.modelfile import (coerce_assignment, load_assignments,
                                load_template)
 from santkit.record import replace
 from santkit.sancore import (FAMILIES, Activity, ConcreteSan, Dist,
-                             InputGate, OutputGate, PredAnd, PredLeaf,
-                             PredNot, Update, is_enabled, is_stable,
-                             under_priority)
+                             InputGate, OutputGate, PredAnd, PredConst,
+                             PredLeaf, PredNot, Update, is_enabled,
+                             is_stable, under_priority)
 from santkit.sancore import fire as sancore_fire
 from santkit.sim import (REWARDS, STABILIZATION_LIMIT, RewardEstimate,
                          RewardSpec, SimConfig, SimResult, _mean_std,
@@ -270,6 +271,55 @@ def test_first_stabilization_boundary():
 
 
 # -- execution ------------------------------------------------------------------
+
+def _loop_source(san: ConcreteSan, monkeypatch) -> str:
+    """The source of ``san``'s generated replication function."""
+    sources = {}
+
+    def define(namespace, source, name, define=sim._define):
+        sources[name] = source
+        return define(namespace, source, name)
+
+    monkeypatch.setattr(sim, "_define", define)
+    simulate(san, SimConfig(seed=1, horizon=1.0))
+    return sources["replicate"]
+
+
+def test_loop_adds_unchecked_only_on_its_own_marking(monkeypatch):
+    # A plan marking is never negative, so the loop writes SW_R's add of 1
+    # token to Working_S_1 with no check; the same add in the program that
+    # ``sim.fire`` runs on a caller's marking keeps it.
+    san = concretize(build_tmi_template(), {
+        "k": 1, "J": (2,), "p_TMI": 0.5, "lambda_f": 1.0, "lambda_r": 2.0})
+    plan = sim._build_plan(san)
+    i = plan.slot["Working_S_1"]
+    lines = _loop_source(san, monkeypatch).splitlines()
+    at = lines.index(f"                m[{i}] += 1")
+    assert "if v < 0" not in "\n".join(lines[at:at + 3])
+    index = [a.name for a in san.activities].index("SW_R")
+    program = sim._program_source(plan, index, 1)
+    assert program[program.index(f"v = m[{i}] + 1") + 1] == "if v < 0:"
+
+
+def test_loop_decides_geo_common_cause_once_per_firing(monkeypatch):
+    # GEO_F's firing sets every Working_S place to 0 and GEO_R's sets them
+    # to 1, so the 1000-slot test of GEO_F runs only on the initial
+    # marking: per event, the loop touches those slots only in its two set
+    # runs.
+    san = concretize(build_geo_template(),
+                     {"n": tuple(range(1, 1001)), "lambda_f": 1.0,
+                      "lambda_r": 2.0})
+    head, loop = _loop_source(san, monkeypatch).split("    while True:\n")
+    assert "    on0 = 0 not in m[1:1001]\n" in head
+    assert [re.sub(r"_k\d+", "_k", line.strip())
+            for line in loop.splitlines()
+            if "m[1:" in line or "on0" in line] == [
+        "m[1:1001] = _k", "on0 = False",
+        "m[1:1001] = _k", "on0 = True",
+        "if on0:"]
+    # Besides the set runs, the loop reads and writes GEO_1 alone.
+    assert set(re.findall(r"m\[([^]]*)\]", loop)) == {"1:1001", "0"}
+
 
 def test_python_calls_per_event():
     # Interpreter overhead per event, counted rather than timed: Python-level
@@ -754,6 +804,59 @@ def _ties() -> ConcreteSan:
         initial_marking=(("P_1", 0), ("Q_1", 0), ("R_1", 0)))
 
 
+def _folds() -> ConcreteSan:
+    """Firings that decide enabling tests, and ones that look as if they
+    might.  Fail takes B_1 and B_2 down together (its firing decides its
+    own test false) and Repair brings both back (deciding it true), as
+    GEO's common-cause pair does.  Bump sets X to 0 and then adds 1, so X
+    ends at 1 and Watch, which takes X, must be tested again.  Split's
+    case 1 feeds Z, where the instantaneous Reset waits for 3 and clears it,
+    and its case 2 alone feeds X.  Clip clears Y through a set guarded on Y
+    holding 2, so at 1 it leaves Y alone and stays enabled.  Y's slot is
+    Reset's index, so Clip's guard reads Y into a name that a flag named
+    after its activity's index would share with Reset's test."""
+    def timed(name, rate, cases=1, probs=(1.0,)):
+        return Activity(name, ActivityKind.TIMED, cases, probs,
+                        Dist("exponential", (rate,)))
+
+    def gate(kind, name, activity, *updates, **fields):
+        places = tuple(dict.fromkeys(u.place for u in updates))
+        return kind(name, activity, **fields, places=places, updates=updates)
+
+    return ConcreteSan(
+        name="folds", places=("B_1", "B_2", "G_1", "X_1", "Y_1", "Z_1"),
+        activities=(
+            timed("Fail", 1.0), timed("Repair", 2.0), timed("Bump", 0.5),
+            timed("Watch", 1.5),
+            Activity("Reset", ActivityKind.INSTANTANEOUS, 1, (1.0,)),
+            timed("Split", 1.0, 2, (0.5, 0.5)), timed("Clip", 0.7)),
+        input_gates=(
+            gate(InputGate, "gf", "Fail", Update("B_1", "set", 0),
+                 Update("B_2", "set", 0), predicate=PredAnd((
+                     PredLeaf("B_1", ">", 0), PredLeaf("B_2", ">", 0)))),
+            gate(InputGate, "gr", "Repair", Update("G_1", "sub", 1),
+                 predicate=PredLeaf("G_1", ">=", 1)),
+            gate(InputGate, "gb", "Bump", Update("X_1", "set", 0),
+                 predicate=PredConst(True)),
+            gate(InputGate, "gw", "Watch", Update("X_1", "sub", 1),
+                 predicate=PredLeaf("X_1", ">=", 1)),
+            gate(InputGate, "gz", "Reset", Update("Z_1", "set", 0),
+                 predicate=PredLeaf("Z_1", ">=", 3)),
+            gate(InputGate, "gc", "Clip", Update("Y_1", "set", 0, (">=", 2)),
+                 predicate=PredLeaf("Y_1", ">=", 1))),
+        output_gates=(
+            gate(OutputGate, "of", "Fail", Update("G_1", "add", 1), case=1),
+            gate(OutputGate, "or", "Repair", Update("B_1", "set", 1),
+                 Update("B_2", "set", 1), Update("Y_1", "add", 1), case=1),
+            gate(OutputGate, "ob", "Bump", Update("X_1", "add", 1), case=1),
+            gate(OutputGate, "os1", "Split", Update("Z_1", "add", 1),
+                 case=1),
+            gate(OutputGate, "os2", "Split", Update("X_1", "add", 1),
+                 case=2)),
+        initial_marking=(("B_1", 1), ("B_2", 1), ("G_1", 0), ("X_1", 0),
+                         ("Y_1", 0), ("Z_1", 0)))
+
+
 def _oracle_case(name: str) -> tuple[ConcreteSan, SimConfig]:
     from test_golden import CFG, GOLDEN, _golden_instance, _race
     if name in GOLDEN:
@@ -764,11 +867,14 @@ def _oracle_case(name: str) -> tuple[ConcreteSan, SimConfig]:
         return _guards(), SimConfig(seed=3, horizon=300.0, replications=2)
     if name == "ties":
         return _ties(), SimConfig(seed=1, horizon=300.0, replications=2)
+    if name == "folds":
+        return _folds(), SimConfig(seed=4, horizon=200.0, replications=2)
     return _choice(), SimConfig(seed=5, horizon=200.0, replications=2)
 
 
 @pytest.mark.parametrize("name", ["GeoPair", "TmiPair", "UserInternal",
-                                  "race", "choice", "guards", "ties"])
+                                  "race", "choice", "guards", "ties",
+                                  "folds"])
 def test_event_loop_agrees_with_the_reference(name):
     san, cfg = _oracle_case(name)
     rewards = [RewardSpec("throughput", a.name) for a in san.activities] + [
@@ -797,3 +903,6 @@ def test_event_loop_agrees_with_the_reference(name):
     if name == "ties":
         assert counts == {"Tick": (2,), "Claim": (0,), "Clear": (300,),
                           "Fill": (300,)}
+    if name == "folds":
+        assert min(n for case_counts in counts.values()
+                   for n in case_counts) > 50
