@@ -22,9 +22,9 @@ from typing import Mapping
 from .errors import (Diagnostic, EvalError, SortMismatch, UnboundParameter,
                      UnknownParameter, ValidationError, has_errors)
 from .record import Record
-from .sancore import (Activity, ConcreteSan, Dist, InputGate, Marking,
-                      OutputGate, PredAnd, PredConst, PredLeaf, PredNot,
-                      PredOr, Predicate, Update)
+from .sancore import (MAX_INSTANCE_SIZE, Activity, ConcreteSan, Dist,
+                      InputGate, Marking, OutputGate, PredAnd, PredConst,
+                      PredLeaf, PredNot, PredOr, Predicate, Update)
 from .template import (GateAtom, InputGateTemplate, MTable,
                        OutputGateTemplate, SAt, SanTemplate, TemplateMarking,
                        marking_tokens_at, place_index_values,
@@ -32,13 +32,6 @@ from .template import (GateAtom, InputGateTemplate, MTable,
 from .terms import Value, eval_term, matches_sort
 
 SEPARATOR = "_"
-
-# The largest instance ``concretize`` builds, in |P| + sum of case counts +
-# sum over generated gates of their place-list lengths.  User at |s| = 4000
-# measures 16,020,011 (the |s| output gates of its Request activity each
-# list the |s| Req places); an instance past the ceiling would take
-# gigabytes and minutes to build.
-MAX_INSTANCE_SIZE = 20_000_000
 
 
 def concrete_place_name(template_name: str, index: int) -> str:

@@ -22,6 +22,14 @@ from .record import Record
 
 PROB_TOLERANCE = 1e-9
 
+# The largest instance ``concretize`` builds, in |P| + sum of case counts +
+# sum over generated gates of their place-list lengths.  User at |s| = 4000
+# measures 16,016,010 (the |s| output gates of its Request activity each
+# list the |s| Req places); an instance past the ceiling would take
+# gigabytes and minutes to build.  A case count above it alone is refused
+# by ``check_case_count``.
+MAX_INSTANCE_SIZE = 20_000_000
+
 Marking = dict[str, int]
 
 
@@ -511,9 +519,13 @@ def check_timing(kind: ActivityKind, dist: Dist | None, element: str,
 
 
 def check_case_count(cases: int, element: str, err) -> None:
-    """An activity has at least one case."""
+    """An activity has at least one case, and no more than
+    ``MAX_INSTANCE_SIZE``."""
     if cases < 1:
         err("case-count", f"activity has {int_text(cases)} cases", element)
+    elif cases > MAX_INSTANCE_SIZE:
+        err("instance-size", f"activity has {int_text(cases)} cases, above "
+            f"the ceiling {MAX_INSTANCE_SIZE}", element)
 
 
 def check_case_probs(probs: Iterable[float], element: str, err) -> None:

@@ -19,7 +19,9 @@ gates of every single-case activity and every delay draw, and keeps each
 timed activity's due time and scheduling sequence number in locals, so
 that firing a single-case activity calls no function.  A case of a
 multi-case activity is a function of its own, compiled on its first
-firing.  An enabling test that some firing need not run again lives in a
+firing.  Every gate statement is written one way, for a marking that
+holds no negative count: an add of a nonnegative int literal is unchecked.
+An enabling test that some firing need not run again lives in a
 flag local: each firing branch leaves it alone when it writes none of the
 test's places, sets it to ``True`` or ``False`` when it sets all of them
 to constants (folded through ``sancore.is_enabled`` when the loop is
@@ -27,8 +29,8 @@ compiled), and re-tests it otherwise.  So GEO's common-cause test over
 all of ``Working_S`` runs once per replication, not once per event.
 ``sancore.fire`` and ``sancore.is_enabled`` stay the reference
 the plan is tested against, through the module-level
-``enabled_activities`` and ``fire``, which run the same compiled tests
-and gate statements as the loop.
+``enabled_activities`` and ``fire``, which compile the plan's enabling
+expressions and programs on each call, from the same sources as the loop.
 
 Replications are independent: replication ``r`` runs on its own generator
 seeded with ``seed * 2**32 + r``.  Identical configurations reproduce
@@ -50,7 +52,8 @@ from .errors import (InvalidConfig, MaxEventsExceeded, NegativeMarking,
 from .record import Record
 from .sancore import (COMPARISONS, FAMILIES, Activity, ConcreteSan, Dist,
                       InputGate, OutputGate, PredAnd, PredConst, PredLeaf,
-                      PredNot, Predicate, int_text, is_enabled, validate_san)
+                      PredNot, Predicate, int_text, is_enabled, leaves,
+                      validate_san)
 
 
 STABILIZATION_LIMIT = 10_000  # instantaneous firings per time point
@@ -63,6 +66,10 @@ class SimConfig(Record):
     max_events: int = 1_000_000        # per replication
 
     def validate(self) -> None:
+        # ``random.Random`` seeds with the absolute value of an int, so a
+        # negative seed would repeat the run of its positive twin.
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be nonnegative, got {self.seed}")
         if not 0 < self.horizon < math.inf:
             raise InvalidConfig(
                 f"horizon must be positive and finite, got {self.horizon}")
@@ -179,7 +186,6 @@ def replication_seed(seed: int, replication: int) -> int:
 
 # A marking as the plan runs it: token counts indexed by ``_Plan.slot``.
 Slots = list[int]
-Check = Callable[[Slots], bool]
 Program = Callable[[Slots], None]
 # One replication: the reward values, event count and per-activity case
 # counts of a run on the given generator.
@@ -216,6 +222,13 @@ def _define(namespace: dict[str, object], source: str, name: str):
     return namespace[name]
 
 
+def _check(namespace: dict[str, object],
+           expr: str) -> Callable[[Slots], bool]:
+    """``expr``, an expression over the marking ``m``, compiled as a
+    function of ``m``."""
+    return _define(namespace, f"check = lambda m: {expr}", "check")
+
+
 def _comparison(left: str, cmp: str, value: object,
                 namespace: dict[str, object]) -> str:
     return f"{left} {_INFIX[COMPARISONS[cmp]]} {_literal(namespace, value)}"
@@ -237,8 +250,7 @@ def _predicate_source(pred: Predicate, slot: dict[str, int],
         return _comparison(f"m[{slot[pred.place]}]", pred.cmp, pred.value,
                            namespace)
     if depth == _NESTING:
-        check = _define(namespace, "check = lambda m: " + _predicate_source(
-            pred, slot, namespace), "check")
+        check = _check(namespace, _predicate_source(pred, slot, namespace))
         return f"{_bind(namespace, check)}(m)"
     if isinstance(pred, PredNot):
         arg = _predicate_source(pred.arg, slot, namespace, depth + 1)
@@ -282,15 +294,14 @@ def _predicate_source(pred: Predicate, slot: dict[str, int],
 
 
 def _gate_source(gate: InputGate | OutputGate, slot: dict[str, int],
-                 namespace: dict[str, object],
-                 nonnegative: bool = False) -> list[str]:
-    """Statements that run ``gate``'s updates on ``m`` in place, as
-    ``sancore.apply_updates`` does: a guard reads its place's count as the
-    gate found it, and an add or sub raises ``NegativeMarking`` before it
-    would write a negative count.  A run of unguarded sets on consecutive
-    slots is one slice assignment.  When ``m`` is ``nonnegative``, a plan
-    marking that holds no negative count, an add of a nonnegative int
-    literal cannot drive it negative and is written unchecked."""
+                 namespace: dict[str, object]) -> list[str]:
+    """Statements that run ``gate``'s updates on a plan marking ``m`` in
+    place, as ``sancore.apply_updates`` does: a guard reads its place's
+    count as the gate found it, and an add or sub raises
+    ``NegativeMarking`` before it would write a negative count.  A plan
+    marking holds no negative count, so an add of a nonnegative int
+    literal cannot drive it negative and is written unchecked.  A run of
+    unguarded sets on consecutive slots is one slice assignment."""
     lines = [f"e{i} = m[{i}]" for i in
              sorted({slot[u.place] for u in gate.updates
                      if u.when is not None})]
@@ -324,7 +335,7 @@ def _gate_source(gate: InputGate | OutputGate, slot: dict[str, int],
             lines.append(f"{indent}m[{i}] = {amount}")
             continue
         # Only a nonnegative int written as itself is all digits.
-        if nonnegative and u.action == "add" and amount.isdigit():
+        if u.action == "add" and amount.isdigit():
             lines.append(f"{indent}m[{i}] += {amount}")
             continue
         head = _bind(namespace,
@@ -340,53 +351,35 @@ def _gate_source(gate: InputGate | OutputGate, slot: dict[str, int],
 
 
 class _Plan(Record):
-    """A validated instance compiled for the event loop.  Per activity, in
-    declaration order: its enabling test as an expression over the marking
-    ``m`` and that expression compiled and, per case, the program that runs
-    its input gates then the case's output gates in declaration order.  A
-    program is compiled on its first run.  ``namespace`` binds every name
-    the source uses."""
+    """A validated instance compiled for the event loop: each place's slot
+    in the marking and, per activity in declaration order, its enabling
+    test as an expression over the marking ``m``.  ``namespace`` binds
+    every name the source uses."""
 
     san: ConcreteSan
     slot: dict[str, int]
-    initial: tuple[int, ...]
     enabling: tuple[str, ...]
-    checks: tuple[Check, ...]
-    programs: tuple[list[Program], ...]
     namespace: dict[str, object]
 
 
 def _build_plan(san: ConcreteSan) -> _Plan:
     """Compile an instance that ``validate_san`` accepts."""
     slot = {place: i for i, place in enumerate(san.places)}
-    initial = dict(san.initial_marking)
     namespace: dict[str, object] = {"NegativeMarking": NegativeMarking,
                                     "int_text": int_text}
     enabling = tuple(_predicate_source(
         PredAnd(tuple(g.predicate for g in san.inputs_of(act.name))),
         slot, namespace) for act in san.activities)
-    checks = _define(namespace, "checks = (" + "".join(
-        f"lambda m: {expr}, " for expr in enabling) + ")", "checks")
-    plan = _Plan(
-        san=san, slot=slot, initial=tuple(initial[p] for p in san.places),
-        enabling=enabling, checks=checks,
-        programs=tuple([] for _ in san.activities), namespace=namespace)
-    for index, (act, row) in enumerate(zip(san.activities, plan.programs)):
-        row.extend(_first_run(plan, index, case)
-                   for case in range(1, act.cases + 1))
-    return plan
+    return _Plan(san=san, slot=slot, enabling=enabling, namespace=namespace)
 
 
-def _program_source(plan: _Plan, index: int, case: int,
-                    nonnegative: bool = False) -> list[str]:
+def _program_source(plan: _Plan, index: int, case: int) -> list[str]:
     """Statements that fire ``case`` of the ``index``-th activity on ``m``:
-    its input gates, then the case's output gates, in declaration order.
-    ``nonnegative`` is ``_gate_source``'s."""
+    its input gates, then the case's output gates, in declaration order."""
     san = plan.san
     name = san.activities[index].name
     return [line for gate in san.inputs_of(name) + san.outputs_of(name, case)
-            for line in _gate_source(gate, plan.slot, plan.namespace,
-                                     nonnegative)]
+            for line in _gate_source(gate, plan.slot, plan.namespace)]
 
 
 def _compile_program(plan: _Plan, index: int, case: int) -> Program:
@@ -396,31 +389,35 @@ def _compile_program(plan: _Plan, index: int, case: int) -> Program:
         or ["pass"]), "program")
 
 
-def _first_run(plan: _Plan, index: int, case: int) -> Program:
+def _first_run(plan: _Plan, index: int, case: int,
+               programs: list[Program]) -> Program:
     """A stand-in for a program not yet compiled: its first call compiles
-    the program, puts it in its place in ``plan.programs`` and runs it."""
+    the program, puts it in its place in ``programs`` and runs it."""
     def compile_and_run(marking: Slots) -> None:
-        program = _compile_program(plan, index, case)
-        plan.programs[index][case - 1] = program
+        program = programs[case - 1] = _compile_program(plan, index, case)
         program(marking)
     return compile_and_run
 
 
 def enabled_activities(plan: _Plan, marking: Slots) -> list[Activity]:
-    """The enabled activities, in declaration order."""
-    return [act for act, holds in zip(plan.san.activities, plan.checks)
-            if holds(marking)]
+    """The enabled activities, in declaration order.  Each call compiles
+    the plan's enabling expressions."""
+    return [act for act, expr in zip(plan.san.activities, plan.enabling)
+            if _check(plan.namespace, expr)(marking)]
 
 
 def fire(plan: _Plan, marking: Slots, index: int, case: int) -> None:
     """Fire ``case`` of the ``index``-th activity on ``marking`` in place,
-    with the checks and errors of ``sancore.fire``."""
+    with the checks and errors of ``sancore.fire``.  ``marking`` must be a
+    plan marking, one that holds no negative count, as every gate
+    statement assumes.  Each call compiles the activity's enabling
+    expression and the case's program."""
     act = plan.san.activities[index]
     if not 1 <= case <= act.cases:
         raise NotEnabled(f"activity '{act.name}' has no case {case}")
-    if not plan.checks[index](marking):
+    if not _check(plan.namespace, plan.enabling[index])(marking):
         raise NotEnabled(f"activity '{act.name}' is not enabled")
-    plan.programs[index][case - 1](marking)
+    _compile_program(plan, index, case)(marking)
 
 
 def _case_table(probs: tuple[float, ...]) -> tuple[tuple[float, ...],
@@ -461,29 +458,11 @@ def _flag_ends(plan: _Plan) -> tuple[list[int], list[dict[int, str]]]:
     ``sancore.is_enabled`` (``eval_predicate`` over the input gates) on
     those counts.  Otherwise the branch re-tests the enabling expression.
     A multi-case branch writes the union of its cases' places, none of them
-    known.  A test that every branch re-tests gets no flag.
-
-    Written as plain loops, because a comprehension or generator is a call
-    and this runs on every simulation, and with one branch's writes alive
-    at a time."""
+    known.  A test that every branch re-tests gets no flag."""
     san = plan.san
     activities = san.activities
-    row: dict[str, int] = {}
-    reads: list[list[str]] = []       # per activity, the places it tests
-    for i, act in enumerate(activities):
-        row[act.name] = i
-        reads.append([])
-    for gate in san.input_gates:
-        into = reads[row[gate.activity]]
-        pending = [gate.predicate]
-        while pending:
-            pred = pending.pop()
-            if isinstance(pred, PredLeaf):
-                into.append(pred.place)
-            elif isinstance(pred, PredNot):
-                pending.append(pred.arg)
-            elif not isinstance(pred, PredConst):
-                pending += pred.args
+    reads = [{leaf.place for gate in san.inputs_of(act.name)
+              for leaf in leaves(gate.predicate)} for act in activities]
     gates = san.input_gates + san.output_gates
     decided: list[dict[int, str]] = []
     retests = [0] * len(activities)
@@ -510,10 +489,8 @@ def _flag_ends(plan: _Plan) -> tuple[list[int], list[dict[int, str]]]:
                 ends[a] = plan.enabling[a]
                 retests[a] += 1
         decided.append(ends)
-    flagged: list[int] = []
-    for a, count in enumerate(retests):
-        if count < len(activities):
-            flagged.append(a)
+    flagged = [a for a, count in enumerate(retests)
+               if count < len(activities)]
     return flagged, decided
 
 
@@ -523,12 +500,15 @@ def _compile_loop(plan: _Plan, cfg: SimConfig,
                   | None) -> Replication:
     """One replication of ``plan`` as one compiled function.
 
-    Each timed activity ``i`` keeps its schedule in two locals: its due
-    time ``t{i}`` and its scheduling sequence number ``s{i}``, 0 when it
-    is not scheduled.  Each turn fires the chosen activity: a single-case
-    activity's gate statements are written into its branch, with an add of
-    a nonnegative literal unchecked, and a multi-case activity draws its
-    case through ``_case_table`` and calls that case's program.
+    The replication starts from its own copy of the initial marking, a
+    plan marking, so every gate statement adds a nonnegative literal
+    unchecked.  Each timed activity ``i`` keeps its schedule in two
+    locals: its due time ``t{i}`` and its scheduling sequence number
+    ``s{i}``, 0 when it is not scheduled.  Each turn fires the chosen
+    activity: a single-case activity's gate statements are written into
+    its branch, and a multi-case activity draws its case through
+    ``_case_table`` and calls that case's program from a list of its own,
+    each compiled on its first run by ``_first_run``.
 
     An enabling test that some firing need not run again is kept in a flag
     ``on{a}`` (apart from the guard temporaries ``e{slot}`` of the gate
@@ -564,11 +544,12 @@ def _compile_loop(plan: _Plan, cfg: SimConfig,
              if act.distribution is not None]
     rated = [(r, spec) for r, spec in enumerate(rewards)
              if REWARDS[spec.kind].rate is not None]
+    initial = bind(plan.san.marking_key(plan.san.initial_marking_dict()))
     head = ["def replicate(rng):",
             "    random = rng.random",
             f"    log = {bind(math.log)}",
             f"    horizon = {bind(cfg.horizon)}",
-            f"    m = list({bind(plan.initial)})",
+            f"    m = list({initial})",
             *(f"    c{i} = [0] * {act.cases}"
               for i, act in enumerate(activities)),
             *(f"    d{i}_{j} = {bind(param)}" for i in timed
@@ -599,14 +580,17 @@ def _compile_loop(plan: _Plan, cfg: SimConfig,
                 body.append(f"        s{i} = 0")
             if act.cases > 1:
                 sums, pick = _case_table(act.case_probs)
+                programs: list[Program] = []
+                programs += [_first_run(plan, i, case, programs)
+                             for case in range(1, act.cases + 1)]
                 body += [f"        case = {bind(pick)}"
                          f"[bisect_right({bind(sums)}, random())]",
                          f"        c{i}[case] += 1",
-                         f"        {bind(plan.programs[i])}[case](m)"]
+                         f"        {bind(programs)}[case](m)"]
             else:
                 body += [f"        c{i}[0] += 1",
-                         *(f"        {line}" for line in _program_source(
-                             plan, i, 1, nonnegative=True))]
+                         *(f"        {line}" for line in
+                           _program_source(plan, i, 1))]
             for a in flagged:
                 if a in ends[i]:
                     body.append(f"        on{a} = {ends[i][a]}")

@@ -333,10 +333,10 @@ def test_help_exits_0(capsys):
 
 
 def test_ascii_numeric_options_still_read(capsys):
-    assert main(_SIMULATE + ["--horizon", "1e1", "--seed", "-3",
+    assert main(_SIMULATE + ["--horizon", "1e1", "--seed", "3",
                              "--reps", "2", "--max-events", "1000",
                              "--reward", "throughput:GEO_F"]) == 0
-    assert "seed=-3 horizon=10.0 reps=2" in capsys.readouterr().out
+    assert "seed=3 horizon=10.0 reps=2" in capsys.readouterr().out
 
 
 def test_validate_reports_sort_mismatch(tmp_path, capsys):
@@ -379,6 +379,9 @@ def test_validate_checks_constant_distribution_parameters(tmp_path, capsys,
      "21:9: error: case-count: activity has 0 cases [activity SW_F]"),
     ("tmi.sant", "cases = 1 + (p_TMI > 0.0)", "cases = 1 % 0",
      "21:9: error: case-count: modulo by zero [activity SW_F]"),
+    ("tmi.sant", "cases = 1 + (p_TMI > 0.0)", "cases = 30000000",
+     "21:9: error: instance-size: activity has 30000000 cases, above the "
+     "ceiling 20000000 [activity SW_F]"),
     ("user.sant", "prob = pb[<CASE>]", "prob = 1.5",
      "20:9: error: normalization: case probability outside [0, 1] "
      "[activity Request]"),
@@ -391,8 +394,8 @@ def test_validate_checks_constant_distribution_parameters(tmp_path, capsys,
     ("tmi.sant", "Working_S = 1", "Working_S = on({1}, 0 - 1)",
      "52:3: error: negative-marking: initial marking of 'Working_S' is -1 "
      "[marking Working_S]"),
-], ids=["zero-cases", "cases-fail-to-evaluate", "prob-above-one",
-        "prob-past-the-real-range", "negative-marking",
+], ids=["zero-cases", "cases-fail-to-evaluate", "cases-above-the-ceiling",
+        "prob-above-one", "prob-past-the-real-range", "negative-marking",
         "negative-marking-on-set"])
 def test_validate_decides_closed_instance_rules(tmp_path, capsys, source, old,
                                                 new, fault):
