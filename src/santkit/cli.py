@@ -150,9 +150,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    diags: list[Diagnostic] = []
     if args.model.endswith(".sanx"):
         san = json_to_san(load_json_file(args.model))
-        _checked(san)
+        diags = _checked(san)
         text = san_to_dot(san) if args.format == "dot" \
             else dumps(san_to_json(san))
     else:
@@ -160,6 +161,8 @@ def cmd_export(args: argparse.Namespace) -> int:
         text = template_to_dot(doc.template) if args.format == "dot" \
             else dumps(template_to_json(doc.template))
     _write_out(text, args.out)
+    for diag in diags:
+        _print_diagnostic(diag, None)
     return 0
 
 

@@ -470,7 +470,9 @@ def load_template(path: str) -> ModelDocument:
 # -- assignment files --------------------------------------------------------
 
 
-def _literal(ts: TokenStream) -> Value:
+def _number(ts: TokenStream, expected: str) -> int | float:
+    """A signed int or real literal; ``expected`` says what was allowed
+    where there is none."""
     negative = bool(ts.accept_sym("-"))
     tok = ts.peek()
     if tok.kind == "int":
@@ -481,24 +483,30 @@ def _literal(ts: TokenStream) -> Value:
         return -real_value(tok) if negative else real_value(tok)
     if negative:
         raise ParseError("expected a number", tok.line, tok.column)
+    raise ParseError(f"found {tok.describe()}", tok.line, tok.column,
+                     expected=(expected,))
+
+
+def _literal(ts: TokenStream) -> Value:
+    """A number, ``true``, ``false``, or a set of numbers."""
     if ts.accept_ident("true"):
         return True
     if ts.accept_ident("false"):
         return False
-    if ts.accept_sym("{"):
-        items: list[Value] = []
-        while not ts.at_sym("}"):
-            items.append(_literal(ts))
-            ts.accept_sym(",")
-        ts.expect_sym("}")
-        if any(isinstance(v, float) for v in items):
-            try:
-                return tuple(map(to_real, items))
-            except EvalError as exc:
-                raise ParseError(str(exc), tok.line, tok.column) from None
-        return tuple(items)
-    raise ParseError(f"found {tok.describe()}", tok.line, tok.column,
-                     expected=("a literal",))
+    tok = ts.peek()
+    if not ts.accept_sym("{"):
+        return _number(ts, "a literal")
+    items: list[int | float] = []
+    while not ts.at_sym("}"):
+        items.append(_number(ts, "a number"))
+        ts.accept_sym(",")
+    ts.expect_sym("}")
+    if any(isinstance(v, float) for v in items):
+        try:
+            return tuple(map(to_real, items))
+        except EvalError as exc:
+            raise ParseError(str(exc), tok.line, tok.column) from None
+    return tuple(items)
 
 
 def parse_assignments_text(text: str) -> dict[str, dict[str, Value]]:
@@ -543,9 +551,7 @@ def coerce_assignment(template: SanTemplate,
                     and not isinstance(value, bool):
                 value = to_real(value)
             elif sort == Sort.SET_REAL and isinstance(value, tuple):
-                if all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in value):
-                    value = tuple(map(to_real, value))
+                value = tuple(map(to_real, value))
         except EvalError as exc:
             raise EvalError(f"parameter '{name}': {exc}") from None
         out[name] = value

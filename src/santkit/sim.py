@@ -27,10 +27,9 @@ test's places, sets it to ``True`` or ``False`` when it sets all of them
 to constants (folded through ``sancore.is_enabled`` when the loop is
 compiled), and re-tests it otherwise.  So GEO's common-cause test over
 all of ``Working_S`` runs once per replication, not once per event.
-``sancore.fire`` and ``sancore.is_enabled`` stay the reference
-the plan is tested against, through the module-level
-``enabled_activities`` and ``fire``, which compile the plan's enabling
-expressions and programs on each call, from the same sources as the loop.
+``sancore.fire`` and ``sancore.is_enabled`` stay the reference: the
+tests compile each enabling expression and case program from the same
+sources as the loop and check them against it.
 
 Replications are independent: replication ``r`` runs on its own generator
 seeded with ``seed * 2**32 + r``.  Identical configurations reproduce
@@ -47,13 +46,15 @@ import random
 from typing import Callable
 
 from .errors import (InvalidConfig, MaxEventsExceeded, NegativeMarking,
-                     NonStabilizingDetected, NotEnabled,
-                     UnsupportedReactivation, ValidationError, has_errors)
+                     NonStabilizingDetected, UnsupportedReactivation,
+                     ValidationError, has_errors)
 from .record import Record
-from .sancore import (COMPARISONS, FAMILIES, Activity, ConcreteSan, Dist,
-                      InputGate, OutputGate, PredAnd, PredConst, PredLeaf,
-                      PredNot, Predicate, int_text, is_enabled, leaves,
-                      validate_san)
+from .sancore import (COMPARISONS, FAMILIES, ConcreteSan, Dist, InputGate,
+                      OutputGate, PredAnd, PredConst, PredLeaf, PredNot,
+                      Predicate, int_text, is_enabled, leaves, validate_san)
+# The reference's names, called by no code here: ``perfbench/shim.py``
+# wraps ``enabled_activities`` and ``fire`` by name in this module.
+from .sancore import enabled_activities, fire  # noqa: F401
 
 
 STABILIZATION_LIMIT = 10_000  # instantaneous firings per time point
@@ -399,27 +400,6 @@ def _first_run(plan: _Plan, index: int, case: int,
     return compile_and_run
 
 
-def enabled_activities(plan: _Plan, marking: Slots) -> list[Activity]:
-    """The enabled activities, in declaration order.  Each call compiles
-    the plan's enabling expressions."""
-    return [act for act, expr in zip(plan.san.activities, plan.enabling)
-            if _check(plan.namespace, expr)(marking)]
-
-
-def fire(plan: _Plan, marking: Slots, index: int, case: int) -> None:
-    """Fire ``case`` of the ``index``-th activity on ``marking`` in place,
-    with the checks and errors of ``sancore.fire``.  ``marking`` must be a
-    plan marking, one that holds no negative count, as every gate
-    statement assumes.  Each call compiles the activity's enabling
-    expression and the case's program."""
-    act = plan.san.activities[index]
-    if not 1 <= case <= act.cases:
-        raise NotEnabled(f"activity '{act.name}' has no case {case}")
-    if not _check(plan.namespace, plan.enabling[index])(marking):
-        raise NotEnabled(f"activity '{act.name}' is not enabled")
-    _compile_program(plan, index, case)(marking)
-
-
 def _case_table(probs: tuple[float, ...]) -> tuple[tuple[float, ...],
                                                    tuple[int, ...]]:
     """``select_case`` as a table ``(sums, pick)``: for a draw ``u``, the
@@ -568,7 +548,7 @@ def _compile_loop(plan: _Plan, cfg: SimConfig,
     body = []
     if activities:
         # Only an activity just found enabled fires, with a case from its
-        # own range, so ``fire``'s checks would always pass.
+        # own range, so the loop needs none of ``sancore.fire``'s refusals.
         too_many = f"more than {cfg.max_events} events in one replication"
         body += ["if index >= 0:",
                  "    events += 1",

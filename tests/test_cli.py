@@ -17,7 +17,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from santkit import sancore
+from santkit import lexer, sancore
 from santkit.cli import main, parse_reward
 from santkit.concretize import concretize
 from santkit.errors import ParseError, SantError
@@ -487,6 +487,24 @@ def test_oversized_integer_is_a_user_error(tmp_path, capsys, source, old, new,
     assert capsys.readouterr() == ("", fault.format(bad=bad) + "\n")
 
 
+# An assignment's set literal holds numbers only.  A nested set once crashed
+# the conversion to reals (exit 2), and a bool was bound as a probability.
+@pytest.mark.parametrize("element, fault", [
+    ("{}", "4:21: found '{' (expected a number)"),
+    ("false", "4:21: found 'false' (expected a number)"),
+], ids=["nested-set", "bool"])
+def test_set_literal_holds_numbers(tmp_path, capsys, element, fault):
+    text = (MODELS / "user.sasg").read_text(encoding="utf-8")
+    old = "pb = {0.7, 0.2, 0.1}"
+    assert text.count(old) == 1
+    bad = tmp_path / "user.sasg"
+    bad.write_text(text.replace(old, f"pb = {{0.7, 0.2, {element}}}"),
+                   encoding="utf-8")
+    assert main(["instantiate", USER, str(bad), "--assignment",
+                 "UserInternal", "--out", "-"]) == 1
+    assert capsys.readouterr() == ("", f"error: {bad}:{fault}\n")
+
+
 def test_oversized_integer_in_an_instance_is_a_user_error(tmp_path, capsys):
     instance = tmp_path / "tmi.sanx"
     assert main(["instantiate", str(MODELS / "tmi.sant"),
@@ -885,6 +903,11 @@ def test_unsupported_reactivation_warns_then_refuses_simulation(tmp_path,
     assert err == ("warning: reactivation-unsupported: non-empty reactivation "
                    "sets are not executable [activity Request]\n")
     assert out.exists()
+    # ``export`` prints the same warning, after what it writes.
+    for fmt in ("dot", "json"):
+        assert main(["export", str(instance), "--format", fmt]) == 0
+        printed = capsys.readouterr()
+        assert printed.out and printed.err == err, fmt
     assert main(["simulate", str(instance), "--horizon", "10"]) == 1
     err = capsys.readouterr().err
     assert err == ("error: activity 'Request' declares reactivation "
@@ -1075,6 +1098,74 @@ def test_mutated_instance_never_crashes(tmp_path, capsys, mutations):
         assert main(argv) in (0, 1)
         err = capsys.readouterr().err
         assert "internal error" not in err and "Traceback" not in err
+
+
+# What a mutation of a model file puts in place of one token: a literal past
+# the int conversion limit, one at the edge of the float range, and values
+# of the wrong sort or in the wrong place.
+_SWAPS = (_LONG, "1e308", "true", "{}", "{1.5, 2}", "<CASE>")
+_TEXT_EDITS = st.tuples(st.sampled_from(["delete", "duplicate", "replace"]),
+                        st.integers(0, 10**4), st.sampled_from(_SWAPS))
+# Option values, some of them bad.  A run stays short: ``simulate`` gets a
+# horizon of 1 and at most 500 events per replication before these, and
+# none of them allows more events or more than 3 replications.
+_OPTIONS = st.sampled_from([
+    *(("--horizon", v) for v in ("0", "-1", "nan", "inf", "1e308", "1e-300",
+                                 "0.5", "x")),
+    *(("--seed", v) for v in ("0", "-1", "7", "9" * 4000, _LONG, "x")),
+    *(("--reps", v) for v in ("0", "-1", "3", _LONG, "x")),
+    *(("--max-events", v) for v in ("0", "-1", "1", "50", _LONG, "x")),
+    *(("--reward", v) for v in ("tokens:Working_S_1", "throughput:GEO_F",
+                                f"atleast:Working_S_1:{_LONG}",
+                                "atleast:Nowhere:1", "tokens:", "x")),
+])
+_FIRST_ASSIGNMENT = {"geo": "GeoPair", "tmi": "TmiPair",
+                     "user": "UserInternal"}
+
+
+def _edit_token(text: str, edit) -> str:
+    """``text`` with one of its tokens deleted, duplicated or replaced."""
+    kind, at, swap = edit
+    spans = [m.span() for m in lexer._TOKEN.finditer(text)
+             if m.lastgroup != "skip"]
+    start, end = spans[at % len(spans)]
+    token = text[start:end]
+    new = {"delete": "", "duplicate": f"{token} {token}", "replace": swap}
+    return text[:start] + new[kind] + text[end:]
+
+
+def _exit_code(argv: list[str]) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:    # a usage error, from ``argparse``
+        return exc.code
+
+
+# Bad model text or options are user errors (exit 1); exit 2 is for a bug.
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(stem=st.sampled_from(sorted(_FIRST_ASSIGNMENT)),
+       edits=st.fixed_dictionaries({
+           "sant": st.lists(_TEXT_EDITS, max_size=2),
+           "sasg": st.lists(_TEXT_EDITS, max_size=2)}),
+       options=st.lists(_OPTIONS, max_size=3))
+def test_mutated_model_text_and_options_never_crash(tmp_path, capsys, stem,
+                                                    edits, options):
+    paths = {}
+    for suffix, edit in edits.items():
+        text = (MODELS / f"{stem}.{suffix}").read_text(encoding="utf-8")
+        paths[suffix] = tmp_path / f"fuzz.{suffix}"
+        paths[suffix].write_text(functools.reduce(_edit_token, edit, text),
+                                 encoding="utf-8")
+    model = [str(paths["sant"]), str(paths["sasg"]),
+             "--assignment", _FIRST_ASSIGNMENT[stem]]
+    for argv in (["validate", str(paths["sant"])],
+                 ["instantiate", *model, "--out", "-"],
+                 ["simulate", *model, "--horizon", "1", "--max-events", "500",
+                  *(word for option in options for word in option)]):
+        assert _exit_code(argv) in (0, 1), argv
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "Traceback" not in err, err
 
 
 def test_export_template_json(capsys):

@@ -3,7 +3,11 @@ full derivation, and the template/instance commutation property."""
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from santkit.concretize import (build_index_map, concretize,
                                 concretize_input_gate,
@@ -15,12 +19,15 @@ from santkit.errors import (DuplicateIndex, EvalError, SortMismatch,
 from santkit.fixtures import (USER_INTERNAL, USER_PRESS, build_geo_template,
                               build_tmi_template, build_user_template)
 from santkit.modelfile import parse_template_text
-from santkit.sancore import (PredAnd, PredConst, PredLeaf, Update,
+from santkit.record import replace
+from santkit.sancore import (PredAnd, PredConst, PredLeaf, PredOr, Update,
                              case_probability, eval_predicate, fire,
                              is_enabled, reachable_markings, validate_san)
+from santkit.sim import RewardSpec, SimConfig, simulate
 from santkit.template import (MExpr, MSetOn, MTable, PlaceTemplate,
                               SanTemplate, template_enabled, template_fire)
 from santkit.terms import Const, Param, Sort, eval_term, parse_term
+from test_plan import _renamed
 
 GEO_PAIR = {"n": (1, 2), "lambda_f": 1.0, "lambda_r": 10.0}
 TMI_PAIR = {"k": 1, "J": (2,), "p_TMI": 0.5, "lambda_f": 1.0,
@@ -498,3 +505,105 @@ def test_projection_commutes_with_firing(build, assignment):
                                   assignment),
                     assignment, imap)
                 assert via_instance == via_template
+
+
+# -- metamorphic relations along the variability axis -----------------------
+#
+# Chen et al., "Metamorphic Testing", 1998: two members of one family whose
+# parameters differ in a known way have instances that differ in a known
+# way.
+
+def _without_place(san, place: str):
+    """``san`` with ``place`` taken off its places, its marking, and every
+    gate's places, predicate leaves and updates."""
+    def predicate(pred):
+        if isinstance(pred, (PredAnd, PredOr)):
+            return replace(pred, args=tuple(
+                predicate(arg) for arg in pred.args
+                if not (isinstance(arg, PredLeaf) and arg.place == place)))
+        return pred
+
+    def gate(g, **more):
+        return replace(g, places=tuple(p for p in g.places if p != place),
+                       updates=tuple(u for u in g.updates
+                                     if u.place != place), **more)
+
+    return replace(
+        san, places=tuple(p for p in san.places if p != place),
+        input_gates=tuple(gate(g, predicate=predicate(g.predicate))
+                          for g in san.input_gates),
+        output_gates=tuple(map(gate, san.output_gates)),
+        initial_marking=tuple((p, n) for p, n in san.initial_marking
+                              if p != place))
+
+
+def _even(n: int) -> tuple[float, ...]:
+    return (1.0 / n,) * n
+
+
+@example(services=[1, 6, 7, 4])
+@settings(max_examples=25, deadline=None)
+@given(services=st.lists(st.integers(1, 30), min_size=3, max_size=7,
+                         unique=True))
+def test_one_more_service_adds_one_place_case_and_gate(services):
+    # User over s and over s with j appended: the larger instance has one
+    # more place Req_j, one more Request case with its output gate, and
+    # Req_j in every OGRequest gate and in the Req parts of ArcInFail and
+    # ArcInDrop.  Nothing else differs but Request's probabilities, which
+    # follow pb.  With |s| >= 2 every OGRequest gate keeps its name.
+    *s, j = services
+    user = build_user_template()
+    small = concretize(user, {"s": tuple(s), "pb": _even(len(s))})
+    big = concretize(user, {"s": (*s, j), "pb": _even(len(s) + 1)})
+    added = f"Req_{j}"
+    assert set(big.places) - set(small.places) == {added}
+    new_gate = f"OGRequest_{len(s) + 1}"
+    assert [g.name for g in big.output_gates if g.name not in
+            {h.name for h in small.output_gates}] == [new_gate]
+    holding = {g.name for g in big.input_gates + big.output_gates
+               if added in g.places}
+    assert holding == {"ArcInFail", "ArcInDrop"} | {
+        g.name for g in big.output_gates if g.name.startswith("OGRequest_")}
+    request = big.activity("Request")
+    assert (request.cases, request.case_probs) == \
+        (len(s) + 1, _even(len(s) + 1))
+    assert big.outputs_of("Request", len(s) + 1)[0].updates == \
+        (Update(added, "set", 1),)
+    reduced = _without_place(big, added)
+    assert replace(
+        reduced,
+        activities=tuple(replace(a, cases=len(s), case_probs=_even(len(s)))
+                         if a.name == "Request" else a
+                         for a in reduced.activities),
+        output_gates=tuple(g for g in reduced.output_gates
+                           if g.name != new_gate)) == small
+
+
+@example(steps=[(1, 10)] * 3)
+@settings(max_examples=25, deadline=None)
+@given(steps=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                      min_size=1, max_size=5))
+def test_relabelled_components_give_the_same_instance_and_run(steps):
+    # GEO over n and over an order-preserving relabelling of n: the same
+    # instance after renaming Working_S_i, and the same seeded run.  Both
+    # are running sums of positive steps, so both increase.
+    n = list(itertools.accumulate(step for step, _ in steps))
+    labels = list(itertools.accumulate(step for _, step in steps))
+    names = {f"Working_S_{i}": f"Working_S_{k}" for i, k in zip(n, labels)}
+    geo = build_geo_template()
+    rates = {"lambda_f": 1.0, "lambda_r": 2.0}
+    san = concretize(geo, {"n": tuple(n), **rates})
+    relabelled = concretize(geo, {"n": tuple(labels), **rates})
+    assert _renamed(san, lambda name: names.get(name, name)) == relabelled
+    cfg = SimConfig(seed=5, horizon=20.0, replications=2)
+    rewards = [RewardSpec("throughput", "GEO_F")] + [
+        RewardSpec(kind, place, 1) for place in names
+        for kind in ("time_avg_tokens", "prob_tokens_at_least")]
+    ours = simulate(san, cfg, rewards)
+    theirs = simulate(relabelled, cfg, [
+        replace(spec, target=names.get(spec.target, spec.target))
+        for spec in rewards])
+    assert ours.events == theirs.events and min(ours.events) > 5
+    assert ours.case_counts == theirs.case_counts
+    assert [(e.estimate, e.std) for e in ours.rewards] == \
+        [(e.estimate, e.std) for e in theirs.rewards]

@@ -1,11 +1,14 @@
 """The simulator's execution plan against the reference interpreter.
 
 ``sim`` compiles an instance into Python source over slot markings: an
-enabling expression per activity and a program per case.  These tests
-check, marking by marking, that the plan's ``enabled_activities`` and
-``fire`` agree with ``sancore.is_enabled`` and ``sancore.fire`` (results
-and errors), that model names never change the compiled code, and that the
-plan keeps the module names the layered benchmark in ``perfbench/`` wraps.
+enabling expression per activity and a program per case, the sources its
+replication loop is written from.  These tests compile each of them on its
+own and check, marking by marking, that every enabling expression agrees
+with ``sancore.is_enabled`` and that every case program of an enabled
+activity fires as ``sancore.fire`` does, results and ``NegativeMarking``
+alike; those are the only firings the loop makes.  They also check that
+model names never change the compiled code, and that ``sim`` keeps the
+module names the layered benchmark in ``perfbench/`` wraps.
 """
 
 from __future__ import annotations
@@ -20,14 +23,15 @@ from hypothesis import strategies as st
 
 import santkit.sim as sim
 from santkit.concretize import concretize
-from santkit.errors import NegativeMarking, NotEnabled, SantError
+from santkit.errors import NegativeMarking, SantError
 from santkit.fixtures import (build_geo_template, build_tmi_template,
                               build_user_template)
 from santkit.record import replace
 from santkit.sancore import (COMPARISONS, Activity, ActivityKind,
                              ConcreteSan, Dist, InputGate, OutputGate,
                              PredAnd, PredConst, PredLeaf, PredNot, PredOr,
-                             Update, fire, is_enabled, reachable_markings)
+                             Update, enabled_activities, fire, is_enabled,
+                             reachable_markings)
 from santkit.sim import SimConfig, simulate
 
 RATES = {"lambda_f": 1.0, "lambda_r": 2.0}
@@ -43,25 +47,38 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-def _plan_fire(plan, san, marking, index, case):
+def _checks(plan) -> list:
+    """Each activity's enabling expression, compiled as a function of the
+    slot marking."""
+    return [sim._check(plan.namespace, expr) for expr in plan.enabling]
+
+
+def _run(program, san: ConcreteSan, marking):
+    """The marking a compiled case program leaves ``marking`` in."""
     slots = [marking[p] for p in san.places]
-    sim.fire(plan, slots, index, case)
+    program(slots)
     return dict(zip(san.places, slots))
 
 
 def _assert_plan_agrees(san: ConcreteSan, max_states: int = 300) -> None:
-    """On every reachable marking: the same enabled set, and the same
-    outcome of every activity and case, including the out-of-range ones."""
+    """On every reachable marking: each enabling expression gives
+    ``is_enabled``'s answer, and each case of an enabled activity, zero
+    probability or not, has ``fire``'s outcome."""
     plan = sim._build_plan(san)
+    checks = _checks(plan)
+    programs = {}                # (index, case): compiled once
     markings, _ = reachable_markings(san, max_states=max_states)
     for marking in markings:
         slots = [marking[p] for p in san.places]
-        assert sim.enabled_activities(plan, slots) == [
-            a for a in san.activities if is_enabled(san, marking, a.name)]
-        for index, act in enumerate(san.activities):
-            for case in range(0, act.cases + 2):
-                assert _outcome(
-                    lambda: _plan_fire(plan, san, marking, index, case)) == \
+        for index, (act, check) in enumerate(zip(san.activities, checks)):
+            enabled = is_enabled(san, marking, act.name)
+            assert check(slots) is enabled
+            for case in range(1, act.cases + 1) if enabled else ():
+                if (index, case) not in programs:
+                    programs[index, case] = sim._compile_program(
+                        plan, index, case)
+                assert _outcome(lambda: _run(
+                    programs[index, case], san, marking)) == \
                     _outcome(lambda: fire(san, marking, act.name, case))
 
 
@@ -173,11 +190,12 @@ def test_plan_agrees_on_arbitrary_gates(predicate, inputs, outputs, tokens):
         initial_marking=tuple(zip(PLACES, tokens)))
     plan = sim._build_plan(san)
     marking = dict(san.initial_marking)
-    assert bool(sim.enabled_activities(plan, list(tokens))) == \
-        is_enabled(san, marking, "T")
-    for case in (0, 1, 2):
-        assert _outcome(lambda: _plan_fire(plan, san, marking, 0, case)) == \
-            _outcome(lambda: fire(san, marking, "T", case))
+    enabled = is_enabled(san, marking, "T")
+    assert _checks(plan)[0](list(tokens)) is enabled
+    if enabled:
+        program = sim._compile_program(plan, 0, 1)
+        assert _outcome(lambda: _run(program, san, marking)) == \
+            _outcome(lambda: fire(san, marking, "T", 1))
 
 
 def test_plan_agrees_on_wide_geo():
@@ -185,7 +203,7 @@ def test_plan_agrees_on_wide_geo():
     # exactly one of them empty at the first, a middle and the last slot.
     san = concretize(build_geo_template(),
                      {"n": tuple(range(1, 1001)), **RATES})
-    plan = sim._build_plan(san)
+    checks = _checks(sim._build_plan(san))
     working = [p for p in san.places if p.startswith("Working_S_")]
     assert len(working) == 1000
     up = dict(san.initial_marking)
@@ -193,9 +211,10 @@ def test_plan_agrees_on_wide_geo():
     for empty in (None, working[0], working[500], working[-1]):
         marking = dict(up) if empty is None else dict(up, **{empty: 0})
         slots = [marking[p] for p in san.places]
-        assert sim.enabled_activities(plan, slots) == [
-            a for a in san.activities if is_enabled(san, marking, a.name)]
-        assert [a.name for a in sim.enabled_activities(plan, slots)] == \
+        assert [a.name for a, check in zip(san.activities, checks)
+                if check(slots)] == \
+            [a.name for a in san.activities
+             if is_enabled(san, marking, a.name)] == \
             ([] if empty else ["GEO_F"])
 
 
@@ -242,25 +261,6 @@ def test_simulate_reports_negative_marking():
     assert str(info.value) == "gate 'g' drives place 'P' to -1"
 
 
-def test_plan_fire_refuses_as_the_reference_does():
-    from test_golden import _race
-    san = _race()
-    plan = sim._build_plan(san)
-    held = dict(san.initial_marking, Tok_1=0, Held_1=1)
-    slots = [held[p] for p in san.places]
-    for name, case, message in (
-            ("Fast", 1, "activity 'Fast' is not enabled"),
-            ("Return", 3, "activity 'Return' has no case 3"),
-            ("Return", 0, "activity 'Return' has no case 0")):
-        index = [a.name for a in san.activities].index(name)
-        with pytest.raises(NotEnabled) as ours:
-            sim.fire(plan, slots, index, case)
-        with pytest.raises(NotEnabled) as reference:
-            fire(san, held, name, case)
-        assert str(ours.value) == str(reference.value) == message
-    assert slots == [0, 1]
-
-
 # -- the boundaries the benchmark measures -----------------------------------
 
 SHIM = Path(__file__).resolve().parents[1] / "perfbench" / "shim.py"
@@ -284,6 +284,10 @@ def test_every_benchmark_layer_has_a_wrap_target():
         resolved[layer] = resolved.get(layer, False) or found
     assert resolved and all(resolved.values()), \
         [layer for layer, found in resolved.items() if not found]
+    # ``sim`` runs neither of the firing layer's targets: they are the
+    # reference's own, kept under the names the shim wraps.
+    assert sim.fire is fire
+    assert sim.enabled_activities is enabled_activities
 
 
 # -- model names stay data ----------------------------------------------------

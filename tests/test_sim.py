@@ -288,7 +288,7 @@ def _loop_source(san: ConcreteSan, monkeypatch) -> str:
 def test_loop_and_programs_add_literals_unchecked(monkeypatch):
     # A plan marking is never negative, so SW_R's add of 1 token to
     # Working_S_1 is written with no check, both in the loop's branch and
-    # in the program that ``sim.fire`` runs.
+    # in the case's program.
     san = concretize(build_tmi_template(), {
         "k": 1, "J": (2,), "p_TMI": 0.5, "lambda_f": 1.0, "lambda_r": 2.0})
     plan = sim._build_plan(san)
