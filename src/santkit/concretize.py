@@ -26,8 +26,8 @@ from .sancore import (MAX_INSTANCE_SIZE, Activity, ConcreteSan, Dist,
                       InputGate, Marking, OutputGate, PredAnd, PredConst,
                       PredLeaf, PredNot, PredOr, Predicate, Update)
 from .template import (GateAtom, InputGateTemplate, MTable,
-                       OutputGateTemplate, SAt, SanTemplate, TemplateMarking,
-                       marking_tokens_at, place_index_values,
+                       OutputGateTemplate, SanTemplate, SExcept,
+                       TemplateMarking, marking_tokens_at, place_index_values,
                        validate_template, where_condition)
 from .terms import Value, eval_term, matches_sort
 
@@ -125,29 +125,35 @@ def _fold_predicate(pred, assignment, imap: PlaceIndexMap) -> Predicate:
     return _fold_atom(pred, assignment, imap)
 
 
+def _positions(choice, place: str, assignment, imap: PlaceIndexMap,
+               case_index: int | None = None):
+    """Positions of ``place``'s instances that a quantifier or selector
+    picks: all of them for a keyword (``all``, ``exists``, ``sat``), those
+    whose index differs from an ``SExcept``'s, and the one at a ``QAt``'s or
+    ``SAt``'s index, or none when that index is out of range."""
+    if isinstance(choice, str):
+        return range(len(imap.indices[place]))
+    target = eval_term(choice.index, assignment, case_index=case_index)
+    if isinstance(choice, SExcept):
+        return [i for i, index in enumerate(imap.indices[place])
+                if index != target]
+    offset = imap.offsets[place].get(target)
+    return () if offset is None else (offset,)
+
+
 def _fold_atom(atom: GateAtom, assignment, imap: PlaceIndexMap) -> Predicate:
     indices = imap.indices[atom.place]
     names = imap.names[atom.place]
-
-    def leaf(position: int) -> PredLeaf:
-        index = indices[position]
-        rhs = eval_term(atom.value, assignment, place_index=index)
-        return PredLeaf(names[position], atom.cmp, rhs)
-
+    found = tuple(
+        PredLeaf(names[i], atom.cmp,
+                 eval_term(atom.value, assignment, place_index=indices[i]))
+        for i in _positions(atom.quantifier, atom.place, assignment, imap))
     if atom.quantifier == "all":
-        if not indices:
-            return PredConst(True)
-        return PredAnd(tuple(leaf(i) for i in range(len(indices))))
+        return PredAnd(found) if found else PredConst(True)
     if atom.quantifier == "exists":
-        if not indices:
-            return PredConst(False)
-        return PredOr(tuple(leaf(i) for i in range(len(indices))))
-    offset = imap.offsets[atom.place].get(
-        eval_term(atom.quantifier.index, assignment))
-    if offset is None:
-        # Out-of-range index atoms are never satisfiable.
-        return PredConst(False)
-    return leaf(offset)
+        return PredOr(found) if found else PredConst(False)
+    # Out-of-range index atoms are never satisfiable.
+    return found[0] if found else PredConst(False)
 
 
 def _fold_rules(gate, assignment, imap: PlaceIndexMap,
@@ -159,35 +165,16 @@ def _fold_rules(gate, assignment, imap: PlaceIndexMap,
             continue
         indices = imap.indices[rule.place]
         names = imap.names[rule.place]
-
-        def amount(index: int) -> int:
-            return eval_term(rule.value, assignment,
-                             case_index=case_index, place_index=index)
-
-        sel = rule.selector
-        if sel == "all":
-            chosen = list(range(len(indices)))
-            guard_for = None
-        elif sel == "sat":
-            cmp, value = where_condition(gate, rule.place)
-
-            def guard_for(index: int) -> tuple[str, int]:
-                return (cmp, eval_term(value, assignment, place_index=index))
-
-            chosen = list(range(len(indices)))
-        else:
-            target = eval_term(sel.index, assignment, case_index=case_index)
-            if isinstance(sel, SAt):
-                offset = imap.offsets[rule.place].get(target)
-                chosen = [] if offset is None else [offset]
-            else:
-                chosen = [i for i, v in enumerate(indices) if v != target]
-            guard_for = None
-        for position in chosen:
-            index = indices[position]
+        where = (where_condition(gate, rule.place)
+                 if rule.selector == "sat" else None)
+        for i in _positions(rule.selector, rule.place, assignment, imap,
+                            case_index):
             updates.append(Update(
-                names[position], rule.action, amount(index),
-                guard_for(index) if guard_for else None))
+                names[i], rule.action,
+                eval_term(rule.value, assignment, case_index=case_index,
+                          place_index=indices[i]),
+                None if where is None else (where[0], eval_term(
+                    where[1], assignment, place_index=indices[i]))))
     return tuple(updates)
 
 

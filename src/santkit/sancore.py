@@ -61,8 +61,7 @@ COMPARISONS: dict[str, Callable[[int, int], bool]] = {
     "=": operator.eq, ">": operator.gt, ">=": operator.ge}
 
 # The marking updates an output or input gate function may apply, each as
-# (tokens, amount) -> new tokens.  ``apply_updates`` spells the same three
-# cases out as branches, which is faster per update.
+# (tokens, amount) -> new tokens.
 ACTIONS: dict[str, Callable[[int, int], int]] = {
     "set": lambda tokens, amount: amount, "add": operator.add,
     "sub": operator.sub}
@@ -246,12 +245,7 @@ def apply_updates(gate_name: str, updates: tuple[Update, ...],
         if u.when is not None and \
                 not COMPARISONS[u.when[0]](entry[u.place], u.when[1]):
             continue
-        if u.action == "set":
-            tokens = u.amount
-        elif u.action == "add":
-            tokens = result[u.place] + u.amount
-        else:
-            tokens = result[u.place] - u.amount
+        tokens = ACTIONS[u.action](result[u.place], u.amount)
         if tokens < 0:
             raise NegativeMarking(
                 f"gate '{gate_name}' drives place '{u.place}' to "
@@ -462,6 +456,11 @@ def validate_san(san: ConcreteSan) -> list[Diagnostic]:
         if pname not in init:
             err("marking-incomplete",
                 f"initial marking does not cover place '{pname}'")
+    for pname in init:
+        if pname not in place_set:
+            err("unknown-place",
+                f"initial marking mentions unknown place '{pname}'",
+                f"marking {pname}")
     check_marking(san.initial_marking, None, err)
 
     if not any(d.severity == "error" for d in diags):
@@ -555,20 +554,27 @@ def check_marking(marking: Iterable[tuple[str, int]], element: str | None,
 
 def check_gate(gate, atoms, updates, activities: set[str], places: set[str],
                known: set[int], element: str, err) -> None:
-    """A gate names a known activity and known places, and its ``atoms``
-    and ``updates`` use known comparisons and actions.  ``known`` holds the
-    ids of place tuples found clean, and gains this gate's when it is."""
+    """A gate names a known activity and known places, each once, and its
+    ``atoms`` and ``updates`` use known comparisons and actions.  ``known``
+    holds the ids of place tuples found clean, and gains this gate's when it
+    is."""
     if gate.activity not in activities:
         err("dangling-gate",
             f"gate is mapped to unknown activity '{gate.activity}'", element)
     if id(gate.places) not in known:
-        if places.issuperset(gate.places):
+        listed = set(gate.places)
+        if len(listed) == len(gate.places) and places.issuperset(listed):
             known.add(id(gate.places))
         else:
+            seen: set[str] = set()
             for pname in gate.places:
                 if pname not in places:
                     err("unknown-place", f"gate lists unknown place '{pname}'",
                         element)
+                if pname in seen:
+                    err("duplicate-place",
+                        f"gate lists place '{pname}' more than once", element)
+                seen.add(pname)
     for atom in atoms:
         if atom.cmp not in COMPARISONS:
             err("bad-comparison", f"comparison '{atom.cmp}'", element)

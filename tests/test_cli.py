@@ -168,8 +168,11 @@ def test_dead_prob_row_is_a_user_error(tmp_path, capsys, rows, position):
     ("geo.sant", "effect = Working_S[all] := 0", "effect = GEO[all] := 0",
      "{bad}:27:9: error: place-outside-gate: rule updates place 'GEO' "
      "outside the gate's place set [gate IG_GF]"),
+    ("user.sant", "places = Idle\n", "places = Idle, Idle\n",
+     "{bad}:30:9: error: duplicate-place: gate lists place 'Idle' more than "
+     "once [gate IGRequest]"),
 ], ids=["mixed-set-literal", "not-of-an-int", "keyword-as-term",
-        "empty-prob-block", "rule-outside-gate"])
+        "empty-prob-block", "rule-outside-gate", "gate-place-twice"])
 def test_ill_formed_template_is_a_user_error(tmp_path, capsys, source, old,
                                              new, fault):
     text = (MODELS / source).read_text(encoding="utf-8")
@@ -986,7 +989,11 @@ def _negative_set(doc):
      ["negative-marking: update sets 'Idle_1' to -2 [gate OGRequest_1]"]),
     (lambda d: d["marking"].pop("Idle_1") and None,
      ["marking-incomplete: initial marking does not cover place 'Idle_1'"]),
-], ids=["zero-cases", "probs-for-cases", "negative-set", "unmarked-place"])
+    (lambda d: d["marking"].update(Ghost=5),
+     ["unknown-place: initial marking mentions unknown place 'Ghost' "
+      "[marking Ghost]"]),
+], ids=["zero-cases", "probs-for-cases", "negative-set", "unmarked-place",
+        "marked-unknown-place"])
 def test_edited_instance_faults_are_user_errors(tmp_path, capsys, edit,
                                                 diagnostics):
     instance = tmp_path / "bad.sanx"

@@ -238,6 +238,10 @@ def _leaf_place(doc, place):
     doc["input_gates"][0]["enabled"]["place"] = place
 
 
+def _gate_places(doc, place):
+    doc["input_gates"][0]["places"] = [place, place]
+
+
 def _rename_drop(doc, name):
     # Renames the activity together with the gates mapped to it.
     for node in doc["activities"] + doc["input_gates"] + doc["output_gates"]:
@@ -251,6 +255,7 @@ def _rename_drop(doc, name):
     (_when_cmp, "!=", "bad-comparison"),
     (_action, "mul", "bad-action"),
     (_leaf_place, "Nowhere_1", "unknown-place"),
+    (_gate_places, "Idle_1", "duplicate-place"),
     (_rename_drop, "Fail", "duplicate-name"),
 ])
 def test_instance_outside_vocabulary_is_an_error(user_internal, mutate,
