@@ -8,8 +8,9 @@ the output side and the instance index bound per expanded element), so the
 resulting instance is fully numeric.
 
 ``concretize`` only builds.  It refuses what it cannot build: an assignment
-that does not bind the template, place indices that are not positive or
-repeat (they name places), and an instance above ``MAX_INSTANCE_SIZE``.
+that does not bind the template, place indices that are not positive,
+repeat or are too long to write (they name places), and an instance above
+``MAX_INSTANCE_SIZE``.
 Every other rule of a well-formed instance (case counts, probabilities,
 distribution parameters, token counts) is ``validate_san``'s, which each
 consumer of the instance runs.

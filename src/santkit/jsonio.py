@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 import re
-from json.encoder import encode_basestring_ascii as _encode_str
-from math import isfinite
 from typing import Any, Callable, Iterator
 
 from .errors import ParseError, SantError, parse_file
@@ -258,71 +256,16 @@ def json_to_san(doc: Any) -> ConcreteSan:
 
 
 def dumps(doc: Any) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, at a fraction of
-    its cost.
-
-    Any ``indent`` sends ``json`` to its pure-Python encoder, which yields
-    one small string per token.  Here strings go through the C escaper,
-    ints, finite floats, bools and ``None`` are formatted as that encoder
-    formats them, and only NaN, the infinities, non-str keys and other
-    types go through ``json.dumps``.  A list of strings is joined in one
-    step.
-    """
-    chunks: list[str] = []
-
-    def write(value: Any, indent: str) -> None:
-        if isinstance(value, str):
-            chunks.append(_encode_str(value))
-        elif value is None:
-            chunks.append("null")
-        elif value is True:
-            chunks.append("true")
-        elif value is False:
-            chunks.append("false")
-        elif isinstance(value, int):
-            chunks.append(int.__repr__(value))
-        elif isinstance(value, float) and isfinite(value):
-            chunks.append(float.__repr__(value))
-        elif isinstance(value, dict):
-            if not value:
-                chunks.append("{}")
-                return
-            inner = indent + "  "
-            sep = "{" + inner
-            for key, item in value.items():
-                chunks.append(sep + (_encode_str(key) if isinstance(key, str)
-                                     else json.dumps({key: 0})[1:-4]) + ": ")
-                write(item, inner)
-                sep = "," + inner
-            chunks.append(indent + "}")
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                chunks.append("[]")
-                return
-            inner = indent + "  "
-            if all(isinstance(v, str) for v in value):
-                chunks.append("".join((
-                    "[", inner, ("," + inner).join(map(_encode_str, value)),
-                    indent, "]")))
-                return
-            sep = "[" + inner
-            for item in value:
-                chunks.append(sep)
-                write(item, inner)
-                sep = "," + inner
-            chunks.append(indent + "]")
-        else:
-            chunks.append(json.dumps(value))
-
+    """``doc`` as one line of JSON plus a newline, written by ``json``'s C
+    encoder; an int too large to write is a ``SantError`` naming its
+    path."""
     try:
-        write(doc, "\n")
+        return json.dumps(doc) + "\n"
     except ValueError:
-        # int.__repr__ refuses an int past Python's integer string
-        # conversion limit; the largest int in ``doc`` is one such.
+        # The encoder refuses an int past Python's integer string conversion
+        # limit; the largest int in ``doc`` is one such.
         path, _ = max(_ints(doc, "$"), key=lambda pair: abs(pair[1]))
         raise SantError(f"{path}: integer too large to write") from None
-    chunks.append("\n")
-    return "".join(chunks)
 
 
 def _ints(value: Any, path: str) -> Iterator[tuple[str, int]]:

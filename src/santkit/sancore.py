@@ -88,18 +88,19 @@ class Family(Record):
 
 FAMILIES: dict[str, Family] = {
     "exponential": Family(
-        1, lambda rate: not rate > 0.0, "exponential rate must be positive",
+        1, lambda rate: not 0.0 < rate < math.inf,
+        "exponential rate must be positive and finite",
         lambda p, rng: -math.log(1.0 - rng.random()) / p[0],
         "-log(1.0 - random()) / {0}"),
     "uniform": Family(
-        2, lambda low, high: not 0.0 <= low <= high,
-        "uniform bounds must satisfy 0 <= low <= high",
+        2, lambda low, high: not 0.0 <= low <= high < math.inf,
+        "uniform bounds must satisfy 0 <= low <= high < inf",
         lambda p, rng: p[0] + (p[1] - p[0]) * rng.random(),
         "{0} + ({1} - {0}) * random()"),
     "deterministic": Family(
-        1, lambda delay: not delay >= 0.0,
-        "deterministic delay must be nonnegative", lambda p, rng: p[0],
-        "{0}"),
+        1, lambda delay: not 0.0 <= delay < math.inf,
+        "deterministic delay must be nonnegative and finite",
+        lambda p, rng: p[0], "{0}"),
 }
 
 

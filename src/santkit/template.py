@@ -220,9 +220,18 @@ def place_index_values(pt: PlaceTemplate,
     """Instance indices of a place template under an assignment.
 
     The order of the evaluated multiplicity value is kept.  Indices must be
-    distinct and strictly positive (their sort is checked at binding).
+    distinct, strictly positive and writable in a place name ``<P>_<i>``
+    (their sort is checked at binding).
     """
     indices = list(eval_term(pt.multiplicity, assignment))
+    # ``str`` refuses an int past Python's integer string conversion limit,
+    # and the index with the most digits is the least or the greatest.
+    for extreme in (min(indices), max(indices)) if indices else ():
+        try:
+            str(extreme)
+        except ValueError:
+            raise EvalError(f"index {int_text(extreme)} of place '{pt.name}' "
+                            f"is too long to name a place") from None
     seen = set()
     for i in indices:
         if i < 1:
@@ -425,7 +434,13 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
     place_names, activity_names = _check_names(template, err)
 
     for pt in template.places:
-        check_term(pt.multiplicity, Sort.SET_INT, f"place {pt.name}")
+        el = f"place {pt.name}"
+        if check_term(pt.multiplicity, Sort.SET_INT, el) and \
+                terms.is_closed(pt.multiplicity):
+            try:
+                place_index_values(pt, {})
+            except SantError as exc:
+                err("place-index", str(exc), el)
 
     for at in template.activities:
         el = f"activity {at.name}"

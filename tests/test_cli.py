@@ -194,7 +194,32 @@ def test_negative_uniform_delay_is_refused(tmp_path, capsys):
     assert capsys.readouterr() == ("", (
         "error: validation failed:\n"
         "error: invalid-parameter: uniform bounds must satisfy "
-        "0 <= low <= high, got (-1.0, 1.0) [activity GEO_R]\n"))
+        "0 <= low <= high < inf, got (-1.0, 1.0) [activity GEO_R]\n"))
+
+
+# A float product that overflows is inf, not an evaluation error: each
+# family once took it, and the activity fired at once or never.
+@pytest.mark.parametrize("old, new, fault", [
+    ("exponential(lambda_f)", "exponential(lambda_f * 1e300 * 1e300)",
+     "exponential rate must be positive and finite, got (inf,) "
+     "[activity GEO_F]"),
+    ("exponential(lambda_r)", "uniform(0.0, lambda_r * 1e300 * 1e300)",
+     "uniform bounds must satisfy 0 <= low <= high < inf, got (0.0, inf) "
+     "[activity GEO_R]"),
+    ("exponential(lambda_r)", "deterministic(lambda_r * 1e300 * 1e300)",
+     "deterministic delay must be nonnegative and finite, got (inf,) "
+     "[activity GEO_R]"),
+], ids=["exponential", "uniform", "deterministic"])
+def test_infinite_computed_parameter_is_refused(tmp_path, capsys, old, new,
+                                                fault):
+    text = (MODELS / "geo.sant").read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    bad = tmp_path / "geo.sant"
+    bad.write_text(text.replace(old, new), encoding="utf-8")
+    assert main(["simulate", str(bad), GEO_ASSIGN, "--assignment", "GeoPair",
+                 "--horizon", "5", "--reward", "throughput:GEO_F"]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: validation failed:\nerror: invalid-parameter: {fault}\n")
 
 
 _NO_PARAMETERS = "assignments {\n  Empty { }\n}\n"
@@ -354,14 +379,17 @@ def test_validate_reports_sort_mismatch(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("time, message", [
-    ("exponential(-1.0)", "exponential rate must be positive, got (-1.0,)"),
-    ("uniform(-1.0, 1.0)", "uniform bounds must satisfy 0 <= low <= high, "
-     "got (-1.0, 1.0)"),
+    ("exponential(-1.0)", "exponential rate must be positive and finite, "
+     "got (-1.0,)"),
+    ("exponential(1e300 * 1e300)", "exponential rate must be positive and "
+     "finite, got (inf,)"),
+    ("uniform(-1.0, 1.0)", "uniform bounds must satisfy "
+     "0 <= low <= high < inf, got (-1.0, 1.0)"),
     ("deterministic(0.0 - 0.5)",
-     "deterministic delay must be nonnegative, got (-0.5,)"),
+     "deterministic delay must be nonnegative and finite, got (-0.5,)"),
     ("exponential(1.0 / 0.0)", "division by zero"),
-], ids=["rate-negative", "uniform-negative", "delay-negative",
-        "division-by-zero"])
+], ids=["rate-negative", "rate-infinite", "uniform-negative",
+        "delay-negative", "division-by-zero"])
 def test_validate_checks_constant_distribution_parameters(tmp_path, capsys,
                                                           time, message):
     # A parameter that names no model parameter is known before any
@@ -517,10 +545,12 @@ def test_oversized_integer_in_an_instance_is_a_user_error(tmp_path, capsys):
     text = instance.read_text()
     assert text.count('"cases": 2,') == 1
     instance.write_text(text.replace('"cases": 2,', f'"cases": {_LONG},'))
+    at = text.index('"cases": 2,') + len('"cases": ')
+    line, col = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
     assert main(["simulate", str(instance), "--horizon", "10"]) == 1
     assert capsys.readouterr() == (
-        "", f"error: {instance}:14:16: integer literal of 5000 digits is "
-        "too long\n")
+        "", f"error: {instance}:{line}:{col}: integer literal of 5000 digits "
+        "is too long\n")
 
 
 def test_oversized_computed_threshold_simulates(tmp_path, capsys):
@@ -559,7 +589,22 @@ _SIMULATE_GEO = ["simulate", "{bad}", GEO_ASSIGN, "--assignment", "GeoPair",
      ["validate", "{bad}"],
      "{bad}:21:9: error: case-count: activity has a negative 6000-digit "
      "integer cases [activity SW_F]"),
-], ids=["sub-in-program", "negative-set", "negative-marking", "case-count"])
+    ("geo.sant", "GEO = {1}", f"GEO = {{{_HUGE} * {_HUGE}}}",
+     ["validate", "{bad}"],
+     "{bad}:13:3: error: place-index: index a 6000-digit integer of place "
+     "'GEO' is too long to name a place [place GEO]"),
+    ("geo.sant", "GEO = {1}", f"GEO = {{{_HUGE} * {_HUGE}}}",
+     ["instantiate", "{bad}", GEO_ASSIGN, "--assignment", "GeoPair",
+      "--out", "-"],
+     "error: validation failed:\nerror: place-index: index a 6000-digit "
+     "integer of place 'GEO' is too long to name a place [place GEO]"),
+    ("geo.sant", "GEO = {1}", f"GEO = {{0 - |n| * {_HUGE} * {_HUGE}}}",
+     _SIMULATE_GEO,
+     "error: index a negative 6001-digit integer of place 'GEO' is too long "
+     "to name a place"),
+], ids=["sub-in-program", "negative-set", "negative-marking", "case-count",
+        "place-index-closed", "place-index-instantiate",
+        "place-index-computed"])
 def test_oversized_computed_int_in_a_message(tmp_path, capsys, source, old,
                                              new, argv, fault):
     text = (MODELS / source).read_text(encoding="utf-8")

@@ -259,39 +259,39 @@ SIMULATE_REWARDS = {
 
 OUTPUT_SHA256 = {
     ("sanx", "geo/GeoPair"):
-        "b98d5e01fa4dcb53125cddb57a92b3589260b692313cae46f790cc8eabc3ef3d",
+        "703c1cb9e404a9da176ecbdc19b330b5f4f20d5a7569d3b12e7132e9977e2ee1",
     ("sanx", "geo/GeoSingle"):
-        "4a33f119862a70971fb2f9409078ae56b277ab7faa9f16c5242ae123c159b1b5",
+        "ce698fea2d0b3408ad995363d0f45df7cc520c023fb8a5774ace8cabb53b89c2",
     ("sanx", "geo/GeoTriple"):
-        "46d6d2adacf3797d59fe6dc0b4514b6fb0de0fd3dc8af4d42596c4cbb3076c3d",
+        "5b7128525f58f1a25da328ef1bf8175e15080f5a97d409565a69d8a550676a73",
     ("sanx", "tmi/TmiNoDep"):
-        "0ded350426e0f0de9a1b78e88847a98c7bf316efbc6f2178739e8dde73c4a463",
+        "66f1c912492ef303cbe882c11cfad37e5a8bf2dc814f2a6b716f09b5d78b17a5",
     ("sanx", "tmi/TmiPair"):
-        "e014758ff47090e9d2f50c56df0de7bcb28f2f0b2619bb781f2b371771015b95",
+        "8a3eb0d4f44e561f9ab797172858eefad0316ea194d848d23ec66d3d604ca77a",
     ("sanx", "tmi/TmiWide"):
-        "5cd5aafbcee3bda1907d76bf011eec31ac8c876e9fafcdd642c8f04b9836ef93",
+        "4bdc287402d499ae398394ae935e9a85a37c8759d814a285197d311891ba77cb",
     ("sanx", "user/UserInternal"):
-        "3f7bcf9c930368d714dfda0c7ff49f1b229f99d2ff7614d99c655435aaf3cc61",
+        "04fea74f3398c03ae721453d7e95cf0b2e828d254d248d51f832a531da737e85",
     ("sanx", "user/UserPress"):
-        "070def0a46d9c48627eb30a0b7d08e71ea9923dcc27a2443dc9979d4380db805",
+        "dab9c98000cc9a0d20951ebc80384e9027499c14fc9ed1ca8193bb3d65f640f3",
     ("sanx", "user/UserSingle"):
-        "775090ba1a09e33c750193a5d26a13a9f22b6822d5eabec10cc984e1ed19595d",
+        "17670629fcfaeca89a9b030112530950e35919fe4580949b7fcd9cb58a2ce414",
     ("text", "geo"):
         "1e3f04c49a1e169b0bc31f83fb7867ee8f10cc0eeb57e4379745bbaaaf85c64d",
     ("json", "geo"):
-        "ba643850adb8146a0a90120e9b449b6c4c9d56fea1784e0d3a615a41c8102da9",
+        "cf6c8186e5924dbd12d1c464ce030c0448aaf64b74fe4f8198b4bac2ec3526cc",
     ("dot", "geo"):
         "c025505739a021e65e4a221bc59f38fc44f4006dbc1f5c1265cbdeb2d2ec2ba2",
     ("text", "tmi"):
         "1004a5d9d819b242d141ed02261088b1d8c50cf9e1baf0b654045aba2c294720",
     ("json", "tmi"):
-        "c8324a292055b6eadec348b33254a2495eb5968e478179b1520f11d334548b6c",
+        "7231cd366e4f9fe7960f027583ff3828995468d4f6fa817ad639d2fd4f1f906d",
     ("dot", "tmi"):
         "a7ed95d1648cf950c8c30906f0002b8b73ee677579992462e50fa0ac372a9817",
     ("text", "user"):
         "3c3d96210c3ec80dea19a03b91c856afdcb66a6c94ad4a670880029685f1d641",
     ("json", "user"):
-        "3119944ac2126b2de89f309d0b0c9507a8ce3cbd0e6ec744dbcabfbc5e6b92b3",
+        "bb59789581dda39a18e77e14bd099e01a942434af334a08ebb4406f6eab799f8",
     ("dot", "user"):
         "f22d3ca6005b0d6093350d05fc0566a6185bf0e8a20338bb4086c06b392c466d",
     ("simulate", "geo/GeoPair"):

@@ -17,7 +17,7 @@ counts differ by version.
 Measured slopes (calls per unit of size), 3.10 and 3.11 / 3.12 / 3.13:
 ``concretize`` on User 38 / 36 / 36, on GEO 13 / 13 / 13;
 ``validate_san`` on User 12 / 12 / 12; the ``.sanx`` write
-(``san_to_json`` and ``dumps``) of User 54 / 53 / 50, its read
+(``san_to_json`` and ``dumps``) of User 7 / 6 / 6, its read
 (``json_to_san``) 76 / 75 / 75; a ``+`` chain 45, an ``and`` chain of
 parenthesized comparisons 115, ``prob`` rows 85 and set-literal values of
 an assignment 18 on each.  A change may lower a bound; a rise must be
@@ -115,7 +115,7 @@ def _parse_assignment(n: int) -> int:
 
 @pytest.mark.parametrize("count, bound", [
     (_concretize_user, 38), (_concretize_geo, 13), (_validate_user, 12),
-    (_write_user, 54), (_read_user, 76), (_parse_sum, 45),
+    (_write_user, 7), (_read_user, 76), (_parse_sum, 45),
     (_parse_conjunction, 115), (_parse_prob_rows, 85),
     (_parse_assignment, 18),
 ], ids=["concretize-user", "concretize-geo", "validate-san-user",
