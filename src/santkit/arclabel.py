@@ -34,8 +34,8 @@ from typing import Mapping, Union
 from .lexer import TokenStream, tokenize
 from .record import Record
 from .sancore import COMPARISONS
-from .template import (GateAtom, GateRule, InputGateTemplate,
-                       OutputGateTemplate, QAt, SAt, SExcept)
+from .template import (At, GateAtom, GateRule, InputGateTemplate,
+                       OutputGateTemplate, SExcept)
 from .terms import Const, Sort, Term, parse_term_stream, print_term
 
 
@@ -215,7 +215,7 @@ def desugar_output_arc(spec: OutputArcSpec, place: str, activity: str,
     if isinstance(spec, Unconditional):
         rules = (_out_rule(place, "all", spec.out),)
     else:
-        rules = [_out_rule(place, SAt(spec.index), spec.then)]
+        rules = [_out_rule(place, At(spec.index), spec.then)]
         if spec.otherwise is not None:
             rules.append(_out_rule(place, SExcept(spec.index),
                                    spec.otherwise))
@@ -248,7 +248,7 @@ def desugar_input_arc(spec: InputArcSpec, place: str, activity: str,
         elif spec.quantifier == "exists":
             quant, selector = "exists", "sat"
         else:
-            quant, selector = QAt(spec.at_index), SAt(spec.at_index)
+            quant = selector = At(spec.at_index)
         predicate = GateAtom(quant, place, spec.cmp, spec.value)
         action = "sub" if spec.func_sub else "set"
         rules = (GateRule(place, selector, action, spec.func_value),)

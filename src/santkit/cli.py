@@ -121,7 +121,7 @@ def parse_reward(text: str) -> RewardSpec:
             if kind.arity == 1:
                 return RewardSpec(name, fields[0])
             try:
-                threshold = int(fields[1])
+                threshold = _ascii(int)(fields[1])
             except ValueError:
                 raise SantError(f"bad reward '{text}': threshold "
                                 f"'{fields[1]}' is not an integer") from None
@@ -222,8 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help=" | ".join(_REWARD_FORMS))
     p.add_argument("--seed", type=_ascii(int), default=1)
     p.add_argument("--horizon", type=_ascii(float), required=True)
-    p.add_argument("--reps", type=_ascii(int), default=1)
-    p.add_argument("--max-events", type=_ascii(int), default=1_000_000)
+    p.add_argument("--reps", type=_ascii(int),
+                   default=SimConfig.replications)
+    p.add_argument("--max-events", type=_ascii(int),
+                   default=SimConfig.max_events)
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_simulate)
 

@@ -21,11 +21,11 @@ from __future__ import annotations
 from typing import Mapping
 
 from .errors import (Diagnostic, EvalError, SortMismatch, UnboundParameter,
-                     UnknownParameter, ValidationError, has_errors)
+                     UnknownParameter, ValidationError, has_errors, int_text)
 from .record import Record
 from .sancore import (MAX_INSTANCE_SIZE, Activity, ConcreteSan, Dist,
-                      InputGate, Marking, OutputGate, PredAnd, PredConst,
-                      PredLeaf, PredNot, PredOr, Predicate, Update)
+                      InputGate, Marking, OutputGate, PredAnd, PredLeaf,
+                      PredNot, PredOr, Predicate, Update)
 from .template import (GateAtom, InputGateTemplate, MTable,
                        OutputGateTemplate, SanTemplate, SExcept,
                        TemplateMarking, marking_tokens_at, place_index_values,
@@ -130,8 +130,8 @@ def _positions(choice, place: str, assignment, imap: PlaceIndexMap,
                case_index: int | None = None):
     """Positions of ``place``'s instances that a quantifier or selector
     picks: all of them for a keyword (``all``, ``exists``, ``sat``), those
-    whose index differs from an ``SExcept``'s, and the one at a ``QAt``'s or
-    ``SAt``'s index, or none when that index is out of range."""
+    whose index differs from an ``SExcept``'s, and the one at an ``At``'s
+    index, or none when that index is out of range."""
     if isinstance(choice, str):
         return range(len(imap.indices[place]))
     target = eval_term(choice.index, assignment, case_index=case_index)
@@ -150,11 +150,11 @@ def _fold_atom(atom: GateAtom, assignment, imap: PlaceIndexMap) -> Predicate:
                  eval_term(atom.value, assignment, place_index=indices[i]))
         for i in _positions(atom.quantifier, atom.place, assignment, imap))
     if atom.quantifier == "all":
-        return PredAnd(found) if found else PredConst(True)
+        return PredAnd(found)
     if atom.quantifier == "exists":
-        return PredOr(found) if found else PredConst(False)
+        return PredOr(found)
     # Out-of-range index atoms are never satisfiable.
-    return found[0] if found else PredConst(False)
+    return found[0] if found else PredOr(())
 
 
 def _fold_rules(gate, assignment, imap: PlaceIndexMap,
@@ -228,8 +228,9 @@ def _check_size(template: SanTemplate, imap: PlaceIndexMap,
         size, element = max(parts)
         raise ValidationError([Diagnostic(
             "instance-size",
-            f"instance size {total} exceeds the ceiling {MAX_INSTANCE_SIZE}; "
-            f"the largest part counts {size}", element=element)])
+            f"instance size {int_text(total)} exceeds the ceiling "
+            f"{MAX_INSTANCE_SIZE}; the largest part counts {int_text(size)}",
+            element=element)])
 
 
 def concretize(template: SanTemplate, assignment: Mapping[str, Value],

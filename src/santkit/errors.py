@@ -2,14 +2,30 @@
 
 Validators never raise: they return lists of :class:`Diagnostic`.  Everything
 else (evaluation, parsing, firing, simulation) raises a subclass of
-:class:`SantError`.
+:class:`SantError`.  A message writes an int through ``int_text``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, TypeVar
 
 from .record import Record
+
+
+def int_text(value: int) -> str:
+    """``value`` in decimal for a message, or ``a 6000-digit integer`` (``a
+    negative ...`` below zero) past Python's integer string conversion
+    limit, where ``str`` refuses it."""
+    try:
+        return str(value)
+    except ValueError:
+        size = abs(value)
+        digits = max(int(size.bit_length() * math.log10(2)) - 1, 1)
+        while size >= 10 ** digits:
+            digits += 1
+        sign = "negative " if value < 0 else ""
+        return f"a {sign}{digits}-digit integer"
 
 
 class SantError(Exception):

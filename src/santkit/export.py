@@ -16,14 +16,19 @@ from .template import (SanTemplate, has_variable_cases,
                        is_unary_multiplicity)
 
 
-def _node(name: str, shape: str, style: str, label: str | None = None) -> str:
-    label = name if label is None else label
-    return f'  "{name}" [label="{label}", shape={shape}, style="{style}"];'
+def _escape(text: str) -> str:
+    """``text`` inside a DOT string, where ``\\`` and ``"`` are special."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def _node(name: str, shape: str, style: str, note: str = "") -> str:
+    name = _escape(name)
+    return f'  "{name}" [label="{name}{note}", shape={shape}, style="{style}"];'
 
 
 def _edge(src: str, dst: str, style: str, label: str | None = None) -> str:
-    label = f', label="{label}"' if label else ""
-    return f'  "{src}" -> "{dst}" [style="{style}"{label}];'
+    label = f', label="{_escape(label)}"' if label else ""
+    return f'  "{_escape(src)}" -> "{_escape(dst)}" [style="{style}"{label}];'
 
 
 _PLACE = "circle"
@@ -47,15 +52,15 @@ def template_dashed_elements(template: SanTemplate) -> set[str]:
 def _to_dot(net, places: Iterable[tuple[str, str]], dashed: set[str],
             arc_label: Callable[[object], str | None]) -> str:
     """One drawing of a template or an instance: ``places`` pairs each
-    place with its label, the elements named in ``dashed`` are dashed, and
-    ``arc_label(gate)`` labels the arcs between a gate and its places."""
+    place with its label's note, the elements named in ``dashed`` are
+    dashed, and ``arc_label(gate)`` labels a gate's arcs to its places."""
 
     def style(name: str) -> str:
         return "dashed" if name in dashed else "solid"
 
-    lines = [f'digraph "{net.name}" {{', "  rankdir=LR;"]
-    for place, label in places:
-        lines.append(_node(place, _PLACE, style(place), label))
+    lines = [f'digraph "{_escape(net.name)}" {{', "  rankdir=LR;"]
+    for place, note in places:
+        lines.append(_node(place, _PLACE, style(place), note))
     for act in net.activities:
         shape = _TIMED if act.kind == ActivityKind.TIMED else _INSTANT
         lines.append(_node(act.name, shape, f"filled,{style(act.name)}"))
@@ -76,13 +81,13 @@ def _to_dot(net, places: Iterable[tuple[str, str]], dashed: set[str],
 
 
 def template_to_dot(template: SanTemplate) -> str:
-    return _to_dot(template, [(p.name, p.name) for p in template.places],
+    return _to_dot(template, [(p.name, "") for p in template.places],
                    template_dashed_elements(template),
                    lambda gate: gate.arc_label)
 
 
 def san_to_dot(san: ConcreteSan) -> str:
     marking = san.initial_marking_dict()
-    places = [(p, f"{p}\\n({marking[p]})" if marking.get(p) else p)
+    places = [(p, f"\\n({marking[p]})" if marking.get(p) else "")
               for p in san.places]
     return _to_dot(san, places, set(), lambda gate: None)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from .arclabel import arc_gate
 from .sancore import Dist, PredAnd
-from .template import (ActivityKind, ActivityTemplate, CaseEntry, GateAtom,
-                       GateRule, InputGateTemplate, MExpr, OutputGateTemplate,
-                       PlaceTemplate, QAt, SAt, SanTemplate)
+from .template import (ActivityKind, ActivityTemplate, At, CaseEntry,
+                       GateAtom, GateRule, InputGateTemplate, MExpr,
+                       OutputGateTemplate, PlaceTemplate, SanTemplate)
 from .terms import Sort, parse_term
 
 
@@ -55,21 +55,21 @@ def build_user_template() -> SanTemplate:
     zero = _term("0", params)
     ig_request = InputGateTemplate(
         name="IGRequest", activity="Request", places=("Idle",),
-        predicate=GateAtom(QAt(one), "Idle", ">=", one),
-        rules=(GateRule("Idle", SAt(one), "sub", one),))
+        predicate=GateAtom(At(one), "Idle", ">=", one),
+        rules=(GateRule("Idle", At(one), "sub", one),))
     # Consume the externally produced completion token and clear whichever
     # request is in flight.
     arc_in_fail = InputGateTemplate(
         name="ArcInFail", activity="Fail", places=("Failed", "Req"),
-        predicate=PredAnd((GateAtom(QAt(one), "Failed", ">=", one),
+        predicate=PredAnd((GateAtom(At(one), "Failed", ">=", one),
                            GateAtom("exists", "Req", ">=", one))),
-        rules=(GateRule("Failed", SAt(one), "sub", one),
+        rules=(GateRule("Failed", At(one), "sub", one),
                GateRule("Req", "sat", "set", zero)))
     arc_in_drop = InputGateTemplate(
         name="ArcInDrop", activity="Drop", places=("Dropped", "Req"),
-        predicate=PredAnd((GateAtom(QAt(one), "Dropped", ">=", one),
+        predicate=PredAnd((GateAtom(At(one), "Dropped", ">=", one),
                            GateAtom("exists", "Req", ">=", one))),
-        rules=(GateRule("Dropped", SAt(one), "sub", one),
+        rules=(GateRule("Dropped", At(one), "sub", one),
                GateRule("Req", "sat", "set", zero)))
 
     og_request = arc_gate("output", "OGRequest", "Req", "Request",
@@ -169,7 +169,7 @@ def build_tmi_template() -> SanTemplate:
     og_sw = OutputGateTemplate(
         name="OG_SW", activity="SW_F",
         places=("Working_S", "Failed_SW_S"),
-        rules=(GateRule("Failed_SW_S", SAt(_term("k", params)),
+        rules=(GateRule("Failed_SW_S", At(_term("k", params)),
                         "set", _term("1", params),
                         when=_term("<CASE> = 1", params, allow_case=True)),
                GateRule("Working_S", "all", "set", _term("0", params),

@@ -15,8 +15,8 @@ from typing import Any, Callable, Iterator
 
 from .errors import ParseError, SantError, parse_file
 from .sancore import (Activity, ActivityKind, ConcreteSan, Dist, InputGate,
-                      OutputGate, PredAnd, PredConst, PredLeaf, PredNot,
-                      PredOr, Predicate, Update)
+                      OutputGate, PredAnd, PredLeaf, PredNot, PredOr,
+                      Predicate, Update)
 
 INSTANCE_SCHEMA = "santkit-instance/2"
 # The earlier instance schema: no place-list table, every gate's places inline.
@@ -24,8 +24,6 @@ INLINE_PLACES_SCHEMA = "santkit-instance/1"
 
 
 def _pred_json(pred: Predicate) -> Any:
-    if isinstance(pred, PredConst):
-        return {"const": pred.value}
     if isinstance(pred, PredLeaf):
         return {"place": pred.place, "cmp": pred.cmp, "value": pred.value}
     if isinstance(pred, PredAnd):
@@ -90,7 +88,8 @@ def _items(doc: dict[str, Any], key: str,
 
 def _json_pred(doc: dict[str, Any], path: str) -> Predicate:
     if "const" in doc:
-        return PredConst(_field(doc, "const", "bool", path))
+        # Earlier writers spelled constant truth as ``{"const": b}``.
+        return (PredAnd if _field(doc, "const", "bool", path) else PredOr)(())
     if "and" in doc:
         return PredAnd(tuple(_json_pred(p, at)
                              for p, at in _items(doc, "and", path)))

@@ -67,11 +67,11 @@ from .lexer import Token, TokenStream, int_value, real_value, tokenize
 from .record import Record
 from .sancore import (COMPARISONS, FAMILIES, ActivityKind, Dist, PredAnd,
                       PredNot, PredOr)
-from .template import (QUANTIFIERS, SELECTORS, ActivityTemplate, CaseEntry,
-                       GateAtom, GatePredicate, GateRule, InputGateTemplate,
-                       MExpr, MSetOn, MTable, MarkingFn, OutputGateTemplate,
-                       PlaceTemplate, QAt, SAt, SExcept, SanTemplate,
-                       Selector)
+from .template import (QUANTIFIERS, SELECTORS, ActivityTemplate, At,
+                       CaseEntry, GateAtom, GatePredicate, GateRule,
+                       InputGateTemplate, MExpr, MSetOn, MTable, MarkingFn,
+                       OutputGateTemplate, PlaceTemplate, SExcept,
+                       SanTemplate, Selector)
 from .terms import (Apply, CaseIndex, Const, PlaceIndex, Sort, Term, Value,
                     contains_node, format_value, parse_term_stream,
                     print_term, to_real)
@@ -356,7 +356,7 @@ class _TemplateParser:
         else:
             place = self._name().value
             self.ts.expect_sym("[")
-            quant = QAt(self._term())
+            quant = At(self._term())
             self.ts.expect_sym("]")
         cmp = self.ts.expect_sym(*COMPARISONS).value
         value = self._term(allow_place=True, restrict=_GATE_RESTRICT)
@@ -380,7 +380,7 @@ class _TemplateParser:
         elif self.ts.accept_ident("except"):
             selector = SExcept(self._term(allow_case=is_output))
         else:
-            selector = SAt(self._term(allow_case=is_output))
+            selector = At(self._term(allow_case=is_output))
         self.ts.expect_sym("]")
         sign = self.ts.expect_sym(*_SIGNS.values()).value
         action = next(a for a, s in _SIGNS.items() if s == sign)
@@ -574,7 +574,7 @@ def pred_to_text(pred: GatePredicate) -> str:
         if isinstance(node, PredNot):
             return f"not {emit(node.arg, 3)}"
         atom = node
-        if isinstance(atom.quantifier, QAt):
+        if isinstance(atom.quantifier, At):
             lhs = f"{atom.place}[{print_term(atom.quantifier.index)}]"
         else:
             lhs = f"{atom.quantifier} {atom.place}"
@@ -586,7 +586,7 @@ def pred_to_text(pred: GatePredicate) -> str:
 def rule_to_text(rule: GateRule) -> str:
     if isinstance(rule.selector, SExcept):
         sel = f"except {print_term(rule.selector.index)}"
-    elif isinstance(rule.selector, SAt):
+    elif isinstance(rule.selector, At):
         sel = print_term(rule.selector.index)
     else:
         sel = rule.selector

@@ -17,7 +17,8 @@ from collections import deque
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Union
 
-from .errors import (Diagnostic, NegativeMarking, NotEnabled, SantError)
+from .errors import (Diagnostic, NegativeMarking, NotEnabled, SantError,
+                     int_text)
 from .record import Record
 
 PROB_TOLERANCE = 1e-9
@@ -31,21 +32,6 @@ PROB_TOLERANCE = 1e-9
 MAX_INSTANCE_SIZE = 20_000_000
 
 Marking = dict[str, int]
-
-
-def int_text(value: int) -> str:
-    """``value`` in decimal for a message, or ``a 6000-digit integer`` (``a
-    negative ...`` below zero) past Python's integer string conversion
-    limit, where ``str`` refuses it."""
-    try:
-        return str(value)
-    except ValueError:
-        size = abs(value)
-        digits = max(int(size.bit_length() * math.log10(2)) - 1, 1)
-        while size >= 10 ** digits:
-            digits += 1
-        sign = "negative " if value < 0 else ""
-        return f"a {sign}{digits}-digit integer"
 
 
 class ActivityKind(enum.Enum):
@@ -120,10 +106,6 @@ class Activity(Record):
     reactivation: str = "empty"
 
 
-class PredConst(Record):
-    value: bool
-
-
 class PredLeaf(Record):
     place: str
     cmp: str                     # a key of COMPARISONS
@@ -131,7 +113,8 @@ class PredLeaf(Record):
 
 
 # The connectives also combine the quantified atoms of template gates
-# (``template.GatePredicate``); ``leaves`` walks either kind of tree.
+# (``template.GatePredicate``); ``leaves`` walks either kind of tree.  The
+# empty ``PredAnd`` is true and the empty ``PredOr`` false.
 class PredAnd(Record):
     args: tuple["Predicate", ...]
 
@@ -144,7 +127,7 @@ class PredNot(Record):
     arg: "Predicate"
 
 
-Predicate = Union[PredConst, PredLeaf, PredAnd, PredOr, PredNot]
+Predicate = Union[PredLeaf, PredAnd, PredOr, PredNot]
 
 
 class Update(Record):
@@ -220,8 +203,6 @@ class ConcreteSan(Record):
 
 
 def eval_predicate(pred: Predicate, marking: Marking) -> bool:
-    if isinstance(pred, PredConst):
-        return pred.value
     if isinstance(pred, PredLeaf):
         return COMPARISONS[pred.cmp](marking[pred.place], pred.value)
     if isinstance(pred, PredAnd):
@@ -586,12 +567,12 @@ def check_gate(gate, atoms, updates, activities: set[str], places: set[str],
 
 def leaves(pred) -> Iterator:
     """The comparisons under a predicate's connectives, in order:
-    ``PredLeaf`` nodes of an instance predicate (a ``PredConst`` is not a
-    leaf) or ``template.GateAtom`` nodes of a template gate predicate."""
+    ``PredLeaf`` nodes of an instance predicate or ``template.GateAtom``
+    nodes of a template gate predicate."""
     if isinstance(pred, (PredAnd, PredOr)):
         for arg in pred.args:
             yield from leaves(arg)
     elif isinstance(pred, PredNot):
         yield from leaves(pred.arg)
-    elif not isinstance(pred, PredConst):
+    else:
         yield pred

@@ -47,11 +47,11 @@ from typing import Callable
 
 from .errors import (InvalidConfig, MaxEventsExceeded, NegativeMarking,
                      NonStabilizingDetected, UnsupportedReactivation,
-                     ValidationError, has_errors)
+                     ValidationError, has_errors, int_text)
 from .record import Record
 from .sancore import (COMPARISONS, FAMILIES, ConcreteSan, Dist, InputGate,
-                      OutputGate, PredAnd, PredConst, PredLeaf, PredNot,
-                      Predicate, int_text, is_enabled, leaves, validate_san)
+                      OutputGate, PredAnd, PredLeaf, PredNot, Predicate,
+                      is_enabled, leaves, validate_san)
 # The reference's names, called by no code here: ``perfbench/shim.py``
 # wraps ``enabled_activities`` and ``fire`` by name in this module.
 from .sancore import enabled_activities, fire  # noqa: F401
@@ -245,8 +245,6 @@ def _predicate_source(pred: Predicate, slot: dict[str, int],
     """An expression over the marking ``m`` with the truth value of
     ``sancore.eval_predicate``; nested connectives of one kind are
     flattened first."""
-    if isinstance(pred, PredConst):
-        return "True" if pred.value else "False"
     if isinstance(pred, PredLeaf):
         return _comparison(f"m[{slot[pred.place]}]", pred.cmp, pred.value,
                            namespace)

@@ -19,13 +19,13 @@ from __future__ import annotations
 from typing import Mapping, Union
 
 from .errors import (Diagnostic, DuplicateIndex, EvalError, NegativeMarking,
-                     NotEnabled, SantError)
+                     NotEnabled, SantError, int_text)
 from . import terms
 from .record import Record
 from .sancore import (ACTIONS, COMPARISONS, ActivityKind, Dist, PredAnd,
                       PredNot, PredOr, check_case_count, check_case_probs,
                       check_gate, check_marking, check_parameters,
-                      check_timing, check_unique, int_text, leaves)
+                      check_timing, check_unique, leaves)
 from .terms import (CaseIndex, Const, PlaceIndex, Sort, Term, Value,
                     eval_term, infer_sort)
 
@@ -62,11 +62,11 @@ class ActivityTemplate(Record):
 QUANTIFIERS = ("all", "exists")
 
 
-class QAt(Record):
+class At(Record):
     index: Term
 
 
-Quantifier = Union[str, QAt]         # a QUANTIFIERS keyword, or one index
+Quantifier = Union[str, At]          # a QUANTIFIERS keyword, or one index
 
 
 class GateAtom(Record):
@@ -93,15 +93,11 @@ GatePredicate = Union[GateAtom, PredAnd, PredOr, PredNot]
 SELECTORS = ("all", "sat")
 
 
-class SAt(Record):
-    index: Term
-
-
 class SExcept(Record):
     index: Term
 
 
-Selector = Union[str, SAt, SExcept]  # a SELECTORS keyword, or an index
+Selector = Union[str, At, SExcept]   # a SELECTORS keyword, or an index
 
 
 class GateRule(Record):
@@ -340,7 +336,7 @@ def _select(template: SanTemplate, gate, rule: GateRule, indices: list[int],
     sel = rule.selector
     if sel == "all":
         return indices
-    if isinstance(sel, SAt):
+    if isinstance(sel, At):
         i = eval_term(sel.index, assignment, case_index=case_index)
         return [i] if i in indices else []
     if isinstance(sel, SExcept):
@@ -475,7 +471,7 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
                     f"predicate tests place '{atom.place}' outside the "
                     f"gate's place set", el)
             check_term(atom.value, Sort.INT, el, allow_place=True)
-            if isinstance(atom.quantifier, QAt):
+            if isinstance(atom.quantifier, At):
                 check_term(atom.quantifier.index, Sort.INT, el)
             elif atom.quantifier not in QUANTIFIERS:
                 err("bad-quantifier", f"quantifier '{atom.quantifier}'", el)
@@ -486,7 +482,7 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
                     f"place set", el)
             check_term(rule.value, Sort.INT, el,
                        allow_case=not is_input, allow_place=True)
-            if isinstance(rule.selector, (SAt, SExcept)):
+            if isinstance(rule.selector, (At, SExcept)):
                 check_term(rule.selector.index, Sort.INT, el,
                            allow_case=not is_input)
             elif rule.selector not in SELECTORS:

@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 from .errors import (DivisionByZero, EvalError, IndexOutOfRange,
                      MissingContext, ParseError, SortMismatch,
-                     UnknownParameter)
+                     UnknownParameter, int_text)
 from .lexer import TokenStream, int_value, real_value, tokenize
 from .record import Record
 
@@ -153,7 +153,8 @@ def to_real(i) -> float:
 
 def _at(seq, i):
     if not 1 <= i <= len(seq):
-        raise IndexOutOfRange(f"index {i} out of range for length {len(seq)}")
+        raise IndexOutOfRange(
+            f"index {int_text(i)} out of range for length {len(seq)}")
     return seq[i - 1]
 
 

@@ -21,10 +21,14 @@ from santkit import lexer, sancore
 from santkit.cli import main, parse_reward
 from santkit.concretize import concretize
 from santkit.errors import ParseError, SantError
-from santkit.jsonio import san_to_json
+from santkit.jsonio import json_to_san, san_to_json
 from santkit.modelfile import (coerce_assignment, load_assignments,
-                               load_template, parse_template_text)
+                               load_template, parse_template_text,
+                               template_to_text)
+from santkit.record import Record, replace
 from santkit.sim import RewardSpec
+from santkit.terms import (Apply, CaseIndex, Const, Param, PlaceIndex, Sort,
+                           infer_sort, parse_term)
 
 MODELS = resources.files("santkit") / "models"
 USER = str(MODELS / "user.sant")
@@ -602,9 +606,21 @@ _SIMULATE_GEO = ["simulate", "{bad}", GEO_ASSIGN, "--assignment", "GeoPair",
      _SIMULATE_GEO,
      "error: index a negative 6001-digit integer of place 'GEO' is too long "
      "to name a place"),
+    ("tmi.sant", "cases = 1 + (p_TMI > 0.0)",
+     f"cases = {_HUGE} * {_HUGE} + (p_TMI > 0.0)",
+     ["instantiate", "{bad}", str(MODELS / "tmi.sasg"), "--assignment",
+      "TmiPair", "--out", "-"],
+     "error: validation failed:\nerror: instance-size: instance size a "
+     "6001-digit integer exceeds the ceiling 20000000; the largest part "
+     "counts a 6001-digit integer [gate OG_SW]"),
+    ("user.sant", "prob = pb[<CASE>]", f"prob = pb[<CASE> * {_HUGE} * {_HUGE}]",
+     ["instantiate", "{bad}", USER_ASSIGN, "--assignment", "UserInternal",
+      "--out", "-"],
+     "error: index a 6000-digit integer out of range for length 3"),
 ], ids=["sub-in-program", "negative-set", "negative-marking", "case-count",
         "place-index-closed", "place-index-instantiate",
-        "place-index-computed"])
+        "place-index-computed", "instance-size-computed",
+        "set-index-computed"])
 def test_oversized_computed_int_in_a_message(tmp_path, capsys, source, old,
                                              new, argv, fault):
     text = (MODELS / source).read_text(encoding="utf-8")
@@ -745,6 +761,49 @@ def test_export_instance_json_round_trip(tmp_path, capsys):
     assert doc["schema"] == "santkit-instance/2"
 
 
+def _geo_pair_doc() -> dict:
+    template = load_template(GEO).template
+    raw = load_assignments(GEO_ASSIGN)["GeoPair"]
+    return san_to_json(concretize(template, coerce_assignment(template, raw),
+                                  name="GeoPair"))
+
+
+# A DOT string: quotes, with a backslash escaping the character after it.
+_DOT_STRING = r'"(?:[^"\\]|\\.)*"'
+
+
+def test_export_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    renames = {"GeoPair": 'Geo"Pair\\', "GEO_1": 'G"EO\\1',
+               "Working_S_1": 'W"S\\1', "GEO_R": 'GEO\\R"'}
+    text = json.dumps(_geo_pair_doc())
+    for old, new in renames.items():
+        text = text.replace(json.dumps(old), json.dumps(new))
+    instance = tmp_path / "quoted.sanx"
+    instance.write_text(text)
+    assert main(["export", str(instance), "--format", "dot",
+                 "--out", "-"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    s = _DOT_STRING
+    statements = [rf"digraph ({s}) {{", "  rankdir=LR;",
+                  rf'  ({s}) \[label={s}, shape=[^"\]]+, style={s}\];',
+                  rf"  {s} -> {s} \[style={s}(, label={s})?\];", "}"]
+    assert all(any(re.fullmatch(form, line) for form in statements)
+               for line in lines), lines
+
+    def unescape(string: str) -> str:
+        return re.sub(r"\\(.)", r"\1", string[1:-1])
+
+    san = json_to_san(json.loads(text))
+    assert unescape(re.fullmatch(statements[0], lines[0])[1]) == san.name
+    nodes = {unescape(match[1]) for line in lines
+             if (match := re.fullmatch(statements[2], line))}
+    assert nodes == {*san.places, *(a.name for a in san.activities),
+                     *(g.name for g in san.input_gates + san.output_gates)}
+    # The marked place's label keeps its line break before the count.
+    assert '  "W\\"S\\\\1" [label="W\\"S\\\\1\\n(1)", shape=circle, ' \
+        'style="solid"];' in lines
+
+
 def _bundled_assignments():
     for stem in ("geo", "tmi", "user"):
         sasg = str(MODELS / f"{stem}.sasg")
@@ -830,6 +889,41 @@ def test_schema_1_place_lists_are_inline_only(tmp_path, capsys):
                  "--out", "-"]) == 1
     assert capsys.readouterr().err == \
         "error: $.output_gates[0].places: expected list\n"
+
+
+# Earlier writers spelled constant truth ``{"const": b}``.  It reads as the
+# empty conjunction (true) or disjunction (false), runs as that does, and is
+# written back as it.
+@pytest.mark.parametrize("old, new", [
+    (lambda g: {"const": True}, lambda g: {"and": []}),
+    (lambda g: {"const": False}, lambda g: {"or": []}),
+    (lambda g: {"not": {"const": True}}, lambda g: {"not": {"and": []}}),
+    (lambda g: {"not": {"const": False}}, lambda g: {"not": {"or": []}}),
+    (lambda g: {"and": [{"const": True}, g]},
+     lambda g: {"and": [{"and": []}, g]}),
+    (lambda g: {"and": [{"const": False}, g]},
+     lambda g: {"and": [{"or": []}, g]}),
+], ids=["true", "false", "not-true", "not-false", "and-true", "and-false"])
+def test_const_predicate_reads_as_an_empty_connective(tmp_path, capsys, old,
+                                                      new):
+    docs, paths = [], []
+    for spell in (old, new):
+        doc = _geo_pair_doc()
+        gate = doc["input_gates"][0]
+        gate["enabled"] = spell(gate["enabled"])
+        docs.append(doc)
+        paths.append(tmp_path / f"{len(paths)}.sanx")
+        paths[-1].write_text(json.dumps(doc))
+    assert main(["export", str(paths[0]), "--format", "json",
+                 "--out", "-"]) == 0
+    assert json.loads(capsys.readouterr().out) == docs[1]
+    reports = []
+    for path in paths:
+        assert main(["simulate", str(path), "--seed", "3", "--horizon", "50",
+                     "--reward", "throughput:GEO_F",
+                     "--reward", "tokens:GEO_1", "--out", "-"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("path, value", [
@@ -1220,6 +1314,71 @@ def test_mutated_model_text_and_options_never_crash(tmp_path, capsys, stem,
         assert "internal error" not in err and "Traceback" not in err, err
 
 
+# What a computed value puts into each numeric term of a bundled template:
+# an int past the string conversion limit of either sign (``_HUGE`` is a
+# 3,000-digit literal), a real that overflows to ``inf``, and sets of them.
+_COMPUTED = {
+    Sort.INT: (f"{_HUGE} * {_HUGE}", f"0 - {_HUGE} * {_HUGE}"),
+    Sort.REAL: ("1e300 * 1e300",),
+    Sort.SET_INT: (f"{{{_HUGE} * {_HUGE}}}", f"{{0 - {_HUGE} * {_HUGE}}}"),
+    Sort.SET_REAL: ("{1e300 * 1e300}",),
+}
+_TERMS = (Apply, CaseIndex, Const, Param, PlaceIndex)
+
+
+def _term_paths(node, path=()):
+    """The path of every term in a template, subterms included."""
+    if isinstance(node, _TERMS):
+        yield path, node
+    if isinstance(node, Record) and not isinstance(node, Const):
+        for key in node._fields:
+            yield from _term_paths(getattr(node, key), path + (key,))
+    elif isinstance(node, tuple):
+        for i, child in enumerate(node):
+            yield from _term_paths(child, path + (i,))
+
+
+def _put(node, path, term):
+    """``node`` with ``term`` at ``path``."""
+    if not path:
+        return term
+    key, *rest = path
+    if isinstance(node, Record):
+        return replace(node, **{key: _put(getattr(node, key), rest, term)})
+    return node[:key] + (_put(node[key], rest, term),) + node[key + 1:]
+
+
+# A computed value is a user error or a run, never a crash (exit 2).
+@pytest.mark.parametrize("stem", sorted(_FIRST_ASSIGNMENT))
+def test_computed_extreme_values_never_crash(tmp_path, capsys, stem):
+    template = load_template(str(MODELS / f"{stem}.sant")).template
+    # Arcs are written as the gates they desugar to, so that the terms of
+    # their labels are replaced too.
+    template = replace(template, **{side: tuple(
+        replace(gate, arc_label=None) for gate in getattr(template, side))
+        for side in ("input_gates", "output_gates")})
+    sorts = template.param_sorts()
+    sant = tmp_path / f"{stem}.sant"
+    model = [str(sant), str(MODELS / f"{stem}.sasg"),
+             "--assignment", _FIRST_ASSIGNMENT[stem]]
+    sections = set()
+    for path, term in _term_paths(template):
+        for text in _COMPUTED.get(infer_sort(term, sorts), ()):
+            sant.write_text(template_to_text(
+                _put(template, path, parse_term(text, sorts))))
+            for argv in (["validate", str(sant)],
+                         ["instantiate", *model, "--out", "-"],
+                         ["simulate", *model, "--horizon", "1",
+                          "--max-events", "500"]):
+                assert main(argv) in (0, 1), (path, text[:20], argv[0])
+                err = capsys.readouterr().err
+                assert "internal error" not in err and \
+                    "Traceback" not in err, (path, text[:20], err)
+            sections.add(path[0])
+    assert sections == {"places", "activities", "input_gates",
+                        "output_gates", "initial_marking"}
+
+
 def test_export_template_json(capsys):
     assert main(["export", USER, "--format", "json", "--out", "-"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -1233,8 +1392,9 @@ def test_reward_spec_parsing(capsys):
         "prob_tokens_at_least", "P_1", threshold=3)
     with pytest.raises(SantError):
         parse_reward("nonsense")
-    with pytest.raises(SantError):
-        parse_reward("atleast:P_1:x")
+    for bad in ("atleast:P_1:x", "atleast:P_1:\u0661"):
+        with pytest.raises(SantError):
+            parse_reward(bad)
     assert main(["simulate", GEO, GEO_ASSIGN, "--assignment", "GeoPair",
                  "--horizon", "10", "--reward", "atleast:GEO_1:x"]) == 1
     assert "bad reward" in capsys.readouterr().err

@@ -20,7 +20,7 @@ from santkit.fixtures import (USER_INTERNAL, USER_PRESS, build_geo_template,
                               build_tmi_template, build_user_template)
 from santkit.modelfile import parse_template_text
 from santkit.record import replace
-from santkit.sancore import (PredAnd, PredConst, PredLeaf, PredOr, Update,
+from santkit.sancore import (PredAnd, PredLeaf, PredOr, Update,
                              case_probability, eval_predicate, fire,
                              is_enabled, reachable_markings, validate_san)
 from santkit.sim import RewardSpec, SimConfig, simulate
@@ -374,7 +374,7 @@ gates {{
 """).template
     san = concretize(template, {})
     if not enabled:
-        assert san.input_gates[0].predicate == PredConst(False)
+        assert san.input_gates[0].predicate == PredOr(())
     marking = san.initial_marking_dict()
     lifted = lift_marking(template, marking, {},
                           build_index_map(template, {}))

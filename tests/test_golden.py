@@ -1,6 +1,7 @@
 """Golden seeded runs: exact event counts, case counts and reward estimates
 of ``simulate`` on three bundled assignments, and sha256 pins of the
-bundled models' CLI and serializer outputs.
+bundled models' CLI and serializer outputs and of the sources the
+simulator compiles for them.
 
 The values were recorded once and must never drift.  Any change to the
 random stream, the draw order, the sampler arithmetic or the execution
@@ -348,3 +349,53 @@ def test_schema_1_instance_simulates_as_pinned(capsys):
     data = capsys.readouterr().out.encode()
     assert hashlib.sha256(data).hexdigest() == \
         OUTPUT_SHA256["simulate", "tmi/TmiPair"]
+
+
+# sha256 of the sources that seeded `sant simulate` compiles for each
+# bundled assignment, in the order ``sim._define`` (the one caller of
+# ``compile``) receives them.  With no option asked for beyond the pinned
+# report's, the generated loop and programs must not change.
+SOURCES_SHA256 = {
+    "geo/GeoPair":
+        "91d513c9497e6825c4d9502a6435a26fc530061bb2ea868680d53bb0fe5fb41a",
+    "geo/GeoSingle":
+        "f4952f7603d0b6f8ab61c934defbc340d271d42b07ae1b2e71a458ae35b0aebe",
+    "geo/GeoTriple":
+        "1f5abb269228ffc09f6fd31023f81009879cdb49e9113cf8db996fabd8880447",
+    "tmi/TmiNoDep":
+        "48b0b0285b15b9d65f5e8a217699c7aae5433cecbd6d20853752af1fb38df7c2",
+    "tmi/TmiPair":
+        "920da023ac4eddfc8e0cfdd99ec76eb98fb976012c7e7bba6756501bdbc89aa4",
+    "tmi/TmiWide":
+        "8a7ca3680032795ece33c9b32fe202458e19f3ff274168870896aef2051b707a",
+    "user/UserInternal":
+        "e8fcdfc41c101b2d4873d786ec411a1d39a152f12803ec608e5cac5029a854e0",
+    "user/UserPress":
+        "1935a20156ff7565a2ae753542248a196301208e2cea5a05521bbfa10b66c103",
+    "user/UserSingle":
+        "281f07a91c9967a4b98f57e3d84f4637ca8903ed4c2bf2e30f3cd01d403094a9",
+}
+
+
+@pytest.mark.parametrize("subject", list(SOURCES_SHA256))
+def test_golden_compiled_sources_sha256(subject, monkeypatch, capsys):
+    import santkit.sim as sim
+    from santkit.cli import main
+
+    sources: list[str] = []
+
+    def recorded(namespace, source, name, define=sim._define):
+        sources.append(source)
+        return define(namespace, source, name)
+
+    monkeypatch.setattr(sim, "_define", recorded)
+    model, _, assignment = subject.partition("/")
+    rewards = [a for r in SIMULATE_REWARDS.get(assignment, ())
+               for a in ("--reward", r)]
+    assert main(["simulate", str(MODELS / f"{model}.sant"),
+                 str(MODELS / f"{model}.sasg"), "--assignment", assignment,
+                 "--seed", "7", "--horizon", "50", "--reps", "2", *rewards,
+                 "--out", "-"]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256("\0".join(sources).encode()).hexdigest()
+    assert digest == SOURCES_SHA256[subject]

@@ -16,8 +16,8 @@ from santkit.modelfile import (coerce_assignment, load_assignments,
                                load_template, template_to_json)
 from santkit.record import replace
 from santkit.sancore import (Activity, ActivityKind, ConcreteSan, Dist,
-                             InputGate, OutputGate, PredAnd, PredConst,
-                             PredLeaf, PredNot, PredOr, Update)
+                             InputGate, OutputGate, PredAnd, PredLeaf,
+                             PredNot, PredOr, Update)
 
 MODELS = resources.files("santkit") / "models"
 STEMS = ("geo", "tmi", "user")
@@ -162,12 +162,12 @@ def test_hand_built_instance_round_trips_through_dumps():
             Activity("i", ActivityKind.INSTANTANEOUS, 1, (1.0,))),
         input_gates=(
             InputGate("IG_t", "t", ("a", "b"),
-                      PredAnd((PredConst(True),
+                      PredAnd((PredAnd(()),
                                PredNot(PredLeaf("b", ">=", 3)),
                                PredOr((PredLeaf("a", ">", 0),
-                                       PredConst(False))))),
+                                       PredOr(()))))),
                       (Update("a", "sub", 1),)),
-            InputGate("IG_i", "i", (), PredNot(PredConst(True)), ())),
+            InputGate("IG_i", "i", (), PredNot(PredAnd(())), ())),
         output_gates=(
             OutputGate("OG_t_1", "t", 1, ("a", "b"),
                        (Update("b", "add", 1, when=("<", 3)),)),

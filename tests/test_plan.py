@@ -29,8 +29,8 @@ from santkit.fixtures import (build_geo_template, build_tmi_template,
 from santkit.record import replace
 from santkit.sancore import (COMPARISONS, Activity, ActivityKind,
                              ConcreteSan, Dist, InputGate, OutputGate,
-                             PredAnd, PredConst, PredLeaf, PredNot, PredOr,
-                             Update, enabled_activities, fire, is_enabled,
+                             PredAnd, PredLeaf, PredNot, PredOr, Update,
+                             enabled_activities, fire, is_enabled,
                              reachable_markings)
 from santkit.sim import SimConfig, simulate
 
@@ -125,7 +125,7 @@ _values = st.integers(0, 2)
 _leaves = st.builds(PredLeaf, st.sampled_from(PLACES),
                     st.sampled_from(sorted(COMPARISONS)), _values)
 _predicates = st.recursive(
-    st.one_of(_leaves, st.builds(PredConst, st.booleans())),
+    st.one_of(_leaves, st.sampled_from((PredAnd(()), PredOr(())))),
     lambda inner: st.one_of(
         st.builds(PredAnd, st.lists(inner, max_size=4).map(tuple)),
         st.builds(PredOr, st.lists(inner, max_size=4).map(tuple)),
@@ -231,7 +231,7 @@ def test_plan_agrees_on_deep_predicates(depth):
     predicate = gate.predicate
     for level in range(depth):
         predicate = PredNot(predicate) if level % 2 else \
-            PredOr((PredConst(False), predicate))
+            PredOr((PredOr(()), predicate))
     if depth // 2 % 2:           # an odd number of negations so far
         predicate = PredNot(predicate)
     deep = replace(san, input_gates=(replace(gate, predicate=predicate),

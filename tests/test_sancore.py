@@ -15,7 +15,7 @@ from santkit.fixtures import (USER_INTERNAL, build_geo_template,
                               build_tmi_template, build_user_template)
 from santkit.record import replace
 from santkit.sancore import (Activity, ConcreteSan, Dist, InputGate,
-                             OutputGate, PredConst, PredLeaf, Update,
+                             OutputGate, PredAnd, PredLeaf, Update,
                              case_probability, find_instability, fire,
                              int_text, is_enabled, is_stable,
                              reachable_markings, validate_san)
@@ -80,7 +80,7 @@ def test_fire_with_identity_gates_keeps_marking():
     san = ConcreteSan(
         name="id", places=("P_1",),
         activities=(Activity("T", ActivityKind.INSTANTANEOUS, 1, (1.0,)),),
-        input_gates=(InputGate("g", "T", ("P_1",), PredConst(True), ()),),
+        input_gates=(InputGate("g", "T", ("P_1",), PredAnd(()), ()),),
         output_gates=(OutputGate("o", "T", 1, ("P_1",), ()),),
         initial_marking=(("P_1", 2),))
     assert fire(san, {"P_1": 2}, "T", 1) == {"P_1": 2}
@@ -99,7 +99,7 @@ def test_underflow_raises_negative_marking():
     san = ConcreteSan(
         name="under", places=("P_1",),
         activities=(Activity("T", ActivityKind.INSTANTANEOUS, 1, (1.0,)),),
-        input_gates=(InputGate("g", "T", ("P_1",), PredConst(True),
+        input_gates=(InputGate("g", "T", ("P_1",), PredAnd(()),
                                (Update("P_1", "sub", 1),)),),
         output_gates=(), initial_marking=(("P_1", 0),))
     with pytest.raises(NegativeMarking):
@@ -113,7 +113,7 @@ def test_update_guard_sees_entry_marking():
         name="guard", places=("P_1",),
         activities=(Activity("T", ActivityKind.INSTANTANEOUS, 1, (1.0,)),),
         input_gates=(InputGate(
-            "g", "T", ("P_1",), PredConst(True),
+            "g", "T", ("P_1",), PredAnd(()),
             (Update("P_1", "set", 0, when=(">=", 1)),
              Update("P_1", "add", 5, when=(">=", 1)))),),
         output_gates=(), initial_marking=(("P_1", 1),))

@@ -25,9 +25,9 @@ from santkit.modelfile import (coerce_assignment, load_assignments,
                                load_template)
 from santkit.record import replace
 from santkit.sancore import (FAMILIES, Activity, ConcreteSan, Dist,
-                             InputGate, OutputGate, PredAnd, PredConst,
-                             PredLeaf, PredNot, Update, is_enabled,
-                             is_stable, under_priority)
+                             InputGate, OutputGate, PredAnd, PredLeaf,
+                             PredNot, Update, is_enabled, is_stable,
+                             under_priority)
 from santkit.sancore import fire as sancore_fire
 from santkit.sim import (REWARDS, STABILIZATION_LIMIT, RewardEstimate,
                          RewardSpec, SimConfig, SimResult, _mean_std,
@@ -869,7 +869,7 @@ def _folds() -> ConcreteSan:
             gate(InputGate, "gr", "Repair", Update("G_1", "sub", 1),
                  predicate=PredLeaf("G_1", ">=", 1)),
             gate(InputGate, "gb", "Bump", Update("X_1", "set", 0),
-                 predicate=PredConst(True)),
+                 predicate=PredAnd(())),
             gate(InputGate, "gw", "Watch", Update("X_1", "sub", 1),
                  predicate=PredLeaf("X_1", ">=", 1)),
             gate(InputGate, "gz", "Reset", Update("Z_1", "set", 0),

@@ -12,8 +12,8 @@ from santkit.fixtures import (USER_INTERNAL, build_geo_template,
                               build_tmi_template, build_user_template)
 from santkit.record import replace
 from santkit.sancore import validate_san
-from santkit.template import (ActivityKind, CaseEntry, GateAtom, GateRule,
-                              MExpr, MSetOn, MTable, PlaceTemplate, SAt,
+from santkit.template import (ActivityKind, At, CaseEntry, GateAtom,
+                              GateRule, MExpr, MSetOn, MTable, PlaceTemplate,
                               apply_gate_rules, has_variable_cases,
                               is_unary_multiplicity, marking_tokens_at,
                               place_index_values, template_fire,
@@ -74,7 +74,7 @@ def test_multiplicity_must_be_int_set():
 def test_case_placeholder_rejected_in_input_gate():
     user = build_user_template()
     gate = user.input_gates[0]
-    bad_rule = GateRule("Idle", SAt(Const(1)), "sub",
+    bad_rule = GateRule("Idle", At(Const(1)), "sub",
                         parse_term("<CASE>", {}, allow_case=True))
     diags = validate_template(replace(
         user, input_gates=(replace(gate, rules=(bad_rule,)),)
@@ -86,7 +86,7 @@ def test_action_outside_vocabulary_is_an_error():
     user = build_user_template()
     gate = user.input_gates[0]
     bad = replace(
-        gate, rules=(GateRule("Idle", SAt(Const(1)), "mul", Const(1)),))
+        gate, rules=(GateRule("Idle", At(Const(1)), "mul", Const(1)),))
     bad_user = replace(
         user, input_gates=(bad,) + user.input_gates[1:])
     assert "bad-action" in codes(validate_template(bad_user))
