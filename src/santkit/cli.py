@@ -17,7 +17,7 @@ from .errors import Diagnostic, SantError, ValidationError, has_errors
 from .export import san_to_dot, template_to_dot
 from .jsonio import dumps, json_to_san, load_json_file, san_to_json
 from .modelfile import (ModelDocument, coerce_assignment, load_assignments,
-                        load_template, template_to_json)
+                        load_template, number_reader, template_to_json)
 from .record import replace
 from .sancore import validate_san
 from .sim import REWARDS, RewardSpec, SimConfig, simulate
@@ -49,12 +49,12 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _write_out(text: str, out: str | None) -> None:
+def _write_out(pieces: list[str], out: str | None) -> None:
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -103,7 +103,8 @@ def cmd_instantiate(args: argparse.Namespace) -> int:
     _write_out(dumps(san_to_json(san)), out)
     for diag in diags:
         _print_diagnostic(diag, None)
-    print(instance_summary(san))
+    # An instance written to stdout is left there alone, a readable .sanx.
+    print(instance_summary(san), file=sys.stderr if out == "-" else sys.stdout)
     if out != "-":
         print(f"wrote {out}")
     return 0
@@ -121,7 +122,7 @@ def parse_reward(text: str) -> RewardSpec:
             if kind.arity == 1:
                 return RewardSpec(name, fields[0])
             try:
-                threshold = _ascii(int)(fields[1])
+                threshold = number_reader(int)(fields[1])
             except ValueError:
                 raise SantError(f"bad reward '{text}': threshold "
                                 f"'{fields[1]}' is not an integer") from None
@@ -142,8 +143,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for est in result.rewards:
         lines.append(f"{est.name:40} {est.estimate:>14.6f} "
                      f"{est.std:>12.6f} {est.replications:>6}")
-    text = "\n".join(lines) + "\n"
-    _write_out(text, args.out)
+    _write_out(["\n".join(lines) + "\n"], args.out)
     if args.out and args.out != "-":
         print(f"wrote {args.out}")
     return 0
@@ -154,13 +154,13 @@ def cmd_export(args: argparse.Namespace) -> int:
     if args.model.endswith(".sanx"):
         san = json_to_san(load_json_file(args.model))
         diags = _checked(san)
-        text = san_to_dot(san) if args.format == "dot" \
+        pieces = [san_to_dot(san)] if args.format == "dot" \
             else dumps(san_to_json(san))
     else:
         doc = load_template(args.model)
-        text = template_to_dot(doc.template) if args.format == "dot" \
+        pieces = [template_to_dot(doc.template)] if args.format == "dot" \
             else dumps(template_to_json(doc.template))
-    _write_out(text, args.out)
+    _write_out(pieces, args.out)
     for diag in diags:
         _print_diagnostic(diag, None)
     return 0
@@ -181,17 +181,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> NoReturn:
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _ascii(convert):
-    """An option type that reads only ASCII text, as the model files' number
-    literals do; ``int`` and ``float`` alone accept any Unicode digit."""
-    def read(text: str):
-        if not text.isascii():
-            raise ValueError(text)
-        return convert(text)
-    read.__name__ = convert.__name__    # named in argparse's error message
-    return read
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,11 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assignment", help="assignment set name")
     p.add_argument("--reward", action="append", default=[],
                    help=" | ".join(_REWARD_FORMS))
-    p.add_argument("--seed", type=_ascii(int), default=1)
-    p.add_argument("--horizon", type=_ascii(float), required=True)
-    p.add_argument("--reps", type=_ascii(int),
+    p.add_argument("--seed", type=number_reader(int), default=1)
+    p.add_argument("--horizon", type=number_reader(float), required=True)
+    p.add_argument("--reps", type=number_reader(int),
                    default=SimConfig.replications)
-    p.add_argument("--max-events", type=_ascii(int),
+    p.add_argument("--max-events", type=number_reader(int),
                    default=SimConfig.max_events)
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_simulate)

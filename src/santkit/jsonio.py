@@ -3,8 +3,11 @@
 The schema is fully numeric, carries a version tag and is read back by
 ``json_to_san`` with typed, path-reporting checks.  It writes each distinct
 gate place list once, in a table that gates index; files of the earlier
-schema, which list a gate's places inline, are still read.  Template JSON
-is written by ``modelfile``: this module imports no template code.
+schema, which list a gate's places inline, are still read.  ``dumps``
+writes any JSON document, an instance or a template, as one line, encoded
+item by item so that a large instance is never held as one list of tokens.
+Template JSON is built by ``modelfile``: this module imports no template
+code.
 """
 
 from __future__ import annotations
@@ -104,10 +107,11 @@ def _json_pred(doc: dict[str, Any], path: str) -> Predicate:
                     _field(doc, "value", "int", path))
 
 
-def _update_json(update: Update) -> dict[str, Any]:
-    return {"place": update.place, "action": update.action,
-            "amount": update.amount,
-            "when": None if update.when is None else list(update.when)}
+def _effect_json(updates: tuple[Update, ...]) -> list[dict[str, Any]]:
+    """A gate's ``effect``: one object per update, in order."""
+    return [{"place": u.place, "action": u.action, "amount": u.amount,
+             "when": None if u.when is None else list(u.when)}
+            for u in updates]
 
 
 def _json_update(doc: dict[str, Any], path: str) -> Update:
@@ -144,12 +148,12 @@ def san_to_json(san: ConcreteSan) -> dict[str, Any]:
     input_gates = [{
         "name": g.name, "activity": g.activity, "places": places(g),
         "enabled": _pred_json(g.predicate),
-        "effect": [_update_json(u) for u in g.updates],
+        "effect": _effect_json(g.updates),
     } for g in san.input_gates]
     output_gates = [{
         "name": g.name, "activity": g.activity, "case": g.case,
         "places": places(g),
-        "effect": [_update_json(u) for u in g.updates],
+        "effect": _effect_json(g.updates),
     } for g in san.output_gates]
     return {
         "schema": INSTANCE_SCHEMA,
@@ -254,17 +258,52 @@ def json_to_san(doc: Any) -> ConcreteSan:
             for place, tokens in marking.items()))
 
 
-def dumps(doc: Any) -> str:
-    """``doc`` as one line of JSON plus a newline, written by ``json``'s C
-    encoder; an int too large to write is a ``SantError`` naming its
-    path."""
+# ``json.dumps``'s own encoding: default separators, ASCII only.
+_encode = json.JSONEncoder().encode
+
+
+def dumps(doc: Any) -> list[str]:
+    """``doc`` as one line of JSON plus a newline, in pieces whose
+    concatenation is exactly ``json.dumps(doc) + "\\n"``; an int too large
+    to write is a ``SantError`` naming its path.
+
+    Before Python 3.12, ``json``'s C encoder holds one small string per
+    token until it joins them.  So it is called once per value of a
+    top-level object, and once per item of such a value that is a list of
+    objects or lists (gates, activities, place lists): only one item's
+    tokens are held at a time.  The punctuation between them is a piece of
+    its own, and every piece is built before any is written."""
     try:
-        return json.dumps(doc) + "\n"
+        pieces = _pieces(doc)
     except ValueError:
         # The encoder refuses an int past Python's integer string conversion
         # limit; the largest int in ``doc`` is one such.
         path, _ = max(_ints(doc, "$"), key=lambda pair: abs(pair[1]))
         raise SantError(f"{path}: integer too large to write") from None
+    pieces.append("\n")
+    return pieces
+
+
+def _pieces(doc: Any) -> list[str]:
+    if not (isinstance(doc, dict) and all(isinstance(key, str)
+                                          for key in doc)):
+        # Encoded whole: ``json`` spells or refuses a non-str key itself.
+        return [_encode(doc)]
+    pieces = ["{"]
+    for key, value in doc.items():
+        pieces += (_encode(key), ": ")
+        if isinstance(value, list) and value and \
+                isinstance(value[0], (dict, list)):
+            pieces.append("[")
+            for item in value:
+                pieces += (_encode(item), ", ")
+            pieces[-1] = "]"
+        else:
+            pieces.append(_encode(value))
+        pieces.append(", ")
+    # The last separator closes the object; an empty one is "{}".
+    pieces[-1] = "}" if doc else "{}"
+    return pieces
 
 
 def _ints(value: Any, path: str) -> Iterator[tuple[str, int]]:

@@ -73,6 +73,13 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+def number_kind(text: str) -> str | None:
+    """``"int"`` or ``"real"`` when ``text`` is exactly one such literal, with
+    no sign, space, ``_`` or non-ASCII digit; otherwise None."""
+    m = _TOKEN.fullmatch(text)
+    return m.lastgroup if m and m.lastgroup in ("int", "real") else None
+
+
 def int_value(tok: Token) -> int:
     """The int an ``int`` token spells.  ``int()`` refuses a literal past
     Python's integer string conversion limit (4,300 digits by default), so

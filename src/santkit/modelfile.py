@@ -59,11 +59,12 @@ An assignment file holds named parameter bindings::
 
 from __future__ import annotations
 
-from typing import Any, Container
+from typing import Any, Callable, Container
 
 from .arclabel import arc_gate
 from .errors import EvalError, ParseError, parse_file
-from .lexer import Token, TokenStream, int_value, real_value, tokenize
+from .lexer import (Token, TokenStream, int_value, number_kind, real_value,
+                    tokenize)
 from .record import Record
 from .sancore import (COMPARISONS, FAMILIES, ActivityKind, Dist, PredAnd,
                       PredNot, PredOr)
@@ -485,6 +486,22 @@ def _number(ts: TokenStream, expected: str) -> int | float:
         raise ParseError("expected a number", tok.line, tok.column)
     raise ParseError(f"found {tok.describe()}", tok.line, tok.column,
                      expected=(expected,))
+
+
+def number_reader(convert: Callable[[str], Value]) -> Callable[[str], Value]:
+    """A reader for ``convert`` (``int`` or ``float``) that takes only what
+    a number literal of the model files spells (an int literal for ``int``,
+    either kind for ``float``), after an optional minus sign, and raises
+    ``ValueError`` otherwise; ``int`` and ``float`` alone also accept ``_``,
+    surrounding whitespace and any Unicode digit."""
+    kinds = ("int",) if convert is int else ("int", "real")
+
+    def read(text: str) -> Value:
+        if number_kind(text.removeprefix("-")) not in kinds:
+            raise ValueError(text)
+        return convert(text)
+    read.__name__ = convert.__name__    # named in argparse's error message
+    return read
 
 
 def _literal(ts: TokenStream) -> Value:

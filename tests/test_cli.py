@@ -321,8 +321,9 @@ _SIMULATE = ["simulate", GEO, GEO_ASSIGN, "--assignment", "GeoPair"]
 
 
 # A usage error is a user error (exit 1), not an internal one (exit 2); the
-# usage line still goes to stderr.  The numeric options, like the model
-# files' literals, take only ASCII digits.
+# usage line still goes to stderr.  The numeric options read what the
+# model files' number literals spell: no sign but a minus, no "_", space,
+# non-ASCII digit, "inf" or "nan".
 @pytest.mark.parametrize("argv, fault", [
     (["bogus"], "argument command: invalid choice: 'bogus'"),
     ([], "the following arguments are required: command"),
@@ -342,10 +343,26 @@ _SIMULATE = ["simulate", GEO, GEO_ASSIGN, "--assignment", "GeoPair"]
      "argument --max-events: invalid int value: '٣'"),
     (_SIMULATE + ["--horizon", "1٠"],
      "argument --horizon: invalid float value: '1٠'"),
+    (_SIMULATE + ["--horizon", "10", "--seed", " 1_0 "],
+     "argument --seed: invalid int value: ' 1_0 '"),
+    (_SIMULATE + ["--horizon", "10", "--reps", "0_2"],
+     "argument --reps: invalid int value: '0_2'"),
+    (_SIMULATE + ["--horizon", " 1_0.5 "],
+     "argument --horizon: invalid float value: ' 1_0.5 '"),
+    (_SIMULATE + ["--horizon", "10", "--max-events", "+5"],
+     "argument --max-events: invalid int value: '+5'"),
+    (_SIMULATE + ["--horizon", "inf"],
+     "argument --horizon: invalid float value: 'inf'"),
+    (_SIMULATE + ["--horizon", "nan"],
+     "argument --horizon: invalid float value: 'nan'"),
+    (_SIMULATE + ["--horizon", "10", "--seed", "1.0"],
+     "argument --seed: invalid int value: '1.0'"),
 ], ids=["unknown-command", "no-command", "no-model", "no-horizon",
         "unknown-option", "horizon-not-a-number", "horizon-arabic-indic",
         "seed-arabic-indic", "reps-arabic-indic", "max-events-arabic-indic",
-        "horizon-mixed-digits"])
+        "horizon-mixed-digits", "seed-underscore-spaces", "reps-underscore",
+        "horizon-underscore-spaces", "max-events-plus-sign", "horizon-inf",
+        "horizon-nan", "seed-real"])
 def test_usage_error_is_a_user_error(capsys, argv, fault):
     with pytest.raises(SystemExit) as info:
         main(argv)
@@ -362,6 +379,19 @@ def test_help_exits_0(capsys):
             main(argv)
         assert info.value.code == 0
         assert capsys.readouterr().out.startswith("usage: sant")
+
+
+@pytest.mark.parametrize("option, value, fault", [
+    ("--seed", "-1", "seed must be nonnegative, got -1"),
+    ("--horizon", "-1.5", "horizon must be positive and finite, got -1.5"),
+    ("--reps", "-0", "at least one replication is required"),
+    ("--max-events", "-2", "max_events must be positive"),
+])
+def test_negative_option_reaches_its_own_message(capsys, option, value,
+                                                 fault):
+    argv = _SIMULATE + ["--horizon", "10", option, value]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {fault}\n")
 
 
 def test_ascii_numeric_options_still_read(capsys):
@@ -520,6 +550,22 @@ def test_oversized_integer_is_a_user_error(tmp_path, capsys, source, old, new,
     bad.write_text(text.replace(old, new), encoding="utf-8")
     assert main([arg.format(bad=bad) for arg in argv]) == 1
     assert capsys.readouterr() == ("", fault.format(bad=bad) + "\n")
+
+
+def test_oversized_integer_writes_no_file(tmp_path, capsys):
+    # The whole document is encoded before the output file is opened.
+    text = (MODELS / "geo.sant").read_text(encoding="utf-8")
+    assert text.count("  Working_S = 1\n}") == 1
+    bad = tmp_path / "geo.sant"
+    bad.write_text(text.replace("  Working_S = 1\n}",
+                                f"  Working_S = {_HUGE} * {_HUGE}\n}}"),
+                   encoding="utf-8")
+    out = tmp_path / "out.sanx"
+    assert main(["instantiate", str(bad), GEO_ASSIGN, "--assignment",
+                 "GeoPair", "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: $.marking.Working_S_1: integer too large to write\n")
+    assert not out.exists()
 
 
 # An assignment's set literal holds numbers only.  A nested set once crashed
@@ -709,9 +755,10 @@ def test_simulate_rejects_zero_horizon(capsys, monkeypatch):
         raise AssertionError("a plan was compiled")
 
     # Refused by SimConfig.validate before a plan is compiled, so before
-    # any event runs.
+    # any event runs.  A literal past the float range reads as inf; the
+    # words "inf" and "nan" are no number literal, so they are usage errors.
     monkeypatch.setattr(sim, "_build_plan", no_run)
-    for horizon in ("0", "inf", "nan"):
+    for horizon in ("0", "-1", "1e999"):
         assert main(["simulate", USER, USER_ASSIGN,
                      "--assignment", "UserInternal", "--horizon", horizon,
                      "--reward", "throughput:Request"]) == 1
@@ -837,6 +884,22 @@ def test_export_json_reprints_a_wide_user_instance(tmp_path, capsys):
         + ", ".join(str(i) for i in range(1, size + 1)) + "} pb = {"
         + ", ".join(repr(i / total) for i in range(1, size + 1)) + "} } }")
     _assert_export_reprints(tmp_path, capsys, USER, str(sasg), "UserWide")
+
+
+@pytest.mark.parametrize("sant, sasg, name", list(_bundled_assignments()))
+def test_instance_on_stdout_is_the_file_it_would_write(tmp_path, capsys, sant,
+                                                       sasg, name):
+    # With --out -, stdout holds the .sanx alone and the summary goes to
+    # stderr; with --out FILE, stdout keeps the summary and the path.
+    instance = tmp_path / "written.sanx"
+    argv = ["instantiate", sant, sasg, "--assignment", name, "--out"]
+    assert main(argv + [str(instance)]) == 0
+    summary, wrote = capsys.readouterr().out.splitlines()
+    assert summary.startswith(f"{name}: |P|=") and wrote == f"wrote {instance}"
+    assert main(argv + ["-"]) == 0
+    assert capsys.readouterr() == (instance.read_text(encoding="utf-8"),
+                                   summary + "\n")
+    json_to_san(json.loads(instance.read_bytes()))
 
 
 @pytest.mark.parametrize("edit, fault", [
@@ -1392,12 +1455,13 @@ def test_reward_spec_parsing(capsys):
         "prob_tokens_at_least", "P_1", threshold=3)
     with pytest.raises(SantError):
         parse_reward("nonsense")
-    for bad in ("atleast:P_1:x", "atleast:P_1:\u0661"):
+    for bad in ("atleast:P_1:x", "atleast:P_1:\u0661", "atleast:P_1: 1_0"):
         with pytest.raises(SantError):
             parse_reward(bad)
-    assert main(["simulate", GEO, GEO_ASSIGN, "--assignment", "GeoPair",
-                 "--horizon", "10", "--reward", "atleast:GEO_1:x"]) == 1
-    assert "bad reward" in capsys.readouterr().err
+    for bad in ("atleast:GEO_1:x", "atleast:GEO_1: 1_0"):
+        assert main(["simulate", GEO, GEO_ASSIGN, "--assignment", "GeoPair",
+                     "--horizon", "10", "--reward", bad]) == 1
+        assert "bad reward" in capsys.readouterr().err
 
 
 def test_color_toggle(capsys, monkeypatch, tmp_path):

@@ -327,7 +327,7 @@ def _output(kind: str, subject: str, tmp_path, capsys) -> bytes:
         return capsys.readouterr().out.encode()
     template = load_template(sant).template
     text = template_to_text(template) if kind == "text" \
-        else dumps(template_to_json(template))
+        else "".join(dumps(template_to_json(template)))
     return text.encode()
 
 

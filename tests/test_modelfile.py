@@ -47,7 +47,7 @@ def test_dsl_round_trip(stem):
 def test_instance_json_round_trip():
     san = concretize(build_user_template(), USER_INTERNAL,
                      name="UserInternal")
-    doc = json.loads(dumps(san_to_json(san)))
+    doc = json.loads("".join(dumps(san_to_json(san))))
     assert json_to_san(doc) == san
 
 

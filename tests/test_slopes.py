@@ -88,7 +88,8 @@ def _write_user(n: int) -> int:
 
 def _read_user(n: int) -> int:
     san = concretize(build_user_template(), _user(n))
-    return _calls(json_to_san, json.loads(dumps(san_to_json(san))))
+    return _calls(json_to_san,
+                  json.loads("".join(dumps(san_to_json(san)))))
 
 
 def _parse_sum(n: int) -> int:
