@@ -18,7 +18,6 @@ from .export import san_to_dot, template_to_dot
 from .jsonio import dumps, json_to_san, load_json_file, san_to_json
 from .modelfile import (ModelDocument, coerce_assignment, load_assignments,
                         load_template, number_reader, template_to_json)
-from .record import replace
 from .sancore import validate_san
 from .sim import REWARDS, RewardSpec, SimConfig, simulate
 from .template import validate_template
@@ -33,11 +32,10 @@ _COLORS = {"error": "\x1b[31m", "warning": "\x1b[33m"}
 
 def _print_diagnostic(diag: Diagnostic, doc: ModelDocument | None) -> None:
     """Print ``diag`` to stderr, located in ``doc`` when there is one."""
-    if doc is None:
-        text = replace(diag, span=None).format()
-    else:
-        located = replace(diag, span=diag.span or doc.spans.get(diag.element))
-        text = f"{doc.path}:{'' if located.span else ' '}{located.format()}"
+    text = diag.format()
+    if doc is not None:
+        span = doc.spans.get(diag.element)
+        text = f"{doc.path}:{f'{span[0]}:{span[1]}:' if span else ''} {text}"
     if _color_enabled():
         color = _COLORS.get(diag.severity, "")
         text = f"{color}{text}\x1b[0m"

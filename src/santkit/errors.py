@@ -106,20 +106,17 @@ class Diagnostic(Record):
     """One finding from a validator.
 
     ``severity`` is ``"error"`` or ``"warning"``; ``element`` names the model
-    element the finding is about (when there is one) and ``span`` is a
-    1-based (line, column) pair when the element came from a source file.
+    element the finding is about, when there is one.
     """
 
     code: str
     message: str
     severity: str = "error"
     element: str | None = None
-    span: tuple[int, int] | None = None
 
     def format(self) -> str:
-        pos = f"{self.span[0]}:{self.span[1]}: " if self.span else ""
         where = f" [{self.element}]" if self.element else ""
-        return f"{pos}{self.severity}: {self.code}: {self.message}{where}"
+        return f"{self.severity}: {self.code}: {self.message}{where}"
 
 
 def has_errors(diagnostics: list[Diagnostic]) -> bool:

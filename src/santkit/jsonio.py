@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from typing import Any, Callable, Iterator
 
 from .errors import ParseError, SantError, parse_file
@@ -324,9 +325,19 @@ def _ints(value: Any, path: str) -> Iterator[tuple[str, int]]:
 _JSON_NUMBER = r'"(?:[^"\\]|\\.)*"|-?(\d+)(?:\.\d+)?(?:[eE][+-]?\d+)?'
 
 
-def _decode_json(text: str) -> Any:
+def _decode_json(text: str, path: str) -> Any:
+    """``text`` as JSON.  An object that repeats a key is a ``SantError``
+    naming ``path`` and the key, where ``json`` would keep the last value."""
+
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            key = Counter(key for key, _ in pairs).most_common(1)[0][0]
+            raise SantError(f"{path}: repeated key '{key}'")
+        return doc
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
     except ValueError:
@@ -342,4 +353,4 @@ def _decode_json(text: str) -> Any:
 
 
 def load_json_file(path: str) -> Any:
-    return parse_file(path, _decode_json)
+    return parse_file(path, lambda text: _decode_json(text, path))

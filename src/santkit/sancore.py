@@ -15,7 +15,7 @@ import operator
 import random
 from collections import deque
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Collection, Iterable, Iterator, Union
 
 from .errors import (Diagnostic, NegativeMarking, NotEnabled, SantError,
                      int_text)
@@ -379,11 +379,12 @@ def validate_san(san: ConcreteSan) -> list[Diagnostic]:
             severity: str = "error") -> None:
         diags.append(Diagnostic(code, message, severity, element))
 
-    place_set = check_unique("place", san.places, err)
-    activity_names = check_unique(
-        "activity", [a.name for a in san.activities], err)
-    check_unique(
-        "gate", [g.name for g in san.input_gates + san.output_gates], err)
+    gates = san.input_gates + san.output_gates
+    # The slice drops the set of gate names at once.
+    place_set, activity_names = check_names((
+        ("place", san.places),
+        ("activity", [a.name for a in san.activities]),
+        ("gate", [g.name for g in gates])), err)[:2]
 
     for act in san.activities:
         el = f"activity {act.name}"
@@ -405,44 +406,26 @@ def validate_san(san: ConcreteSan) -> list[Diagnostic]:
                 "non-empty reactivation sets are not executable", el,
                 severity="warning")
 
-    # ids of place tuples already found to name only known places: gates
-    # generated from one template gate share one tuple, checked once.
-    known_places: set[int] = set()
-    for gate in san.input_gates + san.output_gates:
+    known: dict[int, set[str]] = {}
+    for gate in gates:
         el = f"gate {gate.name}"
         is_input = isinstance(gate, InputGate)
         atoms = tuple(leaves(gate.predicate)) if is_input else ()
         check_gate(gate, atoms, gate.updates, activity_names, place_set,
-                   known_places, el, err)
+                   known, el, err)
         if not is_input and gate.activity in activity_names:
             cases = san.activity(gate.activity).cases
             if not 1 <= gate.case <= cases:
                 err("case-out-of-range",
                     f"gate is mapped to case {int_text(gate.case)} of "
                     f"'{gate.activity}' ({int_text(cases)} cases)", el)
-        for leaf in atoms:
-            if leaf.place not in place_set:
-                err("unknown-place",
-                    f"predicate tests unknown place '{leaf.place}'", el)
         for u in gate.updates:
-            if u.place not in place_set:
-                err("unknown-place", f"update on unknown place '{u.place}'", el)
             if u.when is not None and u.when[0] not in COMPARISONS:
                 err("bad-comparison", f"comparison '{u.when[0]}'", el)
             if u.action == "set" and u.amount < 0:
-                err("negative-marking",
-                    f"update sets '{u.place}' to {int_text(u.amount)}", el)
+                negative_set(u.place, u.amount, el, err)
 
-    init = dict(san.initial_marking)
-    for pname in san.places:
-        if pname not in init:
-            err("marking-incomplete",
-                f"initial marking does not cover place '{pname}'")
-    for pname in init:
-        if pname not in place_set:
-            err("unknown-place",
-                f"initial marking mentions unknown place '{pname}'",
-                f"marking {pname}")
+    check_coverage(san.places, place_set, dict(san.initial_marking), err)
     check_marking(san.initial_marking, None, err)
 
     if not any(d.severity == "error" for d in diags):
@@ -464,16 +447,25 @@ def validate_san(san: ConcreteSan) -> list[Diagnostic]:
 # ``err(code, message, element)`` records one diagnostic.
 
 
-def check_unique(kind: str, names: Iterable[str], err) -> set[str]:
-    """A ``duplicate-name`` for each repeat among one kind's names; returns
-    the set of names."""
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            err("duplicate-name", f"duplicate {kind} name '{name}'",
-                f"{kind} {name}")
-        seen.add(name)
-    return seen
+def check_names(classes: tuple[tuple[str, Collection[str]], ...],
+                err) -> list[set[str]]:
+    """Names are unique within each kind of ``classes``, (kind, names) pairs,
+    and no name serves two kinds; returns each kind's set of names."""
+    sets: list[set[str]] = []
+    for kind, names in classes:
+        unique: set[str] = set()
+        for name in names:
+            if name in unique:
+                err("duplicate-name", f"duplicate {kind} name '{name}'",
+                    f"{kind} {name}")
+            unique.add(name)
+        for (other, _), used in zip(classes, sets):
+            for name in names:
+                if name in used:
+                    err("name-collision", f"'{name}' is used as both "
+                        f"{other} name and {kind} name", f"{kind} {name}")
+        sets.append(unique)
+    return sets
 
 
 def check_timing(kind: ActivityKind, dist: Dist | None, element: str,
@@ -535,18 +527,20 @@ def check_marking(marking: Iterable[tuple[str, int]], element: str | None,
 
 
 def check_gate(gate, atoms, updates, activities: set[str], places: set[str],
-               known: set[int], element: str, err) -> None:
+               known: dict[int, set[str]], element: str, err) -> None:
     """A gate names a known activity and known places, each once, and its
-    ``atoms`` and ``updates`` use known comparisons and actions.  ``known``
-    holds the ids of place tuples found clean, and gains this gate's when it
-    is."""
+    ``atoms`` and ``updates`` use known comparisons and actions on its places.
+    ``known`` maps the id of the last place tuple found clean to its set:
+    gates generated from one template gate share one tuple, checked once."""
     if gate.activity not in activities:
         err("dangling-gate",
             f"gate is mapped to unknown activity '{gate.activity}'", element)
-    if id(gate.places) not in known:
+    listed = known.get(id(gate.places))
+    if listed is None:
+        known.clear()
         listed = set(gate.places)
         if len(listed) == len(gate.places) and places.issuperset(listed):
-            known.add(id(gate.places))
+            known[id(gate.places)] = listed
         else:
             seen: set[str] = set()
             for pname in gate.places:
@@ -560,9 +554,37 @@ def check_gate(gate, atoms, updates, activities: set[str], places: set[str],
     for atom in atoms:
         if atom.cmp not in COMPARISONS:
             err("bad-comparison", f"comparison '{atom.cmp}'", element)
+        if atom.place not in listed:
+            err("place-outside-gate", f"predicate tests place "
+                f"'{atom.place}' outside the gate's place set", element)
     for update in updates:
         if update.action not in ACTIONS:
             err("bad-action", f"update action '{update.action}'", element)
+        if update.place not in listed:
+            err("place-outside-gate", f"rule updates place "
+                f"'{update.place}' outside the gate's place set", element)
+
+
+def negative_set(place: str, amount: int, element: str, err) -> None:
+    """A ``set`` update writes a negative ``amount``, as its caller found."""
+    err("negative-marking", f"update sets '{place}' to {int_text(amount)}",
+        element)
+
+
+def check_coverage(places: Iterable[str], known: set[str],
+                   marked: Collection[str], err) -> None:
+    """The initial marking's entries, ``marked``, cover ``places`` (their set
+    is ``known``) and name no other place."""
+    for place in places:
+        if place not in marked:
+            err("marking-incomplete",
+                f"initial marking does not cover place '{place}'",
+                f"place {place}")
+    for name in marked:
+        if name not in known:
+            err("unknown-place",
+                f"initial marking mentions unknown place '{name}'",
+                f"marking {name}")
 
 
 def leaves(pred) -> Iterator:

@@ -24,8 +24,9 @@ from . import terms
 from .record import Record
 from .sancore import (ACTIONS, COMPARISONS, ActivityKind, Dist, PredAnd,
                       PredNot, PredOr, check_case_count, check_case_probs,
-                      check_gate, check_marking, check_parameters,
-                      check_timing, check_unique, leaves)
+                      check_coverage, check_gate, check_marking,
+                      check_names, check_parameters, check_timing,
+                      leaves, negative_set)
 from .terms import (CaseIndex, Const, PlaceIndex, Sort, Term, Value,
                     eval_term, infer_sort)
 
@@ -384,8 +385,8 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
     gates touching places outside their declared place set, case-index
     placeholders on the input side, and timed/instantaneous versus
     distribution mismatches.  A closed case count, ``prob`` row,
-    distribution parameter or marking value is evaluated and given the
-    ``sancore`` rule that ``validate_san`` gives its instance value.
+    distribution parameter, marking value or ``:=`` value is evaluated and
+    given the ``sancore`` rule that ``validate_san`` gives its instance value.
     """
     diags: list[Diagnostic] = []
     declared = template.param_sorts()
@@ -427,7 +428,12 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
             err(code, str(exc), element)
             return None
 
-    place_names, activity_names = _check_names(template, err)
+    place_names, activity_names = check_names((
+        ("parameter", [n for n, _ in template.parameters]),
+        ("place", [p.name for p in template.places]),
+        ("activity", [a.name for a in template.activities]),
+        ("gate", [g.name for g in
+                  template.input_gates + template.output_gates])), err)[1:3]
 
     for pt in template.places:
         el = f"place {pt.name}"
@@ -458,30 +464,28 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
             if family is not None and None not in values:
                 check_parameters(family, values, el, err)
 
-    known_places: set[int] = set()
+    known: dict[int, set[str]] = {}
     for gate in template.input_gates + template.output_gates:
         is_input = isinstance(gate, InputGateTemplate)
         el = f"gate {gate.name}"
         atoms = tuple(leaves(gate.predicate)) if is_input else ()
         check_gate(gate, atoms, gate.rules, activity_names, place_names,
-                   known_places, el, err)
+                   known, el, err)
         for atom in atoms:
-            if atom.place not in gate.places:
-                err("place-outside-gate",
-                    f"predicate tests place '{atom.place}' outside the "
-                    f"gate's place set", el)
             check_term(atom.value, Sort.INT, el, allow_place=True)
             if isinstance(atom.quantifier, At):
                 check_term(atom.quantifier.index, Sort.INT, el)
             elif atom.quantifier not in QUANTIFIERS:
                 err("bad-quantifier", f"quantifier '{atom.quantifier}'", el)
         for rule in gate.rules:
-            if rule.place not in gate.places:
-                err("place-outside-gate",
-                    f"rule updates place '{rule.place}' outside the gate's "
-                    f"place set", el)
-            check_term(rule.value, Sort.INT, el,
-                       allow_case=not is_input, allow_place=True)
+            if rule.action == "set":
+                amount = closed(rule.value, Sort.INT, el, "negative-marking",
+                                allow_case=not is_input, allow_place=True)
+                if amount is not None and amount < 0:
+                    negative_set(rule.place, amount, el, err)
+            else:
+                check_term(rule.value, Sort.INT, el,
+                           allow_case=not is_input, allow_place=True)
             if isinstance(rule.selector, (At, SExcept)):
                 check_term(rule.selector.index, Sort.INT, el,
                            allow_case=not is_input)
@@ -499,23 +503,12 @@ def validate_template(template: SanTemplate) -> list[Diagnostic]:
                         err("ambiguous-where", str(exc), el)
             check_term(rule.when, Sort.BOOL, el, allow_case=not is_input)
 
-    init = template.initial_marking_map()
-    for pt in template.places:
-        fn = init.get(pt.name)
-        if fn is None:
-            err("marking-incomplete",
-                f"initial marking does not cover place '{pt.name}'",
-                f"place {pt.name}")
-            continue
-        el = f"marking {pt.name}"
-        check_marking([(pt.name, tokens) for tokens in
-                       _known_tokens(fn, el, check_term, closed, err)],
-                      el, err)
-    for name in init:
-        if name not in place_names:
-            err("unknown-place",
-                f"initial marking mentions unknown place '{name}'",
-                f"marking {name}")
+    check_coverage([pt.name for pt in template.places], place_names,
+                   template.initial_marking_map(), err)
+    for name, fn in template.initial_marking:
+        el = f"marking {name}"
+        tokens = _known_tokens(fn, el, check_term, closed, err)
+        check_marking([(name, count) for count in tokens], el, err)
     return diags
 
 
@@ -533,25 +526,3 @@ def _known_tokens(fn: MarkingFn, element: str, check_term, closed,
     tokens = closed(fn.value, Sort.INT, element, "negative-marking",
                     allow_place=isinstance(fn, MExpr))
     return [] if tokens is None else [tokens]
-
-
-def _check_names(template: SanTemplate, err) -> tuple[set[str], set[str]]:
-    """Names are unique within each kind, and no name serves two kinds;
-    returns the place names and the activity names."""
-    classes = (
-        ("parameter", [n for n, _ in template.parameters]),
-        ("place", [p.name for p in template.places]),
-        ("activity", [a.name for a in template.activities]),
-        ("gate", [g.name for g in
-                  template.input_gates + template.output_gates]),
-    )
-    unique: dict[str, set[str]] = {}
-    seen_all: dict[str, str] = {}
-    for kind, names in classes:
-        unique[kind] = check_unique(kind, names, err)
-        for name in names:
-            if seen_all.setdefault(name, kind) != kind:
-                err("name-collision",
-                    f"'{name}' is used as both a {seen_all[name]} and a "
-                    f"{kind}", f"{kind} {name}")
-    return unique["place"], unique["activity"]

@@ -27,6 +27,7 @@ from santkit.modelfile import (coerce_assignment, load_assignments,
                                template_to_text)
 from santkit.record import Record, replace
 from santkit.sim import RewardSpec
+from santkit.template import validate_template
 from santkit.terms import (Apply, CaseIndex, Const, Param, PlaceIndex, Sort,
                            infer_sort, parse_term)
 
@@ -437,8 +438,8 @@ def test_validate_checks_constant_distribution_parameters(tmp_path, capsys,
         f"{bad}:21:9: error: invalid-parameter: {message} [activity GEO_R]\n"
 
 
-# The instance rules that a closed case count, prob row or marking value
-# decides, reported by the template at its element's position.
+# The instance rules that a closed case count, prob row, marking value or
+# := value decides, reported by the template at its element's position.
 @pytest.mark.parametrize("source, old, new, fault", [
     ("tmi.sant", "cases = 1 + (p_TMI > 0.0)", "cases = 0",
      "21:9: error: case-count: activity has 0 cases [activity SW_F]"),
@@ -459,9 +460,12 @@ def test_validate_checks_constant_distribution_parameters(tmp_path, capsys,
     ("tmi.sant", "Working_S = 1", "Working_S = on({1}, 0 - 1)",
      "52:3: error: negative-marking: initial marking of 'Working_S' is -1 "
      "[marking Working_S]"),
+    ("geo.sant", "Working_S[all] := 0", "Working_S[all] := -1",
+     "27:9: error: negative-marking: update sets 'Working_S' to -1 "
+     "[gate IG_GF]"),
 ], ids=["zero-cases", "cases-fail-to-evaluate", "cases-above-the-ceiling",
         "prob-above-one", "prob-past-the-real-range", "negative-marking",
-        "negative-marking-on-set"])
+        "negative-marking-on-set", "negative-set"])
 def test_validate_decides_closed_instance_rules(tmp_path, capsys, source, old,
                                                 new, fault):
     text = (MODELS / source).read_text(encoding="utf-8")
@@ -627,9 +631,8 @@ _SIMULATE_GEO = ["simulate", "{bad}", GEO_ASSIGN, "--assignment", "GeoPair",
      "6000-digit integer"),
     ("geo.sant", "Working_S[all] := 0",
      f"Working_S[all] := 0 - {_HUGE} * {_HUGE}", _SIMULATE_GEO,
-     "error: validation failed:\n" + "".join(
-         f"error: negative-marking: update sets 'Working_S_{i}' to a "
-         "negative 6000-digit integer [gate IG_GF]\n" for i in (1, 2))[:-1]),
+     "error: validation failed:\nerror: negative-marking: update sets "
+     "'Working_S' to a negative 6000-digit integer [gate IG_GF]"),
     ("geo.sant", "  Working_S = 1\n}",
      f"  Working_S = 0 - {_HUGE} * {_HUGE}\n}}", ["validate", "{bad}"],
      "{bad}:44:3: error: negative-marking: initial marking of 'Working_S' "
@@ -1175,7 +1178,7 @@ def test_instance_diagnostics_match_the_template_rules(tmp_path, capsys, edit,
 
 def _negative_set(doc):
     doc["output_gates"][0]["effect"].append(
-        {"place": "Idle_1", "action": "set", "amount": -2, "when": None})
+        {"place": "Req_1", "action": "set", "amount": -2, "when": None})
 
 
 # Validation faults reached by editing an instance, each pinned in full.
@@ -1188,9 +1191,10 @@ def _negative_set(doc):
     (lambda d: d["activities"][0].update(probs=[0.5, 0.5]),
      ["case-count: 2 probabilities for 3 cases [activity Request]"]),
     (_negative_set,
-     ["negative-marking: update sets 'Idle_1' to -2 [gate OGRequest_1]"]),
+     ["negative-marking: update sets 'Req_1' to -2 [gate OGRequest_1]"]),
     (lambda d: d["marking"].pop("Idle_1") and None,
-     ["marking-incomplete: initial marking does not cover place 'Idle_1'"]),
+     ["marking-incomplete: initial marking does not cover place 'Idle_1' "
+      "[place Idle_1]"]),
     (lambda d: d["marking"].update(Ghost=5),
      ["unknown-place: initial marking mentions unknown place 'Ghost' "
       "[marking Ghost]"]),
@@ -1203,6 +1207,22 @@ def test_edited_instance_faults_are_user_errors(tmp_path, capsys, edit,
     assert main(["simulate", str(instance), "--horizon", "10"]) == 1
     assert capsys.readouterr().err == "error: validation failed:\n" + "".join(
         f"error: {line}\n" for line in diagnostics)
+
+
+# A .sanx object that repeats a key is refused, as a .sant refuses a place
+# marked twice; it was once read last-wins.
+@pytest.mark.parametrize("old, new, key", [
+    ('"Failed_1": 0}', '"Failed_1": 0, "Idle_1": 7}', "Idle_1"),
+    ('"name": "IGRequest",', '"name": "IGRequest", "name": "IGRequest",',
+     "name"),
+], ids=["marking-entry", "gate-field"])
+def test_repeated_sanx_key_is_a_user_error(tmp_path, capsys, old, new, key):
+    text = json.dumps(_user_internal_doc())
+    assert text.count(old) == 1
+    bad = tmp_path / "bad.sanx"
+    bad.write_text(text.replace(old, new))
+    assert main(["simulate", str(bad), "--horizon", "10"]) == 1
+    assert capsys.readouterr() == ("", f"error: {bad}: repeated key '{key}'\n")
 
 
 # concretize names the gates of a two-case activity OG_SW_1 and OG_SW_2, so
@@ -1228,6 +1248,73 @@ def test_generated_gate_name_collision_is_a_user_error(tmp_path, capsys,
     assert err.startswith("error: validation failed")
     assert "duplicate-name: duplicate gate name 'OG_SW_1'" in err
     assert not out.exists()
+
+
+# concretize names a place's instances <P>_<i>, so an activity named GEO_1
+# passes the template rules but shares its name with GEO's one instance;
+# DOT would declare node "GEO_1" twice.
+def test_generated_place_name_collision_is_a_user_error(tmp_path, capsys):
+    bad = tmp_path / "geo.sant"
+    bad.write_text(re.sub(r"\bGEO_F\b", "GEO_1", (MODELS / "geo.sant")
+                          .read_text(encoding="utf-8")), encoding="utf-8")
+    assert main(["validate", str(bad)]) == 0
+    capsys.readouterr()
+    assert main(["instantiate", str(bad), GEO_ASSIGN, "--assignment",
+                 "GeoPair", "--out", "-"]) == 1
+    assert capsys.readouterr() == ("", (
+        "error: validation failed:\nerror: name-collision: 'GEO_1' is used "
+        "as both place name and activity name [activity GEO_1]\n"))
+
+
+def _unmark_idle(template):
+    # A .sant marks a place it does not list 0, so no text leaves one
+    # unmarked; this drops Idle's entry from the parsed template.
+    assert template.initial_marking[0][0] == "Idle"
+    return replace(template, initial_marking=template.initial_marking[1:])
+
+
+# Each structural rule of a net is written once, in sancore, and both
+# levels call it: broken once in user.sant and once in a UserInternal
+# .sanx, it gives the same code.
+@pytest.mark.parametrize("old, new, edit, code", [
+    ("output ArcOutDrop : Drop", "output ArcOutFail : Drop",
+     lambda d: d["output_gates"][4].update(name="ArcOutFail"),
+     "duplicate-name"),
+    ("output ArcOutDrop : Drop", "output Drop : Drop",
+     lambda d: d["output_gates"][4].update(name="Drop"), "name-collision"),
+    ("enabled = Idle[1] >= 1", "enabled = Failed[1] >= 1",
+     lambda d: d["input_gates"][0]["enabled"].update(place="Failed_1"),
+     "place-outside-gate"),
+    ("effect = Idle[1] -= 1", "effect = Dropped[1] -= 1",
+     lambda d: d["input_gates"][0]["effect"][0].update(place="Dropped_1"),
+     "place-outside-gate"),
+    (_unmark_idle, None, lambda d: d["marking"].pop("Idle_1") and None,
+     "marking-incomplete"),
+    ("  Idle = 1\n}", "  Idle = 1\n  Ghost = 0\n}",
+     lambda d: d["marking"].update(Ghost=0), "unknown-place"),
+    ("input IGRequest : Request", "input IGRequest : Nowhere",
+     lambda d: d["input_gates"][0].update(activity="Nowhere"),
+     "dangling-gate"),
+    ("places = Idle\n", "places = Idle, Idle\n",
+     lambda d: d["place_lists"][0].append("Idle_1"), "duplicate-place"),
+], ids=["duplicate-name", "name-collision", "predicate-outside-gate",
+        "update-outside-gate", "marking-incomplete", "unknown-marking-entry",
+        "dangling-gate", "duplicate-place"])
+def test_one_rule_gives_one_code_at_both_levels(tmp_path, capsys, old, new,
+                                                edit, code):
+    text = (MODELS / "user.sant").read_text(encoding="utf-8")
+    if callable(old):
+        template = old(parse_template_text(text).template)
+    else:
+        assert text.count(old) == 1
+        template = parse_template_text(text.replace(old, new)).template
+    instance = tmp_path / "bad.sanx"
+    instance.write_text(json.dumps(_malformed(edit)))
+    assert main(["simulate", str(instance), "--horizon", "10"]) == 1
+    printed = re.findall(r"^error: ([a-z-]+):", capsys.readouterr().err,
+                         re.MULTILINE)
+    assert {d.code for d in validate_template(template)} == set(printed) \
+        == {code}
 
 
 @pytest.mark.parametrize("argv", [

@@ -78,7 +78,7 @@ def test_defaults_fill_omitted_fields():
                    case_probs=(1.0,))
     assert (act.distribution, act.reactivation) == (None, "empty")
     assert Diagnostic("code", "message") == \
-        Diagnostic("code", "message", "error", None, None)
+        Diagnostic("code", "message", "error", None)
 
 
 @pytest.mark.parametrize("args, kwargs, fault", [

@@ -254,7 +254,7 @@ def _rename_drop(doc, name):
     (_leaf_cmp, "<", "bad-comparison"),
     (_when_cmp, "!=", "bad-comparison"),
     (_action, "mul", "bad-action"),
-    (_leaf_place, "Nowhere_1", "unknown-place"),
+    (_leaf_place, "Nowhere_1", "place-outside-gate"),
     (_gate_places, "Idle_1", "duplicate-place"),
     (_rename_drop, "Fail", "duplicate-name"),
 ])
