@@ -235,6 +235,13 @@ def _action(doc, action):
 
 
 def _leaf_place(doc, place):
+    # The gate lists the place too, so only the net lacks it.
+    gate = doc["input_gates"][0]
+    gate["enabled"]["place"] = place
+    gate["places"] = doc["place_lists"][gate["places"]] + [place]
+
+
+def _leaf_outside(doc, place):
     doc["input_gates"][0]["enabled"]["place"] = place
 
 
@@ -254,7 +261,8 @@ def _rename_drop(doc, name):
     (_leaf_cmp, "<", "bad-comparison"),
     (_when_cmp, "!=", "bad-comparison"),
     (_action, "mul", "bad-action"),
-    (_leaf_place, "Nowhere_1", "place-outside-gate"),
+    (_leaf_place, "Nowhere_1", "unknown-place"),
+    (_leaf_outside, "Failed_1", "place-outside-gate"),
     (_gate_places, "Idle_1", "duplicate-place"),
     (_rename_drop, "Fail", "duplicate-name"),
 ])
